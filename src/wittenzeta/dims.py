@@ -6,6 +6,11 @@ each factor, rewritten with the reflection and duplication formulas so all
 log-gamma arguments stay positive; the trigonometric parts cancel exactly
 for lattice pairings and only gamma ratios remain.  The two paths share
 nothing beyond the pairing integers, so their agreement is a real check.
+
+Float sums use a third form compiled from the per-root cases: each factor
+expands into terms (p + c)/c linear in the root pairing p, with c > 0, so
+a dimension is prod_j (L[:, j] . n + c_j)/c_j over an integer matrix L.
+The Weyl dimension of a group has the same form.
 """
 from __future__ import annotations
 
@@ -13,7 +18,10 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import mul
+
+import numpy as np
 
 from . import rootdata, weights
 from .errors import (InconsistentMultiplicities, NotRankOne, NumericOverflow,
@@ -184,12 +192,8 @@ def dim_class_one_numeric(space_id: str, coords: weights.Coords) -> float:
 
 
 def dim_class_one_float(space_id: str, coords: weights.Coords) -> float:
-    """Closed-form factors evaluated in floats; fast path for series terms."""
-    pairings = weights.root_pairings(space_id, coords)
-    acc = 1.0
-    for rd in _space_roots(space_id):
-        acc *= float(dim_factor(rd.params, pairings[rd.column]))
-    return acc
+    """The compiled linear factors evaluated in floats; fast path for series terms."""
+    return compile_space(space_id).dim_float(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +229,113 @@ def dim_type_II(group_id: str, coords: weights.Coords) -> int:
     return int(acc)
 
 
-@lru_cache(maxsize=None)
-def _group_tables_float(group_id: str):
-    rows, denoms = _group_tables(group_id)
-    return (tuple(tuple(float(v) for v in row) for row in rows),
-            tuple(float(d) for d in denoms))
-
-
 def dim_type_II_float(group_id: str, coords: weights.Coords) -> float:
-    rows, denoms = _group_tables_float(group_id)
-    acc = 1.0
-    for row, den in zip(rows, denoms):
-        num = den
-        for n, v in zip(coords, row):
-            if n:
-                num += n * v
-        acc *= num / den
-    return acc
+    return compile_group(group_id).dim_float(coords)
+
+
+# ---------------------------------------------------------------------------
+# Compiled linear factors: d(n) = prod_j (L[:, j] . n + c_j) / c_j
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class LinearFactors:
+    """A dimension as a product of factors linear in the coordinates n.
+
+    ``pairing`` is the integer matrix L, one row per coordinate and one
+    column per factor; ``shifts`` are the c_j, all positive, so every factor
+    is at least one on the nonnegative cone.
+    """
+
+    pairing: tuple[tuple[int, ...], ...]
+    shifts: tuple[Q, ...]
+
+    def __post_init__(self):
+        if any(c <= 0 for c in self.shifts):
+            raise AssertionError(f"nonpositive shift in {self.shifts}")
+        if any(v < 0 for row in self.pairing for v in row):
+            raise AssertionError("negative entry in the pairing matrix")
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return (np.array(self.pairing, dtype=np.int64),
+                np.array([float(c) for c in self.shifts]))
+
+    def log_dims(self, coords: np.ndarray) -> np.ndarray:
+        """log d(n) for every row n of an integer coordinate array.
+
+        Summed as log1p(L n / c), so d(0) = 1 comes out exactly and no large
+        logarithms cancel.
+        """
+        matrix, shifts = self._arrays
+        return np.log1p((coords @ matrix) / shifts).sum(axis=1)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]:
+        # factors of one root share its column, so the loop pairs it once
+        grouped: dict[tuple[int, ...], list[float]] = {}
+        for j, c in enumerate(self.shifts):
+            column = tuple(row[j] for row in self.pairing)
+            grouped.setdefault(column, []).append(float(c))
+        return tuple((column, tuple(cs)) for column, cs in grouped.items())
+
+    def dim_float(self, coords: weights.Coords) -> float:
+        """d(n) at one weight, in floats."""
+        acc = 1.0
+        for column, shifts in self._columns:
+            p = sum(map(mul, coords, column))
+            for c in shifts:
+                acc *= (p + c) / c
+        return acc
+
+
+def _factor_offsets(params: PerRootFactorParams) -> list[Q]:
+    """Offsets t with per-root factor prod_t (x + t)/(rho + t), x = pairing + rho."""
+    pm = (-1, 1)
+    if params.case == "even":
+        return [Q(0), Q(0)] + [sg * k for k in range(1, params.l) for sg in pm]
+    if params.case == "odd":
+        return [Q(0)] + [sg * Q(2 * k - 1, 2)
+                         for k in range(1, params.l + 1) for sg in pm]
+    ranges = [k for count in (params.l, params.r) for k in range(1, count + 1)]
+    if params.case == "A":
+        return [Q(0)] + [sg * (2 * k - 1) for k in ranges for sg in pm]
+    return [Q(0)] * 3 + [sg * 2 * k for k in ranges for sg in pm]
+
+
+@lru_cache(maxsize=None)
+def compile_space(space_id: str) -> LinearFactors:
+    """Class-one dimension of a space as compiled linear factors."""
+    matrix = weights.class_one_pairing_matrix(space_id)
+    columns, shifts = [], []
+    for rd in _space_roots(space_id):
+        for offset in _factor_offsets(rd.params):
+            columns.append(rd.column)
+            shifts.append(rd.params.rho + offset)
+    return LinearFactors(
+        pairing=tuple(tuple(row[j] for j in columns) for row in matrix),
+        shifts=tuple(shifts),
+    )
+
+
+@lru_cache(maxsize=None)
+def compile_group(group_id: str) -> LinearFactors:
+    """Weyl dimension of a group as compiled linear factors.
+
+    Each root's row and denominator are divided by (alpha, alpha)/2, which
+    turns them into coroot pairings: integers.
+    """
+    rows, denoms = _group_tables(group_id)
+    roots = rootdata.lookup_group(group_id).root_system.positive_roots
+    columns, shifts = [], []
+    for row, den, alpha in zip(rows, denoms, roots):
+        half = dot(alpha, alpha) / 2
+        column = [v / half for v in row]
+        shift = den / half
+        if any(v.denominator != 1 for v in column) or shift.denominator != 1:
+            raise AssertionError(f"{group_id}: non-integral coroot pairing")
+        columns.append([int(v) for v in column])
+        shifts.append(shift)
+    return LinearFactors(pairing=tuple(zip(*columns)), shifts=tuple(shifts))
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +368,6 @@ def _casimir_value(kind: str, ident: str, coords: weights.Coords) -> Q:
     return acc
 
 
-def casimir(ident: str, coords: weights.Coords) -> Q:
-    """(lambda, lambda + 2 rho) in the ambient inner product.
-
-    ``ident`` may be a space id or a group id; spaces are tried first.
-    """
-    try:
-        rootdata.lookup_space(ident)
-        return _casimir_value("space", ident, coords)
-    except UnknownSpace:
-        rootdata.lookup_group(ident)
-        return _casimir_value("group", ident, coords)
-
-
 def casimir_space(space_id: str, coords: weights.Coords) -> Q:
     return _casimir_value("space", space_id, coords)
 
@@ -314,12 +395,6 @@ class FactoredDimPolynomial:
         acc = self.c
         for kappa, xi in self.factors:
             acc *= (n + kappa) ** xi
-        return acc
-
-    def evaluate_float(self, n: float) -> float:
-        acc = float(self.c)
-        for kappa, xi in self.factors:
-            acc *= (n + float(kappa)) ** xi
         return acc
 
     def expand(self) -> tuple[Q, ...]:
@@ -353,28 +428,9 @@ def rank_one_factored(space_id: str) -> FactoredDimPolynomial:
     if len(roots) != 1:
         raise NotRankOne(f"{space_id}: expected one indivisible root")
     p = roots[0].params
-    rho = p.rho
-    kappas: list[Q] = []
-    if p.case == "even":
-        kappas.extend([rho, rho])
-        for k in range(1, p.l):
-            kappas.extend([rho - k, rho + k])
-    elif p.case == "odd":
-        kappas.append(rho)
-        for k in range(1, p.l + 1):
-            kappas.extend([rho - Q(2 * k - 1, 2), rho + Q(2 * k - 1, 2)])
-    elif p.case == "A":
-        half = rho / 2
-        kappas.append(half)
-        for count in (p.l, p.r):
-            for k in range(1, count + 1):
-                kappas.extend([half - Q(2 * k - 1, 2), half + Q(2 * k - 1, 2)])
-    else:  # case B
-        half = rho / 2
-        kappas.extend([half, half, half])
-        for count in (p.l, p.r):
-            for k in range(1, count + 1):
-                kappas.extend([half - k, half + k])
+    # (L n + c)/c = (n + c/L)/(c/L): the kappas are the shifts over the pairing
+    table = compile_space(space_id)
+    kappas = [c / lj for c, lj in zip(table.shifts, table.pairing[0])]
     if any(k <= 0 for k in kappas):
         raise AssertionError(f"{space_id}: nonpositive kappa in factorization")
     if any((2 * k).denominator != 1 for k in kappas):

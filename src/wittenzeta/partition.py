@@ -25,8 +25,8 @@ class SurfaceParams:
     def __post_init__(self):
         if self.genus < 0:
             raise DomainError("genus must be >= 0")
-        if self.area < 0:
-            raise DomainError("area must be >= 0")
+        if not (math.isfinite(self.area) and self.area >= 0):
+            raise DomainError(f"area must be finite and >= 0, got {self.area}")
         for theta in self.holonomies:
             if not 0.0 <= theta < 2.0 * math.pi:
                 raise DomainError("holonomy angles must lie in [0, 2*pi)")

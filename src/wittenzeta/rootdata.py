@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 from .errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
@@ -304,7 +304,7 @@ class SymmetricSpaceDescriptor:
                 return mult[j]
         return 0
 
-    @property
+    @cached_property
     def rho(self) -> Vector:
         """Half sum of positive restricted roots weighted by multiplicity."""
         mult = self.require_mult()
@@ -508,7 +508,7 @@ class CompactGroupDescriptor:
     def rank(self) -> int:
         return self.root_system.rank
 
-    @property
+    @cached_property
     def rho(self) -> Vector:
         rs = self.root_system
         acc = tuple(Q(0) for _ in range(rs.ambient_dim))

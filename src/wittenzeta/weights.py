@@ -7,8 +7,11 @@ coordinates always range over all nonnegative integers.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction as Q
 from functools import lru_cache
+
+import numpy as np
 
 from . import rootdata
 from .errors import UnknownSpace
@@ -89,6 +92,24 @@ def _graded_box(rank: int, box: int) -> list[Coords]:
     for grade in range(rank * box + 1):
         out.extend(_compositions_within(rank, grade, box))
     return out
+
+
+#: Row bound of one chunk of ``box_chunks``; it bounds the memory of a box pass.
+CHUNK_ROWS = 1 << 15
+
+
+def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:
+    """Every point of [0, box]^rank once, in int64 arrays of <= CHUNK_ROWS rows."""
+    if box < 0:
+        raise UnknownSpace("box_bound must be >= 0")
+    side = box + 1
+    total = side ** rank
+    for start in range(0, total, CHUNK_ROWS):
+        index = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
+        chunk = np.empty((len(index), rank), dtype=np.int64)
+        for axis in range(rank - 1, -1, -1):
+            index, chunk[:, axis] = np.divmod(index, side)
+        yield chunk
 
 
 def _compositions_within(rank: int, total: int, box: int) -> list[Coords]:

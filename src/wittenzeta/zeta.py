@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from itertools import chain
+
+import numpy as np
 
 from . import dims, genseries, rootdata, weights
 from .errors import DivergenceError, DomainError, NotConverged
@@ -42,8 +45,13 @@ def _rank_one_power_series(poly: dims.FactoredDimPolynomial, s: float,
     )
 
 
-def _growing_box(term, rank: int, tolerance: float, max_box: int) -> EvalResult:
-    """Box-doubling summation of term(coords) over the dominant cone."""
+def _growing_box(batch_term, rank: int, tolerance: float, max_box: int) -> EvalResult:
+    """Box-doubling summation over the dominant cone.
+
+    ``batch_term`` maps an integer array of coordinate rows to the array of
+    their terms; each pass sums the whole box, chunk by chunk, in one
+    exactly rounded fsum.
+    """
     cap = genseries.term_cap()
     while (max_box + 1) ** rank > cap and max_box > 2:
         max_box //= 2
@@ -52,9 +60,9 @@ def _growing_box(term, rank: int, tolerance: float, max_box: int) -> EvalResult:
     prev_inc = None
     increases = 0
     while True:
-        total = math.fsum(
-            term(coords) for coords in weights._graded_box(rank, box)
-        )
+        total = math.fsum(chain.from_iterable(
+            batch_term(chunk).tolist() for chunk in weights.box_chunks(rank, box)
+        ))
         if prev_total is not None:
             inc = total - prev_total
             if prev_inc is not None and inc > prev_inc and inc > tolerance:
@@ -84,6 +92,13 @@ def _growing_box(term, rank: int, tolerance: float, max_box: int) -> EvalResult:
         box = min(2 * box, max_box)
 
 
+def _check_arguments(s: float, tolerance: float) -> None:
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def _default_box(rank: int) -> int:
     return {1: 1 << 17, 2: 2048, 3: 128}.get(rank, 24)
 
@@ -91,6 +106,7 @@ def _default_box(rank: int) -> int:
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
                 max_box: int | None = None) -> EvalResult:
     """sum over class-one dominant weights of dim^(-s)."""
+    _check_arguments(s, tolerance)
     space = rootdata.lookup_space(space_id)
     space.require_mult()
     if space.rank == 1:
@@ -98,28 +114,25 @@ def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
         return _rank_one_power_series(poly, s, tolerance)
     if s <= 0:
         raise DivergenceError("need s > 0 for a higher-rank sum")
-
-    def term(coords):
-        return dims.dim_class_one_float(space_id, coords) ** (-s)
-
-    return _growing_box(term, space.rank, tolerance,
+    table = dims.compile_space(space_id)
+    return _growing_box(lambda n: np.exp(-s * table.log_dims(n)), space.rank,
+                        tolerance,
                         max_box if max_box is not None else _default_box(space.rank))
 
 
 def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
                  max_box: int | None = None) -> EvalResult:
     """sum over dominant weights of the Weyl dimension to the power -s."""
+    _check_arguments(s, tolerance)
     group = rootdata.lookup_group(group_id)
     if group.rank == 1:
         # every rank-one compact group has d(n) = n + 1 on its weight ray
         return _rank_one_power_series(_UNIT_POLY, s, tolerance)
     if s <= 0:
         raise DivergenceError("need s > 0 for a higher-rank sum")
-
-    def term(coords):
-        return dims.dim_type_II_float(group_id, coords) ** (-s)
-
-    result = _growing_box(term, group.rank, tolerance,
+    table = dims.compile_group(group_id)
+    result = _growing_box(lambda n: np.exp(-s * table.log_dims(n)), group.rank,
+                          tolerance,
                           max_box if max_box is not None else _default_box(group.rank))
     if not result.converged:
         raise NotConverged(

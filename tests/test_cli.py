@@ -133,6 +133,18 @@ def test_domain_error_exit_code():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ("zeta", "--space", "S:2", "--s", "nan"),
+    ("zeta", "--space", "AI:3", "--s", "nan"),
+    ("partition", "--space", "S:3", "--genus", "1", "--area", "inf"),
+])
+def test_non_finite_input_exit_code(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "DomainError"
+
+
 def test_determinism_identical_stdout():
     a = run_cli("zeta", "--space", "S:3", "--s", "2")
     b = run_cli("zeta", "--space", "S:3", "--s", "2")

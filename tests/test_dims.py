@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from wittenzeta import dims, rootdata, weights
@@ -127,6 +129,75 @@ def test_two_path_equality_small_boxes(space_id):
         log_exact = math.log(exact.numerator) - math.log(exact.denominator)
         assert dim_class_one_log(space_id, coords) == pytest.approx(
             log_exact, abs=1e-9), coords
+
+
+# --- compiled linear factors: exact, scalar float and batch paths ---
+
+def _compiled_exact(table, coords):
+    acc = Q(1)
+    for j, c in enumerate(table.shifts):
+        acc *= (sum(n * row[j] for n, row in zip(coords, table.pairing)) + c) / c
+    return acc
+
+
+def _full_box(rank, box):
+    return list(itertools.product(range(box + 1), repeat=rank))
+
+
+@pytest.mark.parametrize("space_id", EVAL_IDS)
+def test_compiled_factors_match_both_paths(space_id):
+    table = dims.compile_space(space_id)
+    rank = rootdata.lookup_space(space_id).rank
+    assert len(table.pairing) == rank
+    assert all(c > 0 for c in table.shifts)
+    assert all(isinstance(v, int) and v >= 0 for row in table.pairing for v in row)
+    points = _full_box(rank, 3 if rank <= 4 else 1)
+    batch = np.exp(table.log_dims(np.array(points, dtype=np.int64)))
+    for coords, from_batch in zip(points, batch):
+        exact = dim_class_one(space_id, coords)
+        assert _compiled_exact(table, coords) == exact, coords
+        scalar = dims.dim_class_one_float(space_id, coords)
+        assert from_batch == pytest.approx(scalar, rel=1e-13), coords
+        # criterion 4: both float paths against the log-gamma path
+        logd = dim_class_one_log(space_id, coords)
+        assert math.log(scalar) == pytest.approx(logd, abs=1e-9), coords
+        assert math.log(from_batch) == pytest.approx(logd, abs=1e-9), coords
+
+
+@pytest.mark.parametrize("group_id", ["SU:3", "G2", "SU:4", "SO:5", "Sp:3", "F4"])
+def test_compiled_group_factors_match_weyl(group_id):
+    table = dims.compile_group(group_id)
+    assert all(c > 0 and c.denominator == 1 for c in table.shifts)
+    points = _full_box(rootdata.lookup_group(group_id).rank, 3)
+    batch = np.exp(table.log_dims(np.array(points, dtype=np.int64)))
+    for coords, from_batch in zip(points, batch):
+        exact = dim_type_II(group_id, coords)
+        assert _compiled_exact(table, coords) == exact, coords
+        scalar = dims.dim_type_II_float(group_id, coords)
+        assert scalar == pytest.approx(exact, rel=1e-13), coords
+        assert from_batch == pytest.approx(scalar, rel=1e-13), coords
+
+
+def test_compile_rejects_nonpositive_shift():
+    with pytest.raises(AssertionError):
+        dims.LinearFactors(pairing=((1, 1),), shifts=(Q(1), Q(0)))
+
+
+@pytest.mark.parametrize("rank,boxes", [(1, (5, 40000)), (2, (7, 200)),
+                                        (3, (4, 40)), (4, (3, 15))])
+def test_box_chunks_cover_the_box_once(rank, boxes):
+    for box in boxes:
+        chunks = list(weights.box_chunks(rank, box))
+        assert all(0 < len(c) <= weights.CHUNK_ROWS for c in chunks)
+        rows = np.concatenate(chunks)
+        assert rows.dtype == np.int64 and rows.shape == ((box + 1) ** rank, rank)
+        assert rows.min() >= 0 and rows.max() <= box
+        keys = rows @ (box + 1) ** np.arange(rank, dtype=np.int64)
+        assert len(np.unique(keys)) == len(rows)
+        if len(chunks) == 1:
+            assert sorted(map(tuple, rows.tolist())) == sorted(
+                weights._graded_box(rank, box))
+    assert len(chunks) > 1
 
 
 def test_casimir_values():

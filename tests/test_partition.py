@@ -19,6 +19,9 @@ def test_surface_params_validation():
         SurfaceParams(genus=0, area=-1.0)
     with pytest.raises(DomainError):
         SurfaceParams(genus=0, area=1.0, holonomies=(7.0,))
+    for area in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            SurfaceParams(genus=1, area=area)
 
 
 def test_su2_torus_is_theta_series():

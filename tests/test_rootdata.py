@@ -150,6 +150,11 @@ def test_rho_recomputation_both_forms():
         assert alt == space.rho, sid
 
 
+def test_rho_is_cached():
+    for desc in (lookup_space("EVIII"), rootdata.lookup_group("E8")):
+        assert desc.rho is desc.rho
+
+
 TABLE3 = {"S:2": Q(1, 2), "S:4": Q(3, 2), "S:7": Q(3), "CP:2": Q(2),
           "CP:3": Q(3), "HP:1": Q(3), "HP:2": Q(5), "FII": Q(11)}
 

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from wittenzeta import dims, rootdata, zeta
@@ -104,11 +105,12 @@ def test_limit_at_large_s():
 def test_rank_one_vs_growing_box():
     for sid in ("S:5", "CP:2"):
         certified = zeta_type_I(sid, 2.0, 1e-10)
+        table = dims.compile_space(sid)
 
-        def term(coords, sid=sid):
-            return dims.dim_class_one_float(sid, coords) ** -2.0
+        def batch_term(coords, table=table):
+            return np.exp(-2.0 * table.log_dims(coords))
 
-        box = zeta._growing_box(term, 1, 1e-9, 1 << 16)
+        box = zeta._growing_box(batch_term, 1, 1e-9, 1 << 16)
         assert box.value == pytest.approx(certified.value, abs=1e-8)
         assert not box.rigorous
 
@@ -153,6 +155,16 @@ def test_hurwitz_relation(s):
     report = hurwitz_relation_check(2, s)
     tol = 1e-10 if s >= 2 else 1e-8
     assert abs(report["difference"]) < tol
+
+
+@pytest.mark.parametrize("s,tol", [(math.nan, 1e-8), (math.inf, 1e-8),
+                                   (-math.inf, 1e-8), (2.0, math.nan),
+                                   (2.0, math.inf), (2.0, 0.0), (2.0, -1e-8)])
+def test_non_finite_arguments_rejected(s, tol):
+    for fn, ident in ((zeta_type_I, "S:2"), (zeta_type_I, "AI:3"),
+                      (zeta_type_II, "SU:2"), (zeta_type_II, "SU:3")):
+        with pytest.raises(DomainError):
+            fn(ident, s, tol)
 
 
 def test_hurwitz_relation_domain():
