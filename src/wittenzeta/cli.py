@@ -1,4 +1,8 @@
-"""Command-line front end; machine-readable JSON on stdout, timing on stderr."""
+"""Command-line front end; machine-readable JSON on stdout, timing on stderr.
+
+stdout is strict JSON: a non-finite float, such as an unbounded tail, is
+printed as null.
+"""
 from __future__ import annotations
 
 import argparse
@@ -102,6 +106,17 @@ def build_parser() -> _Parser:
 
     sub.add_parser("selfcheck", help="run the quick invariant battery")
     return parser
+
+
+def _strict(obj):
+    """The payload with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
 
 
 def _run(args) -> dict | list:
@@ -237,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{entry['id']},{entry['cartan_label']},{entry['family']},"
                   f"{entry['rank']},{entry['dim']}")
     else:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(_strict(record), sort_keys=True, allow_nan=False))
     print(f"elapsed_s={elapsed:.6f}", file=sys.stderr)
     if args.command == "selfcheck" and not payload["ok"]:
         return _DOMAIN_EXIT

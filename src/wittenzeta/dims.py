@@ -280,6 +280,10 @@ class LinearFactors:
 
     def dim_float(self, coords: weights.Coords) -> float:
         """d(n) at one weight, in floats."""
+        if len(coords) != len(self.pairing):
+            raise UnknownSpace(
+                f"expected {len(self.pairing)} coordinates, got {len(coords)}"
+            )
         acc = 1.0
         for column, shifts in self._columns:
             p = sum(map(mul, coords, column))

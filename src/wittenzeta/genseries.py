@@ -6,6 +6,12 @@ and kappa_j shifted by -T_j; its partial-fraction expansion turns it into
 digamma values, once the divergent single-factor pieces are regularized.
 The regularization constant drops out because the partial-fraction
 coefficients sum to zero, which is also checked here in exact arithmetic.
+
+Every series sum of the library, here and in ``zeta`` and ``partition``,
+runs through ``drive``: a generator yields the series shell by shell, each
+shell with the certificate of the tail beyond it, and ``drive`` keeps the
+running total, stops on the tolerance or the term cap, and builds the
+``EvalResult``.
 """
 from __future__ import annotations
 
@@ -22,14 +28,35 @@ _DEFAULT_CAP = 2_000_000
 
 
 def term_cap(default: int = _DEFAULT_CAP) -> int:
-    """Series-length cap, overridable through WZ_MAX_TERMS."""
+    """Series-length cap, overridable through WZ_MAX_TERMS (a positive integer)."""
     raw = os.environ.get("WZ_MAX_TERMS")
     if raw is None:
         return default
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return default
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"WZ_MAX_TERMS must be a positive integer, got {raw!r}")
+    return cap
+
+
+def drive(shells, tolerance: float, cap: int, rigorous: bool = True) -> EvalResult:
+    """Sum a series shell by shell until its tail bound meets the tolerance.
+
+    ``shells`` yields (shell sum, term count, tail estimate, tail bound), the
+    tail covering every term after the shell.  The sum stops when the bound
+    is at most ``tolerance``, when ``cap`` terms are used, or when the shells
+    run out; its value is the running total plus the last tail estimate.
+    """
+    total, terms, estimate, bound = 0.0, 0, 0.0, math.inf
+    for shell, count, estimate, bound in shells:
+        total += shell
+        terms += count
+        if bound <= tolerance or terms >= cap:
+            break
+    return EvalResult(value=total + estimate, tail_bound=bound, terms_used=terms,
+                      converged=bound <= tolerance, rigorous=rigorous)
 
 
 def tail_start_ok(kappas: list[float], powers: list[float], start: int) -> bool:
@@ -71,10 +98,6 @@ def shifted_product_tail(kappas: list[float], powers: list[float],
     return main, bound
 
 
-def _log_term(kappas: list[float], powers: list[float], n: int) -> float:
-    return -sum(p * math.log(n + k) for p, k in zip(powers, kappas))
-
-
 def _scaled(scale_log: float, x: float) -> float:
     """exp(scale_log) * x without overflowing on huge scale factors."""
     if x <= 0.0:
@@ -88,35 +111,33 @@ def _scaled(scale_log: float, x: float) -> float:
 def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
                    tolerance: float, scale_log: float = 0.0,
                    max_terms: int | None = None) -> EvalResult:
-    """sum_{n >= start} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified."""
+    """sum_{n >= start} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
+
+    The shells are the blocks between the checkpoints 16, 32, 64, ... terms
+    past ``start``; the tail after each is certified where the formula is
+    valid from there, and unbounded before that.
+    """
     if sum(powers) <= 1.0:
         raise DivergenceError("series diverges: total exponent <= 1")
     cap = term_cap() if max_terms is None else max_terms
-    partial = 0.0
-    n = start
-    checkpoint = 16
-    while True:
-        partial += math.exp(scale_log + _log_term(kappas, powers, n))
-        n += 1
-        hit_cap = n - start >= cap
-        if n - start >= checkpoint or hit_cap:
+    factors = list(zip(powers, kappas))
+
+    def shells():
+        n, checkpoint = start, 16
+        while True:
+            stop = start + min(checkpoint, cap)
+            block = 0.0
+            for m in range(n, stop):
+                block += math.exp(scale_log - sum(p * math.log(m + k) for p, k in factors))
+            count, n = stop - n, stop
             if tail_start_ok(kappas, powers, n):
                 tail, bound = shifted_product_tail(kappas, powers, n)
-                tail_scaled = _scaled(scale_log, tail)
-                bound_scaled = _scaled(scale_log, bound)
-                if bound_scaled <= tolerance or hit_cap:
-                    return EvalResult(
-                        value=partial + tail_scaled,
-                        tail_bound=bound_scaled,
-                        terms_used=n - start,
-                        converged=bound_scaled <= tolerance,
-                        rigorous=True,
-                    )
-            elif hit_cap:
-                return EvalResult(value=partial, tail_bound=math.inf,
-                                  terms_used=n - start, converged=False,
-                                  rigorous=True)
+                yield block, count, _scaled(scale_log, tail), _scaled(scale_log, bound)
+            else:
+                yield block, count, 0.0, math.inf
             checkpoint *= 2
+
+    return drive(shells(), tolerance, cap)
 
 
 def pi_series(pi: list[int], kappa: list[Q | float], tolerance: float = 1e-10,

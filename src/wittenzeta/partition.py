@@ -2,12 +2,17 @@
 
 For q < 1 the quadratic Casimir growth makes every series here certifiable
 by geometric ratio bounds; at q = 1 the sums reduce to the zeta functions,
-to which evaluation is delegated.
+to which evaluation is delegated.  Rank one sums one weight per shell; a
+higher rank sums the weights of coordinate sum k as one int64 array, with
+the dimensions from the compiled linear factors and the Casimir from the
+quadratic form.  The shells run through ``genseries.drive``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import dims, genseries, rootdata, weights, zeta
 from .errors import DivergenceError, DomainError, UnsupportedSpace
@@ -40,107 +45,77 @@ class SurfaceParams:
         return math.exp(-self.area)
 
 
-def _casimir_coeffs(kind: str, ident: str) -> tuple[tuple[tuple[float, ...], ...],
-                                                     tuple[float, ...]]:
+def _casimir_coeffs(kind: str, ident: str) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and linear part of c2(n) = n.G.n + lin.n, in floats."""
     gram, lin = dims._quadratic_form(kind, ident)
-    gram_f = tuple(tuple(float(v) for v in row) for row in gram)
-    lin_f = tuple(float(v) for v in lin)
-    if any(v < 0.0 for row in gram_f for v in row):
+    gram_f = np.array(gram, dtype=float)
+    if (gram_f < 0.0).any():
         raise AssertionError("basis Gram matrix has a negative entry")
-    return gram_f, lin_f
-
-
-def _casimir_float(gram, lin, coords) -> float:
-    acc = 0.0
-    for i, ni in enumerate(coords):
-        if not ni:
-            continue
-        acc += ni * lin[i]
-        row = gram[i]
-        for jj, nj in enumerate(coords):
-            if nj:
-                acc += ni * nj * row[jj]
-    return acc
+    return gram_f, np.array(lin, dtype=float)
 
 
 def _rank_one_heat_sum(dim_at, c2_at, exponent: float, area: float,
-                       tolerance: float) -> EvalResult:
-    """sum_n q^{c2(n)} / d(n)^exponent with a geometric tail bound.
+                       tolerance: float, weight=None,
+                       bound_exponent: float | None = None) -> EvalResult:
+    """sum_n weight(n) q^{c2(n)} / d(n)^exponent with a geometric tail bound.
 
-    The Casimir increments grow linearly, so beyond any n the term ratios
-    are dominated by the ratio at n, which makes the geometric bound valid.
+    The tail is bounded by the same sum with exponent ``bound_exponent``
+    (default ``exponent``) and no weight, so |weight(n)| must be at most
+    d(n)^(exponent - bound_exponent).  The Casimir increments grow linearly,
+    so beyond any n the term ratios of the bounding sum are dominated by the
+    ratio at n, which makes the geometric bound valid.
     """
     lq = -area
-    cap = genseries.term_cap()
-    total = 0.0
-    n = 0
-    while True:
-        d = dim_at(n)
-        total += math.exp(lq * c2_at(n) - exponent * math.log(d))
-        dc = c2_at(n + 1) - c2_at(n)
-        growth = (dim_at(n + 1) / d) ** max(0.0, -exponent)
-        ratio = math.exp(lq * dc) * growth
-        next_term = math.exp(lq * c2_at(n + 1) - exponent * math.log(dim_at(n + 1)))
-        if ratio < 1.0:
-            tail = next_term / (1.0 - ratio)
-            if tail <= tolerance or n + 1 >= cap:
-                return EvalResult(
-                    value=total,
-                    tail_bound=tail,
-                    terms_used=n + 1,
-                    converged=tail <= tolerance,
-                    rigorous=True,
-                )
-        n += 1
-        if n >= cap:
-            return EvalResult(value=total, tail_bound=math.inf,
-                              terms_used=n, converged=False, rigorous=True)
+    power = exponent if bound_exponent is None else bound_exponent
+
+    def shells():
+        n, d, c2 = 0, dim_at(0), c2_at(0)
+        while True:
+            term = math.exp(lq * c2 - exponent * math.log(d))
+            if weight is not None:
+                term *= weight(n)
+            d_next, c2_next = dim_at(n + 1), c2_at(n + 1)
+            ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
+            next_term = math.exp(lq * c2_next - power * math.log(d_next))
+            yield term, 1, 0.0, next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
+            n, d, c2 = n + 1, d_next, c2_next
+
+    return genseries.drive(shells(), tolerance, genseries.term_cap())
 
 
 def _shell_heat_sum(term_at, dim_bound_at, rank: int, beta_min: float,
                     exponent: float, area: float, tolerance: float) -> EvalResult:
     """Shell-by-shell summation for higher rank, with a rigorous q < 1 bound.
 
-    On the shell of coordinate sum k the Casimir is at least
-    beta_min * k^2 / rank, the weight count is C(k+rank-1, rank-1), and the
-    dimension is at most dim_bound_at(k), which bounds every shell beyond
-    the cutoff by an explicitly decreasing geometric sequence.
+    ``term_at`` maps an int64 array of coordinate rows to their terms; shell
+    k is every weight of coordinate sum k.  On shell k the Casimir is at
+    least beta_min * k^2 / rank, the weight count is C(k+rank-1, rank-1),
+    and the dimension is at most dim_bound_at(k), which bounds every shell
+    beyond the cutoff by an explicitly decreasing geometric sequence.
     """
     lq = -area
-    cap = genseries.term_cap()
-    total = 0.0
-    terms = 0
-    k = 0
-    while True:
-        for coords in weights._compositions_within(rank, k, k):
-            total += term_at(coords)
-            terms += 1
 
-        def shell_bound(j: int) -> float:
-            count = math.comb(j + rank - 1, rank - 1)
-            lg = lq * beta_min * j * j / rank + math.log(count)
-            if exponent < 0.0:
-                lg += -exponent * math.log(dim_bound_at(j))
-            return math.exp(lg) if lg < 700.0 else math.inf
+    def shell_bound(j: int) -> float:
+        count = math.comb(j + rank - 1, rank - 1)
+        lg = lq * beta_min * j * j / rank + math.log(count)
+        if exponent < 0.0:
+            lg += -exponent * math.log(dim_bound_at(j))
+        return math.exp(lg) if lg < 700.0 else math.inf
 
-        b1 = shell_bound(k + 1)
-        b2 = shell_bound(k + 2)
-        if b1 < math.inf and b1 > 0.0:
-            rho = b2 / b1
-            if rho < 1.0:
-                tail = b1 / (1.0 - rho)
-                if tail <= tolerance or terms >= cap:
-                    return EvalResult(value=total, tail_bound=tail,
-                                      terms_used=terms,
-                                      converged=tail <= tolerance,
-                                      rigorous=True)
-        elif b1 == 0.0:
-            return EvalResult(value=total, tail_bound=0.0, terms_used=terms,
-                              converged=True, rigorous=True)
-        k += 1
-        if terms >= cap:
-            return EvalResult(value=total, tail_bound=math.inf,
-                              terms_used=terms, converged=False, rigorous=True)
+    def shells():
+        k = 0
+        while True:
+            rows = np.array(weights._compositions_within(rank, k, k), dtype=np.int64)
+            b1 = shell_bound(k + 1)
+            tail = 0.0 if b1 == 0.0 else math.inf
+            if 0.0 < b1 < math.inf:
+                rho = shell_bound(k + 2) / b1
+                if rho < 1.0:
+                    tail = b1 / (1.0 - rho)
+            yield math.fsum(term_at(rows).tolist()), len(rows), 0.0, tail
+            k += 1
+
+    return genseries.drive(shells(), tolerance, genseries.term_cap())
 
 
 def _partition(kind: str, ident: str, surface: SurfaceParams, exponent: int,
@@ -150,37 +125,27 @@ def _partition(kind: str, ident: str, surface: SurfaceParams, exponent: int,
             return zeta.zeta_type_I(ident, float(exponent), tolerance)
         return zeta.zeta_type_II(ident, float(exponent), tolerance)
     gram, lin = _casimir_coeffs(kind, ident)
-
-    if kind == "space":
-        desc = rootdata.lookup_space(ident)
-        rank = desc.rank
-        dim_at_coords = lambda c: dims.dim_class_one_float(ident, c)
-    else:
-        desc = rootdata.lookup_group(ident)
-        rank = desc.rank
-        dim_at_coords = lambda c: dims.dim_type_II_float(ident, c)
+    table = dims.compile_space(ident) if kind == "space" else dims.compile_group(ident)
+    rank = len(lin)
 
     if rank == 1:
-        a, b = gram[0][0], lin[0]
+        a, b = float(gram[0, 0]), float(lin[0])
         return _rank_one_heat_sum(
-            dim_at=lambda n: dim_at_coords((n,)),
+            dim_at=lambda n: table.dim_float((n,)),
             c2_at=lambda n: a * n * n + b * n,
             exponent=float(exponent),
             area=surface.area,
             tolerance=tolerance,
         )
 
-    beta_min = min(gram[i][i] for i in range(rank))
-
-    def term_at(coords):
-        c2 = _casimir_float(gram, lin, coords)
-        return math.exp(-surface.area * c2
-                        - exponent * math.log(dim_at_coords(coords)))
+    def term_at(rows: np.ndarray) -> np.ndarray:
+        c2 = ((rows @ gram) * rows).sum(axis=1) + rows @ lin
+        return np.exp(-surface.area * c2 - exponent * table.log_dims(rows))
 
     def dim_bound_at(k: int) -> float:
-        return dim_at_coords(tuple([k] * rank))
+        return table.dim_float((k,) * rank)
 
-    return _shell_heat_sum(term_at, dim_bound_at, rank, beta_min,
+    return _shell_heat_sum(term_at, dim_bound_at, rank, float(gram.diagonal().min()),
                            float(exponent), surface.area, tolerance)
 
 
@@ -231,39 +196,16 @@ def boundary_state(space_id: str, surface: SurfaceParams,
         raise DivergenceError("boundary sums need positive area")
     char = so3_character if space.space_id == "S:2" else _s3_character
     gram, lin = _casimir_coeffs("space", space_id)
-    a, b = gram[0][0], lin[0]
-    exponent = 2 * surface.genus + surface.n_holes - 1
+    a, b = float(gram[0, 0]), float(lin[0])
+    table = dims.compile_space(space_id)
     thetas = surface.holonomies
-
-    def dim_at(n: int) -> float:
-        return dims.dim_class_one_float(space_id, (n,))
-
-    def c2_at(n: int) -> float:
-        return a * n * n + b * n
-
-    lq = -surface.area
-    cap = genseries.term_cap()
-    total = 0.0
-    n = 0
-    while True:
-        d = dim_at(n)
-        weight = math.exp(lq * c2_at(n)) / d ** exponent
-        total += weight * math.prod(char(n, t) for t in thetas)
-        # |chi| <= d, so the tail obeys the exponent-(2g-1) partition bound
-        dc = c2_at(n + 1) - c2_at(n)
-        growth = (dim_at(n + 1) / d) ** max(0.0, -(exponent - surface.n_holes))
-        ratio = math.exp(lq * dc) * growth
-        bound_next = math.exp(
-            lq * c2_at(n + 1)
-            - (exponent - surface.n_holes) * math.log(dim_at(n + 1))
-        )
-        if ratio < 1.0:
-            tail = bound_next / (1.0 - ratio)
-            if tail <= tolerance or n + 1 >= cap:
-                return EvalResult(value=total, tail_bound=tail,
-                                  terms_used=n + 1,
-                                  converged=tail <= tolerance, rigorous=True)
-        n += 1
-        if n >= cap:
-            return EvalResult(value=total, tail_bound=math.inf,
-                              terms_used=n, converged=False, rigorous=True)
+    # |chi_n| <= d(n), so the tail obeys the exponent-(2g-1) partition bound
+    return _rank_one_heat_sum(
+        dim_at=lambda n: table.dim_float((n,)),
+        c2_at=lambda n: a * n * n + b * n,
+        exponent=float(2 * surface.genus + surface.n_holes - 1),
+        area=surface.area,
+        tolerance=tolerance,
+        weight=lambda n: math.prod(char(n, t) for t in thetas),
+        bound_exponent=float(2 * surface.genus - 1),
+    )

@@ -7,6 +7,7 @@ coordinates always range over all nonnegative integers.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -78,6 +79,10 @@ def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
 def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
     """(lambda, alpha)/(alpha, alpha) for every positive root, exact integers."""
     matrix = class_one_pairing_matrix(space_id)
+    if len(coords) != len(matrix):
+        raise UnknownSpace(
+            f"{space_id} expects {len(matrix)} coordinates, got {len(coords)}"
+        )
     ncols = len(matrix[0])
     return tuple(
         sum(coords[i] * matrix[i][j] for i in range(len(coords)))
@@ -98,18 +103,25 @@ def _graded_box(rank: int, box: int) -> list[Coords]:
 CHUNK_ROWS = 1 << 15
 
 
-def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:
-    """Every point of [0, box]^rank once, in int64 arrays of <= CHUNK_ROWS rows."""
+def box_chunks(rank: int, box: int, inner: int = -1) -> Iterator[np.ndarray]:
+    """Every point of [0, box]^rank outside [0, inner]^rank once, in int64
+    arrays of <= CHUNK_ROWS rows.
+
+    The points are cut into slabs by their first coordinate above ``inner``;
+    with the default ``inner`` the one slab is the whole box.
+    """
     if box < 0:
         raise UnknownSpace("box_bound must be >= 0")
-    side = box + 1
-    total = side ** rank
-    for start in range(0, total, CHUNK_ROWS):
-        index = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
-        chunk = np.empty((len(index), rank), dtype=np.int64)
-        for axis in range(rank - 1, -1, -1):
-            index, chunk[:, axis] = np.divmod(index, side)
-        yield chunk
+    for axis in range(rank):
+        sides = [inner + 1] * axis + [max(box - inner, 0)] + [box + 1] * (rank - axis - 1)
+        total = math.prod(sides)
+        for start in range(0, total, CHUNK_ROWS):
+            index = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
+            chunk = np.empty((len(index), rank), dtype=np.int64)
+            for ax in range(rank - 1, -1, -1):
+                index, chunk[:, ax] = np.divmod(index, sides[ax])
+            chunk[:, axis] += inner + 1
+            yield chunk
 
 
 def _compositions_within(rank: int, total: int, box: int) -> list[Coords]:

@@ -2,13 +2,16 @@
 
 Rank-one targets get a certified evaluation: explicit terms plus a tail
 that is pinned to a Hurwitz zeta with a rigorous correction bound.  Higher
-ranks use growing-box summation with a box-doubling heuristic; the result
-is flagged as non-rigorous because no analytic convergence region is
-available there.
+ranks use growing-box summation: each pass adds the shell between the last
+box and a box of twice its side, and the size of that shell stands in for
+the tail beyond it.  The result is flagged as non-rigorous because no
+analytic convergence region is available there.  Both run through
+``genseries.drive``.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import chain
 
@@ -36,60 +39,46 @@ def _rank_one_power_series(poly: dims.FactoredDimPolynomial, s: float,
     scale_log = -s * math.log(float(poly.c))
     tail_part = genseries._sum_with_tail(kappas, powers, 1, tolerance,
                                          scale_log, max_terms)
-    return EvalResult(
-        value=1.0 + tail_part.value,
-        tail_bound=tail_part.tail_bound,
-        terms_used=tail_part.terms_used + 1,
-        converged=tail_part.converged,
-        rigorous=True,
-    )
+    return replace(tail_part, value=1.0 + tail_part.value,
+                   terms_used=tail_part.terms_used + 1)
 
 
 def _growing_box(batch_term, rank: int, tolerance: float, max_box: int) -> EvalResult:
     """Box-doubling summation over the dominant cone.
 
     ``batch_term`` maps an integer array of coordinate rows to the array of
-    their terms; each pass sums the whole box, chunk by chunk, in one
-    exactly rounded fsum.
+    their terms.  Each pass sums only the shell [0, box]^rank minus the
+    previous box, chunk by chunk, in one exactly rounded fsum; the shell sum
+    is the heuristic tail bound, held to half the tolerance.  The second
+    time a shell sum exceeds both the one before it and the tolerance, the
+    series is taken for divergent.
     """
     cap = genseries.term_cap()
     while (max_box + 1) ** rank > cap and max_box > 2:
         max_box //= 2
-    box = min(8, max_box)
-    prev_total = None
-    prev_inc = None
-    increases = 0
-    while True:
-        total = math.fsum(chain.from_iterable(
-            batch_term(chunk).tolist() for chunk in weights.box_chunks(rank, box)
-        ))
-        if prev_total is not None:
-            inc = total - prev_total
-            if prev_inc is not None and inc > prev_inc and inc > tolerance:
+
+    def shells():
+        inner, box = -1, min(8, max_box)
+        prev, increases = None, 0
+        while True:
+            shell = math.fsum(chain.from_iterable(
+                batch_term(chunk).tolist()
+                for chunk in weights.box_chunks(rank, box, inner)
+            ))
+            if prev is not None and shell > prev and shell > tolerance:
                 increases += 1
                 if increases >= 2:
                     raise DivergenceError(
                         "partial sums accelerate: series looks divergent"
                     )
-            if abs(inc) < tolerance / 2.0:
-                return EvalResult(
-                    value=total,
-                    tail_bound=abs(inc),
-                    terms_used=(box + 1) ** rank,
-                    converged=True,
-                    rigorous=False,
-                )
-            prev_inc = inc
-        prev_total = total
-        if box >= max_box:
-            return EvalResult(
-                value=total,
-                tail_bound=abs(prev_inc) if prev_inc is not None else math.inf,
-                terms_used=(box + 1) ** rank,
-                converged=False,
-                rigorous=False,
-            )
-        box = min(2 * box, max_box)
+            count = (box + 1) ** rank - (inner + 1) ** rank
+            yield shell, count, 0.0, abs(shell) if inner >= 0 else math.inf
+            if box >= max_box:
+                return
+            prev = shell if inner >= 0 else None
+            inner, box = box, min(2 * box, max_box)
+
+    return genseries.drive(shells(), tolerance / 2.0, cap, rigorous=False)
 
 
 def _check_arguments(s: float, tolerance: float) -> None:

@@ -53,6 +53,27 @@ def test_dim_command_coords():
     assert result["dim_exact"] == "27"
 
 
+@pytest.mark.parametrize("coords", ["1", "1,1,1"])
+def test_dim_wrong_coordinate_count(coords):
+    proc = run_cli("dim", "--space", "AI:3", "--coords", coords)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "UnknownSpace"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_unbounded_tail_is_strict_json_null():
+    proc = run_cli("zeta", "--space", "EI", "--s", "1", "--max-box", "2")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["tail_bound"] is None
+    assert result["converged"] is False
+    assert set(result) == {"value", "tail_bound", "terms", "converged", "rigorous"}
+
+
 def test_zeta_command_value_and_bound():
     proc = run_cli("zeta", "--space", "S:2", "--s", "2", "--tol", "1e-8")
     assert proc.returncode == 0
@@ -181,3 +202,11 @@ def test_max_terms_env_cap():
     result = json.loads(proc.stdout)["result"]
     assert result["terms"] <= 100
     assert result["converged"] is False
+
+
+def test_invalid_max_terms_env_is_usage_error():
+    env = {**_ENV, "WZ_MAX_TERMS": "abc"}
+    proc = run_cli("zeta", "--space", "S:2", "--s", "2", env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "usage"

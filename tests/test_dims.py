@@ -13,7 +13,8 @@ from wittenzeta.dims import (c_alpha, c_alpha_reduced,
                              dimension_via_c_ratio, per_root_params,
                              rank_one_factored)
 from wittenzeta.errors import (InconsistentMultiplicities, NotRankOne,
-                               NumericOverflow, PoleError, UnsupportedSpace)
+                               NumericOverflow, PoleError, UnknownSpace,
+                               UnsupportedSpace)
 
 EVAL_IDS = [sid for sid in rootdata.CATALOG_IDS
             if rootdata.lookup_space(sid).evaluable]
@@ -197,7 +198,26 @@ def test_box_chunks_cover_the_box_once(rank, boxes):
         if len(chunks) == 1:
             assert sorted(map(tuple, rows.tolist())) == sorted(
                 weights._graded_box(rank, box))
+        # the shell outside an inner box: every point of it exactly once
+        for inner in (0, box // 2, box - 1):
+            shell = np.concatenate(list(weights.box_chunks(rank, box, inner)))
+            assert shell.dtype == np.int64
+            assert shell.shape == ((box + 1) ** rank - (inner + 1) ** rank, rank)
+            assert shell.min() >= 0 and shell.max() <= box
+            assert (shell.max(axis=1) > inner).all()
+            keys = shell @ (box + 1) ** np.arange(rank, dtype=np.int64)
+            assert len(np.unique(keys)) == len(shell)
     assert len(chunks) > 1
+
+
+def test_coordinate_count_checked():
+    for coords in ((1,), (1, 1, 1)):
+        with pytest.raises(UnknownSpace):
+            dim_class_one("AI:3", coords)
+    with pytest.raises(UnknownSpace):
+        dims.dim_class_one_float("AI:3", (1, 1, 1))
+    with pytest.raises(UnknownSpace):
+        dims.dim_type_II_float("SU:3", (1,))
 
 
 def test_casimir_values():

@@ -6,7 +6,8 @@ import pytest
 
 from wittenzeta.errors import (DegenerateConfiguration, DivergenceError,
                                DomainError)
-from wittenzeta.genseries import (gen_series_direct, gen_series_mf, pi_series,
+from wittenzeta.genseries import (drive, gen_series_direct, gen_series_mf,
+                                  pi_series, term_cap,
                                   zero_identity_exact, zero_identity_residual,
                                   zeta_values_from_rank_one)
 from wittenzeta.specfun import digamma, riemann_zeta
@@ -192,6 +193,27 @@ def test_zeta_values_agree_with_direct_path(space_id):
 def test_zeta_values_divergence():
     with pytest.raises(DivergenceError):
         zeta_values_from_rank_one("S:2", 1)
+
+
+def test_term_cap_rejects_bad_env(monkeypatch):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("WZ_MAX_TERMS", raw)
+        with pytest.raises(ValueError):
+            term_cap()
+
+
+def test_drive_exits():
+    shells = [(1.0, 2, 0.5, 1.0), (0.25, 2, 0.125, 0.1), (0.0625, 2, 0.0, 0.01)]
+    met = drive(iter(shells), 0.2, 100)
+    assert (met.value, met.tail_bound, met.terms_used, met.converged) == (
+        1.375, 0.1, 4, True)
+    assert met.rigorous
+    capped = drive(iter(shells), 1e-3, 3, rigorous=False)
+    assert (capped.value, capped.tail_bound, capped.terms_used,
+            capped.converged, capped.rigorous) == (1.375, 0.1, 4, False, False)
+    exhausted = drive(iter(shells), 1e-3, 100)
+    assert (exhausted.value, exhausted.tail_bound, exhausted.terms_used,
+            exhausted.converged) == (1.3125, 0.01, 6, False)
 
 
 def test_term_cap_env(monkeypatch):

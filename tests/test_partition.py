@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import pytest
 
-from wittenzeta import dims, zeta
+from wittenzeta import dims, rootdata, zeta
 from wittenzeta.errors import (DivergenceError, DomainError, UnsupportedSpace)
 from wittenzeta.partition import (SurfaceParams, boundary_state,
                                   partition_type_I, partition_type_II,
@@ -41,19 +42,20 @@ def test_su2_genus_two_approaches_basel():
     assert deviations[0] > deviations[1] > deviations[2]
 
 
-def test_su3_partition_certified_tail():
-    res = partition_type_II("SU:3", SurfaceParams(genus=2, area=math.log(2.0)),
+@pytest.mark.parametrize("group,box", [("SU:3", 60), ("SU:4", 10)])
+def test_su3_partition_certified_tail(group, box):
+    res = partition_type_II(group, SurfaceParams(genus=2, area=math.log(2.0)),
                             1e-10)
     assert res.converged and res.rigorous
     assert res.tail_bound < 1e-10
-    # oracle: direct double sum over a box of 60
+    # oracle: direct sum over a box
     q = 0.5
     brute = 0.0
-    for a in range(61):
-        for b in range(61):
-            d = dims.dim_type_II_float("SU:3", (a, b))
-            c2 = float(dims.casimir_group("SU:3", (a, b)))
-            brute += q ** c2 / d ** 2
+    for n in itertools.product(range(box + 1),
+                               repeat=rootdata.lookup_group(group).rank):
+        d = dims.dim_type_II_float(group, n)
+        c2 = float(dims.casimir_group(group, n))
+        brute += q ** c2 / d ** 2
     assert res.value == pytest.approx(brute, abs=1e-10)
 
 
@@ -126,16 +128,17 @@ def test_exponent_bookkeeping_against_type_ii():
         assert left.value == pytest.approx(right.value, abs=1e-12)
 
 
-def test_higher_rank_type_i_partition():
-    res = partition_type_I("AI:3", SurfaceParams(genus=1, area=0.5), 1e-10)
+@pytest.mark.parametrize("space,box", [("AI:3", 39), ("AI:4", 10)])
+def test_higher_rank_type_i_partition(space, box):
+    res = partition_type_I(space, SurfaceParams(genus=1, area=0.5), 1e-10)
     assert res.converged and res.rigorous
     # oracle: direct sum over a large box
     brute = 0.0
-    for a in range(40):
-        for b in range(40):
-            d = float(dims.dim_class_one("AI:3", (a, b)))
-            c2 = float(dims.casimir_space("AI:3", (a, b)))
-            brute += math.exp(-0.5 * c2) / d
+    for n in itertools.product(range(box + 1),
+                               repeat=rootdata.lookup_space(space).rank):
+        d = float(dims.dim_class_one(space, n))
+        c2 = float(dims.casimir_space(space, n))
+        brute += math.exp(-0.5 * c2) / d
     assert res.value == pytest.approx(brute, abs=1e-9)
 
 

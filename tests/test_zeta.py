@@ -115,6 +115,20 @@ def test_rank_one_vs_growing_box():
         assert not box.rigorous
 
 
+def test_growing_box_evaluates_each_term_once():
+    table = dims.compile_space("AI:3")
+    for tol, max_box in ((1e-6, 2048), (1e-12, 16)):
+        rows = []
+
+        def batch_term(coords):
+            rows.append(len(coords))
+            return np.exp(-2.0 * table.log_dims(coords))
+
+        res = zeta._growing_box(batch_term, 2, tol, max_box)
+        assert sum(rows) == res.terms_used
+        assert res.converged == (max_box == 2048)
+
+
 def test_higher_rank_type_i_runs():
     res = zeta_type_I("AI:3", 2.0, 1e-6)
     assert res.converged and not res.rigorous
