@@ -132,8 +132,12 @@ def _run(args) -> dict | list:
             space = rootdata.lookup_space(args.space)
             coords = (n,) * space.rank
             d = dims.dim_class_one(args.space, coords)
-            rows.append({"n": n, "dim": str(d), "dim_float": float(d),
-                         "inv_power": float(d) ** (-args.s)})
+            # null past the float range; exp underflows to 0.0 on its own
+            logd = math.log(d.numerator) - math.log(d.denominator)
+            rows.append({"n": n, "dim": str(d),
+                         "dim_float": float(d) if logd <= dims._LOG_MAX else None,
+                         "inv_power": (math.exp(-args.s * logd)
+                                       if -args.s * logd <= dims._LOG_MAX else None)})
         return {"space": args.space, "s": args.s, "rows": rows}
     if cmd == "zeta":
         res = zeta.zeta_type_I(args.space, args.s, args.tol, args.max_box)
@@ -245,7 +249,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "dims-table" and getattr(args, "format", "csv") == "csv":
         print("n,dim,inv_power")
         for row in payload["rows"]:
-            print(f"{row['n']},{row['dim_float']},{row['inv_power']}")
+            print(",".join("" if v is None else str(v)
+                           for v in (row["n"], row["dim_float"], row["inv_power"])))
     elif args.command == "spaces" and args.format == "csv":
         print("id,cartan_label,family,rank,dim")
         for entry in payload:

@@ -10,7 +10,8 @@ nothing beyond the pairing integers, so their agreement is a real check.
 Float sums use a third form compiled from the per-root cases: each factor
 expands into terms (p + c)/c linear in the root pairing p, with c > 0, so
 a dimension is prod_j (L[:, j] . n + c_j)/c_j over an integer matrix L.
-The Weyl dimension of a group has the same form.
+The Weyl dimension of a group has the same form.  The compiled table also
+carries the Casimir c2(n) as a quadratic form over the same basis.
 """
 from __future__ import annotations
 
@@ -239,26 +240,43 @@ def dim_type_II_float(group_id: str, coords: weights.Coords) -> float:
 
 @dataclass(frozen=True)
 class LinearFactors:
-    """A dimension as a product of factors linear in the coordinates n.
+    """A dimension as a product of factors linear in the coordinates n, and
+    the Casimir as a quadratic form in them.
 
     ``pairing`` is the integer matrix L, one row per coordinate and one
     column per factor; ``shifts`` are the c_j, all positive, so every factor
-    is at least one on the nonnegative cone.
+    is at least one on the nonnegative cone.  ``gram`` and ``lin`` give the
+    Casimir c2(n) = n.G.n + lin.n over the same basis; G is the Gram matrix
+    of the basis, nonnegative, and lin_i = 2 (b_i, rho).
     """
 
     pairing: tuple[tuple[int, ...], ...]
     shifts: tuple[Q, ...]
+    gram: tuple[tuple[Q, ...], ...]
+    lin: tuple[Q, ...]
 
     def __post_init__(self):
         if any(c <= 0 for c in self.shifts):
             raise AssertionError(f"nonpositive shift in {self.shifts}")
         if any(v < 0 for row in self.pairing for v in row):
             raise AssertionError("negative entry in the pairing matrix")
+        if any(v < 0 for row in self.gram for v in row):
+            raise AssertionError("basis Gram matrix has a negative entry")
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return (np.array(self.pairing, dtype=np.int64),
                 np.array([float(c) for c in self.shifts]))
+
+    @cached_property
+    def _form(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.gram, dtype=float), np.array(self.lin, dtype=float)
+
+    def _check_count(self, coords) -> None:
+        if len(coords) != len(self.pairing):
+            raise UnknownSpace(
+                f"expected {len(self.pairing)} coordinates, got {len(coords)}"
+            )
 
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.
@@ -268,6 +286,11 @@ class LinearFactors:
         """
         matrix, shifts = self._arrays
         return np.log1p((coords @ matrix) / shifts).sum(axis=1)
+
+    def casimirs(self, coords: np.ndarray) -> np.ndarray:
+        """c2(n) for every row n of an integer coordinate array, in floats."""
+        gram, lin = self._form
+        return ((coords @ gram) * coords).sum(axis=1) + coords @ lin
 
     @cached_property
     def _columns(self) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]:
@@ -280,16 +303,32 @@ class LinearFactors:
 
     def dim_float(self, coords: weights.Coords) -> float:
         """d(n) at one weight, in floats."""
-        if len(coords) != len(self.pairing):
-            raise UnknownSpace(
-                f"expected {len(self.pairing)} coordinates, got {len(coords)}"
-            )
+        self._check_count(coords)
         acc = 1.0
         for column, shifts in self._columns:
             p = sum(map(mul, coords, column))
             for c in shifts:
                 acc *= (p + c) / c
         return acc
+
+    def casimir(self, coords: weights.Coords) -> Q:
+        """c2(n) at one weight, exact."""
+        self._check_count(coords)
+        acc = Q(0)
+        for i, ni in enumerate(coords):
+            if not ni:
+                continue
+            acc += ni * self.lin[i]
+            for j, nj in enumerate(coords):
+                if nj:
+                    acc += ni * nj * self.gram[i][j]
+        return acc
+
+
+def _casimir_form(basis: tuple, rho) -> dict:
+    """Gram matrix and linear part of the Casimir over a weight basis."""
+    return {"gram": tuple(tuple(dot(a, b) for b in basis) for a in basis),
+            "lin": tuple(2 * dot(b, rho) for b in basis)}
 
 
 def _factor_offsets(params: PerRootFactorParams) -> list[Q]:
@@ -318,6 +357,8 @@ def compile_space(space_id: str) -> LinearFactors:
     return LinearFactors(
         pairing=tuple(tuple(row[j] for j in columns) for row in matrix),
         shifts=tuple(shifts),
+        **_casimir_form(weights.class_one_basis(space_id),
+                        rootdata.lookup_space(space_id).rho),
     )
 
 
@@ -339,45 +380,21 @@ def compile_group(group_id: str) -> LinearFactors:
             raise AssertionError(f"{group_id}: non-integral coroot pairing")
         columns.append([int(v) for v in column])
         shifts.append(shift)
-    return LinearFactors(pairing=tuple(zip(*columns)), shifts=tuple(shifts))
+    return LinearFactors(pairing=tuple(zip(*columns)), shifts=tuple(shifts),
+                         **_casimir_form(weights.dominant_basis(group_id),
+                                         rootdata.lookup_group(group_id).rho))
 
 
 # ---------------------------------------------------------------------------
 # Casimir eigenvalues
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _quadratic_form(kind: str, ident: str):
-    if kind == "space":
-        basis = weights.class_one_basis(ident)
-        rho = rootdata.lookup_space(ident).rho
-    else:
-        basis = weights.dominant_basis(ident)
-        rho = rootdata.lookup_group(ident).rho
-    gram = tuple(tuple(dot(a, b) for b in basis) for a in basis)
-    lin = tuple(2 * dot(b, rho) for b in basis)
-    return gram, lin
-
-
-def _casimir_value(kind: str, ident: str, coords: weights.Coords) -> Q:
-    gram, lin = _quadratic_form(kind, ident)
-    acc = Q(0)
-    for i, ni in enumerate(coords):
-        if not ni:
-            continue
-        acc += ni * lin[i]
-        for jj, nj in enumerate(coords):
-            if nj:
-                acc += ni * nj * gram[i][jj]
-    return acc
-
-
 def casimir_space(space_id: str, coords: weights.Coords) -> Q:
-    return _casimir_value("space", space_id, coords)
+    return compile_space(space_id).casimir(coords)
 
 
 def casimir_group(group_id: str, coords: weights.Coords) -> Q:
-    return _casimir_value("group", group_id, coords)
+    return compile_group(group_id).casimir(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,11 @@ def drive(shells, tolerance: float, cap: int, rigorous: bool = True) -> EvalResu
     tail covering every term after the shell.  The sum stops when the bound
     is at most ``tolerance``, when ``cap`` terms are used, or when the shells
     run out; its value is the running total plus the last tail estimate.
+    A tolerance that is not finite and positive is rejected before the first
+    shell.
     """
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
     total, terms, estimate, bound = 0.0, 0, 0.0, math.inf
     for shell, count, estimate, bound in shells:
         total += shell

@@ -2,10 +2,12 @@
 
 For q < 1 the quadratic Casimir growth makes every series here certifiable
 by geometric ratio bounds; at q = 1 the sums reduce to the zeta functions,
-to which evaluation is delegated.  Rank one sums one weight per shell; a
-higher rank sums the weights of coordinate sum k as one int64 array, with
-the dimensions from the compiled linear factors and the Casimir from the
-quadratic form.  The shells run through ``genseries.drive``.
+to which evaluation is delegated.  Every sum reads the dimension and the
+Casimir from the compiled table of its space or group
+(``dims.compile_space``, ``dims.compile_group``).  Rank one sums one weight
+per shell; a higher rank sums the weights of coordinate sum k, built by
+``weights.grade_shell``, as one int64 array.  The shells run through
+``genseries.drive``.
 """
 from __future__ import annotations
 
@@ -45,16 +47,7 @@ class SurfaceParams:
         return math.exp(-self.area)
 
 
-def _casimir_coeffs(kind: str, ident: str) -> tuple[np.ndarray, np.ndarray]:
-    """Gram matrix and linear part of c2(n) = n.G.n + lin.n, in floats."""
-    gram, lin = dims._quadratic_form(kind, ident)
-    gram_f = np.array(gram, dtype=float)
-    if (gram_f < 0.0).any():
-        raise AssertionError("basis Gram matrix has a negative entry")
-    return gram_f, np.array(lin, dtype=float)
-
-
-def _rank_one_heat_sum(dim_at, c2_at, exponent: float, area: float,
+def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                        tolerance: float, weight=None,
                        bound_exponent: float | None = None) -> EvalResult:
     """sum_n weight(n) q^{c2(n)} / d(n)^exponent with a geometric tail bound.
@@ -67,14 +60,16 @@ def _rank_one_heat_sum(dim_at, c2_at, exponent: float, area: float,
     """
     lq = -area
     power = exponent if bound_exponent is None else bound_exponent
+    a, b = float(table.gram[0][0]), float(table.lin[0])
 
     def shells():
-        n, d, c2 = 0, dim_at(0), c2_at(0)
+        n, d, c2 = 0, table.dim_float((0,)), 0.0
         while True:
             term = math.exp(lq * c2 - exponent * math.log(d))
             if weight is not None:
                 term *= weight(n)
-            d_next, c2_next = dim_at(n + 1), c2_at(n + 1)
+            m = n + 1
+            d_next, c2_next = table.dim_float((m,)), a * m * m + b * m
             ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
             next_term = math.exp(lq * c2_next - power * math.log(d_next))
             yield term, 1, 0.0, next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
@@ -83,76 +78,58 @@ def _rank_one_heat_sum(dim_at, c2_at, exponent: float, area: float,
     return genseries.drive(shells(), tolerance, genseries.term_cap())
 
 
-def _shell_heat_sum(term_at, dim_bound_at, rank: int, beta_min: float,
-                    exponent: float, area: float, tolerance: float) -> EvalResult:
+def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
+                    tolerance: float) -> EvalResult:
     """Shell-by-shell summation for higher rank, with a rigorous q < 1 bound.
 
-    ``term_at`` maps an int64 array of coordinate rows to their terms; shell
-    k is every weight of coordinate sum k.  On shell k the Casimir is at
-    least beta_min * k^2 / rank, the weight count is C(k+rank-1, rank-1),
-    and the dimension is at most dim_bound_at(k), which bounds every shell
-    beyond the cutoff by an explicitly decreasing geometric sequence.
+    Shell k is every weight of coordinate sum k, one int64 array.  On shell
+    k the Casimir is at least beta_min * k^2 / rank, with beta_min the least
+    diagonal entry of the Gram matrix, the weight count is C(k+rank-1,
+    rank-1), and the dimension is at most d(k, ..., k), which bounds every
+    shell beyond the cutoff by an explicitly decreasing geometric sequence.
     """
     lq = -area
+    rank = len(table.lin)
+    beta_min = float(min(table.gram[i][i] for i in range(rank)))
 
     def shell_bound(j: int) -> float:
         count = math.comb(j + rank - 1, rank - 1)
         lg = lq * beta_min * j * j / rank + math.log(count)
         if exponent < 0.0:
-            lg += -exponent * math.log(dim_bound_at(j))
+            lg += -exponent * math.log(table.dim_float((j,) * rank))
         return math.exp(lg) if lg < 700.0 else math.inf
 
     def shells():
         k = 0
         while True:
-            rows = np.array(weights._compositions_within(rank, k, k), dtype=np.int64)
+            rows = weights.grade_shell(rank, k)
+            terms = np.exp(-area * table.casimirs(rows) - exponent * table.log_dims(rows))
             b1 = shell_bound(k + 1)
             tail = 0.0 if b1 == 0.0 else math.inf
             if 0.0 < b1 < math.inf:
                 rho = shell_bound(k + 2) / b1
                 if rho < 1.0:
                     tail = b1 / (1.0 - rho)
-            yield math.fsum(term_at(rows).tolist()), len(rows), 0.0, tail
+            yield math.fsum(terms.tolist()), len(rows), 0.0, tail
             k += 1
 
     return genseries.drive(shells(), tolerance, genseries.term_cap())
 
 
-def _partition(kind: str, ident: str, surface: SurfaceParams, exponent: int,
+def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: int,
                tolerance: float) -> EvalResult:
-    if surface.area == 0.0:
-        if kind == "space":
-            return zeta.zeta_type_I(ident, float(exponent), tolerance)
-        return zeta.zeta_type_II(ident, float(exponent), tolerance)
-    gram, lin = _casimir_coeffs(kind, ident)
-    table = dims.compile_space(ident) if kind == "space" else dims.compile_group(ident)
-    rank = len(lin)
-
-    if rank == 1:
-        a, b = float(gram[0, 0]), float(lin[0])
-        return _rank_one_heat_sum(
-            dim_at=lambda n: table.dim_float((n,)),
-            c2_at=lambda n: a * n * n + b * n,
-            exponent=float(exponent),
-            area=surface.area,
-            tolerance=tolerance,
-        )
-
-    def term_at(rows: np.ndarray) -> np.ndarray:
-        c2 = ((rows @ gram) * rows).sum(axis=1) + rows @ lin
-        return np.exp(-surface.area * c2 - exponent * table.log_dims(rows))
-
-    def dim_bound_at(k: int) -> float:
-        return table.dim_float((k,) * rank)
-
-    return _shell_heat_sum(term_at, dim_bound_at, rank, float(gram.diagonal().min()),
-                           float(exponent), surface.area, tolerance)
+    if len(table.lin) == 1:
+        return _rank_one_heat_sum(table, float(exponent), surface.area, tolerance)
+    return _shell_heat_sum(table, float(exponent), surface.area, tolerance)
 
 
 def partition_type_II(group_id: str, surface: SurfaceParams,
                       tolerance: float = 1e-8) -> EvalResult:
     """sum over dominant weights of q^{c2} / d^{2g-2}."""
-    return _partition("group", group_id, surface, 2 * surface.genus - 2, tolerance)
+    exponent = 2 * surface.genus - 2
+    if surface.area == 0.0:
+        return zeta.zeta_type_II(group_id, float(exponent), tolerance)
+    return _partition(dims.compile_group(group_id), surface, exponent, tolerance)
 
 
 def partition_type_I(space_id: str, surface: SurfaceParams,
@@ -160,7 +137,10 @@ def partition_type_I(space_id: str, surface: SurfaceParams,
     """sum over class-one weights of q^{c2} / d^{2g-1}."""
     space = rootdata.lookup_space(space_id)
     space.require_mult()
-    return _partition("space", space_id, surface, 2 * surface.genus - 1, tolerance)
+    exponent = 2 * surface.genus - 1
+    if surface.area == 0.0:
+        return zeta.zeta_type_I(space_id, float(exponent), tolerance)
+    return _partition(dims.compile_space(space_id), surface, exponent, tolerance)
 
 
 def so3_character(n: int, theta: float) -> float:
@@ -195,14 +175,10 @@ def boundary_state(space_id: str, surface: SurfaceParams,
     if surface.area == 0.0:
         raise DivergenceError("boundary sums need positive area")
     char = so3_character if space.space_id == "S:2" else _s3_character
-    gram, lin = _casimir_coeffs("space", space_id)
-    a, b = float(gram[0, 0]), float(lin[0])
-    table = dims.compile_space(space_id)
     thetas = surface.holonomies
     # |chi_n| <= d(n), so the tail obeys the exponent-(2g-1) partition bound
     return _rank_one_heat_sum(
-        dim_at=lambda n: table.dim_float((n,)),
-        c2_at=lambda n: a * n * n + b * n,
+        dims.compile_space(space_id),
         exponent=float(2 * surface.genus + surface.n_holes - 1),
         area=surface.area,
         tolerance=tolerance,

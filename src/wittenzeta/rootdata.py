@@ -34,8 +34,8 @@ def vscale(c: Q, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def solve_in_span(basis: list[Vector], pairings: list[Q]) -> Vector:
-    """Vector w in span(basis) with (w, basis[j]) = pairings[j], exactly.
+def _span_coefficients(basis: list[Vector], pairings: list[Q]) -> list[Q]:
+    """Coefficients c with (sum_i c_i basis[i], basis[j]) = pairings[j], exactly.
 
     Gaussian elimination on the Gram matrix; basis must be independent.
     """
@@ -50,33 +50,26 @@ def solve_in_span(basis: list[Vector], pairings: list[Q]) -> Vector:
             if r != col and gram[r][col] != 0:
                 f = gram[r][col]
                 gram[r] = [a - f * b for a, b in zip(gram[r], gram[col])]
-    coeffs = [gram[r][n] for r in range(n)]
+    return [gram[r][n] for r in range(n)]
+
+
+def _combination(coeffs: list[Q], basis: list[Vector]) -> Vector:
     w = tuple(Q(0) for _ in basis[0])
     for c, b in zip(coeffs, basis):
         w = vadd(w, vscale(c, b))
     return w
 
 
+def solve_in_span(basis: list[Vector], pairings: list[Q]) -> Vector:
+    """Vector w in span(basis) with (w, basis[j]) = pairings[j], exactly."""
+    return _combination(_span_coefficients(basis, pairings), basis)
+
+
 def expand_in_simple(system: "RestrictedRootSystem", root: Vector) -> list[Q]:
     """Coefficients of ``root`` over the simple roots."""
     simples = list(system.simple_roots())
-    n = len(simples)
-    aug = [[dot(simples[i], simples[j]) for j in range(n)] + [dot(root, simples[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pval = aug[col][col]
-        aug[col] = [v / pval for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    coeffs = [aug[r][n] for r in range(n)]
-    rebuilt = tuple(Q(0) for _ in root)
-    for c, s in zip(coeffs, simples):
-        rebuilt = vadd(rebuilt, vscale(c, s))
-    if rebuilt != root:
+    coeffs = _span_coefficients(simples, [dot(root, s) for s in simples])
+    if _combination(coeffs, simples) != root:
         raise ValueError("root not in the span of the simple roots")
     return coeffs
 

@@ -11,6 +11,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -91,12 +92,25 @@ def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
 
 
 def _graded_box(rank: int, box: int) -> list[Coords]:
-    if box < 0:
-        raise UnknownSpace("box_bound must be >= 0")
-    out: list[Coords] = []
-    for grade in range(rank * box + 1):
-        out.extend(_compositions_within(rank, grade, box))
-    return out
+    """Every point of [0, box]^rank, by coordinate sum, lex order within one."""
+    rows = np.concatenate(list(box_chunks(rank, box)))
+    order = np.argsort(rows.sum(axis=1), kind="stable")
+    return list(map(tuple, rows[order].tolist()))
+
+
+def grade_shell(rank: int, k: int) -> np.ndarray:
+    """Every coordinate tuple of sum k, in lex order, as an int64 array.
+
+    Stars and bars: the rank - 1 bars among k + rank - 1 slots, taken in
+    lex order, cut the k stars into the coordinates in lex order.
+    """
+    slots = k + rank - 1
+    count = math.comb(slots, rank - 1)
+    bars = np.fromiter(chain.from_iterable(combinations(range(slots), rank - 1)),
+                       dtype=np.int64, count=count * (rank - 1)).reshape(count, rank - 1)
+    edges = np.hstack([np.full((count, 1), -1, dtype=np.int64), bars,
+                       np.full((count, 1), slots, dtype=np.int64)])
+    return np.diff(edges, axis=1) - 1
 
 
 #: Row bound of one chunk of ``box_chunks``; it bounds the memory of a box pass.
@@ -122,16 +136,6 @@ def box_chunks(rank: int, box: int, inner: int = -1) -> Iterator[np.ndarray]:
                 index, chunk[:, ax] = np.divmod(index, sides[ax])
             chunk[:, axis] += inner + 1
             yield chunk
-
-
-def _compositions_within(rank: int, total: int, box: int) -> list[Coords]:
-    """All coordinate tuples with the given sum and each entry <= box, lex order."""
-    if rank == 1:
-        return [(total,)] if total <= box else []
-    out = []
-    for first in range(min(total, box) + 1):
-        out.extend((first,) + rest for rest in _compositions_within(rank - 1, total - first, box))
-    return out
 
 
 def enumerate_class_one(space_id: str, box_bound: int) -> list[Coords]:

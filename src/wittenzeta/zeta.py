@@ -81,48 +81,44 @@ def _growing_box(batch_term, rank: int, tolerance: float, max_box: int) -> EvalR
     return genseries.drive(shells(), tolerance / 2.0, cap, rigorous=False)
 
 
-def _check_arguments(s: float, tolerance: float) -> None:
+def _check_s(s: float) -> None:
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
 
-def _default_box(rank: int) -> int:
-    return {1: 1 << 17, 2: 2048, 3: 128}.get(rank, 24)
+def _lattice_zeta(table: dims.LinearFactors, s: float, tolerance: float,
+                  max_box: int | None) -> EvalResult:
+    """The growing-box sum of d(n)^(-s) over a higher-rank lattice."""
+    if s <= 0:
+        raise DivergenceError("need s > 0 for a higher-rank sum")
+    rank = len(table.pairing)
+    if max_box is None:
+        max_box = {2: 2048, 3: 128}.get(rank, 24)
+    return _growing_box(lambda n: np.exp(-s * table.log_dims(n)), rank,
+                        tolerance, max_box)
 
 
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
                 max_box: int | None = None) -> EvalResult:
     """sum over class-one dominant weights of dim^(-s)."""
-    _check_arguments(s, tolerance)
+    _check_s(s)
     space = rootdata.lookup_space(space_id)
     space.require_mult()
     if space.rank == 1:
         poly = dims.rank_one_factored(space_id)
         return _rank_one_power_series(poly, s, tolerance)
-    if s <= 0:
-        raise DivergenceError("need s > 0 for a higher-rank sum")
-    table = dims.compile_space(space_id)
-    return _growing_box(lambda n: np.exp(-s * table.log_dims(n)), space.rank,
-                        tolerance,
-                        max_box if max_box is not None else _default_box(space.rank))
+    return _lattice_zeta(dims.compile_space(space_id), s, tolerance, max_box)
 
 
 def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
                  max_box: int | None = None) -> EvalResult:
     """sum over dominant weights of the Weyl dimension to the power -s."""
-    _check_arguments(s, tolerance)
+    _check_s(s)
     group = rootdata.lookup_group(group_id)
     if group.rank == 1:
         # every rank-one compact group has d(n) = n + 1 on its weight ray
         return _rank_one_power_series(_UNIT_POLY, s, tolerance)
-    if s <= 0:
-        raise DivergenceError("need s > 0 for a higher-rank sum")
-    table = dims.compile_group(group_id)
-    result = _growing_box(lambda n: np.exp(-s * table.log_dims(n)), group.rank,
-                          tolerance,
-                          max_box if max_box is not None else _default_box(group.rank))
+    result = _lattice_zeta(dims.compile_group(group_id), s, tolerance, max_box)
     if not result.converged:
         raise NotConverged(
             f"zeta_type_II({group_id}, {s}) unmet tolerance {tolerance} "

@@ -166,6 +166,19 @@ def test_non_finite_input_exit_code(args):
     assert json.loads(proc.stderr.splitlines()[0])["error"] == "DomainError"
 
 
+@pytest.mark.parametrize("args", [
+    ("partition", "--space", "S:2", "--genus", "1", "--area", "0.5", "--tol", "-1"),
+    ("boundary", "--space", "S:2", "--genus", "1", "--theta", "1.0", "--area", "0.2",
+     "--tol", "nan"),
+    ("pizeta", "--pi", "1", "--kappa", "1", "--tol", "-1"),
+])
+def test_bad_tolerance_exit_code(args):
+    proc = run_cli(*args, env={**_ENV, "WZ_MAX_TERMS": "1000"})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "DomainError"
+
+
 def test_determinism_identical_stdout():
     a = run_cli("zeta", "--space", "S:3", "--s", "2")
     b = run_cli("zeta", "--space", "S:3", "--s", "2")
@@ -192,6 +205,24 @@ def test_dims_table_csv():
     row = lines[2].split(",")
     assert float(row[1]) == 3.0
     assert float(row[2]) == pytest.approx(1.0 / 9.0)
+
+
+def test_dims_table_past_float_range():
+    # d^2 is past the float range from n = 10 on, d itself from n = 184 on
+    proc = run_cli("dims-table", "--space", "EVIII", "--s", "-2", "--nmax", "12",
+                   "--format", "json")
+    assert proc.returncode == 0
+    rows = json.loads(proc.stdout)["result"]["rows"]
+    assert rows[2]["inv_power"] == pytest.approx(float(rows[2]["dim"]) ** 2)
+    assert rows[12]["inv_power"] is None and rows[12]["dim_float"] > 1e150
+    proc = run_cli("dims-table", "--space", "EVIII", "--nmax", "400")
+    assert proc.returncode == 0
+    lines = proc.stdout.strip().splitlines()
+    assert len(lines) == 402
+    n, dim, inv = lines[185].split(",")
+    assert (n, dim) == ("184", "") and 0.0 < float(inv) < 1e-300
+    assert lines[-1] == "400,,0.0"
+    assert float(lines[2].split(",")[2]) == pytest.approx(1.0 / float(lines[2].split(",")[1]))
 
 
 def test_max_terms_env_cap():

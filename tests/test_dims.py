@@ -181,7 +181,23 @@ def test_compiled_group_factors_match_weyl(group_id):
 
 def test_compile_rejects_nonpositive_shift():
     with pytest.raises(AssertionError):
-        dims.LinearFactors(pairing=((1, 1),), shifts=(Q(1), Q(0)))
+        dims.LinearFactors(pairing=((1, 1),), shifts=(Q(1), Q(0)),
+                           gram=((Q(1),),), lin=(Q(2),))
+    with pytest.raises(AssertionError):
+        dims.LinearFactors(pairing=((1, 0), (0, 1)), shifts=(Q(1), Q(1)),
+                           gram=((Q(1), Q(-1)), (Q(-1), Q(1))), lin=(Q(2), Q(2)))
+
+
+@pytest.mark.parametrize("kind,ident", [("group", "SU:3"), ("group", "SU:4"),
+                                        ("group", "G2"), ("space", "AI:3"),
+                                        ("space", "GI"), ("space", "EIII")])
+def test_float_casimirs_match_exact(kind, ident):
+    table = dims.compile_group(ident) if kind == "group" else dims.compile_space(ident)
+    rank = len(table.lin)
+    rows = np.array(list(itertools.product(range(4), repeat=rank)), dtype=np.int64)
+    exact = [float(table.casimir(n)) for n in map(tuple, rows.tolist())]
+    # a Gram entry such as 2/3 is rounded once, so a few ulp apart at most
+    assert table.casimirs(rows).tolist() == pytest.approx(exact, rel=4 * 2.0 ** -52)
 
 
 @pytest.mark.parametrize("rank,boxes", [(1, (5, 40000)), (2, (7, 200)),

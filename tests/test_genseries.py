@@ -10,6 +10,8 @@ from wittenzeta.genseries import (drive, gen_series_direct, gen_series_mf,
                                   pi_series, term_cap,
                                   zero_identity_exact, zero_identity_residual,
                                   zeta_values_from_rank_one)
+from wittenzeta.partition import (SurfaceParams, boundary_state,
+                                  partition_type_I, partition_type_II)
 from wittenzeta.specfun import digamma, riemann_zeta
 from wittenzeta.zeta import zeta_type_I
 
@@ -222,3 +224,21 @@ def test_term_cap_env(monkeypatch):
     assert res.terms_used <= 64
     assert not res.converged
     monkeypatch.delenv("WZ_MAX_TERMS")
+
+
+_BAD_TOLERANCE_CALLS = {
+    "partition_type_I": lambda tol: partition_type_I("S:2", SurfaceParams(1, 0.5), tol),
+    "partition_type_II": lambda tol: partition_type_II("SU:3", SurfaceParams(1, 0.5), tol),
+    "boundary_state": lambda tol: boundary_state("S:2", SurfaceParams(1, 0.2, (1.0,)), tol),
+    "pi_series": lambda tol: pi_series([1], [1], tol),
+    "gen_series_direct": lambda tol: gen_series_direct([1, 2], [0, 0], tol),
+}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(_BAD_TOLERANCE_CALLS))
+def test_bad_tolerance_rejected(name, tol, monkeypatch):
+    # a short cap, so a sum that does not check its tolerance ends quickly
+    monkeypatch.setenv("WZ_MAX_TERMS", "1000")
+    with pytest.raises(DomainError):
+        _BAD_TOLERANCE_CALLS[name](tol)

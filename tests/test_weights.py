@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from wittenzeta import rootdata, weights
@@ -103,3 +106,12 @@ def test_dominant_condition_every_positive_root(group_id):
         for alpha in group.root_system.positive_roots:
             val = 2 * dot(nu, alpha) / dot(alpha, alpha)
             assert val.denominator == 1 and val >= 0
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_grade_shell_is_lex_brute_force(rank):
+    for k in range(8):
+        shell = weights.grade_shell(rank, k)
+        assert shell.dtype == np.int64 and shell.shape[1] == rank
+        brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) == k]
+        assert list(map(tuple, shell.tolist())) == brute
