@@ -22,8 +22,6 @@ from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from operator import mul
 
-import numpy as np
-
 from . import rootdata, weights
 from .errors import (InconsistentMultiplicities, NotRankOne, NumericOverflow,
                      PoleError, UnknownSpace)
@@ -265,11 +263,13 @@ class LinearFactors:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         return (np.array(self.pairing, dtype=np.int64),
                 np.array([float(c) for c in self.shifts]))
 
     @cached_property
     def _form(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         return np.array(self.gram, dtype=float), np.array(self.lin, dtype=float)
 
     def _check_count(self, coords) -> None:
@@ -284,6 +284,7 @@ class LinearFactors:
         Summed as log1p(L n / c), so d(0) = 1 comes out exactly and no large
         logarithms cancel.
         """
+        import numpy as np
         matrix, shifts = self._arrays
         return np.log1p((coords @ matrix) / shifts).sum(axis=1)
 

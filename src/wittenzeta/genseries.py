@@ -20,7 +20,8 @@ import os
 from fractions import Fraction as Q
 
 from . import dims
-from .errors import DegenerateConfiguration, DivergenceError, DomainError
+from .errors import (DegenerateConfiguration, DivergenceError, DomainError,
+                     NotConverged)
 from .result import EvalResult
 from .specfun import digamma, hurwitz_zeta_certified
 
@@ -41,6 +42,11 @@ def term_cap(default: int = _DEFAULT_CAP) -> int:
     return cap
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def drive(shells, tolerance: float, cap: int, rigorous: bool = True) -> EvalResult:
     """Sum a series shell by shell until its tail bound meets the tolerance.
 
@@ -51,8 +57,7 @@ def drive(shells, tolerance: float, cap: int, rigorous: bool = True) -> EvalResu
     A tolerance that is not finite and positive is rejected before the first
     shell.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
+    _check_tolerance(tolerance)
     total, terms, estimate, bound = 0.0, 0, 0.0, math.inf
     for shell, count, estimate, bound in shells:
         total += shell
@@ -240,10 +245,12 @@ def zeta_values_from_rank_one(space_id: str, s: int,
     """Rank-one zeta value assembled from the factored dimension polynomial.
 
     The multi-factor series starts at n = 1, so the n = 0 term (equal to
-    one by the normalization d(0) = 1) is restored explicitly.
+    one by the normalization d(0) = 1) is restored explicitly.  Raises
+    ``NotConverged`` when that series misses its tolerance.
     """
-    if s < 1:
-        raise DomainError("s must be a positive integer")
+    if not (math.isfinite(s) and s == int(s) and s >= 1):
+        raise DomainError(f"s must be a positive integer, got {s}")
+    _check_tolerance(tolerance)
     poly = dims.rank_one_factored(space_id)
     if s * poly.degree <= 1:
         raise DivergenceError(
@@ -254,9 +261,15 @@ def zeta_values_from_rank_one(space_id: str, s: int,
     for k, xi in poly.factors:
         pi.append(s * xi - 1)
         kappa.append(k)
-    # the c^{-s} prefactor amplifies the series error, so tighten accordingly
+    # the c^{-s} prefactor amplifies the series error, so tighten accordingly;
+    # the floor keeps an underflowed tolerance positive
     inner_tol = max(tolerance * float(poly.c) ** s, 1e-300)
     series = pi_series(pi, kappa, inner_tol)
+    if not series.converged:
+        raise NotConverged(
+            f"zeta_values_from_rank_one({space_id}, {s}) unmet tolerance {tolerance} "
+            f"(series tail bound {series.tail_bound:.3g} after {series.terms_used} terms)"
+        )
     n0_term = 1.0
     for k, xi in poly.factors:
         n0_term *= float(k) ** (-s * xi)

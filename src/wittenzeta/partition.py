@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import dims, genseries, rootdata, weights, zeta
 from .errors import DivergenceError, DomainError, UnsupportedSpace
 from .result import EvalResult
@@ -100,6 +98,7 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
         return math.exp(lg) if lg < 700.0 else math.inf
 
     def shells():
+        import numpy as np
         k = 0
         while True:
             rows = weights.grade_shell(rank, k)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from itertools import combinations, product
+from math import gcd
 
 from .errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
 
@@ -21,9 +22,24 @@ FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 
 def dot(x: Vector, y: Vector) -> Q:
+    """Exact inner product.
+
+    Zero entries are skipped, and the products are summed as an integer
+    numerator over the least common denominator so far, so only the result
+    is a Fraction.
+    """
     if len(x) != len(y):
         raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(x, y)), Q(0))
+    num, den = 0, 1
+    for a, b in zip(x, y):
+        if a and b:
+            q = a.denominator * b.denominator
+            if den % q:
+                lcm = den * q // gcd(den, q)
+                num *= lcm // den
+                den = lcm
+            num += a.numerator * b.numerator * (den // q)
+    return Q(num, den)
 
 
 def vadd(x: Vector, y: Vector) -> Vector:
@@ -225,6 +241,11 @@ class RestrictedRootSystem:
     def ambient_dim(self) -> int:
         return len(self.positive_roots[0])
 
+    @cached_property
+    def root_index(self) -> dict[Vector, int]:
+        """Position of each positive root in ``positive_roots``."""
+        return {a: i for i, a in enumerate(self.positive_roots)}
+
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RestrictedRootSystem:
@@ -291,11 +312,8 @@ class SymmetricSpaceDescriptor:
     def m_2alpha(self, index: int) -> int:
         mult = self.require_mult()
         rs = self.root_system
-        doubled = vscale(Q(2), rs.positive_roots[index])
-        for j, beta in enumerate(rs.positive_roots):
-            if beta == doubled:
-                return mult[j]
-        return 0
+        j = rs.root_index.get(vscale(Q(2), rs.positive_roots[index]))
+        return 0 if j is None else mult[j]
 
     @cached_property
     def rho(self) -> Vector:

@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .errors import DomainError, PoleError
 
 EULER_GAMMA = 0.57721566490153286061
@@ -143,6 +141,7 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1]; exact for polynomials of degree < 2n."""
     if not 1 <= n <= 512:
         raise DomainError(f"quadrature order must be in [1, 512], got {n}")
+    import numpy as np
     nodes, wts = np.polynomial.legendre.leggauss(n)
     nodes.setflags(write=False)
     wts.setflags(write=False)
@@ -151,6 +150,7 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
     """Rows 0..nmax of P_n evaluated on the array x."""
+    import numpy as np
     table = np.empty((nmax + 1, len(x)))
     table[0] = 1.0
     if nmax >= 1:

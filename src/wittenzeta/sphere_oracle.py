@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from . import dims
 from .errors import DomainError
 from .specfun import gauss_legendre_nodes, legendre_p, legendre_table
@@ -31,6 +29,7 @@ def orthogonality_residual(n: int, m: int, quad_order: int = 128) -> float:
     """|integral of phi_n phi_m over the normalized measure - delta_nm / d_n|."""
     if quad_order < n + m + 1:
         raise DomainError("quadrature order too small for exactness")
+    import numpy as np
     x, w = gauss_legendre_nodes(quad_order)
     table = legendre_table(max(n, m), x)
     integral = 0.5 * float(np.sum(w * table[n] * table[m]))
@@ -45,6 +44,7 @@ def delta_kernel_error(trunc: int, f: Callable[[float], float],
     """|quadrature of the truncated reproducing kernel against f - f(0)|."""
     if trunc < 0:
         raise DomainError("truncation order must be >= 0")
+    import numpy as np
     x, w = gauss_legendre_nodes(quad_order)
     table = legendre_table(trunc, x)
     kernel = np.zeros_like(x)

@@ -13,8 +13,6 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import chain, combinations
 
-import numpy as np
-
 from . import rootdata
 from .errors import UnknownSpace
 from .rootdata import Vector, dot, solve_in_span, vadd, vscale
@@ -65,11 +63,12 @@ def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
     space = rootdata.lookup_space(space_id)
     rs = space.root_system
     basis = class_one_basis(space_id)
+    norms = [dot(a, a) for a in rs.positive_roots]
     rows = []
     for b in basis:
         row = []
-        for a in rs.positive_roots:
-            val = dot(b, a) / dot(a, a)
+        for a, norm in zip(rs.positive_roots, norms):
+            val = dot(b, a) / norm
             if val.denominator != 1 or val < 0:
                 raise AssertionError(f"non-integral pairing {val} in {space_id}")
             row.append(int(val))
@@ -93,6 +92,7 @@ def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
 
 def _graded_box(rank: int, box: int) -> list[Coords]:
     """Every point of [0, box]^rank, by coordinate sum, lex order within one."""
+    import numpy as np
     rows = np.concatenate(list(box_chunks(rank, box)))
     order = np.argsort(rows.sum(axis=1), kind="stable")
     return list(map(tuple, rows[order].tolist()))
@@ -104,6 +104,7 @@ def grade_shell(rank: int, k: int) -> np.ndarray:
     Stars and bars: the rank - 1 bars among k + rank - 1 slots, taken in
     lex order, cut the k stars into the coordinates in lex order.
     """
+    import numpy as np
     slots = k + rank - 1
     count = math.comb(slots, rank - 1)
     bars = np.fromiter(chain.from_iterable(combinations(range(slots), rank - 1)),
@@ -124,6 +125,7 @@ def box_chunks(rank: int, box: int, inner: int = -1) -> Iterator[np.ndarray]:
     The points are cut into slabs by their first coordinate above ``inner``;
     with the default ``inner`` the one slab is the whole box.
     """
+    import numpy as np
     if box < 0:
         raise UnknownSpace("box_bound must be >= 0")
     for axis in range(rank):

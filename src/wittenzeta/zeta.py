@@ -15,8 +15,6 @@ from dataclasses import replace
 from fractions import Fraction as Q
 from itertools import chain
 
-import numpy as np
-
 from . import dims, genseries, rootdata, weights
 from .errors import DivergenceError, DomainError, NotConverged
 from .result import EvalResult
@@ -91,6 +89,7 @@ def _lattice_zeta(table: dims.LinearFactors, s: float, tolerance: float,
     """The growing-box sum of d(n)^(-s) over a higher-rank lattice."""
     if s <= 0:
         raise DivergenceError("need s > 0 for a higher-rank sum")
+    import numpy as np
     rank = len(table.pairing)
     if max_box is None:
         max_box = {2: 2048, 3: 128}.get(rank, 24)

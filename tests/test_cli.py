@@ -3,10 +3,15 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-_ENV = {**os.environ, "PYTHONHASHSEED": "0"}
+# the subprocesses import the package from this checkout, installed or not
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ENV = {**os.environ, "PYTHONHASHSEED": "0",
+        "PYTHONPATH": os.pathsep.join(
+            p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
 
 
 def run_cli(*args, env=None):
@@ -241,3 +246,43 @@ def test_invalid_max_terms_env_is_usage_error():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert json.loads(proc.stderr.splitlines()[0])["error"] == "usage"
+
+
+# runs cli.main in a fresh interpreter and reports whether numpy got loaded
+_COLD_PROBE = """
+import contextlib, io, json, sys
+from wittenzeta.cli import main
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "stdout": out.getvalue()}))
+"""
+
+
+def _cold_run(command):
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROBE, *command.split()],
+                          capture_output=True, text=True, env=_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command", [
+    "zeta --space S:2 --s 2",
+    "zetagen --space S:2 --s 2",
+    "partition --space S:3 --genus 1 --area 0.01",
+    "dim --space EVIII --coords 1,1,1,1,1,1,1,1",
+    "spaces --format json",
+])
+def test_cold_command_does_not_load_numpy(command):
+    probe = _cold_run(command)
+    assert probe["code"] == 0
+    assert not probe["numpy"]
+
+
+def test_cold_lattice_command_loads_numpy_on_demand():
+    probe = _cold_run("zeta2 --group SU:3 --s 2 --tol 1e-4")
+    assert probe["code"] == 0
+    assert probe["numpy"]
+    result = json.loads(probe["stdout"])["result"]
+    assert result["converged"] is True
+    assert result["value"] == pytest.approx(4 * math.pi ** 6 / 2835, abs=1e-4)

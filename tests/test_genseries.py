@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from wittenzeta.errors import (DegenerateConfiguration, DivergenceError,
-                               DomainError)
+                               DomainError, NotConverged)
 from wittenzeta.genseries import (drive, gen_series_direct, gen_series_mf,
                                   pi_series, term_cap,
                                   zero_identity_exact, zero_identity_residual,
@@ -197,6 +197,18 @@ def test_zeta_values_divergence():
         zeta_values_from_rank_one("S:2", 1)
 
 
+def test_zeta_values_reject_non_integral_s():
+    # the exponents s * xi - 1 of the multi-factor series must be integers
+    with pytest.raises(DomainError):
+        zeta_values_from_rank_one("S:3", 1.5)
+
+
+def test_zeta_values_unconverged_series_raises(monkeypatch):
+    monkeypatch.setenv("WZ_MAX_TERMS", "64")
+    with pytest.raises(NotConverged):
+        zeta_values_from_rank_one("S:4", 1)
+
+
 def test_term_cap_rejects_bad_env(monkeypatch):
     for raw in ("abc", "0"):
         monkeypatch.setenv("WZ_MAX_TERMS", raw)
@@ -232,6 +244,7 @@ _BAD_TOLERANCE_CALLS = {
     "boundary_state": lambda tol: boundary_state("S:2", SurfaceParams(1, 0.2, (1.0,)), tol),
     "pi_series": lambda tol: pi_series([1], [1], tol),
     "gen_series_direct": lambda tol: gen_series_direct([1, 2], [0, 0], tol),
+    "zeta_values_from_rank_one": lambda tol: zeta_values_from_rank_one("S:3", 2, tol),
 }
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 from itertools import product
 
@@ -259,3 +260,47 @@ def test_fundamental_weights_duality():
             for j, a in enumerate(simples):
                 expected = Q(1) if i == j else Q(0)
                 assert 2 * dot(w, a) / dot(a, a) == expected
+
+
+def _dot_reference(x, y):
+    return sum((a * b for a, b in zip(x, y)), Q(0))
+
+
+def test_dot_matches_fraction_sum_on_catalog_roots():
+    for space in rootdata.catalog_spaces(include_blocked=False):
+        for alpha in space.root_system.positive_roots:
+            got = dot(space.rho, alpha)
+            assert type(got) is Q
+            assert got == _dot_reference(space.rho, alpha), (space.space_id, alpha)
+
+
+def test_dot_matches_fraction_sum_on_random_vectors():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        size = rng.randint(0, 9)
+
+        def entry():
+            if rng.random() < 0.3:
+                return Q(0)
+            return Q(rng.randint(-40, 40), rng.choice((1, 2, 3, 4, 6, 7, 12)))
+
+        x = tuple(entry() for _ in range(size))
+        y = tuple(entry() for _ in range(size))
+        assert dot(x, y) == _dot_reference(x, y), (x, y)
+
+
+def test_dot_length_mismatch():
+    with pytest.raises(ValueError):
+        dot((Q(1), Q(2)), (Q(1),))
+    with pytest.raises(ValueError):
+        dot((), (Q(0),))
+
+
+def test_m_2alpha_matches_linear_scan():
+    for space in rootdata.catalog_spaces(include_blocked=False):
+        rs = space.root_system
+        for i in rs.indivisible_indices:
+            doubled = vscale(Q(2), rs.positive_roots[i])
+            scan = [space.mult[j] for j, beta in enumerate(rs.positive_roots)
+                    if beta == doubled]
+            assert space.m_2alpha(i) == (scan[0] if scan else 0), (space.space_id, i)
