@@ -1,17 +1,30 @@
 """Heat-kernel partition series on genus-g surfaces, both lattice types.
 
-For q < 1 the quadratic Casimir growth makes every series here certifiable
-by geometric ratio bounds; at q = 1 the sums reduce to the zeta functions,
-to which evaluation is delegated.  Every sum reads the dimension and the
-Casimir from the compiled table of its space or group
-(``dims.compile_space``, ``dims.compile_group``).  Rank one sums one weight
-per shell; a higher rank sums the weights of coordinate sum k, built by
-``weights.grade_shell``, as one int64 array.  The shells run through
-``genseries.drive``.
+For q = exp(-area) < 1 the quadratic Casimir growth makes every series here
+certifiable; at q = 1 the sums reduce to the zeta functions, to which
+evaluation is delegated.  Every sum reads the dimension and the Casimir
+from the compiled table of its space or group (``dims.compile_space``,
+``dims.compile_group``), and runs through ``genseries.drive``.
+
+Rank one sums one weight per shell under a geometric ratio bound.  A higher
+rank bounds its terms by a separable majorant,
+
+    q^{c2(n)} d(n)^-e <= prod_i h_i(n_i),
+
+which rests on two inequalities over the nonnegative cone: the Casimir
+n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i because the Gram
+matrix G is entrywise nonnegative, and each factor 1 + sum_i a_i of d, with
+a_i = L_ij n_i / c_j >= 0, is at most prod_i (1 + a_i) (used when e <= 0)
+and at least prod_i (1 + a_i)^w_i for convex weights w_i (used when e > 0).
+The majorant's sum beyond coordinate sum K is a coefficient tail of a
+product of one-coordinate series, so the least K that meets the tolerance
+is known before any term is summed; the weights of coordinate sum <= K,
+from ``weights.simplex_chunks``, are then summed in chunks.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from . import dims, genseries, rootdata, weights, zeta
@@ -28,8 +41,8 @@ class SurfaceParams:
     holonomies: tuple[float, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.genus < 0:
-            raise DomainError("genus must be >= 0")
+        if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
+            raise DomainError(f"genus must be an integer >= 0, got {self.genus!r}")
         if not (math.isfinite(self.area) and self.area >= 0):
             raise DomainError(f"area must be finite and >= 0, got {self.area}")
         for theta in self.holonomies:
@@ -76,43 +89,121 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     return genseries.drive(shells(), tolerance, genseries.term_cap())
 
 
+def _grade_cap(rank: int, cap: int) -> int:
+    """The largest K whose C(K + rank, rank) weights of coordinate sum <= K
+    fit in ``cap`` >= 1 terms."""
+    # C(K + rank, rank) > K^rank / rank!, so K stays below this root
+    k = int((cap * math.factorial(rank)) ** (1.0 / rank)) + 1
+    while math.comb(k + rank, rank) > cap:
+        k -= 1
+    return k
+
+
+def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
+                   top: int) -> np.ndarray:
+    """log h_i(m) for every coordinate i (rows) and m = 0..top (columns).
+
+    h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + L_ij m / c_j)^p_ij
+    with p_ij = -exponent when exponent <= 0, and p_ij = -exponent w_ij with
+    w_ij = L_ij / sum_i L_ij, convex weights on the support of column j,
+    when exponent > 0.
+    """
+    import numpy as np
+    matrix, shifts = table._arrays
+    gram, lin = table._form
+    powers = -exponent
+    if exponent > 0.0:
+        powers = powers * matrix / np.maximum(matrix.sum(axis=0), 1)
+    m = np.arange(top + 1, dtype=float)[:, None]
+    poly = (np.log1p(m[:, :, None] * (matrix / shifts)) * powers).sum(axis=2)
+    return (poly - area * (m * m * gram.diagonal() + m * lin)).T
+
+
+def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
+                    tolerance: float, cap: int) -> tuple[int, float]:
+    """The least grade K whose majorant tail is at most ``tolerance``, and
+    that tail; the largest K within ``cap`` terms when none is.
+
+    The majorant sum_n prod_i h_i(n_i) is the product of the one-coordinate
+    series H_i(z) = sum_m h_i(m) z^m at z = 1, and its part beyond grade K
+    is the coefficient tail of prod_i H_i.  Split each H_i at M (``cut``)
+    into P_i, its terms m <= M, and the rest T_i.  For K <= M that tail is
+    at most the coefficients beyond K of prod_i P_i (``np.convolve``) plus
+    sum_i T_i prod_{l != i} (P_l(1) + T_l).  The ratio h_i(m+1)/h_i(m)
+    decreases in m when exponent <= 0; when exponent > 0 its polynomial
+    part is <= 1, and q^{G_ii (2m + 1) + lin_i}, which decreases, bounds
+    it.  The larger of the two at m = M+1 is r_i, and T_i <= h_i(M+1) /
+    (1 - r_i).  M doubles until a K <= M meets the tolerance or M reaches
+    the largest grade the cap allows.  Every h_i is scaled by its largest
+    term before the products, so nothing overflows.
+    """
+    import numpy as np
+    gram, lin = table._form
+    k_cap = _grade_cap(len(lin), cap)
+    log_tol = math.log(tolerance)
+    cut = min(16, k_cap)
+    while True:
+        logs = _majorant_logs(table, exponent, area, cut + 2)
+        scale = logs.max(axis=1)
+        head = np.exp(logs - scale[:, None])
+        log_ratio = np.maximum(logs[:, cut + 2] - logs[:, cut + 1],
+                               -area * (gram.diagonal() * (2 * cut + 3) + lin))
+        if (log_ratio < 0.0).all():
+            rest = head[:, cut + 1] / -np.expm1(log_ratio)
+            sums = head[:, :cut + 1].sum(axis=1) + rest
+            spill = (rest * np.prod(sums) / sums).sum()
+        else:
+            spill = np.inf
+        coeffs = head[0, :cut + 1]
+        for row in head[1:, :cut + 1]:
+            coeffs = np.convolve(coeffs, row)
+        tails = np.append(np.cumsum(coeffs[::-1])[::-1], 0.0)[1:cut + 2] + spill
+        with np.errstate(divide="ignore"):
+            log_tails = np.log(tails) + scale.sum()
+        fits = np.flatnonzero(log_tails <= log_tol)
+        if fits.size:
+            grade = int(fits[0])
+            break
+        if cut == k_cap:
+            grade = k_cap
+            break
+        cut = min(2 * cut, k_cap)
+    log_tail = float(log_tails[grade])
+    return grade, math.exp(log_tail) if log_tail < 709.0 else math.inf
+
+
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                     tolerance: float) -> EvalResult:
-    """Shell-by-shell summation for higher rank, with a rigorous q < 1 bound.
+    """Higher-rank heat sum over every weight up to the grade its separable
+    majorant certifies.
 
-    Shell k is every weight of coordinate sum k, one int64 array.  On shell
-    k the Casimir is at least beta_min * k^2 / rank, with beta_min the least
-    diagonal entry of the Gram matrix, the weight count is C(k+rank-1,
-    rank-1), and the dimension is at most d(k, ..., k), which bounds every
-    shell beyond the cutoff by an explicitly decreasing geometric sequence.
+    Every term obeys q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) (see
+    ``_majorant_logs``), by two inequalities on the nonnegative cone.  The
+    Casimir c2(n) = n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i,
+    because G >= 0 entrywise.  Each factor of d is 1 + sum_i a_i with
+    a_i = L_ij n_i / c_j >= 0, and 1 + sum_i a_i <= prod_i (1 + a_i), which
+    bounds d^-exponent when exponent <= 0; when exponent > 0,
+    log(1 + sum_i a_i) >= sum_i w_i log(1 + a_i) for convex weights w.
+    ``_majorant_grade`` turns the majorant into the least grade K whose
+    tail beyond it meets the tolerance, and the weights of coordinate sum
+    <= K are summed in chunks of ``weights.simplex_chunks``.  When the cap
+    cannot hold that grade, the largest grade it holds is summed, and the
+    result, not converged, carries its bound.
     """
-    lq = -area
+    import numpy as np
+    cap = genseries.term_cap()
     rank = len(table.lin)
-    beta_min = float(min(table.gram[i][i] for i in range(rank)))
-
-    def shell_bound(j: int) -> float:
-        count = math.comb(j + rank - 1, rank - 1)
-        lg = lq * beta_min * j * j / rank + math.log(count)
-        if exponent < 0.0:
-            lg += -exponent * math.log(table.dim_float((j,) * rank))
-        return math.exp(lg) if lg < 700.0 else math.inf
 
     def shells():
-        import numpy as np
-        k = 0
-        while True:
-            rows = weights.grade_shell(rank, k)
+        # drive rejects a bad tolerance before it asks for the first shell
+        grade, bound = _majorant_grade(table, exponent, area, tolerance, cap)
+        total, done = math.comb(grade + rank, rank), 0
+        for rows in weights.simplex_chunks(rank, grade):
             terms = np.exp(-area * table.casimirs(rows) - exponent * table.log_dims(rows))
-            b1 = shell_bound(k + 1)
-            tail = 0.0 if b1 == 0.0 else math.inf
-            if 0.0 < b1 < math.inf:
-                rho = shell_bound(k + 2) / b1
-                if rho < 1.0:
-                    tail = b1 / (1.0 - rho)
-            yield math.fsum(terms.tolist()), len(rows), 0.0, tail
-            k += 1
+            done += len(rows)
+            yield math.fsum(terms.tolist()), len(rows), 0.0, bound if done == total else math.inf
 
-    return genseries.drive(shells(), tolerance, genseries.term_cap())
+    return genseries.drive(shells(), tolerance, cap)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: int,

@@ -11,7 +11,6 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction as Q
 from functools import lru_cache
-from itertools import chain, combinations
 
 from . import rootdata
 from .errors import UnknownSpace
@@ -98,20 +97,77 @@ def _graded_box(rank: int, box: int) -> list[Coords]:
     return list(map(tuple, rows[order].tolist()))
 
 
-def grade_shell(rank: int, k: int) -> np.ndarray:
-    """Every coordinate tuple of sum k, in lex order, as an int64 array.
+#: Row bound of one chunk of ``simplex_chunks``; heat sums evaluate one
+#: chunk at a time, so it bounds their memory.
+SIMPLEX_ROWS = 1024
 
-    Stars and bars: the rank - 1 bars among k + rank - 1 slots, taken in
-    lex order, cut the k stars into the coordinates in lex order.
+
+def _next_coordinate(prefix: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every prefix row followed by each next coordinate 0..budget, in lex
+    order, with the budget left after it: one ragged arange."""
+    import numpy as np
+    counts = budget + 1
+    offsets = np.repeat(np.cumsum(counts) - counts, counts)
+    nxt = np.arange(len(offsets), dtype=np.int64) - offsets
+    return (np.concatenate([np.repeat(prefix, counts, axis=0), nxt[:, None]], axis=1),
+            np.repeat(budget, counts) - nxt)
+
+
+def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int) -> Iterator[np.ndarray]:
+    """Every completion of the prefix rows to ``rank`` coordinates whose added
+    coordinates sum to at most the row's budget, in lex order, in chunks."""
+    import numpy as np
+    free = rank - prefix.shape[1]
+    sizes = np.ones_like(budget)
+    for t in range(1, free + 1):        # C(budget + free, free) completions each
+        sizes = sizes * (budget + t) // t
+    ends = np.cumsum(sizes)
+    start = 0
+    while start < len(budget):
+        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + SIMPLEX_ROWS,
+                                   side="right"))
+        if stop == start:               # one prefix too many: split on the next coordinate
+            yield from _completions(*_next_coordinate(prefix[start:start + 1],
+                                                      budget[start:start + 1]), rank)
+            stop = start + 1
+        else:
+            rows, left = prefix[start:stop], budget[start:stop]
+            for _ in range(free):
+                rows, left = _next_coordinate(rows, left)
+            yield rows
+        start = stop
+
+
+@lru_cache(maxsize=None)
+def _simplex_block(rank: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The largest simplex of at most ``rows`` points, in lex order, and its
+    row sums; every smaller simplex is the rows of sum <= k, in order."""
+    import numpy as np
+    top = 0
+    while math.comb(top + 1 + rank, rank) <= rows:
+        top += 1
+    block = next(_completions(np.zeros((1, 0), dtype=np.int64),
+                              np.array([top], dtype=np.int64), rank))
+    return block, block.sum(axis=1)
+
+
+def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
+    """Every point of N^rank with coordinate sum <= k once, in lex order, as
+    int64 arrays of <= SIMPLEX_ROWS rows.
+
+    The rows grow from prefixes of leading coordinates, slab by slab on the
+    first: a run of consecutive prefixes whose completions fit in one chunk
+    is completed together, one coordinate at a time; a prefix with more
+    completions than that is first split on its next coordinate.  A simplex
+    of one chunk is cut from the largest one, built once per rank.
     """
     import numpy as np
-    slots = k + rank - 1
-    count = math.comb(slots, rank - 1)
-    bars = np.fromiter(chain.from_iterable(combinations(range(slots), rank - 1)),
-                       dtype=np.int64, count=count * (rank - 1)).reshape(count, rank - 1)
-    edges = np.hstack([np.full((count, 1), -1, dtype=np.int64), bars,
-                       np.full((count, 1), slots, dtype=np.int64)])
-    return np.diff(edges, axis=1) - 1
+    if math.comb(k + rank, rank) <= SIMPLEX_ROWS:
+        block, sums = _simplex_block(rank, SIMPLEX_ROWS)
+        yield block[sums <= k]
+        return
+    yield from _completions(np.zeros((1, 0), dtype=np.int64),
+                            np.array([k], dtype=np.int64), rank)
 
 
 #: Row bound of one chunk of ``box_chunks``; it bounds the memory of a box pass.

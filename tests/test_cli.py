@@ -105,6 +105,43 @@ def test_partition_commands():
     assert proc.returncode == 0
 
 
+def _elapsed_s(stderr: str) -> float:
+    return float(next(line for line in stderr.splitlines()
+                      if line.startswith("elapsed_s="))[len("elapsed_s="):])
+
+
+def test_partition2_e8_large_area_certifies_fast():
+    proc = run_cli("partition2", "--group", "E8", "--genus", "0", "--area", "5")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["converged"] is True and result["rigorous"] is True
+    assert result["value"] == pytest.approx(1.0, abs=1e-8)
+    assert _elapsed_s(proc.stderr) < 1.0
+
+
+def test_partition2_e6_converges_in_few_terms():
+    proc = run_cli("partition2", "--group", "E6", "--genus", "0", "--area", "0.5")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["converged"] is True and result["tail_bound"] <= 1e-8
+    assert result["terms"] <= 1000
+
+
+def test_partition2_under_a_small_cap_ends_unconverged():
+    # the grade search stops at the largest grade the cap holds
+    env = {**_ENV, "WZ_MAX_TERMS": "50000"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittenzeta", "partition2", "--group", "SU:3",
+         "--genus", "1", "--area", "1e-6"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["converged"] is False
+    assert 0 < result["terms"] <= 50000
+    assert math.isfinite(result["tail_bound"])
+
+
 def test_boundary_command():
     proc = run_cli("boundary", "--space", "S:2", "--genus", "1",
                    "--theta", "3.14159", "--area", "0.2")

@@ -1,9 +1,10 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
-from wittenzeta import dims, rootdata, zeta
+from wittenzeta import dims, partition, rootdata, zeta
 from wittenzeta.errors import (DivergenceError, DomainError, UnsupportedSpace)
 from wittenzeta.partition import (SurfaceParams, boundary_state,
                                   partition_type_I, partition_type_II,
@@ -16,6 +17,8 @@ def test_surface_params_validation():
     assert s.n_holes == 0
     with pytest.raises(DomainError):
         SurfaceParams(genus=-1, area=0.5)
+    with pytest.raises(DomainError):
+        SurfaceParams(genus=2.5, area=0.5)
     with pytest.raises(DomainError):
         SurfaceParams(genus=0, area=-1.0)
     with pytest.raises(DomainError):
@@ -126,6 +129,61 @@ def test_exponent_bookkeeping_against_type_ii():
                                   SurfaceParams(genus=2, area=-2 * math.log(q)),
                                   1e-12)
         assert left.value == pytest.approx(right.value, abs=1e-12)
+
+
+_MAJORANT_GROUPS = ("SU:3", "SO:5", "G2", "SU:4", "Sp:3", "F4", "E6", "E8")
+
+
+def _evaluable_spaces(low: int, high: int) -> list[str]:
+    out = []
+    for sid in rootdata.CATALOG_IDS:
+        space = rootdata.lookup_space(sid)
+        if space.mult is not None and low <= space.rank <= high:
+            out.append(sid)
+    return out
+
+
+def _table(ident: str) -> dims.LinearFactors:
+    if ident in _MAJORANT_GROUPS:
+        return dims.compile_group(ident)
+    return dims.compile_space(ident)
+
+
+@pytest.mark.parametrize("ident", _MAJORANT_GROUPS + tuple(_evaluable_spaces(2, 4)))
+def test_majorant_dominates_every_term(ident):
+    # q^{c2(n)} d(n)^-e <= prod_i h_i(n_i) at random weights of a box, and
+    # at the single-coordinate weights, where it can be an equality
+    table = _table(ident)
+    rank, box = len(table.lin), 6
+    rng = np.random.default_rng(20240607)
+    coords = np.vstack([rng.integers(0, box + 1, size=(300, rank)),
+                        box * np.eye(rank, dtype=np.int64)])
+    for exponent in (-2, -1, 0, 1, 2, 3):
+        for area in (0.05, 1.0):
+            log_terms = (-area * table.casimirs(coords)
+                         - exponent * table.log_dims(coords))
+            logs = partition._majorant_logs(table, float(exponent), area, box)
+            log_major = logs[np.arange(rank), coords].sum(axis=1)
+            excess = log_terms - log_major
+            assert excess.max() <= math.log1p(1e-12), (exponent, area)
+
+
+@pytest.mark.parametrize("ident", ("SU:3", "SO:5", "G2", "SU:4", "Sp:3",
+                                   "AI:3", "CI:3"))
+def test_majorant_bound_holds_between_tolerances(ident):
+    fn = partition_type_II if ident in _MAJORANT_GROUPS else partition_type_I
+    for area in (0.05, 0.2, 1.0):
+        for genus in (0, 1, 2):
+            loose = fn(ident, SurfaceParams(genus, area), 1e-8)
+            tight = fn(ident, SurfaceParams(genus, area), 1e-13)
+            assert loose.rigorous and tight.rigorous
+            gap = abs(loose.value - tight.value)
+            assert gap <= (loose.tail_bound + tight.tail_bound
+                           + 1e-13 * abs(tight.value)), (genus, area)
+            for res in (loose, tight):
+                assert type(res.value) is float and type(res.tail_bound) is float
+                assert type(res.terms_used) is int
+                assert type(res.converged) is bool and type(res.rigorous) is bool
 
 
 @pytest.mark.parametrize("space,box", [("AI:3", 39), ("AI:4", 10)])

@@ -109,9 +109,25 @@ def test_dominant_condition_every_positive_root(group_id):
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_grade_shell_is_lex_brute_force(rank):
+def test_simplex_chunks_is_lex_brute_force(rank):
     for k in range(8):
-        shell = weights.grade_shell(rank, k)
-        assert shell.dtype == np.int64 and shell.shape[1] == rank
-        brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) == k]
-        assert list(map(tuple, shell.tolist())) == brute
+        chunks = list(weights.simplex_chunks(rank, k))
+        assert all(c.dtype == np.int64 and c.shape[1] == rank for c in chunks)
+        rows = np.concatenate(chunks)
+        brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) <= k]
+        assert list(map(tuple, rows.tolist())) == brute
+
+
+@pytest.mark.parametrize("rank,k,limit", [(1, 9, 4), (2, 9, 1), (2, 9, 7),
+                                          (3, 8, 5), (4, 6, 13), (5, 5, 40),
+                                          (2, 120, None), (3, 60, None)])
+def test_simplex_chunks_cover_once_within_the_row_limit(rank, k, limit, monkeypatch):
+    # small limits force the prefix splits; None keeps the module's own
+    if limit is not None:
+        monkeypatch.setattr(weights, "SIMPLEX_ROWS", limit)
+    chunks = list(weights.simplex_chunks(rank, k))
+    assert max(len(c) for c in chunks) <= weights.SIMPLEX_ROWS
+    rows = list(map(tuple, np.concatenate(chunks).tolist()))
+    assert len(set(rows)) == len(rows)
+    brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) <= k]
+    assert rows == brute
