@@ -127,6 +127,8 @@ def _run(args) -> dict | list:
         coords = (args.n,) if args.n is not None else tuple(_csv_list(args.coords, int))
         return dims.dims_record(args.space, coords)
     if cmd == "dims-table":
+        if args.nmax < 0:
+            raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
         rows = []
         for n in range(args.nmax + 1):
             space = rootdata.lookup_space(args.space)

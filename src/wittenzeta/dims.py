@@ -219,6 +219,8 @@ def dim_type_II(group_id: str, coords: weights.Coords) -> int:
     basis_len = len(weights.dominant_basis(group_id))
     if len(coords) != basis_len:
         raise UnknownSpace(f"{group_id} expects {basis_len} coordinates")
+    if any(c < 0 for c in coords):
+        raise UnknownSpace("weight coordinates must be nonnegative integers")
     acc = Q(1)
     for row, den in zip(rows, denoms):
         num = sum(n * v for n, v in zip(coords, row)) + den
@@ -277,6 +279,8 @@ class LinearFactors:
             raise UnknownSpace(
                 f"expected {len(self.pairing)} coordinates, got {len(coords)}"
             )
+        if min(coords) < 0:
+            raise UnknownSpace("weight coordinates must be nonnegative integers")
 
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.

@@ -28,11 +28,11 @@ from .specfun import digamma, hurwitz_zeta_certified
 _DEFAULT_CAP = 2_000_000
 
 
-def term_cap(default: int = _DEFAULT_CAP) -> int:
+def term_cap() -> int:
     """Series-length cap, overridable through WZ_MAX_TERMS (a positive integer)."""
     raw = os.environ.get("WZ_MAX_TERMS")
     if raw is None:
-        return default
+        return _DEFAULT_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -118,8 +118,7 @@ def _scaled(scale_log: float, x: float) -> float:
 
 
 def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
-                   tolerance: float, scale_log: float = 0.0,
-                   max_terms: int | None = None) -> EvalResult:
+                   tolerance: float, scale_log: float = 0.0) -> EvalResult:
     """sum_{n >= start} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
 
     The shells are the blocks between the checkpoints 16, 32, 64, ... terms
@@ -128,7 +127,7 @@ def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
     """
     if sum(powers) <= 1.0:
         raise DivergenceError("series diverges: total exponent <= 1")
-    cap = term_cap() if max_terms is None else max_terms
+    cap = term_cap()
     factors = list(zip(powers, kappas))
 
     def shells():
@@ -149,8 +148,8 @@ def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
     return drive(shells(), tolerance, cap)
 
 
-def pi_series(pi: list[int], kappa: list[Q | float], tolerance: float = 1e-10,
-              max_terms: int | None = None) -> EvalResult:
+def pi_series(pi: list[int], kappa: list[Q | float],
+              tolerance: float = 1e-10) -> EvalResult:
     """sum_{n>=1} prod_j (n + kappa_j)^-(1+pi_j)."""
     if len(pi) != len(kappa) or not pi:
         raise DomainError("pi and kappa must be nonempty lists of equal length")
@@ -162,12 +161,11 @@ def pi_series(pi: list[int], kappa: list[Q | float], tolerance: float = 1e-10,
     if sum(powers) < 2.0:
         raise DivergenceError("sum of (1 + pi_j) must be at least 2")
     kappas = [float(k) for k in kappa]
-    return _sum_with_tail(kappas, powers, 1, tolerance, 0.0, max_terms)
+    return _sum_with_tail(kappas, powers, 1, tolerance)
 
 
 def gen_series_direct(kappa: list[Q | float], t_point: list[float],
-                      tolerance: float = 1e-12,
-                      max_terms: int | None = None) -> EvalResult:
+                      tolerance: float = 1e-12) -> EvalResult:
     """sum_{n>=1} prod_j (n + kappa_j - T_j)^(-1) by direct summation."""
     if len(kappa) != len(t_point):
         raise DomainError("kappa and T must have equal length")
@@ -176,7 +174,7 @@ def gen_series_direct(kappa: list[Q | float], t_point: list[float],
     shifts = [float(k) - float(t) for k, t in zip(kappa, t_point)]
     if any(1.0 + a <= 0.0 for a in shifts):
         raise DomainError("need 1 + kappa_j - T_j > 0 for every factor")
-    return _sum_with_tail(shifts, [1.0] * len(shifts), 1, tolerance, 0.0, max_terms)
+    return _sum_with_tail(shifts, [1.0] * len(shifts), 1, tolerance)
 
 
 def _partial_fraction_coeffs(shifts: list[float]) -> list[float]:

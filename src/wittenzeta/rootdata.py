@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from itertools import combinations, product
 from math import gcd
+from operator import add
 
 from .errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
 
@@ -50,162 +50,79 @@ def vscale(c: Q, x: Vector) -> Vector:
     return tuple(c * a for a in x)
 
 
-def _span_coefficients(basis: list[Vector], pairings: list[Q]) -> list[Q]:
-    """Coefficients c with (sum_i c_i basis[i], basis[j]) = pairings[j], exactly.
-
-    Gaussian elimination on the Gram matrix; basis must be independent.
-    """
-    n = len(basis)
-    gram = [[dot(basis[i], basis[j]) for j in range(n)] + [pairings[i]] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if gram[r][col] != 0)
-        gram[col], gram[piv] = gram[piv], gram[col]
-        pval = gram[col][col]
-        gram[col] = [v / pval for v in gram[col]]
-        for r in range(n):
-            if r != col and gram[r][col] != 0:
-                f = gram[r][col]
-                gram[r] = [a - f * b for a, b in zip(gram[r], gram[col])]
-    return [gram[r][n] for r in range(n)]
-
-
-def _combination(coeffs: list[Q], basis: list[Vector]) -> Vector:
-    w = tuple(Q(0) for _ in basis[0])
-    for c, b in zip(coeffs, basis):
-        w = vadd(w, vscale(c, b))
-    return w
-
-
-def solve_in_span(basis: list[Vector], pairings: list[Q]) -> Vector:
-    """Vector w in span(basis) with (w, basis[j]) = pairings[j], exactly."""
-    return _combination(_span_coefficients(basis, pairings), basis)
-
-
-def expand_in_simple(system: "RestrictedRootSystem", root: Vector) -> list[Q]:
-    """Coefficients of ``root`` over the simple roots."""
-    simples = list(system.simple_roots())
-    coeffs = _span_coefficients(simples, [dot(root, s) for s in simples])
-    if _combination(coeffs, simples) != root:
-        raise ValueError("root not in the span of the simple roots")
-    return coeffs
-
-
 def _e(i: int, dim: int, c: Q = Q(1)) -> Vector:
     v = [Q(0)] * dim
     v[i] = c
     return tuple(v)
 
 
-def _signed_halves(dim: int, fixed: dict[int, Q], free: list[int], parity: int) -> list[Vector]:
-    """Half-integer vectors with fixed coordinates and +-1/2 on ``free``.
-
-    ``parity`` restricts the number of minus signs among the free slots
-    (0 = even, 1 = odd).
-    """
-    out = []
-    for signs in product((Q(1, 2), Q(-1, 2)), repeat=len(free)):
-        if sum(1 for s in signs if s < 0) % 2 != parity:
-            continue
-        v = [Q(0)] * dim
-        for i, c in fixed.items():
-            v[i] = c
-        for i, s in zip(free, signs):
-            v[i] = s
-        out.append(tuple(v))
-    return out
-
-
-def _positive_roots_raw(family: str, rank: int) -> tuple[list[Vector], list[Vector]]:
-    """Return (simple_roots, positive_roots) in ambient coordinates."""
-    if family == "A":
-        d = rank + 1
-        simples = [vadd(_e(i, d), _e(i + 1, d, Q(-1))) for i in range(rank)]
-        pos = [vadd(_e(i, d), _e(j, d, Q(-1))) for i in range(d) for j in range(i + 1, d)]
-        return simples, pos
-    if family in ("B", "C", "D", "BC"):
-        d = rank
-        pos: list[Vector] = []
-        for i, j in combinations(range(d), 2):
-            pos.append(vadd(_e(i, d), _e(j, d, Q(-1))))
-            pos.append(vadd(_e(i, d), _e(j, d)))
-        if family in ("B", "BC"):
-            pos.extend(_e(i, d) for i in range(d))
-        if family in ("C", "BC"):
-            pos.extend(_e(i, d, Q(2)) for i in range(d))
+def _simple_roots(family: str, rank: int) -> list[Vector]:
+    """Simple roots of the family in its standard ambient coordinates."""
+    if family in ("A", "B", "C", "D", "BC"):
+        d = rank + 1 if family == "A" else rank
+        chain = [vadd(_e(i, d), _e(i + 1, d, Q(-1))) for i in range(d - 1)]
+        if family == "A":
+            return chain
         if family == "D":
             if rank < 2:
                 raise UnsupportedFamily("D requires rank >= 2")
-            simples = [vadd(_e(i, d), _e(i + 1, d, Q(-1))) for i in range(rank - 1)]
-            simples.append(vadd(_e(rank - 2, d), _e(rank - 1, d)))
-        elif family == "C":
-            simples = [vadd(_e(i, d), _e(i + 1, d, Q(-1))) for i in range(rank - 1)]
-            simples.append(_e(rank - 1, d, Q(2)))
-        else:  # B and BC share the simple system
-            simples = [vadd(_e(i, d), _e(i + 1, d, Q(-1))) for i in range(rank - 1)]
-            simples.append(_e(rank - 1, d))
-        return simples, pos
+            return chain + [vadd(_e(rank - 2, d), _e(rank - 1, d))]
+        if family == "C":
+            return chain + [_e(rank - 1, d, Q(2))]
+        return chain + [_e(rank - 1, d)]  # B and BC share the simple system
     if family == "G2":
         if rank != 2:
             raise UnsupportedFamily("G2 has rank 2")
-        d = 3
-        a1 = (Q(1), Q(-1), Q(0))
-        a2 = (Q(-2), Q(1), Q(1))
-        pos = [a1, a2,
-               (Q(-1), Q(0), Q(1)),
-               (Q(0), Q(-1), Q(1)),
-               (Q(1), Q(-2), Q(1)),
-               (Q(-1), Q(-1), Q(2))]
-        return [a1, a2], pos
+        return [(Q(1), Q(-1), Q(0)), (Q(-2), Q(1), Q(1))]
     if family == "F4":
         if rank != 4:
             raise UnsupportedFamily("F4 has rank 4")
-        d = 4
-        pos = [_e(i, d) for i in range(4)]
-        for i, j in combinations(range(4), 2):
-            pos.append(vadd(_e(i, d), _e(j, d)))
-            pos.append(vadd(_e(i, d), _e(j, d, Q(-1))))
-        pos.extend(_signed_halves(4, {0: Q(1, 2)}, [1, 2, 3], 0))
-        pos.extend(_signed_halves(4, {0: Q(1, 2)}, [1, 2, 3], 1))
-        simples = [
-            vadd(_e(1, d), _e(2, d, Q(-1))),
-            vadd(_e(2, d), _e(3, d, Q(-1))),
-            _e(3, d),
-            (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
-        ]
-        return simples, pos
+        return [vadd(_e(1, 4), _e(2, 4, Q(-1))), vadd(_e(2, 4), _e(3, 4, Q(-1))),
+                _e(3, 4), (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2))]
     if family in ("E6", "E7", "E8"):
         want = int(family[1])
         if rank != want:
             raise UnsupportedFamily(f"{family} has rank {want}")
-        d = 8
-        a1 = (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2))
-        a2 = vadd(_e(0, d), _e(1, d))
-        chain = [vadd(_e(i + 1, d), _e(i, d, Q(-1))) for i in range(6)]  # e_{i+2}-e_{i+1}
-        simples = [a1, a2] + chain[: want - 2]
-        if family == "E8":
-            pos = []
-            for i, j in combinations(range(8), 2):
-                pos.append(vadd(_e(j, d), _e(i, d)))
-                pos.append(vadd(_e(j, d), _e(i, d, Q(-1))))
-            pos.extend(_signed_halves(8, {7: Q(1, 2)}, list(range(7)), 0))
-            return simples, pos
-        if family == "E7":
-            pos = []
-            for i, j in combinations(range(6), 2):
-                pos.append(vadd(_e(j, d), _e(i, d)))
-                pos.append(vadd(_e(j, d), _e(i, d, Q(-1))))
-            pos.append(vadd(_e(7, d), _e(6, d, Q(-1))))
-            pos.extend(_signed_halves(8, {7: Q(1, 2), 6: Q(-1, 2)}, list(range(6)), 1))
-            return simples, pos
-        pos = []
-        for i, j in combinations(range(5), 2):
-            pos.append(vadd(_e(j, d), _e(i, d)))
-            pos.append(vadd(_e(j, d), _e(i, d, Q(-1))))
-        pos.extend(
-            _signed_halves(8, {7: Q(1, 2), 6: Q(-1, 2), 5: Q(-1, 2)}, list(range(5)), 0)
-        )
-        return simples, pos
+        a1 = (Q(1, 2),) + (Q(-1, 2),) * 6 + (Q(1, 2),)
+        chain = [vadd(_e(i + 1, 8), _e(i, 8, Q(-1))) for i in range(6)]  # e_{i+2}-e_{i+1}
+        return [a1, vadd(_e(0, 8), _e(1, 8))] + chain[: want - 2]
     raise UnsupportedFamily(f"unknown family {family!r}")
+
+
+def _positive_roots(simples: list[Vector]) -> list[Vector]:
+    """Every positive root of the reduced system with these simple roots,
+    simple roots first.
+
+    Roots grow by height over their integer coefficients on the simple roots
+    (Humphreys, Introduction to Lie Algebras, 1972, 9.4 and 10): beta + alpha_i
+    is a root exactly when p - <beta, alpha_i^v> > 0, where p counts the steps
+    of the alpha_i-string below beta.  Each root carries its doubled ambient
+    coordinates and its Cartan pairings, both updated by adding a row.
+    """
+    rank = len(simples)
+    cartan = [tuple(int(2 * dot(a, b) / dot(b, b)) for b in simples) for a in simples]
+    twice = [tuple(int(2 * c) for c in a) for a in simples]
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    layer = {unit[i]: (twice[i], cartan[i]) for i in range(rank)}
+    found = dict(layer)
+    while layer:
+        above = {}
+        for coeffs, (coords, pairs) in layer.items():
+            for i in range(rank):
+                p, below = 0, list(coeffs)
+                below[i] -= 1
+                while tuple(below) in found:
+                    p += 1
+                    below[i] -= 1
+                if p - pairs[i] > 0:
+                    up = tuple(map(add, coeffs, unit[i]))
+                    if up[i] > 6:  # E8's highest root has the largest coefficient, 6
+                        raise AssertionError("simple roots of no finite root system")
+                    above.setdefault(up, (tuple(map(add, coords, twice[i])),
+                                          tuple(map(add, pairs, cartan[i]))))
+        found.update(above)
+        layer = above
+    return [tuple(Q(c, 2) for c in coords) for coords, _ in found.values()]
 
 
 _ROOT_COUNT = {
@@ -246,32 +163,58 @@ class RestrictedRootSystem:
         """Position of each positive root in ``positive_roots``."""
         return {a: i for i, a in enumerate(self.positive_roots)}
 
+    @cached_property
+    def coweights(self) -> tuple[Vector, ...]:
+        """Basis w_i of the span of the simple roots with (w_i, alpha_j) = delta_ij.
+
+        One Gauss-Jordan elimination of the simple-root Gram matrix against
+        the identity gives the inverse Gram matrix, whose rows are the
+        coefficients of the w_i over the simple roots.
+        """
+        simples = self.simple_roots()
+        r = len(simples)
+        rows = [[dot(a, b) for b in simples] + [Q(int(i == j)) for j in range(r)]
+                for i, a in enumerate(simples)]
+        for col in range(r):
+            piv = next(k for k in range(col, r) if rows[k][col])
+            rows[col], rows[piv] = rows[piv], rows[col]
+            rows[col] = [v / rows[col][col] for v in rows[col]]
+            for k in range(r):
+                f = rows[k][col]
+                if k != col and f:
+                    rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
+        ambient = list(zip(*simples))
+        return tuple(tuple(dot(row[r:], c) for c in ambient) for row in rows)
+
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RestrictedRootSystem:
-    """Positive system for the family, simple roots first then lex order."""
+    """Positive system for the family, simple roots first then lex order.
+
+    BC is B plus twice its short roots, which are its divisible roots.
+    """
     if family not in FAMILIES:
         raise UnsupportedFamily(f"unknown family {family!r}")
     if rank < 1:
         raise UnsupportedFamily("rank must be >= 1")
-    simples, pos = _positive_roots_raw(family, rank)
-    rest = sorted(set(pos) - set(simples))
-    ordered = list(simples) + rest
+    simples = _simple_roots(family, rank)
+    pos = _positive_roots(simples)
+    divisible: list[Vector] = []
+    if family == "BC":
+        short = min(dot(a, a) for a in pos)
+        divisible = [a for a in pos if dot(a, a) == short]
+    doubles = [vadd(a, a) for a in divisible]
+    ordered = simples + sorted(pos[len(simples):] + doubles)
     expected = _ROOT_COUNT[family](rank)
     if len(ordered) != expected:
         raise AssertionError(f"{family}{rank}: {len(ordered)} roots, expected {expected}")
-    root_set = set(ordered)
-    indivisible = tuple(
-        i for i, a in enumerate(ordered) if vscale(Q(1, 2), a) not in root_set
-    )
-    divisible = tuple(i for i, a in enumerate(ordered) if vscale(Q(2), a) in root_set)
     return RestrictedRootSystem(
         family=family,
         rank=rank,
         positive_roots=tuple(ordered),
         simple_indices=tuple(range(len(simples))),
-        indivisible_indices=indivisible,
-        divisible_indices=divisible,
+        indivisible_indices=tuple(i for i, a in enumerate(ordered) if a not in doubles),
+        divisible_indices=tuple(i for i, a in enumerate(ordered) if a in divisible),
     )
 
 
@@ -529,13 +472,9 @@ class CompactGroupDescriptor:
 
     def fundamental_weights(self) -> tuple[Vector, ...]:
         """Dual basis: 2(w_i, alpha_j)/(alpha_j, alpha_j) = delta_ij."""
-        simples = list(self.root_system.simple_roots())
-        out = []
-        for i in range(len(simples)):
-            pair = [Q(0)] * len(simples)
-            pair[i] = dot(simples[i], simples[i]) / 2
-            out.append(solve_in_span(simples, pair))
-        return tuple(out)
+        rs = self.root_system
+        return tuple(vscale(dot(a, a) / 2, w)
+                     for a, w in zip(rs.simple_roots(), rs.coweights))
 
 
 _GROUP_RE = re.compile(r"^(SU|SO|Sp):([0-9]+)$")

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import rootdata
 from .errors import UnknownSpace
-from .rootdata import Vector, dot, solve_in_span, vadd, vscale
+from .rootdata import Vector, dot, vadd, vscale
 
 Coords = tuple[int, ...]
 
@@ -25,17 +25,8 @@ def class_one_basis(space_id: str) -> tuple[Vector, ...]:
     space = rootdata.lookup_space(space_id)
     space.require_mult()
     rs = space.root_system
-    simples = list(rs.simple_roots())
-    root_set = set(rs.positive_roots)
-    basis = []
-    for i, alpha in enumerate(simples):
-        pair = [Q(0)] * len(simples)
-        pair[i] = dot(alpha, alpha)
-        w = solve_in_span(simples, pair)
-        if vscale(Q(2), alpha) in root_set:
-            w = vscale(Q(2), w)
-        basis.append(w)
-    return tuple(basis)
+    return tuple(vscale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
+                 for i, (a, w) in enumerate(zip(rs.simple_roots(), rs.coweights)))
 
 
 def class_one_vector(space_id: str, coords: Coords) -> Vector:
@@ -82,6 +73,8 @@ def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
         raise UnknownSpace(
             f"{space_id} expects {len(matrix)} coordinates, got {len(coords)}"
         )
+    if min(coords) < 0:
+        raise UnknownSpace("weight coordinates must be nonnegative integers")
     ncols = len(matrix[0])
     return tuple(
         sum(coords[i] * matrix[i][j] for i in range(len(coords)))

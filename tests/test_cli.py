@@ -183,6 +183,10 @@ def test_usage_error_exit_code():
     assert run_cli("no-such-command").returncode == 1
     assert run_cli("zeta", "--space").returncode == 1
     assert run_cli("genseries", "--kappa", "1,zz", "--T", "0,0").returncode == 1
+    proc = run_cli("dims-table", "--space", "S:2", "--nmax", "-3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "usage"
 
 
 def test_domain_error_exit_code():

@@ -234,6 +234,15 @@ def test_coordinate_count_checked():
         dims.dim_class_one_float("AI:3", (1, 1, 1))
     with pytest.raises(UnknownSpace):
         dims.dim_type_II_float("SU:3", (1,))
+    # negative coordinates are not weights of the dominant cone
+    for coords in ((-1, 0), (-3, 0), (-2, -2), (0, -1)):
+        for call in (dims.dim_type_II, dims.dim_type_II_float, dims.casimir_group):
+            with pytest.raises(UnknownSpace):
+                call("SU:3", coords)
+        for call in (dim_class_one, dims.dim_class_one_log, dims.dim_class_one_float,
+                     dims.casimir_space):
+            with pytest.raises(UnknownSpace):
+                call("AI:3", coords)
 
 
 def test_casimir_values():

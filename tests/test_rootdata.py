@@ -1,13 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as Q
 from itertools import product
 
 import pytest
 
-from wittenzeta import rootdata
+from wittenzeta import dims, rootdata
 from wittenzeta.errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
-from wittenzeta.rootdata import (build_root_system, dot, expand_in_simple,
-                                 lookup_space, vadd, vscale)
+from wittenzeta.rootdata import build_root_system, dot, lookup_space, vadd, vscale
 
 COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
@@ -18,6 +19,15 @@ COUNTS = {
     ("E6", 6): 36, ("E7", 7): 63, ("E8", 8): 120,
     ("F4", 4): 24, ("G2", 2): 6,
 }
+
+
+def expand_in_simple(rs, vector):
+    """Coefficients of ``vector`` over the simple roots, read off the coweights;
+    ValueError when it is not in their span."""
+    coeffs = [dot(vector, w) for w in rs.coweights]
+    if tuple(dot(coeffs, c) for c in zip(*rs.simple_roots())) != vector:
+        raise ValueError("not in the span of the simple roots")
+    return coeffs
 
 
 @pytest.mark.parametrize("family,rank", sorted(COUNTS))
@@ -62,6 +72,38 @@ def test_f4_by_brute_force_enumeration():
     assert positives == set(rs.positive_roots)
 
 
+def test_e8_by_brute_force_enumeration():
+    # the 240 vectors of squared length 2 in the E8 lattice: integer or
+    # half-odd-integer coordinates with an even sum; the sign of their
+    # expansion over the simple roots splits them into positive and negative
+    rs = build_root_system("E8", 8)
+    candidates = [tuple(Q(c) for c in v) for v in product((-1, 0, 1), repeat=8)
+                  if sum(c * c for c in v) == 2]
+    candidates += [tuple(Q(c, 2) for c in v) for v in product((-1, 1), repeat=8)
+                   if v.count(-1) % 2 == 0]
+    assert len(candidates) == 240
+    positives = []
+    for v in candidates:
+        coeffs = expand_in_simple(rs, v)
+        assert all(c.denominator == 1 for c in coeffs), v
+        assert all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs), v
+        if all(c >= 0 for c in coeffs):
+            positives.append(v)
+    assert sorted(positives) == sorted(rs.positive_roots)
+
+
+@pytest.mark.parametrize("family,rank", sorted(COUNTS))
+def test_coweights_are_dual_to_the_simple_roots(family, rank):
+    rs = build_root_system(family, rank)
+    simples = rs.simple_roots()
+    assert len(rs.coweights) == rank
+    for i, w in enumerate(rs.coweights):
+        assert [dot(w, a) for a in simples] == [Q(int(i == j)) for j in range(rank)]
+        # w lies in the span of the simple roots: w = sum_j (w, w_j) alpha_j
+        in_span = tuple(dot([dot(w, v) for v in rs.coweights], c) for c in zip(*simples))
+        assert in_span == w
+
+
 @pytest.mark.parametrize("family,rank", sorted(COUNTS))
 def test_positive_roots_are_nonneg_integer_combinations(family, rank):
     rs = build_root_system(family, rank)
@@ -70,8 +112,7 @@ def test_positive_roots_are_nonneg_integer_combinations(family, rank):
         assert all(c.denominator == 1 and c >= 0 for c in coeffs), (root, coeffs)
 
 
-@pytest.mark.parametrize("family,rank",
-                         [(f, r) for (f, r) in sorted(COUNTS) if r <= 4])
+@pytest.mark.parametrize("family,rank", sorted(COUNTS))
 def test_weyl_reflection_closure(family, rank):
     rs = build_root_system(family, rank)
     full = set(rs.positive_roots) | {vscale(Q(-1), a) for a in rs.positive_roots}
@@ -304,3 +345,30 @@ def test_m_2alpha_matches_linear_scan():
             scan = [space.mult[j] for j, beta in enumerate(rs.positive_roots)
                     if beta == doubled]
             assert space.m_2alpha(i) == (scan[0] if scan else 0), (space.space_id, i)
+
+
+FINGERPRINT = "7c7b856030d855aa87e122048c04018033d1b56482f70b8137614a1f0a3525b2"
+_FINGERPRINT_GROUPS = ("SU:2", "SU:3", "SU:4", "SO:5", "SO:7", "SO:8", "Sp:3", "Sp:4",
+                       "G2", "F4", "E6", "E7", "E8")
+
+
+def _table_record(table):
+    return {"pairing": table.pairing, "shifts": [str(c) for c in table.shifts],
+            "gram": [[str(v) for v in row] for row in table.gram],
+            "lin": [str(v) for v in table.lin]}
+
+
+def test_catalog_and_tables_fingerprint():
+    # sha256 of every catalog record and every compiled table; the expected
+    # digest was computed from hand-written positive-root lists, so a root
+    # that is wrong, missing or out of order in the generated systems shows
+    digest = hashlib.sha256()
+    for space in rootdata.catalog_spaces():
+        digest.update(json.dumps(space.record(), sort_keys=True).encode())
+        if space.evaluable:
+            table = dims.compile_space(space.space_id)
+            digest.update(json.dumps(_table_record(table)).encode())
+    for gid in _FINGERPRINT_GROUPS:
+        table = dims.compile_group(gid)
+        digest.update(json.dumps(_table_record(table)).encode())
+    assert digest.hexdigest() == FINGERPRINT

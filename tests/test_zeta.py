@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from wittenzeta import dims, rootdata, zeta
-from wittenzeta.errors import (DivergenceError, DomainError, NotConverged,
-                               UnsupportedSpace)
+from wittenzeta.errors import DivergenceError, DomainError, UnsupportedSpace
 from wittenzeta.zeta import hurwitz_relation_check, zeta_type_I, zeta_type_II
 
 
@@ -62,9 +61,11 @@ def test_su3_against_double_sum():
     assert res.value == pytest.approx(4 * math.pi ** 6 / 2835, abs=1e-5)
 
 
-def test_su3_not_converged_raises():
-    with pytest.raises(NotConverged):
-        zeta_type_II("SU:3", 2.0, 1e-9, max_box=16)
+def test_su3_not_converged_is_flagged():
+    # type II misses its tolerance the way type I does: a result, not an error
+    res = zeta_type_II("SU:3", 2.0, 1e-9, max_box=16)
+    assert res.converged is False
+    assert math.isfinite(res.tail_bound) and res.tail_bound > 0
 
 
 @pytest.mark.parametrize("s", [0.8, 1.3, 2.5, 7.0])
