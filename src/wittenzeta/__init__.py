@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateConfiguration, DivergenceError, DomainError,
                      InconsistentMultiplicities, NotConverged, NotRankOne,
-                     NumericOverflow, PoleError, UnknownSpace,
-                     UnsupportedFamily, UnsupportedSpace, WittenZetaError)
+                     PoleError, UnknownSpace, UnsupportedFamily,
+                     UnsupportedSpace, WittenZetaError)
 from .result import EvalResult
 
 __all__ = [
@@ -13,6 +13,5 @@ __all__ = [
     "EvalResult",
     "WittenZetaError", "UnsupportedFamily", "UnknownSpace", "UnsupportedSpace",
     "DomainError", "PoleError", "InconsistentMultiplicities", "NotRankOne",
-    "NumericOverflow", "DivergenceError", "NotConverged",
-    "DegenerateConfiguration",
+    "DivergenceError", "NotConverged", "DegenerateConfiguration",
 ]

@@ -129,6 +129,7 @@ def _run(args) -> dict | list:
     if cmd == "dims-table":
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
+        zeta._check_s(args.s)
         rows = []
         for n in range(args.nmax + 1):
             space = rootdata.lookup_space(args.space)
@@ -136,8 +137,7 @@ def _run(args) -> dict | list:
             d = dims.dim_class_one(args.space, coords)
             # null past the float range; exp underflows to 0.0 on its own
             logd = math.log(d.numerator) - math.log(d.denominator)
-            rows.append({"n": n, "dim": str(d),
-                         "dim_float": float(d) if logd <= dims._LOG_MAX else None,
+            rows.append({"n": n, "dim": str(d), "dim_float": dims.exact_float(d),
                          "inv_power": (math.exp(-args.s * logd)
                                        if -args.s * logd <= dims._LOG_MAX else None)})
         return {"space": args.space, "s": args.s, "rows": rows}

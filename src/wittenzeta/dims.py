@@ -23,10 +23,9 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from . import rootdata, weights
-from .errors import (InconsistentMultiplicities, NotRankOne, NumericOverflow,
-                     PoleError, UnknownSpace)
+from .errors import InconsistentMultiplicities, NotRankOne, PoleError
 from .rootdata import dot
-from .specfun import log_gamma
+from .specfun import bernoulli_polynomial, log_gamma
 
 _LOG_MAX = 709.0
 
@@ -116,22 +115,41 @@ def dim_factor(params: PerRootFactorParams, pairing: int) -> Q:
         * (_int_square_product(y, params.r) / _int_square_product(ybar, params.r))
 
 
+def _log_part(t: float, scale: float, pairs: tuple[tuple[float, float], ...]) -> float:
+    """log t + sum over (a, b) in ``pairs`` of lgamma(a + u) - lgamma(b + u),
+    u = scale * t.
+
+    From u = 1e3 on, the two log-gammas of a pair cancel to a few digits, so
+    each difference is summed from its 1/u series (Tricomi and Erdelyi,
+    Pacific J. Math. 1, 1951), to seven terms:
+    (a - b) log u + sum_k (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(b)) / (k (k+1) u^k).
+    """
+    u = scale * t
+    acc = math.log(t)
+    if u < 1e3:
+        for a, _ in pairs:
+            acc += math.lgamma(a + u)
+        for _, b in pairs:
+            acc -= math.lgamma(b + u)
+        return acc
+    for a, b in pairs:
+        acc += (a - b) * math.log(u) + math.fsum(
+            (bernoulli_polynomial(k + 1, a) - bernoulli_polynomial(k + 1, b))
+            * (-1) ** (k + 1) / (k * (k + 1)) * u ** -k for k in range(1, 8))
+    return acc
+
+
 def _factor_log_numeric(params: PerRootFactorParams, pairing: int) -> float:
     """log of the same factor through the gamma quotient, floats only."""
     rho = float(params.rho)
-    x = pairing + rho
     if params.m2 == 0:
         h = params.m / 2.0
-        def lpart(t: float) -> float:
-            return math.log(t) + math.lgamma(h + t) - math.lgamma(1.0 - h + t)
+        pairs, scale = ((h, 1.0 - h),), 1.0
     else:
         a = params.m / 4.0 + 0.5
         b = params.m / 4.0 + params.m2 / 2.0
-        def lpart(t: float) -> float:
-            return (math.log(t)
-                    + math.lgamma(a + t / 2.0) + math.lgamma(b + t / 2.0)
-                    - math.lgamma(1.0 - a + t / 2.0) - math.lgamma(1.0 - b + t / 2.0))
-    return lpart(x) - lpart(rho)
+        pairs, scale = ((a, 1.0 - a), (b, 1.0 - b)), 0.5
+    return _log_part(pairing + rho, scale, pairs) - _log_part(rho, scale, pairs)
 
 
 @dataclass(frozen=True)
@@ -181,18 +199,10 @@ def dim_class_one_log(space_id: str, coords: weights.Coords) -> float:
     )
 
 
-def dim_class_one_numeric(space_id: str, coords: weights.Coords) -> float:
-    logd = dim_class_one_log(space_id, coords)
-    if logd > _LOG_MAX:
-        raise NumericOverflow(
-            f"dimension exceeds float range (log = {logd:.1f}); use dim_class_one_log"
-        )
-    return math.exp(logd)
-
-
-def dim_class_one_float(space_id: str, coords: weights.Coords) -> float:
-    """The compiled linear factors evaluated in floats; fast path for series terms."""
-    return compile_space(space_id).dim_float(coords)
+def exact_float(value: Q) -> float | None:
+    """float(value), or None past the float range."""
+    log = math.log(value.numerator) - math.log(value.denominator)
+    return float(value) if log <= _LOG_MAX else None
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +213,7 @@ def dim_class_one_float(space_id: str, coords: weights.Coords) -> float:
 def _group_tables(group_id: str):
     group = rootdata.lookup_group(group_id)
     rs = group.root_system
-    basis = weights.dominant_basis(group_id)
+    basis = group.fundamental_weights()
     rho = group.rho
     rows = []
     denoms = []
@@ -216,11 +226,7 @@ def _group_tables(group_id: str):
 def dim_type_II(group_id: str, coords: weights.Coords) -> int:
     """Weyl dimension of the irreducible representation with the given labels."""
     rows, denoms = _group_tables(group_id)
-    basis_len = len(weights.dominant_basis(group_id))
-    if len(coords) != basis_len:
-        raise UnknownSpace(f"{group_id} expects {basis_len} coordinates")
-    if any(c < 0 for c in coords):
-        raise UnknownSpace("weight coordinates must be nonnegative integers")
+    weights.check_coords(coords, len(rows[0]))
     acc = Q(1)
     for row, den in zip(rows, denoms):
         num = sum(n * v for n, v in zip(coords, row)) + den
@@ -228,10 +234,6 @@ def dim_type_II(group_id: str, coords: weights.Coords) -> int:
     if acc.denominator != 1:
         raise AssertionError("Weyl dimension came out non-integral")
     return int(acc)
-
-
-def dim_type_II_float(group_id: str, coords: weights.Coords) -> float:
-    return compile_group(group_id).dim_float(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +276,6 @@ class LinearFactors:
         import numpy as np
         return np.array(self.gram, dtype=float), np.array(self.lin, dtype=float)
 
-    def _check_count(self, coords) -> None:
-        if len(coords) != len(self.pairing):
-            raise UnknownSpace(
-                f"expected {len(self.pairing)} coordinates, got {len(coords)}"
-            )
-        if min(coords) < 0:
-            raise UnknownSpace("weight coordinates must be nonnegative integers")
-
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.
 
@@ -308,7 +302,7 @@ class LinearFactors:
 
     def dim_float(self, coords: weights.Coords) -> float:
         """d(n) at one weight, in floats."""
-        self._check_count(coords)
+        weights.check_coords(coords, len(self.pairing))
         acc = 1.0
         for column, shifts in self._columns:
             p = sum(map(mul, coords, column))
@@ -318,7 +312,7 @@ class LinearFactors:
 
     def casimir(self, coords: weights.Coords) -> Q:
         """c2(n) at one weight, exact."""
-        self._check_count(coords)
+        weights.check_coords(coords, len(self.pairing))
         acc = Q(0)
         for i, ni in enumerate(coords):
             if not ni:
@@ -375,7 +369,8 @@ def compile_group(group_id: str) -> LinearFactors:
     turns them into coroot pairings: integers.
     """
     rows, denoms = _group_tables(group_id)
-    roots = rootdata.lookup_group(group_id).root_system.positive_roots
+    group = rootdata.lookup_group(group_id)
+    roots = group.root_system.positive_roots
     columns, shifts = [], []
     for row, den, alpha in zip(rows, denoms, roots):
         half = dot(alpha, alpha) / 2
@@ -386,20 +381,7 @@ def compile_group(group_id: str) -> LinearFactors:
         columns.append([int(v) for v in column])
         shifts.append(shift)
     return LinearFactors(pairing=tuple(zip(*columns)), shifts=tuple(shifts),
-                         **_casimir_form(weights.dominant_basis(group_id),
-                                         rootdata.lookup_group(group_id).rho))
-
-
-# ---------------------------------------------------------------------------
-# Casimir eigenvalues
-# ---------------------------------------------------------------------------
-
-def casimir_space(space_id: str, coords: weights.Coords) -> Q:
-    return compile_space(space_id).casimir(coords)
-
-
-def casimir_group(group_id: str, coords: weights.Coords) -> Q:
-    return compile_group(group_id).casimir(coords)
+                         **_casimir_form(group.fundamental_weights(), group.rho))
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +464,20 @@ def _near_nonpositive_integer(w: complex, tol: float = 1e-9) -> bool:
     return r < 0.5 and abs(r - round(r)) < tol
 
 
-def c_alpha(m: int, m2: int, z: complex) -> complex:
-    """Per-root c-function factor as a function of z = (lambda, alpha_0)."""
-    w = 1j * z
+def _log_c_alpha(m: int, m2: int, w: complex) -> complex:
+    """log c_alpha at w = i z; PoleError when a gamma argument is at a pole."""
     for arg in (w, m / 4 + 0.5 + w / 2, m / 4 + m2 / 2 + w / 2):
         if _near_nonpositive_integer(complex(arg)):
             raise PoleError(f"c_alpha gamma argument {arg} at a pole")
-    logc = (-w * math.log(2.0)
+    return (-w * math.log(2.0)
             + log_gamma(complex(w))
             - log_gamma(complex(m / 4 + 0.5 + w / 2))
             - log_gamma(complex(m / 4 + m2 / 2 + w / 2)))
-    return cmath.exp(logc)
+
+
+def c_alpha(m: int, m2: int, z: complex) -> complex:
+    """Per-root c-function factor as a function of z = (lambda, alpha_0)."""
+    return cmath.exp(_log_c_alpha(m, m2, 1j * z))
 
 
 def c_alpha_reduced(m: int, z: complex) -> complex:
@@ -528,21 +513,16 @@ def dimension_via_c_ratio(space_id: str, coords: weights.Coords,
     """
     pairings = weights.root_pairings(space_id, coords)
 
-    def logc(m: int, m2: int, w: float, d: float) -> complex:
-        ww = complex(w + d)
-        return (-ww * math.log(2.0)
-                + log_gamma(ww)
-                - log_gamma(complex(m / 4 + 0.5) + ww / 2)
-                - log_gamma(complex(m / 4 + m2 / 2) + ww / 2))
-
     def ratio(d: float) -> float:
         total = complex(0.0)
         for rd in _space_roots(space_id):
             m, m2 = rd.params.m, rd.params.m2
             rho = rd.rho_float
             x = pairings[rd.column] + rho
-            total += (logc(m, m2, -rho, d) + logc(m, m2, rho, d)
-                      - logc(m, m2, -x, d) - logc(m, m2, x, d))
+            total += (_log_c_alpha(m, m2, complex(-rho + d))
+                      + _log_c_alpha(m, m2, complex(rho + d))
+                      - _log_c_alpha(m, m2, complex(-x + d))
+                      - _log_c_alpha(m, m2, complex(x + d)))
         return cmath.exp(total).real
 
     return 0.5 * (ratio(eps) + ratio(-eps))
@@ -557,7 +537,7 @@ def dims_record(space_id: str, coords: weights.Coords) -> dict:
         "space": space.space_id,
         "coords": list(coords),
         "dim_exact": str(exact),
-        "dim_float": math.exp(logd) if logd <= _LOG_MAX else None,
+        "dim_float": exact_float(exact),
         "dim_log": logd,
     }
     if space.rank == 1:

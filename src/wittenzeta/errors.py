@@ -33,10 +33,6 @@ class NotRankOne(WittenZetaError):
     """Operation requires a rank-one symmetric space."""
 
 
-class NumericOverflow(WittenZetaError):
-    """Floating-point result would overflow; use the log-space variant."""
-
-
 class DivergenceError(DomainError):
     """Series diverges for the requested parameters."""
 

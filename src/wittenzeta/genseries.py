@@ -148,6 +148,32 @@ def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
     return drive(shells(), tolerance, cap)
 
 
+def _finite_floats(values: list, name: str) -> list[float]:
+    """The values as floats; DomainError for one not finite or past the float range."""
+    try:
+        floats = [float(v) for v in values]
+    except OverflowError:
+        floats = [math.inf]
+    if not all(map(math.isfinite, floats)):
+        raise DomainError(f"{name} entries must be finite")
+    return floats
+
+
+def _point_shifts(kappa: list[Q | float], t_point: list[float]) -> list[float]:
+    """The shifts kappa_j - T_j of a point of the generating series, after
+    checking that the point is one: equal lengths, two factors or more,
+    finite entries, and 1 + kappa_j - T_j > 0."""
+    if len(kappa) != len(t_point):
+        raise DomainError("kappa and T must have equal length")
+    if len(kappa) < 2:
+        raise DivergenceError("a single factor with exponent one diverges")
+    shifts = [k - t for k, t in zip(_finite_floats(kappa, "kappa"),
+                                    _finite_floats(t_point, "T"))]
+    if any(1.0 + a <= 0.0 for a in shifts):
+        raise DomainError("need 1 + kappa_j - T_j > 0 for every factor")
+    return shifts
+
+
 def pi_series(pi: list[int], kappa: list[Q | float],
               tolerance: float = 1e-10) -> EvalResult:
     """sum_{n>=1} prod_j (n + kappa_j)^-(1+pi_j)."""
@@ -155,25 +181,19 @@ def pi_series(pi: list[int], kappa: list[Q | float],
         raise DomainError("pi and kappa must be nonempty lists of equal length")
     if any(p < 0 for p in pi):
         raise DomainError("pi entries must be nonnegative integers")
-    if any(float(k) <= 0 for k in kappa):
+    kappas = _finite_floats(kappa, "kappa")
+    if any(k <= 0 for k in kappas):
         raise DomainError("kappa entries must be positive")
     powers = [1.0 + p for p in pi]
     if sum(powers) < 2.0:
         raise DivergenceError("sum of (1 + pi_j) must be at least 2")
-    kappas = [float(k) for k in kappa]
     return _sum_with_tail(kappas, powers, 1, tolerance)
 
 
 def gen_series_direct(kappa: list[Q | float], t_point: list[float],
                       tolerance: float = 1e-12) -> EvalResult:
     """sum_{n>=1} prod_j (n + kappa_j - T_j)^(-1) by direct summation."""
-    if len(kappa) != len(t_point):
-        raise DomainError("kappa and T must have equal length")
-    if len(kappa) < 2:
-        raise DivergenceError("a single factor with exponent one diverges")
-    shifts = [float(k) - float(t) for k, t in zip(kappa, t_point)]
-    if any(1.0 + a <= 0.0 for a in shifts):
-        raise DomainError("need 1 + kappa_j - T_j > 0 for every factor")
+    shifts = _point_shifts(kappa, t_point)
     return _sum_with_tail(shifts, [1.0] * len(shifts), 1, tolerance)
 
 
@@ -200,13 +220,7 @@ def gen_series_mf(kappa: list[Q | float], t_point: list[float]) -> float:
     Each single-factor piece is regularized to -digamma(1 + kappa - T);
     the subtracted constants cancel because the coefficients sum to zero.
     """
-    if len(kappa) != len(t_point):
-        raise DomainError("kappa and T must have equal length")
-    if len(kappa) < 2:
-        raise DivergenceError("a single factor with exponent one diverges")
-    shifts = [float(k) - float(t) for k, t in zip(kappa, t_point)]
-    if any(1.0 + a <= 0.0 for a in shifts):
-        raise DomainError("need 1 + kappa_j - T_j > 0 for every factor")
+    shifts = _point_shifts(kappa, t_point)
     coeffs = _partial_fraction_coeffs(shifts)
     return -sum(c * digamma(1.0 + a) for c, a in zip(coeffs, shifts))
 

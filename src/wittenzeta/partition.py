@@ -151,7 +151,8 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
         if (log_ratio < 0.0).all():
             rest = head[:, cut + 1] / -np.expm1(log_ratio)
             sums = head[:, :cut + 1].sum(axis=1) + rest
-            spill = (rest * np.prod(sums) / sums).sum()
+            with np.errstate(over="ignore"):     # an inf spill: no certificate
+                spill = (rest * np.prod(sums) / sums).sum()
         else:
             spill = np.inf
         coeffs = head[0, :cut + 1]

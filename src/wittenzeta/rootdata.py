@@ -151,9 +151,6 @@ class RestrictedRootSystem:
     def simple_roots(self) -> tuple[Vector, ...]:
         return tuple(self.positive_roots[i] for i in self.simple_indices)
 
-    def indivisible_roots(self) -> tuple[Vector, ...]:
-        return tuple(self.positive_roots[i] for i in self.indivisible_indices)
-
     @property
     def ambient_dim(self) -> int:
         return len(self.positive_roots[0])
@@ -291,13 +288,6 @@ class SymmetricSpaceDescriptor:
             str(self.rho_pairing(rs.positive_roots[i])) for i in rs.indivisible_indices
         ]
         return rec
-
-
-def rho_pairing(space: SymmetricSpaceDescriptor, root: Vector) -> Q:
-    """Exact (rho_X, alpha)/(alpha, alpha) for a positive root of the space."""
-    if root not in space.root_system.positive_roots:
-        raise UnknownSpace(f"{root} is not a positive root of {space.space_id}")
-    return space.rho_pairing(root)
 
 
 def _mult_by_length(rs: RestrictedRootSystem, table: dict[Q, int]) -> tuple[int, ...]:

@@ -24,6 +24,8 @@ _BERNOULLI = (
     Fraction(-236364091, 2730),
 )
 _BERNOULLI_F = tuple(float(b) for b in _BERNOULLI)
+# B_0, B_1, ..., B_25 as floats; the odd ones past B_1 vanish
+_BERNOULLI_ALL = (1.0, -0.5) + tuple(v for b in _BERNOULLI_F for v in (b, 0.0))
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -62,6 +64,12 @@ def log_gamma(x: float | complex) -> float | complex:
     if x > 0.0:
         return math.lgamma(x)
     return _log_gamma_complex(complex(x))
+
+
+def bernoulli_polynomial(n: int, x: float) -> float:
+    """B_n(x) = sum_j C(n, j) B_j x^(n - j), for 0 <= n <= 25."""
+    return math.fsum(math.comb(n, j) * _BERNOULLI_ALL[j] * x ** (n - j)
+                     for j in range(n + 1))
 
 
 def digamma(x: float) -> float:

@@ -27,6 +27,8 @@ def zsf_s2(n: int, theta: float) -> float:
 
 def orthogonality_residual(n: int, m: int, quad_order: int = 128) -> float:
     """|integral of phi_n phi_m over the normalized measure - delta_nm / d_n|."""
+    if min(n, m) < 0:
+        raise DomainError("n and m must be >= 0")
     if quad_order < n + m + 1:
         raise DomainError("quadrature order too small for exactness")
     import numpy as np

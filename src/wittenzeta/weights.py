@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from fractions import Fraction as Q
 from functools import lru_cache
 
 from . import rootdata
 from .errors import UnknownSpace
-from .rootdata import Vector, dot, vadd, vscale
+from .rootdata import Vector, dot, vscale
 
 Coords = tuple[int, ...]
 
@@ -27,20 +26,6 @@ def class_one_basis(space_id: str) -> tuple[Vector, ...]:
     rs = space.root_system
     return tuple(vscale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
                  for i, (a, w) in enumerate(zip(rs.simple_roots(), rs.coweights)))
-
-
-def class_one_vector(space_id: str, coords: Coords) -> Vector:
-    basis = class_one_basis(space_id)
-    if len(coords) != len(basis):
-        raise UnknownSpace(
-            f"{space_id} expects {len(basis)} coordinates, got {len(coords)}"
-        )
-    if any(c < 0 for c in coords):
-        raise UnknownSpace("weight coordinates must be nonnegative integers")
-    acc = tuple(Q(0) for _ in basis[0])
-    for n, b in zip(coords, basis):
-        acc = vadd(acc, vscale(Q(n), b))
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -69,17 +54,20 @@ def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
 def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
     """(lambda, alpha)/(alpha, alpha) for every positive root, exact integers."""
     matrix = class_one_pairing_matrix(space_id)
-    if len(coords) != len(matrix):
-        raise UnknownSpace(
-            f"{space_id} expects {len(matrix)} coordinates, got {len(coords)}"
-        )
-    if min(coords) < 0:
-        raise UnknownSpace("weight coordinates must be nonnegative integers")
+    check_coords(coords, len(matrix))
     ncols = len(matrix[0])
     return tuple(
         sum(coords[i] * matrix[i][j] for i in range(len(coords)))
         for j in range(ncols)
     )
+
+
+def check_coords(coords: Coords, count: int) -> None:
+    """Reject a weight that lacks ``count`` coordinates or has a negative one."""
+    if len(coords) != count:
+        raise UnknownSpace(f"expected {count} coordinates, got {len(coords)}")
+    if min(coords) < 0:
+        raise UnknownSpace("weight coordinates must be nonnegative integers")
 
 
 def _graded_box(rank: int, box: int) -> list[Coords]:
@@ -187,35 +175,3 @@ def box_chunks(rank: int, box: int, inner: int = -1) -> Iterator[np.ndarray]:
                 index, chunk[:, ax] = np.divmod(index, sides[ax])
             chunk[:, axis] += inner + 1
             yield chunk
-
-
-def enumerate_class_one(space_id: str, box_bound: int) -> list[Coords]:
-    """All class-one weights with every coordinate <= box_bound, graded lex."""
-    space = rootdata.lookup_space(space_id)
-    space.require_mult()
-    return _graded_box(space.rank, box_bound)
-
-
-# --- type II (compact group) side ---
-
-@lru_cache(maxsize=None)
-def dominant_basis(group_id: str) -> tuple[Vector, ...]:
-    group = rootdata.lookup_group(group_id)
-    return group.fundamental_weights()
-
-
-def dominant_vector(group_id: str, coords: Coords) -> Vector:
-    basis = dominant_basis(group_id)
-    if len(coords) != len(basis):
-        raise UnknownSpace(
-            f"{group_id} expects {len(basis)} coordinates, got {len(coords)}"
-        )
-    acc = tuple(Q(0) for _ in basis[0])
-    for n, b in zip(coords, basis):
-        acc = vadd(acc, vscale(Q(n), b))
-    return acc
-
-
-def enumerate_dominant(group_id: str, box_bound: int) -> list[Coords]:
-    group = rootdata.lookup_group(group_id)
-    return _graded_box(group.rank, box_bound)

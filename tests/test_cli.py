@@ -51,6 +51,17 @@ def test_dim_command_exact_and_float():
     assert result["factored"]["c"] == "1/16765056000"
 
 
+def test_dim_command_past_the_lgamma_range():
+    # dim_float comes from the exact value; dim_log from the gamma path
+    proc = run_cli("dim", "--space", "S:3", "--n", "100000000000000000")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout)["result"]
+    exact = int(result["dim_exact"])
+    assert exact == (10 ** 17 + 1) ** 2
+    assert result["dim_float"] == float(exact)
+    assert result["dim_log"] == pytest.approx(math.log(exact), rel=1e-12)
+
+
 def test_dim_command_coords():
     proc = run_cli("dim", "--space", "AI:3", "--coords", "1,1")
     assert proc.returncode == 0
@@ -204,6 +215,12 @@ def test_domain_error_exit_code():
     ("zeta", "--space", "S:2", "--s", "nan"),
     ("zeta", "--space", "AI:3", "--s", "nan"),
     ("partition", "--space", "S:3", "--genus", "1", "--area", "inf"),
+    ("oracle-s2", "--check", "orthogonality", "--n", "-1", "--m", "7"),
+    ("oracle-s2", "--check", "orthogonality", "--n", "-1", "--m", "-1"),
+    ("dims-table", "--space", "S:2", "--s", "nan"),
+    ("genseries", "--kappa", "1,2", "--T", "nan,0"),
+    ("pizeta", "--pi", "1,1", "--kappa", "1,1e400"),
+    ("genseries", "--kappa", "1e400,2", "--T", "0,0"),
 ])
 def test_non_finite_input_exit_code(args):
     proc = run_cli(*args)

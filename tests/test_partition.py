@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,10 +55,11 @@ def test_su3_partition_certified_tail(group, box):
     # oracle: direct sum over a box
     q = 0.5
     brute = 0.0
+    table = dims.compile_group(group)
     for n in itertools.product(range(box + 1),
                                repeat=rootdata.lookup_group(group).rank):
-        d = dims.dim_type_II_float(group, n)
-        c2 = float(dims.casimir_group(group, n))
+        d = table.dim_float(n)
+        c2 = float(table.casimir(n))
         brute += q ** c2 / d ** 2
     assert res.value == pytest.approx(brute, abs=1e-10)
 
@@ -186,6 +188,16 @@ def test_majorant_bound_holds_between_tolerances(ident):
                 assert type(res.converged) is bool and type(res.rigorous) is bool
 
 
+def test_majorant_overflow_is_no_certificate_and_no_warning(monkeypatch):
+    # at a tiny area the product of the one-coordinate sums overflows
+    monkeypatch.setenv("WZ_MAX_TERMS", "1000")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = partition_type_II("SU:3", SurfaceParams(genus=1, area=1e-300), 1e-8)
+    assert not res.converged and res.tail_bound == math.inf
+    assert 0 < res.terms_used <= 1000
+
+
 @pytest.mark.parametrize("space,box", [("AI:3", 39), ("AI:4", 10)])
 def test_higher_rank_type_i_partition(space, box):
     res = partition_type_I(space, SurfaceParams(genus=1, area=0.5), 1e-10)
@@ -195,7 +207,7 @@ def test_higher_rank_type_i_partition(space, box):
     for n in itertools.product(range(box + 1),
                                repeat=rootdata.lookup_space(space).rank):
         d = float(dims.dim_class_one(space, n))
-        c2 = float(dims.casimir_space(space, n))
+        c2 = float(dims.compile_space(space).casimir(n))
         brute += math.exp(-0.5 * c2) / d
     assert res.value == pytest.approx(brute, abs=1e-9)
 

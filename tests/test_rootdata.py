@@ -45,7 +45,7 @@ def test_a1_single_root():
 def test_bc1_structure():
     rs = build_root_system("BC", 1)
     assert set(rs.positive_roots) == {(Q(1),), (Q(2),)}
-    assert rs.indivisible_roots() == ((Q(1),),)
+    assert tuple(rs.positive_roots[i] for i in rs.indivisible_indices) == ((Q(1),),)
     assert [rs.positive_roots[i] for i in rs.divisible_indices] == [(Q(1),)]
 
 
@@ -204,17 +204,16 @@ TABLE3 = {"S:2": Q(1, 2), "S:4": Q(3, 2), "S:7": Q(3), "CP:2": Q(2),
 @pytest.mark.parametrize("space_id", sorted(TABLE3))
 def test_rank_one_rho_pairings(space_id):
     space = lookup_space(space_id)
-    alpha = space.root_system.indivisible_roots()[0]
-    assert rootdata.rho_pairing(space, alpha) == TABLE3[space_id]
+    rs = space.root_system
+    alpha = rs.positive_roots[rs.indivisible_indices[0]]
+    assert space.rho_pairing(alpha) == TABLE3[space_id]
 
 
 def test_rho_pairing_examples():
     # simple root of the rank-two m=1 space over A2
     space = lookup_space("AI:3")
     alpha = space.root_system.simple_roots()[0]
-    assert rootdata.rho_pairing(space, alpha) == Q(1, 2)
-    with pytest.raises(UnknownSpace):
-        rootdata.rho_pairing(space, (Q(5), Q(0), Q(0)))
+    assert space.rho_pairing(alpha) == Q(1, 2)
 
 
 def test_multiplicities_constant_on_length_classes():

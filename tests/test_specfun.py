@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from wittenzeta.errors import DomainError, PoleError
-from wittenzeta.specfun import (EULER_GAMMA, digamma, gauss_legendre_nodes,
-                                hurwitz_zeta, hurwitz_zeta_certified,
-                                legendre_p, log_gamma, riemann_zeta)
+from wittenzeta.specfun import (EULER_GAMMA, bernoulli_polynomial, digamma,
+                                gauss_legendre_nodes, hurwitz_zeta,
+                                hurwitz_zeta_certified, legendre_p, log_gamma,
+                                riemann_zeta)
 
 
 def brute_zeta(s: float, terms: int = 1_000_000) -> float:
@@ -71,6 +72,19 @@ def test_reflection_and_combined_ratio():
         num = _gamma_any(0.5 + z) * _gamma_any(0.5 - z)
         den = _gamma_any(z) * _gamma_any(-z)
         assert num / den == pytest.approx(-z * math.tan(math.pi * z), rel=1e-10)
+
+
+def test_bernoulli_polynomials():
+    assert bernoulli_polynomial(0, 0.7) == 1.0
+    assert bernoulli_polynomial(2, 0.3) == pytest.approx(0.09 - 0.3 + 1 / 6, rel=1e-15)
+    for n in range(1, 12):
+        assert bernoulli_polynomial(n, 0.0) == pytest.approx(
+            [1.0, -0.5, 1 / 6, 0.0, -1 / 30, 0.0, 1 / 42, 0.0, -1 / 30, 0.0, 5 / 66, 0.0][n],
+            abs=1e-15)
+        # B_n(x + 1) - B_n(x) = n x^(n-1)
+        for x in (-3.5, 0.25, 2.0):
+            assert bernoulli_polynomial(n, x + 1) - bernoulli_polynomial(n, x) == \
+                pytest.approx(n * x ** (n - 1), rel=1e-12, abs=1e-12)
 
 
 def test_digamma_values():

@@ -4,32 +4,42 @@ import numpy as np
 import pytest
 
 from wittenzeta import rootdata, weights
-from wittenzeta.errors import UnknownSpace, UnsupportedSpace
+from wittenzeta.errors import UnknownSpace
 from wittenzeta.rootdata import dot
 
 
+def _box(space_id, box_bound):
+    """The class-one weights of a space with every coordinate <= box_bound."""
+    return weights._graded_box(rootdata.lookup_space(space_id).rank, box_bound)
+
+
+def _weight(basis, coords):
+    """The ambient vector sum_i coords[i] basis[i], exact."""
+    return tuple(sum(n * b[k] for n, b in zip(coords, basis)) for k in range(len(basis[0])))
+
+
 def test_rank_one_enumeration():
-    assert weights.enumerate_class_one("S:5", 3) == [(0,), (1,), (2,), (3,)]
+    assert _box("S:5", 3) == [(0,), (1,), (2,), (3,)]
 
 
 def test_ai3_box_one():
-    assert weights.enumerate_class_one("AI:3", 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert _box("AI:3", 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_box_counts():
-    assert len(weights.enumerate_class_one("AI:3", 2)) == 9
-    assert len(weights.enumerate_class_one("EIII", 3)) == 16
+    assert len(_box("AI:3", 2)) == 9
+    assert len(_box("EIII", 3)) == 16
 
 
 def test_zero_weight_first_and_unique():
-    lst = weights.enumerate_class_one("AI:4", 2)
+    lst = _box("AI:4", 2)
     assert lst[0] == (0, 0, 0)
     assert lst.count((0, 0, 0)) == 1
 
 
 def test_monotone_in_box_bound():
-    small = weights.enumerate_class_one("AI:3", 2)
-    large = weights.enumerate_class_one("AI:3", 3)
+    small = _box("AI:3", 2)
+    large = _box("AI:3", 3)
     assert set(small) <= set(large)
     # relative order is preserved: graded lex is one fixed total order
     positions = {w: i for i, w in enumerate(large)}
@@ -48,8 +58,9 @@ def test_lattice_conditions_against_every_positive_root(space_id):
     rs = space.root_system
     pos = rs.positive_roots
     divisible = {pos[i] for i in rs.divisible_indices}
-    for coords in weights.enumerate_class_one(space_id, 2):
-        lam = weights.class_one_vector(space_id, coords)
+    basis = weights.class_one_basis(space_id)
+    for coords in _box(space_id, 2):
+        lam = _weight(basis, coords)
         for alpha in pos:
             val = dot(lam, alpha) / dot(alpha, alpha)
             assert val.denominator == 1 and val >= 0, (space_id, coords, alpha)
@@ -62,7 +73,7 @@ def test_cp2_divisible_root_pairing_is_even():
     rs = space.root_system
     divisible_root = rs.positive_roots[rs.divisible_indices[0]]
     for n in (0, 1, 2):
-        lam = weights.class_one_vector("CP:2", (n,))
+        lam = _weight(weights.class_one_basis("CP:2"), (n,))
         val = dot(lam, divisible_root) / dot(divisible_root, divisible_root)
         assert val == 2 * n
 
@@ -73,36 +84,36 @@ def test_pairing_matrix_integrality():
         assert all(v >= 0 for row in matrix for v in row)
 
 
-def test_evii_enumeration_blocked():
-    with pytest.raises(UnsupportedSpace):
-        weights.enumerate_class_one("EVII", 2)
-
-
 def test_coordinate_validation():
     with pytest.raises(UnknownSpace):
-        weights.class_one_vector("S:2", (1, 2))
+        weights.root_pairings("S:2", (1, 2))
     with pytest.raises(UnknownSpace):
-        weights.class_one_vector("S:2", (-1,))
+        weights.root_pairings("S:2", (-1,))
     with pytest.raises(UnknownSpace):
-        weights.enumerate_class_one("S:2", -1)
+        _box("S:2", -1)
 
 
 # --- dominant weights of compact groups ---
 
+def _dominant_box(group_id, box_bound):
+    return weights._graded_box(rootdata.lookup_group(group_id).rank, box_bound)
+
+
 def test_su2_dominant():
-    assert weights.enumerate_dominant("SU:2", 4) == [(n,) for n in range(5)]
+    assert _dominant_box("SU:2", 4) == [(n,) for n in range(5)]
 
 
 def test_su3_dominant():
-    assert weights.enumerate_dominant("SU:3", 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert len(weights.enumerate_dominant("SU:3", 2)) == 9
+    assert _dominant_box("SU:3", 1) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert len(_dominant_box("SU:3", 2)) == 9
 
 
 @pytest.mark.parametrize("group_id", ("SU:3", "SO:5", "Sp:2", "G2"))
 def test_dominant_condition_every_positive_root(group_id):
     group = rootdata.lookup_group(group_id)
-    for coords in weights.enumerate_dominant(group_id, 2):
-        nu = weights.dominant_vector(group_id, coords)
+    basis = group.fundamental_weights()
+    for coords in _dominant_box(group_id, 2):
+        nu = _weight(basis, coords)
         for alpha in group.root_system.positive_roots:
             val = 2 * dot(nu, alpha) / dot(alpha, alpha)
             assert val.denominator == 1 and val >= 0
