@@ -136,8 +136,8 @@ def _run(args) -> dict | list:
             coords = (n,) * space.rank
             d = dims.dim_class_one(args.space, coords)
             # null past the float range; exp underflows to 0.0 on its own
-            logd = math.log(d.numerator) - math.log(d.denominator)
-            rows.append({"n": n, "dim": str(d), "dim_float": dims.exact_float(d),
+            dim_float, logd = dims.float_and_log(d)
+            rows.append({"n": n, "dim": str(d), "dim_float": dim_float,
                          "inv_power": (math.exp(-args.s * logd)
                                        if -args.s * logd <= dims._LOG_MAX else None)})
         return {"space": args.space, "s": args.s, "rows": rows}

@@ -119,14 +119,17 @@ def _log_part(t: float, scale: float, pairs: tuple[tuple[float, float], ...]) ->
     """log t + sum over (a, b) in ``pairs`` of lgamma(a + u) - lgamma(b + u),
     u = scale * t.
 
-    From u = 1e3 on, the two log-gammas of a pair cancel to a few digits, so
-    each difference is summed from its 1/u series (Tricomi and Erdelyi,
-    Pacific J. Math. 1, 1951), to seven terms:
+    Once u is 1e3 times past every |a|, |b| (and past 1), the two log-gammas
+    of a pair cancel to a few digits, so each difference is summed from its
+    1/u series (Tricomi and Erdelyi, Pacific J. Math. 1, 1951), to seven terms:
     (a - b) log u + sum_k (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(b)) / (k (k+1) u^k).
+    The k-th term is of order |a| (|a|/u)^k, so the dropped tail is below
+    1e-24 |a|; under that bound the lgamma difference loses at most
+    u / |a - b| <= 1e3 ulps of its value.
     """
     u = scale * t
     acc = math.log(t)
-    if u < 1e3:
+    if u < 1e3 * max(1.0, *(abs(x) for pair in pairs for x in pair)):
         for a, _ in pairs:
             acc += math.lgamma(a + u)
         for _, b in pairs:
@@ -199,10 +202,10 @@ def dim_class_one_log(space_id: str, coords: weights.Coords) -> float:
     )
 
 
-def exact_float(value: Q) -> float | None:
-    """float(value), or None past the float range."""
+def float_and_log(value: Q) -> tuple[float | None, float]:
+    """(float(value), or None past the float range; log value) of a positive value."""
     log = math.log(value.numerator) - math.log(value.denominator)
-    return float(value) if log <= _LOG_MAX else None
+    return (float(value) if log <= _LOG_MAX else None), log
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +540,7 @@ def dims_record(space_id: str, coords: weights.Coords) -> dict:
         "space": space.space_id,
         "coords": list(coords),
         "dim_exact": str(exact),
-        "dim_float": exact_float(exact),
+        "dim_float": float_and_log(exact)[0],
         "dim_log": logd,
     }
     if space.rank == 1:

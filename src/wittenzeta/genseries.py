@@ -150,12 +150,13 @@ def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
 
 def _finite_floats(values: list, name: str) -> list[float]:
     """The values as floats; DomainError for one not finite or past the float range."""
+    message = f"{name} entries must be finite"
     try:
         floats = [float(v) for v in values]
     except OverflowError:
-        floats = [math.inf]
+        raise DomainError(message) from None
     if not all(map(math.isfinite, floats)):
-        raise DomainError(f"{name} entries must be finite")
+        raise DomainError(message)
     return floats
 
 

@@ -130,13 +130,16 @@ def test_two_path_equality_small_boxes(space_id):
             log_exact, abs=1e-9), coords
 
 
-@pytest.mark.parametrize("space_id", EVAL_IDS)
+@pytest.mark.parametrize("space_id", [*EVAL_IDS, "S:1001", "S:2001", "HP:300",
+                                      "CP:400", "BDI:900,2", "AIII:500,2"])
 def test_two_path_equality_at_large_weights(space_id):
     # the log-gammas of one gamma ratio cancel to a few digits at large
-    # pairings; at 10^200 the dimension is past the float range, its log is not
+    # pairings; at 10^200 the dimension is past the float range, its log is
+    # not.  The large-multiplicity spaces have gamma shifts near 10^3, so a
+    # pairing of 500 to 10^3 is not yet large next to them.
     rank = rootdata.lookup_space(space_id).rank
-    for e in (*range(21), 200):
-        coords = (10 ** e,) * rank
+    for n in (*(10 ** e for e in range(21)), 500, 999, 10 ** 200):
+        coords = (n,) * rank
         exact = dim_class_one(space_id, coords)
         log_exact = math.log(exact.numerator) - math.log(exact.denominator)
         assert dim_class_one_log(space_id, coords) == pytest.approx(
