@@ -200,7 +200,7 @@ def _selfcheck() -> dict:
     for sid, expected in (("S:4", Fraction(3, 2)), ("CP:3", Fraction(3)),
                           ("HP:1", Fraction(3)), ("FII", Fraction(11))):
         space = rootdata.lookup_space(sid)
-        got = space.rho_pairing(space.root_system.positive_roots[0])
+        got = space.rho_pairings[0]
         check(f"rho_pairing[{sid}]", got == expected, f"got {got}")
     for sid in ("S:5", "CP:3", "HP:2", "FII", "EIII", "GI"):
         space = rootdata.lookup_space(sid)

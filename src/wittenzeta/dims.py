@@ -24,7 +24,6 @@ from operator import mul
 
 from . import rootdata, weights
 from .errors import InconsistentMultiplicities, NotRankOne, PoleError
-from .rootdata import dot
 from .specfun import bernoulli_polynomial, log_gamma
 
 _LOG_MAX = 709.0
@@ -115,9 +114,9 @@ def dim_factor(params: PerRootFactorParams, pairing: int) -> Q:
         * (_int_square_product(y, params.r) / _int_square_product(ybar, params.r))
 
 
-def _log_part(t: float, scale: float, pairs: tuple[tuple[float, float], ...]) -> float:
+def _log_part(t: Q, scale: float, pairs: tuple[tuple[float, float], ...]) -> float:
     """log t + sum over (a, b) in ``pairs`` of lgamma(a + u) - lgamma(b + u),
-    u = scale * t.
+    u = scale * t, for an exact t > 0.
 
     Once u is 1e3 times past every |a|, |b| (and past 1), the two log-gammas
     of a pair cancel to a few digits, so each difference is summed from its
@@ -125,26 +124,29 @@ def _log_part(t: float, scale: float, pairs: tuple[tuple[float, float], ...]) ->
     (a - b) log u + sum_k (-1)^(k+1) (B_{k+1}(a) - B_{k+1}(b)) / (k (k+1) u^k).
     The k-th term is of order |a| (|a|/u)^k, so the dropped tail is below
     1e-24 |a|; under that bound the lgamma difference loses at most
-    u / |a - b| <= 1e3 ulps of its value.
+    u / |a - b| <= 1e3 ulps of its value.  There t may lie past the float
+    range, so log t is taken from its numerator and denominator.
     """
-    u = scale * t
-    acc = math.log(t)
-    if u < 1e3 * max(1.0, *(abs(x) for pair in pairs for x in pair)):
+    reach = 1e3 * max(1.0, *(abs(x) for pair in pairs for x in pair))
+    if t < reach / scale:
+        u, acc = scale * float(t), math.log(t)
         for a, _ in pairs:
             acc += math.lgamma(a + u)
         for _, b in pairs:
             acc -= math.lgamma(b + u)
         return acc
+    acc = math.log(t.numerator) - math.log(t.denominator)
+    log_u = acc + math.log(scale)
     for a, b in pairs:
-        acc += (a - b) * math.log(u) + math.fsum(
+        acc += (a - b) * log_u + math.fsum(
             (bernoulli_polynomial(k + 1, a) - bernoulli_polynomial(k + 1, b))
-            * (-1) ** (k + 1) / (k * (k + 1)) * u ** -k for k in range(1, 8))
+            * (-1) ** (k + 1) / (k * (k + 1)) * math.exp(-k * log_u) for k in range(1, 8))
     return acc
 
 
 def _factor_log_numeric(params: PerRootFactorParams, pairing: int) -> float:
-    """log of the same factor through the gamma quotient, floats only."""
-    rho = float(params.rho)
+    """log of the same factor through the gamma quotient, in floats from the
+    exact pairing + rho."""
     if params.m2 == 0:
         h = params.m / 2.0
         pairs, scale = ((h, 1.0 - h),), 1.0
@@ -152,7 +154,8 @@ def _factor_log_numeric(params: PerRootFactorParams, pairing: int) -> float:
         a = params.m / 4.0 + 0.5
         b = params.m / 4.0 + params.m2 / 2.0
         pairs, scale = ((a, 1.0 - a), (b, 1.0 - b)), 0.5
-    return _log_part(pairing + rho, scale, pairs) - _log_part(rho, scale, pairs)
+    return (_log_part(pairing + params.rho, scale, pairs)
+            - _log_part(params.rho, scale, pairs))
 
 
 @dataclass(frozen=True)
@@ -169,12 +172,11 @@ def _space_roots(space_id: str) -> tuple[_RootData, ...]:
     rs = space.root_system
     out = []
     for idx in rs.indivisible_indices:
-        alpha = rs.positive_roots[idx]
         m = space.m_alpha(idx)
         m2 = space.m_2alpha(idx)
         if m == 0 and m2 == 0:
             continue
-        rho_a = space.rho_pairing(alpha)
+        rho_a = space.rho_pairings[idx]
         params = per_root_params(m, m2, rho_a)
         # numeric-path precondition: all shifted gamma arguments positive
         if params.m2 == 0:
@@ -214,26 +216,22 @@ def float_and_log(value: Q) -> tuple[float | None, float]:
 
 @lru_cache(maxsize=None)
 def _group_tables(group_id: str):
-    group = rootdata.lookup_group(group_id)
-    rs = group.root_system
-    basis = group.fundamental_weights()
-    rho = group.rho
-    rows = []
-    denoms = []
-    for a in rs.positive_roots:
-        rows.append(tuple(dot(b, a) for b in basis))
-        denoms.append(dot(rho, a))
-    return tuple(rows), tuple(denoms)
+    """Over the fundamental weights b_i = (|alpha_i|^2 / 2) w_i: the coroot
+    pairings (b_i, alpha^v), one row per i and one column per positive root
+    alpha, and the shifts (rho, alpha^v) = 2 (rho, alpha)/(alpha, alpha)."""
+    rs = rootdata.lookup_group(group_id).root_system
+    # (b_i, alpha^v) = (2 b_i, alpha)/(alpha, alpha), with 2 b_i = |alpha_i|^2 w_i
+    return (rs.pairing_matrix(rs.norms[:rs.rank]),
+            tuple(2 * p for p in rs.rho_pairings((1,) * len(rs.norms))))
 
 
 def dim_type_II(group_id: str, coords: weights.Coords) -> int:
     """Weyl dimension of the irreducible representation with the given labels."""
-    rows, denoms = _group_tables(group_id)
-    weights.check_coords(coords, len(rows[0]))
+    pairing, shifts = _group_tables(group_id)
+    weights.check_coords(coords, len(pairing))
     acc = Q(1)
-    for row, den in zip(rows, denoms):
-        num = sum(n * v for n, v in zip(coords, row)) + den
-        acc *= num / den
+    for column, den in zip(zip(*pairing), shifts):
+        acc *= (sum(map(mul, coords, column)) + den) / den
     if acc.denominator != 1:
         raise AssertionError("Weyl dimension came out non-integral")
     return int(acc)
@@ -327,10 +325,15 @@ class LinearFactors:
         return acc
 
 
-def _casimir_form(basis: tuple, rho) -> dict:
-    """Gram matrix and linear part of the Casimir over a weight basis."""
-    return {"gram": tuple(tuple(dot(a, b) for b in basis) for a in basis),
-            "lin": tuple(2 * dot(b, rho) for b in basis)}
+def _casimir_form(rs: rootdata.RestrictedRootSystem, scales: tuple[Q, ...],
+                  mult: tuple[int, ...]) -> dict:
+    """Gram matrix and linear part of the Casimir over the weight basis
+    b_i = s_i w_i: (b_i, b_k) = s_i s_k W_ik, W the inverse Gram matrix, and
+    2 (b_i, rho) = s_i (2 rho)_i, the i-th coefficient of 2 rho."""
+    w = rs.coweights
+    return {"gram": tuple(tuple(si * sk * w[i][k] for k, sk in enumerate(scales))
+                          for i, si in enumerate(scales)),
+            "lin": tuple(map(mul, scales, rs.twice_rho(mult)))}
 
 
 def _factor_offsets(params: PerRootFactorParams) -> list[Q]:
@@ -350,6 +353,8 @@ def _factor_offsets(params: PerRootFactorParams) -> list[Q]:
 @lru_cache(maxsize=None)
 def compile_space(space_id: str) -> LinearFactors:
     """Class-one dimension of a space as compiled linear factors."""
+    space = rootdata.lookup_space(space_id)
+    rs = space.root_system
     matrix = weights.class_one_pairing_matrix(space_id)
     columns, shifts = [], []
     for rd in _space_roots(space_id):
@@ -359,32 +364,18 @@ def compile_space(space_id: str) -> LinearFactors:
     return LinearFactors(
         pairing=tuple(tuple(row[j] for j in columns) for row in matrix),
         shifts=tuple(shifts),
-        **_casimir_form(weights.class_one_basis(space_id),
-                        rootdata.lookup_space(space_id).rho),
+        **_casimir_form(rs, rs.class_one_scales, space.mult),
     )
 
 
 @lru_cache(maxsize=None)
 def compile_group(group_id: str) -> LinearFactors:
-    """Weyl dimension of a group as compiled linear factors.
-
-    Each root's row and denominator are divided by (alpha, alpha)/2, which
-    turns them into coroot pairings: integers.
-    """
-    rows, denoms = _group_tables(group_id)
-    group = rootdata.lookup_group(group_id)
-    roots = group.root_system.positive_roots
-    columns, shifts = [], []
-    for row, den, alpha in zip(rows, denoms, roots):
-        half = dot(alpha, alpha) / 2
-        column = [v / half for v in row]
-        shift = den / half
-        if any(v.denominator != 1 for v in column) or shift.denominator != 1:
-            raise AssertionError(f"{group_id}: non-integral coroot pairing")
-        columns.append([int(v) for v in column])
-        shifts.append(shift)
-    return LinearFactors(pairing=tuple(zip(*columns)), shifts=tuple(shifts),
-                         **_casimir_form(group.fundamental_weights(), group.rho))
+    """Weyl dimension of a group as compiled linear factors."""
+    pairing, shifts = _group_tables(group_id)
+    rs = rootdata.lookup_group(group_id).root_system
+    return LinearFactors(pairing=pairing, shifts=shifts,
+                         **_casimir_form(rs, tuple(a / 2 for a in rs.norms[:rs.rank]),
+                                         (1,) * len(shifts)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +492,7 @@ def c_function(space_id: str, lam: tuple[complex, ...]) -> complex:
     acc = complex(1.0)
     for rd in _space_roots(space_id):
         alpha = rs.positive_roots[rd.column]
-        norm = float(dot(alpha, alpha))
+        norm = float(rs.norms[rd.column])
         z = sum(complex(c) * float(a) for c, a in zip(lam, alpha)) / norm
         acc *= c_alpha(rd.params.m, rd.params.m2, z)
     return acc

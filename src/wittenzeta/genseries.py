@@ -117,13 +117,13 @@ def _scaled(scale_log: float, x: float) -> float:
     return math.exp(t)
 
 
-def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
+def _sum_with_tail(kappas: list[float], powers: list[float],
                    tolerance: float, scale_log: float = 0.0) -> EvalResult:
-    """sum_{n >= start} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
+    """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
 
     The shells are the blocks between the checkpoints 16, 32, 64, ... terms
-    past ``start``; the tail after each is certified where the formula is
-    valid from there, and unbounded before that.
+    past n = 1; the tail after each is certified where the formula is valid
+    from there, and unbounded before that.
     """
     if sum(powers) <= 1.0:
         raise DivergenceError("series diverges: total exponent <= 1")
@@ -131,9 +131,9 @@ def _sum_with_tail(kappas: list[float], powers: list[float], start: int,
     factors = list(zip(powers, kappas))
 
     def shells():
-        n, checkpoint = start, 16
+        n, checkpoint = 1, 16
         while True:
-            stop = start + min(checkpoint, cap)
+            stop = 1 + min(checkpoint, cap)
             block = 0.0
             for m in range(n, stop):
                 block += math.exp(scale_log - sum(p * math.log(m + k) for p, k in factors))
@@ -188,14 +188,14 @@ def pi_series(pi: list[int], kappa: list[Q | float],
     powers = [1.0 + p for p in pi]
     if sum(powers) < 2.0:
         raise DivergenceError("sum of (1 + pi_j) must be at least 2")
-    return _sum_with_tail(kappas, powers, 1, tolerance)
+    return _sum_with_tail(kappas, powers, tolerance)
 
 
 def gen_series_direct(kappa: list[Q | float], t_point: list[float],
                       tolerance: float = 1e-12) -> EvalResult:
     """sum_{n>=1} prod_j (n + kappa_j - T_j)^(-1) by direct summation."""
     shifts = _point_shifts(kappa, t_point)
-    return _sum_with_tail(shifts, [1.0] * len(shifts), 1, tolerance)
+    return _sum_with_tail(shifts, [1.0] * len(shifts), tolerance)
 
 
 def _partial_fraction_coeffs(shifts: list[float]) -> list[float]:

@@ -1,9 +1,10 @@
 """Restricted root systems and the catalog of compact symmetric spaces.
 
-Roots live in ambient orthonormal coordinates (the standard embedding of
-each family), stored as tuples of ``Fraction`` so every pairing
-(lambda, alpha)/(alpha, alpha) stays exact.  The catalog is immutable and
-cached; descriptors are safe to share between threads.
+Roots are generated in ambient orthonormal coordinates (the standard
+embedding of each family), as tuples of ``Fraction``, which give the root
+norms and the simple-root Gram matrix.  Every pairing is then computed from
+each root's integer coefficients over the simple roots.  The catalog is
+immutable and cached; descriptors are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import gcd
-from operator import add
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
 
@@ -44,10 +45,6 @@ def dot(x: Vector, y: Vector) -> Q:
 
 def vadd(x: Vector, y: Vector) -> Vector:
     return tuple(a + b for a, b in zip(x, y))
-
-
-def vscale(c: Q, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
 
 
 def _e(i: int, dim: int, c: Q = Q(1)) -> Vector:
@@ -89,9 +86,9 @@ def _simple_roots(family: str, rank: int) -> list[Vector]:
     raise UnsupportedFamily(f"unknown family {family!r}")
 
 
-def _positive_roots(simples: list[Vector]) -> list[Vector]:
+def _positive_roots(simples: list[Vector]) -> dict[tuple[int, ...], Vector]:
     """Every positive root of the reduced system with these simple roots,
-    simple roots first.
+    simple roots first, keyed by its integer coefficients on them.
 
     Roots grow by height over their integer coefficients on the simple roots
     (Humphreys, Introduction to Lie Algebras, 1972, 9.4 and 10): beta + alpha_i
@@ -122,7 +119,7 @@ def _positive_roots(simples: list[Vector]) -> list[Vector]:
                                           tuple(map(add, pairs, cartan[i]))))
         found.update(above)
         layer = above
-    return [tuple(Q(c, 2) for c in coords) for coords, _ in found.values()]
+    return {coeffs: tuple(Q(c, 2) for c in coords) for coeffs, (coords, _) in found.items()}
 
 
 _ROOT_COUNT = {
@@ -144,6 +141,7 @@ class RestrictedRootSystem:
     family: str
     rank: int
     positive_roots: tuple[Vector, ...]
+    coefficients: tuple[tuple[int, ...], ...]  # of each positive root on the simple roots
     simple_indices: tuple[int, ...]
     indivisible_indices: tuple[int, ...]
     divisible_indices: tuple[int, ...]
@@ -151,27 +149,39 @@ class RestrictedRootSystem:
     def simple_roots(self) -> tuple[Vector, ...]:
         return tuple(self.positive_roots[i] for i in self.simple_indices)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.positive_roots[0])
+    @cached_property
+    def norms(self) -> tuple[Q, ...]:
+        """(alpha, alpha) for every positive root."""
+        return tuple(dot(a, a) for a in self.positive_roots)
 
     @cached_property
-    def root_index(self) -> dict[Vector, int]:
-        """Position of each positive root in ``positive_roots``."""
-        return {a: i for i, a in enumerate(self.positive_roots)}
-
-    @cached_property
-    def coweights(self) -> tuple[Vector, ...]:
-        """Basis w_i of the span of the simple roots with (w_i, alpha_j) = delta_ij.
-
-        One Gauss-Jordan elimination of the simple-root Gram matrix against
-        the identity gives the inverse Gram matrix, whose rows are the
-        coefficients of the w_i over the simple roots.
-        """
+    def gram(self) -> tuple[tuple[Q, ...], ...]:
+        """(alpha_i, alpha_j) over the simple roots."""
         simples = self.simple_roots()
-        r = len(simples)
-        rows = [[dot(a, b) for b in simples] + [Q(int(i == j)) for j in range(r)]
-                for i, a in enumerate(simples)]
+        return tuple(tuple(dot(a, b) for b in simples) for a in simples)
+
+    @cached_property
+    def class_one_scales(self) -> tuple[Q, ...]:
+        """s_i of the class-one weight basis b_i = s_i w_i: |alpha_i|^2, doubled
+        on a divisible simple root."""
+        return tuple(2 * a if i in self.divisible_indices else a
+                     for i, a in enumerate(self.norms[:self.rank]))
+
+    @cached_property
+    def coefficient_index(self) -> dict[tuple[int, ...], int]:
+        """Position of each coefficient vector in ``coefficients``."""
+        return {n: i for i, n in enumerate(self.coefficients)}
+
+    @cached_property
+    def coweights(self) -> tuple[tuple[Q, ...], ...]:
+        """The inverse Gram matrix W: row i holds the coefficients on the simple
+        roots of the w_i with (w_i, alpha_j) = delta_ij.
+
+        So (w_i, alpha) is alpha's i-th coefficient and (w_i, w_k) = W_ik.
+        One Gauss-Jordan elimination of the Gram matrix against the identity.
+        """
+        r = self.rank
+        rows = [list(g) + [Q(int(i == j)) for j in range(r)] for i, g in enumerate(self.gram)]
         for col in range(r):
             piv = next(k for k in range(col, r) if rows[k][col])
             rows[col], rows[piv] = rows[piv], rows[col]
@@ -180,8 +190,36 @@ class RestrictedRootSystem:
                 f = rows[k][col]
                 if k != col and f:
                     rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
-        ambient = list(zip(*simples))
-        return tuple(tuple(dot(row[r:], c) for c in ambient) for row in rows)
+        return tuple(tuple(row[r:]) for row in rows)
+
+    def pairing_matrix(self, scales: tuple[Q, ...]) -> tuple[tuple[int, ...], ...]:
+        """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) for the weight basis
+        b_i = s_i w_i, which is s_i n_ji / |alpha_j|^2 with n_ji the i-th
+        coefficient of alpha_j.  Every entry must be an integer."""
+        rows = []
+        for i, s in enumerate(scales):
+            row = [divmod(s.numerator * a.denominator * n[i], s.denominator * a.numerator)
+                   for n, a in zip(self.coefficients, self.norms)]
+            if any(rem for _, rem in row):
+                raise AssertionError(f"{self.family}{self.rank}: non-integral pairing")
+            rows.append(tuple(v for v, _ in row))
+        return tuple(rows)
+
+    def twice_rho(self, mult: tuple[int, ...]) -> tuple[int, ...]:
+        """Coefficients on the simple roots of 2 rho = sum_alpha m_alpha alpha."""
+        return tuple(sum(map(mul, mult, column)) for column in zip(*self.coefficients))
+
+    def rho_pairings(self, mult: tuple[int, ...]) -> tuple[Q, ...]:
+        """(rho, alpha)/(alpha, alpha) for every positive root alpha, with the
+        multiplicities ``mult``; (2 rho, alpha_i) is row i of the Gram matrix
+        applied to the coefficients of 2 rho."""
+        twice = self.twice_rho(mult)
+        at_simple = [sum(map(mul, row, twice)) for row in self.gram]
+        # integers over one denominator: a single Fraction per root
+        den = lcm(*(v.denominator for v in at_simple))
+        nums = [v.numerator * (den // v.denominator) for v in at_simple]
+        return tuple(Q(sum(map(mul, n, nums)) * a.denominator, 2 * den * a.numerator)
+                     for n, a in zip(self.coefficients, self.norms))
 
 
 @lru_cache(maxsize=None)
@@ -194,24 +232,25 @@ def build_root_system(family: str, rank: int) -> RestrictedRootSystem:
         raise UnsupportedFamily(f"unknown family {family!r}")
     if rank < 1:
         raise UnsupportedFamily("rank must be >= 1")
-    simples = _simple_roots(family, rank)
-    pos = _positive_roots(simples)
-    divisible: list[Vector] = []
+    roots = _positive_roots(_simple_roots(family, rank))
+    divisible: set[tuple[int, ...]] = set()
     if family == "BC":
-        short = min(dot(a, a) for a in pos)
-        divisible = [a for a in pos if dot(a, a) == short]
-    doubles = [vadd(a, a) for a in divisible]
-    ordered = simples + sorted(pos[len(simples):] + doubles)
+        short = min(dot(a, a) for a in roots.values())
+        divisible = {n for n, a in roots.items() if dot(a, a) == short}
+    doubles = {tuple(2 * c for c in n): vadd(roots[n], roots[n]) for n in divisible}
+    items = list(roots.items())
+    ordered = items[:rank] + sorted(items[rank:] + list(doubles.items()), key=lambda p: p[1])
     expected = _ROOT_COUNT[family](rank)
     if len(ordered) != expected:
         raise AssertionError(f"{family}{rank}: {len(ordered)} roots, expected {expected}")
     return RestrictedRootSystem(
         family=family,
         rank=rank,
-        positive_roots=tuple(ordered),
-        simple_indices=tuple(range(len(simples))),
-        indivisible_indices=tuple(i for i, a in enumerate(ordered) if a not in doubles),
-        divisible_indices=tuple(i for i, a in enumerate(ordered) if a in divisible),
+        positive_roots=tuple(a for _, a in ordered),
+        coefficients=tuple(n for n, _ in ordered),
+        simple_indices=tuple(range(rank)),
+        indivisible_indices=tuple(i for i, (n, _) in enumerate(ordered) if n not in doubles),
+        divisible_indices=tuple(i for i, (n, _) in enumerate(ordered) if n in divisible),
     )
 
 
@@ -252,21 +291,13 @@ class SymmetricSpaceDescriptor:
     def m_2alpha(self, index: int) -> int:
         mult = self.require_mult()
         rs = self.root_system
-        j = rs.root_index.get(vscale(Q(2), rs.positive_roots[index]))
+        j = rs.coefficient_index.get(tuple(2 * c for c in rs.coefficients[index]))
         return 0 if j is None else mult[j]
 
     @cached_property
-    def rho(self) -> Vector:
-        """Half sum of positive restricted roots weighted by multiplicity."""
-        mult = self.require_mult()
-        rs = self.root_system
-        acc = tuple(Q(0) for _ in range(rs.ambient_dim))
-        for m, a in zip(mult, rs.positive_roots):
-            acc = vadd(acc, vscale(Q(m, 2), a))
-        return acc
-
-    def rho_pairing(self, root: Vector) -> Q:
-        return dot(self.rho, root) / dot(root, root)
+    def rho_pairings(self) -> tuple[Q, ...]:
+        """(rho_X, alpha)/(alpha, alpha) for every positive root alpha."""
+        return self.root_system.rho_pairings(self.require_mult())
 
     def record(self) -> dict:
         rs = self.root_system
@@ -284,16 +315,13 @@ class SymmetricSpaceDescriptor:
             return rec
         rec["m"] = [self.m_alpha(i) for i in rs.indivisible_indices]
         rec["m2"] = [self.m_2alpha(i) for i in rs.indivisible_indices]
-        rec["rho_pairings"] = [
-            str(self.rho_pairing(rs.positive_roots[i])) for i in rs.indivisible_indices
-        ]
+        rec["rho_pairings"] = [str(self.rho_pairings[i]) for i in rs.indivisible_indices]
         return rec
 
 
 def _mult_by_length(rs: RestrictedRootSystem, table: dict[Q, int]) -> tuple[int, ...]:
     out = []
-    for a in rs.positive_roots:
-        n2 = dot(a, a)
+    for n2 in rs.norms:
         if n2 not in table:
             raise AssertionError(f"no multiplicity for length^2 {n2}")
         out.append(table[n2])
@@ -451,20 +479,6 @@ class CompactGroupDescriptor:
     @property
     def rank(self) -> int:
         return self.root_system.rank
-
-    @cached_property
-    def rho(self) -> Vector:
-        rs = self.root_system
-        acc = tuple(Q(0) for _ in range(rs.ambient_dim))
-        for a in rs.positive_roots:
-            acc = vadd(acc, vscale(Q(1, 2), a))
-        return acc
-
-    def fundamental_weights(self) -> tuple[Vector, ...]:
-        """Dual basis: 2(w_i, alpha_j)/(alpha_j, alpha_j) = delta_ij."""
-        rs = self.root_system
-        return tuple(vscale(dot(a, a) / 2, w)
-                     for a, w in zip(rs.simple_roots(), rs.coweights))
 
 
 _GROUP_RE = re.compile(r"^(SU|SO|Sp):([0-9]+)$")

@@ -107,6 +107,8 @@ def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
     inv2 = 1.0 / (x * x)
     kmax = 8
     for k in range(1, kmax + 1):
+        if xpow == 0.0:     # every term left is factor * 0, and factor may be inf
+            break
         value += _BERNOULLI_F[k - 1] / math.factorial(2 * k) * factor * xpow
         # advance (s)(s+1)...(s+2k) and x^(-s-2k-1)
         factor *= (s + 2 * k - 1) * (s + 2 * k)

@@ -13,42 +13,22 @@ from functools import lru_cache
 
 from . import rootdata
 from .errors import UnknownSpace
-from .rootdata import Vector, dot, vscale
 
 Coords = tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
-def class_one_basis(space_id: str) -> tuple[Vector, ...]:
-    """Free generators of the class-one dominant monoid, as ambient vectors."""
+def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
+    """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) over positive roots,
+    for the class-one basis b_i = s_i w_i (``class_one_scales``).
+
+    Entries are integers by the defining lattice conditions, which building
+    the matrix asserts, and nonnegative since every root coefficient is.
+    """
     space = rootdata.lookup_space(space_id)
     space.require_mult()
     rs = space.root_system
-    return tuple(vscale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
-                 for i, (a, w) in enumerate(zip(rs.simple_roots(), rs.coweights)))
-
-
-@lru_cache(maxsize=None)
-def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
-    """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) over positive roots.
-
-    Entries are nonnegative integers by the defining lattice conditions;
-    building the matrix asserts that.
-    """
-    space = rootdata.lookup_space(space_id)
-    rs = space.root_system
-    basis = class_one_basis(space_id)
-    norms = [dot(a, a) for a in rs.positive_roots]
-    rows = []
-    for b in basis:
-        row = []
-        for a, norm in zip(rs.positive_roots, norms):
-            val = dot(b, a) / norm
-            if val.denominator != 1 or val < 0:
-                raise AssertionError(f"non-integral pairing {val} in {space_id}")
-            row.append(int(val))
-        rows.append(tuple(row))
-    return tuple(rows)
+    return rs.pairing_matrix(rs.class_one_scales)
 
 
 def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ def _rank_one_power_series(poly: dims.FactoredDimPolynomial, s: float,
     kappas = [float(k) for k, _ in poly.factors]
     powers = [s * xi for _, xi in poly.factors]
     scale_log = -s * math.log(float(poly.c))
-    tail_part = genseries._sum_with_tail(kappas, powers, 1, tolerance, scale_log)
+    tail_part = genseries._sum_with_tail(kappas, powers, tolerance, scale_log)
     return replace(tail_part, value=1.0 + tail_part.value,
                    terms_used=tail_part.terms_used + 1)
 
@@ -91,8 +91,12 @@ def _lattice_zeta(table: dims.LinearFactors, s: float, tolerance: float,
     rank = len(table.pairing)
     if max_box is None:
         max_box = {2: 2048, 3: 128}.get(rank, 24)
-    return _growing_box(lambda n: np.exp(-s * table.log_dims(n)), rank,
-                        tolerance, max_box)
+
+    def terms(n):
+        with np.errstate(over="ignore"):     # -s log d past -inf: the term is 0
+            return np.exp(-s * table.log_dims(n))
+
+    return _growing_box(terms, rank, tolerance, max_box)
 
 
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,

@@ -62,6 +62,18 @@ def test_dim_command_past_the_lgamma_range():
     assert result["dim_log"] == pytest.approx(math.log(exact), rel=1e-12)
 
 
+def test_dim_command_past_the_float_range():
+    # a pairing of 10^400 is past the float range; the gamma path takes its
+    # log from the exact pairing + rho
+    proc = run_cli("dim", "--space", "S:3", "--n", str(10 ** 400))
+    assert proc.returncode == 0 and proc.stderr.startswith("elapsed_s=")
+    result = json.loads(proc.stdout)["result"]
+    exact = int(result["dim_exact"])
+    assert exact == (10 ** 400 + 1) ** 2
+    assert result["dim_float"] is None
+    assert result["dim_log"] == pytest.approx(math.log(exact), rel=1e-9)
+
+
 def test_dim_command_coords():
     proc = run_cli("dim", "--space", "AI:3", "--coords", "1,1")
     assert proc.returncode == 0

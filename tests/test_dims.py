@@ -135,10 +135,11 @@ def test_two_path_equality_small_boxes(space_id):
 def test_two_path_equality_at_large_weights(space_id):
     # the log-gammas of one gamma ratio cancel to a few digits at large
     # pairings; at 10^200 the dimension is past the float range, its log is
-    # not.  The large-multiplicity spaces have gamma shifts near 10^3, so a
-    # pairing of 500 to 10^3 is not yet large next to them.
+    # not, and at 10^400 so is the pairing.  The large-multiplicity spaces
+    # have gamma shifts near 10^3, so a pairing of 500 to 10^3 is not yet
+    # large next to them.
     rank = rootdata.lookup_space(space_id).rank
-    for n in (*(10 ** e for e in range(21)), 500, 999, 10 ** 200):
+    for n in (*(10 ** e for e in range(21)), 500, 999, 10 ** 200, 10 ** 400):
         coords = (n,) * rank
         exact = dim_class_one(space_id, coords)
         log_exact = math.log(exact.numerator) - math.log(exact.denominator)

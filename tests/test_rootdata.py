@@ -6,9 +6,9 @@ from itertools import product
 
 import pytest
 
-from wittenzeta import dims, rootdata
+from wittenzeta import dims, rootdata, weights
 from wittenzeta.errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
-from wittenzeta.rootdata import build_root_system, dot, lookup_space, vadd, vscale
+from wittenzeta.rootdata import build_root_system, dot, lookup_space, vadd
 
 COUNTS = {
     ("A", 1): 1, ("A", 2): 3, ("A", 3): 6, ("A", 4): 10,
@@ -21,11 +21,33 @@ COUNTS = {
 }
 
 
+def scale(c, vector):
+    return tuple(c * a for a in vector)
+
+
+def combine(coeffs, vectors):
+    """The ambient vector sum_i coeffs[i] vectors[i], exact."""
+    return tuple(sum((c * v[k] for c, v in zip(coeffs, vectors)), Q(0))
+                 for k in range(len(vectors[0])))
+
+
+def ambient_coweights(rs):
+    """The coweights w_i = sum_j W_ij alpha_j as ambient vectors, from the
+    inverse Gram matrix W that ``rs.coweights`` holds; the duality test below
+    checks (w_i, alpha_j) = delta_ij on them."""
+    return [combine(row, rs.simple_roots()) for row in rs.coweights]
+
+
+def ambient_rho(mult, roots):
+    """rho = 1/2 sum_alpha m_alpha alpha, as an ambient vector."""
+    return combine([Q(m, 2) for m in mult], roots)
+
+
 def expand_in_simple(rs, vector):
     """Coefficients of ``vector`` over the simple roots, read off the coweights;
     ValueError when it is not in their span."""
-    coeffs = [dot(vector, w) for w in rs.coweights]
-    if tuple(dot(coeffs, c) for c in zip(*rs.simple_roots())) != vector:
+    coeffs = [dot(vector, w) for w in ambient_coweights(rs)]
+    if combine(coeffs, rs.simple_roots()) != vector:
         raise ValueError("not in the span of the simple roots")
     return coeffs
 
@@ -96,12 +118,22 @@ def test_e8_by_brute_force_enumeration():
 def test_coweights_are_dual_to_the_simple_roots(family, rank):
     rs = build_root_system(family, rank)
     simples = rs.simple_roots()
-    assert len(rs.coweights) == rank
-    for i, w in enumerate(rs.coweights):
+    coweights = ambient_coweights(rs)
+    assert len(coweights) == rank
+    for i, w in enumerate(coweights):
         assert [dot(w, a) for a in simples] == [Q(int(i == j)) for j in range(rank)]
         # w lies in the span of the simple roots: w = sum_j (w, w_j) alpha_j
-        in_span = tuple(dot([dot(w, v) for v in rs.coweights], c) for c in zip(*simples))
-        assert in_span == w
+        assert combine([dot(w, v) for v in coweights], simples) == w
+
+
+@pytest.mark.parametrize("family,rank", sorted(COUNTS))
+def test_coefficients_rebuild_the_ambient_roots(family, rank):
+    rs = build_root_system(family, rank)
+    assert len(rs.coefficients) == len(rs.positive_roots)
+    for n, root in zip(rs.coefficients, rs.positive_roots):
+        assert all(isinstance(c, int) and c >= 0 for c in n)
+        assert combine(n, rs.simple_roots()) == root
+    assert rs.norms == tuple(dot(a, a) for a in rs.positive_roots)
 
 
 @pytest.mark.parametrize("family,rank", sorted(COUNTS))
@@ -115,11 +147,11 @@ def test_positive_roots_are_nonneg_integer_combinations(family, rank):
 @pytest.mark.parametrize("family,rank", sorted(COUNTS))
 def test_weyl_reflection_closure(family, rank):
     rs = build_root_system(family, rank)
-    full = set(rs.positive_roots) | {vscale(Q(-1), a) for a in rs.positive_roots}
+    full = set(rs.positive_roots) | {scale(Q(-1), a) for a in rs.positive_roots}
     for simple in rs.simple_roots():
         norm = dot(simple, simple)
         for root in rs.positive_roots:
-            refl = vadd(root, vscale(-2 * dot(root, simple) / norm, simple))
+            refl = vadd(root, scale(-2 * dot(root, simple) / norm, simple))
             assert refl in full
 
 
@@ -128,10 +160,10 @@ def test_bc_divisible_bookkeeping():
         rs = build_root_system("BC", rank)
         pos = set(rs.positive_roots)
         for i in rs.divisible_indices:
-            assert vscale(Q(2), rs.positive_roots[i]) in pos
+            assert scale(Q(2), rs.positive_roots[i]) in pos
         indiv = {rs.positive_roots[i] for i in rs.indivisible_indices}
         for a in pos:
-            assert (vscale(Q(1, 2), a) not in pos) == (a in indiv)
+            assert (scale(Q(1, 2), a) not in pos) == (a in indiv)
 
 
 def test_unsupported_family_errors():
@@ -179,22 +211,26 @@ def test_rank_one_dimension_identity():
 
 def test_rho_recomputation_both_forms():
     # half-sum over all positive roots == half-sum over indivisible roots
-    # with the doubled-root multiplicity folded in
+    # with the doubled-root multiplicity folded in, and both give the
+    # library's rho pairings
     for sid in rootdata.CATALOG_IDS:
         space = lookup_space(sid)
         if not space.evaluable:
             continue
         rs = space.root_system
-        alt = tuple(Q(0) for _ in range(rs.ambient_dim))
-        for i in rs.indivisible_indices:
-            m = space.m_alpha(i) + 2 * space.m_2alpha(i)
-            alt = vadd(alt, vscale(Q(m, 2), rs.positive_roots[i]))
-        assert alt == space.rho, sid
+        indiv = rs.indivisible_indices
+        alt = ambient_rho([space.m_alpha(i) + 2 * space.m_2alpha(i) for i in indiv],
+                          [rs.positive_roots[i] for i in indiv])
+        rho = ambient_rho(space.mult, rs.positive_roots)
+        assert alt == rho, sid
+        assert space.rho_pairings == tuple(dot(rho, a) / dot(a, a)
+                                           for a in rs.positive_roots), sid
 
 
 def test_rho_is_cached():
-    for desc in (lookup_space("EVIII"), rootdata.lookup_group("E8")):
-        assert desc.rho is desc.rho
+    space = lookup_space("EVIII")
+    assert space.rho_pairings is space.rho_pairings
+    assert dims._group_tables("E8") is dims._group_tables("E8")
 
 
 TABLE3 = {"S:2": Q(1, 2), "S:4": Q(3, 2), "S:7": Q(3), "CP:2": Q(2),
@@ -205,15 +241,21 @@ TABLE3 = {"S:2": Q(1, 2), "S:4": Q(3, 2), "S:7": Q(3), "CP:2": Q(2),
 def test_rank_one_rho_pairings(space_id):
     space = lookup_space(space_id)
     rs = space.root_system
-    alpha = rs.positive_roots[rs.indivisible_indices[0]]
-    assert space.rho_pairing(alpha) == TABLE3[space_id]
+    i = rs.indivisible_indices[0]
+    alpha = rs.positive_roots[i]
+    rho = ambient_rho(space.mult, rs.positive_roots)
+    assert dot(rho, alpha) / dot(alpha, alpha) == TABLE3[space_id]
+    assert space.rho_pairings[i] == TABLE3[space_id]
 
 
 def test_rho_pairing_examples():
     # simple root of the rank-two m=1 space over A2
     space = lookup_space("AI:3")
-    alpha = space.root_system.simple_roots()[0]
-    assert space.rho_pairing(alpha) == Q(1, 2)
+    rs = space.root_system
+    alpha = rs.simple_roots()[0]
+    rho = ambient_rho(space.mult, rs.positive_roots)
+    assert dot(rho, alpha) / dot(alpha, alpha) == Q(1, 2)
+    assert space.rho_pairings[rs.simple_indices[0]] == Q(1, 2)
 
 
 def test_multiplicities_constant_on_length_classes():
@@ -250,7 +292,7 @@ def test_evii_blocked():
     with pytest.raises(UnsupportedSpace):
         evii.require_mult()
     with pytest.raises(UnsupportedSpace):
-        _ = evii.rho
+        _ = evii.rho_pairings
 
 
 def test_sphere_multiplicities():
@@ -291,10 +333,15 @@ def test_group_lookup():
         rootdata.lookup_group("U:3")
 
 
+def fundamental_weights(rs):
+    """The fundamental weights (|alpha_i|^2 / 2) w_i as ambient vectors."""
+    return [scale(dot(a, a) / 2, w) for a, w in zip(rs.simple_roots(), ambient_coweights(rs))]
+
+
 def test_fundamental_weights_duality():
     for gid in ("SU:3", "SO:5", "Sp:3", "G2", "F4"):
         g = rootdata.lookup_group(gid)
-        weights_ = g.fundamental_weights()
+        weights_ = fundamental_weights(g.root_system)
         simples = g.root_system.simple_roots()
         for i, w in enumerate(weights_):
             for j, a in enumerate(simples):
@@ -308,10 +355,11 @@ def _dot_reference(x, y):
 
 def test_dot_matches_fraction_sum_on_catalog_roots():
     for space in rootdata.catalog_spaces(include_blocked=False):
+        rho = ambient_rho(space.mult, space.root_system.positive_roots)
         for alpha in space.root_system.positive_roots:
-            got = dot(space.rho, alpha)
+            got = dot(rho, alpha)
             assert type(got) is Q
-            assert got == _dot_reference(space.rho, alpha), (space.space_id, alpha)
+            assert got == _dot_reference(rho, alpha), (space.space_id, alpha)
 
 
 def test_dot_matches_fraction_sum_on_random_vectors():
@@ -340,10 +388,36 @@ def test_m_2alpha_matches_linear_scan():
     for space in rootdata.catalog_spaces(include_blocked=False):
         rs = space.root_system
         for i in rs.indivisible_indices:
-            doubled = vscale(Q(2), rs.positive_roots[i])
+            doubled = scale(Q(2), rs.positive_roots[i])
             scan = [space.mult[j] for j, beta in enumerate(rs.positive_roots)
                     if beta == doubled]
             assert space.m_2alpha(i) == (scan[0] if scan else 0), (space.space_id, i)
+
+
+def test_space_pairings_match_ambient_computation():
+    # class-one basis b_i = s_i w_i, s_i = |alpha_i|^2, doubled on a
+    # divisible simple root; every pairing and rho pairing in ambient vectors
+    for space in rootdata.catalog_spaces(include_blocked=False):
+        rs = space.root_system
+        basis = [scale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
+                 for i, (a, w) in enumerate(zip(rs.simple_roots(), ambient_coweights(rs)))]
+        rho = ambient_rho(space.mult, rs.positive_roots)
+        matrix = weights.class_one_pairing_matrix(space.space_id)
+        assert matrix == tuple(tuple(dot(b, a) / dot(a, a) for a in rs.positive_roots)
+                               for b in basis), space.space_id
+        assert space.rho_pairings == tuple(dot(rho, a) / dot(a, a)
+                                           for a in rs.positive_roots), space.space_id
+
+
+def test_group_tables_match_ambient_computation():
+    # coroot pairings of the fundamental weights and of rho, in ambient vectors
+    for gid in _FINGERPRINT_GROUPS:
+        rs = rootdata.lookup_group(gid).root_system
+        rho = ambient_rho([1] * len(rs.positive_roots), rs.positive_roots)
+        pairing, shifts = dims._group_tables(gid)
+        assert pairing == tuple(tuple(2 * dot(w, a) / dot(a, a) for a in rs.positive_roots)
+                                for w in fundamental_weights(rs)), gid
+        assert shifts == tuple(2 * dot(rho, a) / dot(a, a) for a in rs.positive_roots), gid
 
 
 FINGERPRINT = "7c7b856030d855aa87e122048c04018033d1b56482f70b8137614a1f0a3525b2"

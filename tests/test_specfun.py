@@ -129,6 +129,22 @@ def test_zeta_certified_bound_is_honest():
         assert abs(value - brute_zeta(s, 400_000)) <= bound + 1e-10
 
 
+def test_certified_zeta_is_finite_at_huge_s():
+    # x^(-s) underflows while the Euler-Maclaurin factor (s)_17 overflows;
+    # their product must not turn into inf * 0 = NaN
+    for s in (300.0, 1e18, 1e20, 1e100, 1e200, 1e308):
+        for a in (1.0, 1.5, 17.25, 1e6):
+            value, bound = hurwitz_zeta_certified(s, a)
+            assert math.isfinite(value) and math.isfinite(bound), (s, a)
+            # the first term is all that is left; the bound is the rounding
+            # slop of the partial sum
+            assert math.isclose(value, a ** -s, rel_tol=1e-12), (s, a)
+            assert 0.0 <= bound < 1e-14, (s, a)
+    # a < 1 with a^(-s) inside the float range
+    value, bound = hurwitz_zeta_certified(1000.0, 0.5)
+    assert value == 2.0 ** 1000 and math.isfinite(bound)
+
+
 def test_riemann_zeta_domain():
     with pytest.raises(DomainError):
         riemann_zeta(1.0)

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from test_rootdata import ambient_coweights, combine, fundamental_weights, scale
 from wittenzeta import rootdata, weights
 from wittenzeta.errors import UnknownSpace
 from wittenzeta.rootdata import dot
@@ -13,9 +14,11 @@ def _box(space_id, box_bound):
     return weights._graded_box(rootdata.lookup_space(space_id).rank, box_bound)
 
 
-def _weight(basis, coords):
-    """The ambient vector sum_i coords[i] basis[i], exact."""
-    return tuple(sum(n * b[k] for n, b in zip(coords, basis)) for k in range(len(basis[0])))
+def _class_one_basis(rs):
+    """b_i = s_i w_i as ambient vectors: s_i = |alpha_i|^2, doubled on a
+    divisible simple root."""
+    return [scale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
+            for i, (a, w) in enumerate(zip(rs.simple_roots(), ambient_coweights(rs)))]
 
 
 def test_rank_one_enumeration():
@@ -58,9 +61,9 @@ def test_lattice_conditions_against_every_positive_root(space_id):
     rs = space.root_system
     pos = rs.positive_roots
     divisible = {pos[i] for i in rs.divisible_indices}
-    basis = weights.class_one_basis(space_id)
+    basis = _class_one_basis(rs)
     for coords in _box(space_id, 2):
-        lam = _weight(basis, coords)
+        lam = combine(coords, basis)
         for alpha in pos:
             val = dot(lam, alpha) / dot(alpha, alpha)
             assert val.denominator == 1 and val >= 0, (space_id, coords, alpha)
@@ -73,7 +76,7 @@ def test_cp2_divisible_root_pairing_is_even():
     rs = space.root_system
     divisible_root = rs.positive_roots[rs.divisible_indices[0]]
     for n in (0, 1, 2):
-        lam = _weight(weights.class_one_basis("CP:2"), (n,))
+        lam = combine((n,), _class_one_basis(rs))
         val = dot(lam, divisible_root) / dot(divisible_root, divisible_root)
         assert val == 2 * n
 
@@ -111,9 +114,9 @@ def test_su3_dominant():
 @pytest.mark.parametrize("group_id", ("SU:3", "SO:5", "Sp:2", "G2"))
 def test_dominant_condition_every_positive_root(group_id):
     group = rootdata.lookup_group(group_id)
-    basis = group.fundamental_weights()
+    basis = fundamental_weights(group.root_system)
     for coords in _dominant_box(group_id, 2):
-        nu = _weight(basis, coords)
+        nu = combine(coords, basis)
         for alpha in group.root_system.positive_roots:
             val = 2 * dot(nu, alpha) / dot(alpha, alpha)
             assert val.denominator == 1 and val >= 0

@@ -1,5 +1,7 @@
 import math
 import random
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +20,24 @@ def test_s3_at_one_is_basel():
 def test_s2_at_two_is_odd_basel():
     res = zeta_type_I("S:2", 2.0, 1e-10)
     assert res.value == pytest.approx(math.pi ** 2 / 8, abs=1e-8)
+
+
+@pytest.mark.parametrize("run,s", [(partial(zeta_type_I, "S:2"), 1e308),
+                                   (partial(zeta_type_II, "SU:2"), 1e308),
+                                   (partial(zeta_type_I, "S:3"), 1e200)])
+def test_rank_one_at_huge_s_is_one(run, s):
+    # every term past d(0) = 1 underflows; the certified tail is 0, not NaN
+    res = run(s, 1e-8)
+    assert res.value == 1.0 and res.converged and res.rigorous
+    assert res.tail_bound == 0.0 and res.terms_used == 17
+
+
+def test_lattice_at_huge_s_warns_nothing():
+    # -s log d(n) overflows to -inf, and the term is exp(-inf) = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = zeta_type_I("AI:3", 1e308, max_box=2)
+    assert res.value == 1.0 and res.terms_used == 9
 
 
 def test_type_i_value_within_claimed_bound():
