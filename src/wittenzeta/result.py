@@ -9,8 +9,8 @@ class EvalResult:
     """Value of a summed series together with an explicit tail estimate.
 
     ``tail_bound`` is a rigorous bound when ``rigorous`` is True and a
-    heuristic (box-doubling difference or observed-ratio extrapolation)
-    otherwise.  ``converged`` means the bound met the requested tolerance.
+    heuristic otherwise: the sum of the last box-doubling shell.
+    ``converged`` means the bound met the requested tolerance.
     """
 
     value: float

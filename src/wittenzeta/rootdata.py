@@ -1,10 +1,12 @@
 """Restricted root systems and the catalog of compact symmetric spaces.
 
-Roots are generated in ambient orthonormal coordinates (the standard
-embedding of each family), as tuples of ``Fraction``, which give the root
-norms and the simple-root Gram matrix.  Every pairing is then computed from
-each root's integer coefficients over the simple roots.  The catalog is
-immutable and cached; descriptors are safe to share between threads.
+Every ambient coordinate of each family's standard embedding is a multiple
+of 1/2, so each root is stored once as twice its ambient vector, a tuple of
+int.  Cartan integers, norms, the simple-root Gram matrix and its inverse
+are computed on those in integer arithmetic; a ``Fraction`` appears only in
+a value that is rational.  Every pairing is then computed from each root's
+integer coefficients over the simple roots.  The catalog is immutable and
+cached; descriptors are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -12,83 +14,65 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from math import gcd, lcm
 from operator import add, mul
 
 from .errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
 
 Vector = tuple[Q, ...]
+Doubled = tuple[int, ...]   # twice an ambient vector
 
 FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 
 
-def dot(x: Vector, y: Vector) -> Q:
-    """Exact inner product.
-
-    Zero entries are skipped, and the products are summed as an integer
-    numerator over the least common denominator so far, so only the result
-    is a Fraction.
-    """
-    if len(x) != len(y):
-        raise ValueError("dimension mismatch")
-    num, den = 0, 1
-    for a, b in zip(x, y):
-        if a and b:
-            q = a.denominator * b.denominator
-            if den % q:
-                lcm = den * q // gcd(den, q)
-                num *= lcm // den
-                den = lcm
-            num += a.numerator * b.numerator * (den // q)
-    return Q(num, den)
+def _inner(x: Doubled, y: Doubled) -> int:
+    """Inner product of two doubled vectors: four times that of the vectors."""
+    return sum(map(mul, x, y))
 
 
-def vadd(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def _e(i: int, dim: int, c: Q = Q(1)) -> Vector:
-    v = [Q(0)] * dim
-    v[i] = c
+def _twice(dim: int, *entries: tuple[int, int]) -> Doubled:
+    """Twice the ambient vector with coordinate c at index i for each (i, c)."""
+    v = [0] * dim
+    for i, c in entries:
+        v[i] = 2 * c
     return tuple(v)
 
 
-def _simple_roots(family: str, rank: int) -> list[Vector]:
-    """Simple roots of the family in its standard ambient coordinates."""
+def _simple_roots(family: str, rank: int) -> list[Doubled]:
+    """Simple roots of the family in its standard ambient coordinates, doubled."""
     if family in ("A", "B", "C", "D", "BC"):
         d = rank + 1 if family == "A" else rank
-        chain = [vadd(_e(i, d), _e(i + 1, d, Q(-1))) for i in range(d - 1)]
+        chain = [_twice(d, (i, 1), (i + 1, -1)) for i in range(d - 1)]
         if family == "A":
             return chain
         if family == "D":
             if rank < 2:
                 raise UnsupportedFamily("D requires rank >= 2")
-            return chain + [vadd(_e(rank - 2, d), _e(rank - 1, d))]
+            return chain + [_twice(d, (rank - 2, 1), (rank - 1, 1))]
         if family == "C":
-            return chain + [_e(rank - 1, d, Q(2))]
-        return chain + [_e(rank - 1, d)]  # B and BC share the simple system
+            return chain + [_twice(d, (rank - 1, 2))]
+        return chain + [_twice(d, (rank - 1, 1))]  # B and BC share the simple system
     if family == "G2":
         if rank != 2:
             raise UnsupportedFamily("G2 has rank 2")
-        return [(Q(1), Q(-1), Q(0)), (Q(-2), Q(1), Q(1))]
+        return [(2, -2, 0), (-4, 2, 2)]
     if family == "F4":
         if rank != 4:
             raise UnsupportedFamily("F4 has rank 4")
-        return [vadd(_e(1, 4), _e(2, 4, Q(-1))), vadd(_e(2, 4), _e(3, 4, Q(-1))),
-                _e(3, 4), (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2))]
+        return [_twice(4, (1, 1), (2, -1)), _twice(4, (2, 1), (3, -1)),
+                _twice(4, (3, 1)), (1, -1, -1, -1)]
     if family in ("E6", "E7", "E8"):
         want = int(family[1])
         if rank != want:
             raise UnsupportedFamily(f"{family} has rank {want}")
-        a1 = (Q(1, 2),) + (Q(-1, 2),) * 6 + (Q(1, 2),)
-        chain = [vadd(_e(i + 1, 8), _e(i, 8, Q(-1))) for i in range(6)]  # e_{i+2}-e_{i+1}
-        return [a1, vadd(_e(0, 8), _e(1, 8))] + chain[: want - 2]
+        a1 = (1,) + (-1,) * 6 + (1,)
+        chain = [_twice(8, (i + 1, 1), (i, -1)) for i in range(6)]  # e_{i+2}-e_{i+1}
+        return [a1, _twice(8, (0, 1), (1, 1))] + chain[: want - 2]
     raise UnsupportedFamily(f"unknown family {family!r}")
 
 
-def _positive_roots(simples: list[Vector]) -> dict[tuple[int, ...], Vector]:
+def _positive_roots(simples: list[Doubled]) -> dict[tuple[int, ...], Doubled]:
     """Every positive root of the reduced system with these simple roots,
-    simple roots first, keyed by its integer coefficients on them.
+    doubled like them, simple roots first, keyed by its coefficients on them.
 
     Roots grow by height over their integer coefficients on the simple roots
     (Humphreys, Introduction to Lie Algebras, 1972, 9.4 and 10): beta + alpha_i
@@ -97,10 +81,9 @@ def _positive_roots(simples: list[Vector]) -> dict[tuple[int, ...], Vector]:
     coordinates and its Cartan pairings, both updated by adding a row.
     """
     rank = len(simples)
-    cartan = [tuple(int(2 * dot(a, b) / dot(b, b)) for b in simples) for a in simples]
-    twice = [tuple(int(2 * c) for c in a) for a in simples]
+    cartan = [tuple(2 * _inner(a, b) // _inner(b, b) for b in simples) for a in simples]
     unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    layer = {unit[i]: (twice[i], cartan[i]) for i in range(rank)}
+    layer = {unit[i]: (simples[i], cartan[i]) for i in range(rank)}
     found = dict(layer)
     while layer:
         above = {}
@@ -115,11 +98,11 @@ def _positive_roots(simples: list[Vector]) -> dict[tuple[int, ...], Vector]:
                     up = tuple(map(add, coeffs, unit[i]))
                     if up[i] > 6:  # E8's highest root has the largest coefficient, 6
                         raise AssertionError("simple roots of no finite root system")
-                    above.setdefault(up, (tuple(map(add, coords, twice[i])),
+                    above.setdefault(up, (tuple(map(add, coords, simples[i])),
                                           tuple(map(add, pairs, cartan[i]))))
         found.update(above)
         layer = above
-    return {coeffs: tuple(Q(c, 2) for c in coords) for coeffs, (coords, _) in found.items()}
+    return {coeffs: coords for coeffs, (coords, _) in found.items()}
 
 
 _ROOT_COUNT = {
@@ -140,25 +123,26 @@ _ROOT_COUNT = {
 class RestrictedRootSystem:
     family: str
     rank: int
-    positive_roots: tuple[Vector, ...]
+    doubled_roots: tuple[Doubled, ...]  # twice each positive root, simple roots first
     coefficients: tuple[tuple[int, ...], ...]  # of each positive root on the simple roots
-    simple_indices: tuple[int, ...]
     indivisible_indices: tuple[int, ...]
     divisible_indices: tuple[int, ...]
 
-    def simple_roots(self) -> tuple[Vector, ...]:
-        return tuple(self.positive_roots[i] for i in self.simple_indices)
+    @cached_property
+    def positive_roots(self) -> tuple[Vector, ...]:
+        """The positive roots in ambient coordinates, as tuples of Fraction."""
+        return tuple(tuple(Q(c, 2) for c in a) for a in self.doubled_roots)
 
     @cached_property
     def norms(self) -> tuple[Q, ...]:
         """(alpha, alpha) for every positive root."""
-        return tuple(dot(a, a) for a in self.positive_roots)
+        return tuple(Q(_inner(a, a), 4) for a in self.doubled_roots)
 
     @cached_property
-    def gram(self) -> tuple[tuple[Q, ...], ...]:
-        """(alpha_i, alpha_j) over the simple roots."""
-        simples = self.simple_roots()
-        return tuple(tuple(dot(a, b) for b in simples) for a in simples)
+    def gram4(self) -> tuple[tuple[int, ...], ...]:
+        """4 (alpha_i, alpha_j) over the simple roots: an integer matrix."""
+        simples = self.doubled_roots[:self.rank]
+        return tuple(tuple(_inner(a, b) for b in simples) for a in simples)
 
     @cached_property
     def class_one_scales(self) -> tuple[Q, ...]:
@@ -178,19 +162,21 @@ class RestrictedRootSystem:
         roots of the w_i with (w_i, alpha_j) = delta_ij.
 
         So (w_i, alpha) is alpha's i-th coefficient and (w_i, w_k) = W_ik.
-        One Gauss-Jordan elimination of the Gram matrix against the identity.
+        Fraction-free Gauss-Jordan on [4G | I] (Bareiss, Math. Comp. 22, 1968):
+        every division is exact, no pivot is zero as G is positive definite,
+        and the last pivot d leaves d (4G)^-1 on the right, so W = 4 right / d.
         """
         r = self.rank
-        rows = [list(g) + [Q(int(i == j)) for j in range(r)] for i, g in enumerate(self.gram)]
-        for col in range(r):
-            piv = next(k for k in range(col, r) if rows[k][col])
-            rows[col], rows[piv] = rows[piv], rows[col]
-            rows[col] = [v / rows[col][col] for v in rows[col]]
-            for k in range(r):
-                f = rows[k][col]
-                if k != col and f:
-                    rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
-        return tuple(tuple(row[r:]) for row in rows)
+        rows = [list(g) + [int(i == j) for j in range(r)] for i, g in enumerate(self.gram4)]
+        prev = 1
+        for k in range(r):
+            pivot = rows[k][k]
+            for i in range(r):
+                if i != k:
+                    f = rows[i][k]
+                    rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], rows[k])]
+            prev = pivot
+        return tuple(tuple(Q(4 * v, prev) for v in row[r:]) for row in rows)
 
     def pairing_matrix(self, scales: tuple[Q, ...]) -> tuple[tuple[int, ...], ...]:
         """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) for the weight basis
@@ -210,16 +196,13 @@ class RestrictedRootSystem:
         return tuple(sum(map(mul, mult, column)) for column in zip(*self.coefficients))
 
     def rho_pairings(self, mult: tuple[int, ...]) -> tuple[Q, ...]:
-        """(rho, alpha)/(alpha, alpha) for every positive root alpha, with the
-        multiplicities ``mult``; (2 rho, alpha_i) is row i of the Gram matrix
-        applied to the coefficients of 2 rho."""
+        """(rho, alpha)/(alpha, alpha) = (2 rho, alpha)/(2 |alpha|^2) for every
+        positive root alpha, with the multiplicities ``mult``; 4 (2 rho, alpha_j)
+        is row j of 4G applied to the coefficients of 2 rho."""
         twice = self.twice_rho(mult)
-        at_simple = [sum(map(mul, row, twice)) for row in self.gram]
-        # integers over one denominator: a single Fraction per root
-        den = lcm(*(v.denominator for v in at_simple))
-        nums = [v.numerator * (den // v.denominator) for v in at_simple]
-        return tuple(Q(sum(map(mul, n, nums)) * a.denominator, 2 * den * a.numerator)
-                     for n, a in zip(self.coefficients, self.norms))
+        at_simple = [sum(map(mul, row, twice)) for row in self.gram4]
+        return tuple(Q(sum(map(mul, n, at_simple)), 2 * _inner(a, a))
+                     for n, a in zip(self.coefficients, self.doubled_roots))
 
 
 @lru_cache(maxsize=None)
@@ -235,9 +218,9 @@ def build_root_system(family: str, rank: int) -> RestrictedRootSystem:
     roots = _positive_roots(_simple_roots(family, rank))
     divisible: set[tuple[int, ...]] = set()
     if family == "BC":
-        short = min(dot(a, a) for a in roots.values())
-        divisible = {n for n, a in roots.items() if dot(a, a) == short}
-    doubles = {tuple(2 * c for c in n): vadd(roots[n], roots[n]) for n in divisible}
+        short = min(_inner(a, a) for a in roots.values())
+        divisible = {n for n, a in roots.items() if _inner(a, a) == short}
+    doubles = {tuple(2 * c for c in n): tuple(2 * c for c in roots[n]) for n in divisible}
     items = list(roots.items())
     ordered = items[:rank] + sorted(items[rank:] + list(doubles.items()), key=lambda p: p[1])
     expected = _ROOT_COUNT[family](rank)
@@ -246,9 +229,8 @@ def build_root_system(family: str, rank: int) -> RestrictedRootSystem:
     return RestrictedRootSystem(
         family=family,
         rank=rank,
-        positive_roots=tuple(a for _, a in ordered),
+        doubled_roots=tuple(a for _, a in ordered),
         coefficients=tuple(n for n, _ in ordered),
-        simple_indices=tuple(range(rank)),
         indivisible_indices=tuple(i for i, (n, _) in enumerate(ordered) if n not in doubles),
         divisible_indices=tuple(i for i, (n, _) in enumerate(ordered) if n in divisible),
     )

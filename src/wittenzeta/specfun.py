@@ -91,16 +91,19 @@ def digamma(x: float) -> float:
 
 def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
     """(value, rigorous absolute error bound) for sum_{n>=0} (n+a)^(-s)."""
-    if s <= 1.0:
-        raise DomainError(f"hurwitz_zeta requires s > 1, got {s}")
-    if a <= 0.0:
+    if not 1.0 < s < math.inf:      # written so that a NaN fails too
+        raise DomainError(f"hurwitz_zeta requires finite s > 1, got {s}")
+    if not a > 0.0:
         raise DomainError(f"hurwitz_zeta requires a > 0, got {a}")
     shift = 0
     x = a
     while x < 16.0:
         shift += 1
         x += 1.0
-    partial = math.fsum((n + a) ** (-s) for n in range(shift))
+    try:
+        partial = math.fsum((n + a) ** (-s) for n in range(shift))
+    except OverflowError:
+        raise DomainError(f"hurwitz_zeta({s}, {a}) is past the float range") from None
     value = partial + x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
     factor = s
     xpow = x ** (-s - 1.0)

@@ -12,7 +12,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from . import rootdata
-from .errors import UnknownSpace
+from .errors import DomainError, UnknownSpace
 
 Coords = tuple[int, ...]
 
@@ -144,7 +144,7 @@ def box_chunks(rank: int, box: int, inner: int = -1) -> Iterator[np.ndarray]:
     """
     import numpy as np
     if box < 0:
-        raise UnknownSpace("box_bound must be >= 0")
+        raise DomainError("box_bound must be >= 0")
     for axis in range(rank):
         sides = [inner + 1] * axis + [max(box - inner, 0)] + [box + 1] * (rank - axis - 1)
         total = math.prod(sides)

@@ -84,11 +84,17 @@ def _check_s(s: float) -> None:
 
 def _lattice_zeta(table: dims.LinearFactors, s: float, tolerance: float,
                   max_box: int | None) -> EvalResult:
-    """The growing-box sum of d(n)^(-s) over a higher-rank lattice."""
-    if s <= 0:
-        raise DivergenceError("need s > 0 for a higher-rank sum")
+    """The growing-box sum of d(n)^(-s) over a higher-rank lattice.
+
+    A proven divergence: d is a product of J linear factors, so on the shell
+    of sup-norm t, which holds at least t^(rank-1) points, d <= C t^J, and
+    the sum diverges when s J <= rank.
+    """
+    rank, factors = len(table.pairing), len(table.shifts)
+    if s * factors <= rank:
+        raise DivergenceError(f"series diverges: s * {factors} linear factors = "
+                              f"{s * factors} <= rank {rank}")
     import numpy as np
-    rank = len(table.pairing)
     if max_box is None:
         max_box = {2: 2048, 3: 128}.get(rank, 24)
 

@@ -233,6 +233,7 @@ def test_domain_error_exit_code():
     ("genseries", "--kappa", "1,2", "--T", "nan,0"),
     ("pizeta", "--pi", "1,1", "--kappa", "1,1e400"),
     ("genseries", "--kappa", "1e400,2", "--T", "0,0"),
+    ("zeta", "--space", "AI:3", "--s", "2", "--max-box", "-1"),
 ])
 def test_non_finite_input_exit_code(args):
     proc = run_cli(*args)

@@ -170,6 +170,15 @@ def test_hurwitz_domain():
         hurwitz_zeta(2.0, 0.0)
 
 
+@pytest.mark.parametrize("s,a", [(math.nan, 1.0), (2.0, math.nan), (math.nan, math.nan),
+                                 (math.inf, 0.5), (math.inf, 1.0),
+                                 # a^(-s) past the float range for a < 1
+                                 (2000.0, 0.5), (800.0, 0.3), (1e308, 0.5)])
+def test_hurwitz_rejects_what_it_cannot_return(s, a):
+    with pytest.raises(DomainError):
+        hurwitz_zeta_certified(s, a)
+
+
 def test_legendre_values():
     assert legendre_p(0, 0.83) == 1.0
     assert legendre_p(1, 0.3) == pytest.approx(0.3, abs=1e-15)

@@ -3,10 +3,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from test_rootdata import ambient_coweights, combine, fundamental_weights, scale
+from test_rootdata import (ambient_coweights, combine, dot, fundamental_weights, scale,
+                           simple_roots)
 from wittenzeta import rootdata, weights
-from wittenzeta.errors import UnknownSpace
-from wittenzeta.rootdata import dot
+from wittenzeta.errors import DomainError, UnknownSpace
 
 
 def _box(space_id, box_bound):
@@ -18,7 +18,7 @@ def _class_one_basis(rs):
     """b_i = s_i w_i as ambient vectors: s_i = |alpha_i|^2, doubled on a
     divisible simple root."""
     return [scale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
-            for i, (a, w) in enumerate(zip(rs.simple_roots(), ambient_coweights(rs)))]
+            for i, (a, w) in enumerate(zip(simple_roots(rs), ambient_coweights(rs)))]
 
 
 def test_rank_one_enumeration():
@@ -92,7 +92,7 @@ def test_coordinate_validation():
         weights.root_pairings("S:2", (1, 2))
     with pytest.raises(UnknownSpace):
         weights.root_pairings("S:2", (-1,))
-    with pytest.raises(UnknownSpace):
+    with pytest.raises(DomainError):
         _box("S:2", -1)
 
 

@@ -205,3 +205,23 @@ def test_non_finite_arguments_rejected(s, tol):
 def test_hurwitz_relation_domain():
     with pytest.raises(DomainError):
         hurwitz_relation_check(3, 2.0)
+    with pytest.raises(DomainError):
+        hurwitz_relation_check(2, 2000.0)     # 0.5^(-2000) is past the float range
+
+
+@pytest.mark.parametrize("run,s", [(partial(zeta_type_II, "E8"), 0.05),
+                                   (partial(zeta_type_I, "EI"), 0.1),
+                                   (partial(zeta_type_II, "SU:3"), 2 / 3)])
+def test_proven_divergence_sums_no_box(monkeypatch, run, s):
+    # s J <= rank, J the number of linear factors: divergent by the shell count
+    def no_box(*args):
+        raise AssertionError("a box was summed")
+    monkeypatch.setattr(zeta.weights, "box_chunks", no_box)
+    with pytest.raises(DivergenceError, match="<= rank"):
+        run(s)
+
+
+def test_su3_past_the_proven_bound_still_sums_boxes():
+    # 0.7 * 3 > 2: no proof of divergence, the box-doubling heuristic decides
+    with pytest.raises(DivergenceError, match="accelerate"):
+        zeta_type_II("SU:3", 0.7)
