@@ -10,6 +10,7 @@ import json
 import math
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__, dims, genseries, partition, rootdata, sphere_oracle, zeta
 from .errors import WittenZetaError
@@ -27,11 +28,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_list(text: str, conv):
     return [conv(tok) for tok in text.split(",") if tok != ""]
-
-
-def _fraction_list(text: str):
-    from fractions import Fraction
-    return [Fraction(tok) for tok in text.split(",") if tok != ""]
 
 
 def build_parser() -> _Parser:
@@ -158,7 +154,7 @@ def _run(args) -> dict | list:
         surface = SurfaceParams(genus=args.genus, area=args.area, holonomies=thetas)
         return partition.boundary_state(args.space, surface, args.tol).as_dict()
     if cmd == "genseries":
-        kappa = _fraction_list(args.kappa)
+        kappa = _csv_list(args.kappa, Fraction)
         tpoint = _csv_list(args.T, float)
         direct = genseries.gen_series_direct(kappa, tpoint, args.tol)
         out = direct.as_dict()
@@ -168,7 +164,7 @@ def _run(args) -> dict | list:
         return out
     if cmd == "pizeta":
         pi = _csv_list(args.pi, int)
-        kappa = _fraction_list(args.kappa)
+        kappa = _csv_list(args.kappa, Fraction)
         return genseries.pi_series(pi, kappa, args.tol).as_dict()
     if cmd == "zetagen":
         value = genseries.zeta_values_from_rank_one(args.space, args.s)
@@ -190,8 +186,6 @@ def _run(args) -> dict | list:
 
 
 def _selfcheck() -> dict:
-    from fractions import Fraction
-
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):

@@ -11,16 +11,19 @@ Float sums use a third form compiled from the per-root cases: each factor
 expands into terms (p + c)/c linear in the root pairing p, with c > 0, so
 a dimension is prod_j (L[:, j] . n + c_j)/c_j over an integer matrix L.
 The Weyl dimension of a group has the same form.  The compiled table also
-carries the Casimir c2(n) as a quadratic form over the same basis.
+carries the Casimir c2(n) as a quadratic form over the same basis, and a
+one-coordinate table its factored form c prod_k (n + kappa_k)^xi_k, the
+kappas being the shifts over the pairings, for spaces and groups alike.
 """
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import mul, truediv
 
 from . import rootdata, weights
 from .errors import InconsistentMultiplicities, NotRankOne, PoleError
@@ -214,23 +217,12 @@ def float_and_log(value: Q) -> tuple[float | None, float]:
 # type II: Weyl dimension formula
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _group_tables(group_id: str):
-    """Over the fundamental weights b_i = (|alpha_i|^2 / 2) w_i: the coroot
-    pairings (b_i, alpha^v), one row per i and one column per positive root
-    alpha, and the shifts (rho, alpha^v) = 2 (rho, alpha)/(alpha, alpha)."""
-    rs = rootdata.lookup_group(group_id).root_system
-    # (b_i, alpha^v) = (2 b_i, alpha)/(alpha, alpha), with 2 b_i = |alpha_i|^2 w_i
-    return (rs.pairing_matrix(rs.norms[:rs.rank]),
-            tuple(2 * p for p in rs.rho_pairings((1,) * len(rs.norms))))
-
-
 def dim_type_II(group_id: str, coords: weights.Coords) -> int:
     """Weyl dimension of the irreducible representation with the given labels."""
-    pairing, shifts = _group_tables(group_id)
-    weights.check_coords(coords, len(pairing))
+    table = compile_group(group_id)
+    weights.check_coords(coords, len(table.pairing))
     acc = Q(1)
-    for column, den in zip(zip(*pairing), shifts):
+    for column, den in zip(zip(*table.pairing), table.shifts):
         acc *= (sum(map(mul, coords, column)) + den) / den
     if acc.denominator != 1:
         raise AssertionError("Weyl dimension came out non-integral")
@@ -301,6 +293,16 @@ class LinearFactors:
             grouped.setdefault(column, []).append(float(c))
         return tuple((column, tuple(cs)) for column, cs in grouped.items())
 
+    @cached_property
+    def factored(self) -> FactoredDimPolynomial:
+        """d(n) = c prod_k (n + kappa_k)^xi_k of a one-row table: each factor
+        (L_j n + c_j)/c_j is (n + kappa_j)/kappa_j with kappa_j = c_j / L_j."""
+        if len(self.pairing) != 1:
+            raise NotRankOne(f"a table of {len(self.pairing)} rows has no factored form")
+        factors = tuple(sorted(Counter(map(truediv, self.shifts, self.pairing[0])).items()))
+        return FactoredDimPolynomial(c=1 / math.prod(k ** xi for k, xi in factors),
+                                     factors=factors)
+
     def dim_float(self, coords: weights.Coords) -> float:
         """d(n) at one weight, in floats."""
         weights.check_coords(coords, len(self.pairing))
@@ -370,12 +372,18 @@ def compile_space(space_id: str) -> LinearFactors:
 
 @lru_cache(maxsize=None)
 def compile_group(group_id: str) -> LinearFactors:
-    """Weyl dimension of a group as compiled linear factors."""
-    pairing, shifts = _group_tables(group_id)
+    """Weyl dimension of a group as compiled linear factors.
+
+    Over the fundamental weights b_i = (|alpha_i|^2 / 2) w_i: the coroot
+    pairings (b_i, alpha^v), one row per i and one column per positive root
+    alpha, and the shifts (rho, alpha^v) = 2 (rho, alpha)/(alpha, alpha).
+    """
     rs = rootdata.lookup_group(group_id).root_system
-    return LinearFactors(pairing=pairing, shifts=shifts,
-                         **_casimir_form(rs, tuple(a / 2 for a in rs.norms[:rs.rank]),
-                                         (1,) * len(shifts)))
+    ones = (1,) * len(rs.norms)
+    # (b_i, alpha^v) = (2 b_i, alpha)/(alpha, alpha), with 2 b_i = |alpha_i|^2 w_i
+    return LinearFactors(pairing=rs.pairing_matrix(rs.norms[:rs.rank]),
+                         shifts=tuple(2 * p for p in rs.rho_pairings(ones)),
+                         **_casimir_form(rs, tuple(a / 2 for a in rs.norms[:rs.rank]), ones))
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +420,6 @@ class FactoredDimPolynomial:
         return tuple(coeffs)
 
 
-def _merge_factors(kappas: list[Q]) -> tuple[tuple[Q, int], ...]:
-    counts: dict[Q, int] = {}
-    for k in kappas:
-        counts[k] = counts.get(k, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 @lru_cache(maxsize=None)
 def rank_one_factored(space_id: str) -> FactoredDimPolynomial:
     """Factored dimension polynomial of a rank-one space."""
@@ -430,18 +431,11 @@ def rank_one_factored(space_id: str) -> FactoredDimPolynomial:
     if len(roots) != 1:
         raise NotRankOne(f"{space_id}: expected one indivisible root")
     p = roots[0].params
-    # (L n + c)/c = (n + c/L)/(c/L): the kappas are the shifts over the pairing
-    table = compile_space(space_id)
-    kappas = [c / lj for c, lj in zip(table.shifts, table.pairing[0])]
-    if any(k <= 0 for k in kappas):
+    poly = compile_space(space_id).factored
+    if any(k <= 0 for k, _ in poly.factors):
         raise AssertionError(f"{space_id}: nonpositive kappa in factorization")
-    if any((2 * k).denominator != 1 for k in kappas):
+    if any((2 * k).denominator != 1 for k, _ in poly.factors):
         raise AssertionError(f"{space_id}: kappa is not a half-integer")
-    factors = _merge_factors(kappas)
-    c = Q(1)
-    for kappa, xi in factors:
-        c /= kappa ** xi
-    poly = FactoredDimPolynomial(c=c, factors=factors)
     if poly.degree != p.m + p.m2:
         raise AssertionError(f"{space_id}: degree {poly.degree} != {p.m + p.m2}")
     return poly

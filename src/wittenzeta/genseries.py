@@ -122,13 +122,19 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
 
     The shells are the blocks between the checkpoints 16, 32, 64, ... terms
-    past n = 1; the tail after each is certified where the formula is valid
-    from there, and unbounded before that.
+    past n = 1.  The tail after each is pinned where that formula is valid
+    from there; before that it is bounded to first order: every p_j > 0 and
+    n + kappa_min > 0, so each term is at most (n + kappa_min)^(-P), P the
+    sum of the powers, and the tail at most zeta(P, n + kappa_min).
     """
-    if sum(powers) <= 1.0:
+    total = sum(powers)
+    if not all(map(math.isfinite, (*powers, total, scale_log))):
+        raise DomainError("series powers and scale must be finite")
+    if total <= 1.0:
         raise DivergenceError("series diverges: total exponent <= 1")
     cap = term_cap()
     factors = list(zip(powers, kappas))
+    kappa_min = min(kappas)
 
     def shells():
         n, checkpoint = 1, 16
@@ -142,7 +148,8 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
                 tail, bound = shifted_product_tail(kappas, powers, n)
                 yield block, count, _scaled(scale_log, tail), _scaled(scale_log, bound)
             else:
-                yield block, count, 0.0, math.inf
+                value, err = hurwitz_zeta_certified(total, n + kappa_min)
+                yield block, count, 0.0, _scaled(scale_log, value + err)
             checkpoint *= 2
 
     return drive(shells(), tolerance, cap)

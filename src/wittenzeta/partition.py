@@ -207,31 +207,26 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     return genseries.drive(shells(), tolerance, cap)
 
 
-def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: int,
+def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,
                tolerance: float) -> EvalResult:
-    if len(table.lin) == 1:
-        return _rank_one_heat_sum(table, float(exponent), surface.area, tolerance)
-    return _shell_heat_sum(table, float(exponent), surface.area, tolerance)
+    if surface.area == 0.0:
+        return zeta._zeta(table, exponent, tolerance, None)
+    heat_sum = _rank_one_heat_sum if len(table.lin) == 1 else _shell_heat_sum
+    return heat_sum(table, exponent, surface.area, tolerance)
 
 
 def partition_type_II(group_id: str, surface: SurfaceParams,
                       tolerance: float = 1e-8) -> EvalResult:
     """sum over dominant weights of q^{c2} / d^{2g-2}."""
-    exponent = 2 * surface.genus - 2
-    if surface.area == 0.0:
-        return zeta.zeta_type_II(group_id, float(exponent), tolerance)
-    return _partition(dims.compile_group(group_id), surface, exponent, tolerance)
+    return _partition(dims.compile_group(group_id), surface, float(2 * surface.genus - 2),
+                      tolerance)
 
 
 def partition_type_I(space_id: str, surface: SurfaceParams,
                      tolerance: float = 1e-8) -> EvalResult:
     """sum over class-one weights of q^{c2} / d^{2g-1}."""
-    space = rootdata.lookup_space(space_id)
-    space.require_mult()
-    exponent = 2 * surface.genus - 1
-    if surface.area == 0.0:
-        return zeta.zeta_type_I(space_id, float(exponent), tolerance)
-    return _partition(dims.compile_space(space_id), surface, exponent, tolerance)
+    return _partition(dims.compile_space(space_id), surface, float(2 * surface.genus - 1),
+                      tolerance)
 
 
 def so3_character(n: int, theta: float) -> float:

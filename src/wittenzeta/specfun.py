@@ -55,6 +55,8 @@ def _log_gamma_complex(z: complex) -> complex:
 
 def log_gamma(x: float | complex) -> float | complex:
     """Principal-branch log Gamma; float in, float out for positive reals."""
+    if cmath.isnan(x):
+        raise DomainError(f"log_gamma requires a number, got {x}")
     if isinstance(x, complex):
         if x.imag == 0.0:
             return log_gamma(x.real)
@@ -74,7 +76,7 @@ def bernoulli_polynomial(n: int, x: float) -> float:
 
 def digamma(x: float) -> float:
     """psi(x) for x > 0, via recurrence shift plus the asymptotic series."""
-    if x <= 0.0:
+    if not x > 0.0:     # written so that a NaN fails too
         raise DomainError(f"digamma requires x > 0, got {x}")
     acc = 0.0
     while x < 12.0:

@@ -1,42 +1,26 @@
 """Witten zeta functions of both types.
 
-Rank-one targets get a certified evaluation: explicit terms plus a tail
-that is pinned to a Hurwitz zeta with a rigorous correction bound.  Higher
-ranks use growing-box summation: each pass adds the shell between the last
-box and a box of twice its side, and the size of that shell stands in for
-the tail beyond it.  The result is flagged as non-rigorous because no
-analytic convergence region is available there.  Both run through
+Both types sum d(n)^(-s) over the weight cone, with d read off the compiled
+table of the space or group (``dims.compile_space``, ``dims.compile_group``),
+and both go through ``_zeta``.  Rank-one tables get a certified evaluation
+of their factored form: explicit terms plus a tail that is pinned to a
+Hurwitz zeta with a rigorous correction bound.  Higher ranks use
+growing-box summation: each pass adds the shell between the last box and a
+box of twice its side, and the size of that shell stands in for the tail
+beyond it.  The result is flagged as non-rigorous because no analytic
+convergence region is available there.  Both run through
 ``genseries.drive``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from fractions import Fraction as Q
 from itertools import chain
 
-from . import dims, genseries, rootdata, weights
+from . import dims, genseries, weights
 from .errors import DivergenceError, DomainError
 from .result import EvalResult
 from .specfun import hurwitz_zeta, riemann_zeta
-
-_UNIT_POLY = dims.FactoredDimPolynomial(c=Q(1), factors=((Q(1), 1),))
-
-
-def _rank_one_power_series(poly: dims.FactoredDimPolynomial, s: float,
-                           tolerance: float) -> EvalResult:
-    """sum_{n>=0} d(n)^(-s) for a factored polynomial d with d(0) = 1."""
-    degree = poly.degree
-    if s * degree <= 1.0:
-        raise DivergenceError(
-            f"series diverges: s * (dim - 1) = {s * degree} <= 1"
-        )
-    kappas = [float(k) for k, _ in poly.factors]
-    powers = [s * xi for _, xi in poly.factors]
-    scale_log = -s * math.log(float(poly.c))
-    tail_part = genseries._sum_with_tail(kappas, powers, tolerance, scale_log)
-    return replace(tail_part, value=1.0 + tail_part.value,
-                   terms_used=tail_part.terms_used + 1)
 
 
 def _growing_box(batch_term, rank: int, tolerance: float, max_box: int) -> EvalResult:
@@ -82,18 +66,26 @@ def _check_s(s: float) -> None:
         raise DomainError(f"s must be finite, got {s}")
 
 
-def _lattice_zeta(table: dims.LinearFactors, s: float, tolerance: float,
-                  max_box: int | None) -> EvalResult:
-    """The growing-box sum of d(n)^(-s) over a higher-rank lattice.
+def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
+          max_box: int | None) -> EvalResult:
+    """sum over the weight cone of d(n)^(-s), d given by a compiled table.
 
     A proven divergence: d is a product of J linear factors, so on the shell
     of sup-norm t, which holds at least t^(rank-1) points, d <= C t^J, and
-    the sum diverges when s J <= rank.
+    the sum diverges when s J <= rank.  Rank one sums the certified series
+    of the factored form (``max_box`` is not used); higher ranks, the
+    growing box.
     """
     rank, factors = len(table.pairing), len(table.shifts)
     if s * factors <= rank:
         raise DivergenceError(f"series diverges: s * {factors} linear factors = "
                               f"{s * factors} <= rank {rank}")
+    if rank == 1:    # 1 + sum_{n>=1} d(n)^(-s), d(n) = c prod_k (n + kappa_k)^xi_k
+        poly = table.factored
+        tail = genseries._sum_with_tail([float(k) for k, _ in poly.factors],
+                                        [s * xi for _, xi in poly.factors], tolerance,
+                                        -s * math.log(float(poly.c)))
+        return replace(tail, value=1.0 + tail.value, terms_used=tail.terms_used + 1)
     import numpy as np
     if max_box is None:
         max_box = {2: 2048, 3: 128}.get(rank, 24)
@@ -109,12 +101,7 @@ def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
                 max_box: int | None = None) -> EvalResult:
     """sum over class-one dominant weights of dim^(-s)."""
     _check_s(s)
-    space = rootdata.lookup_space(space_id)
-    space.require_mult()
-    if space.rank == 1:
-        poly = dims.rank_one_factored(space_id)
-        return _rank_one_power_series(poly, s, tolerance)
-    return _lattice_zeta(dims.compile_space(space_id), s, tolerance, max_box)
+    return _zeta(dims.compile_space(space_id), s, tolerance, max_box)
 
 
 def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
@@ -125,11 +112,7 @@ def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
     ``converged=False`` and its last tail estimate.
     """
     _check_s(s)
-    group = rootdata.lookup_group(group_id)
-    if group.rank == 1:
-        # every rank-one compact group has d(n) = n + 1 on its weight ray
-        return _rank_one_power_series(_UNIT_POLY, s, tolerance)
-    return _lattice_zeta(dims.compile_group(group_id), s, tolerance, max_box)
+    return _zeta(dims.compile_group(group_id), s, tolerance, max_box)
 
 
 def hurwitz_relation_check(m: int, s: float) -> dict:

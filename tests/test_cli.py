@@ -234,6 +234,7 @@ def test_domain_error_exit_code():
     ("pizeta", "--pi", "1,1", "--kappa", "1,1e400"),
     ("genseries", "--kappa", "1e400,2", "--T", "0,0"),
     ("zeta", "--space", "AI:3", "--s", "2", "--max-box", "-1"),
+    ("zeta", "--space", "S:5", "--s", "1e308"),
 ])
 def test_non_finite_input_exit_code(args):
     proc = run_cli(*args)
@@ -343,6 +344,8 @@ def _cold_run(command):
     "partition --space S:3 --genus 1 --area 0.01",
     "dim --space EVIII --coords 1,1,1,1,1,1,1,1",
     "spaces --format json",
+    "zeta2 --group SU:2 --s 2",
+    "partition2 --group SO:3 --genus 2 --area 0",
 ])
 def test_cold_command_does_not_load_numpy(command):
     probe = _cold_run(command)

@@ -368,11 +368,14 @@ def test_rank_one_factored_table(space_id):
     assert poly.factors == factors
 
 
-@pytest.mark.parametrize("space_id", sorted(EXPECTED_FACTORED))
-def test_factored_matches_dimension_everywhere(space_id):
-    poly = rank_one_factored(space_id)
+@pytest.mark.parametrize("ident", sorted(EXPECTED_FACTORED) + ["SU:2", "SO:3", "Sp:1"])
+def test_factored_matches_dimension_everywhere(ident):
+    if ident in EXPECTED_FACTORED:
+        poly, exact = rank_one_factored(ident), partial(dim_class_one, ident)
+    else:
+        poly, exact = dims.compile_group(ident).factored, partial(dim_type_II, ident)
     for n in range(201):
-        assert poly.evaluate(n) == dim_class_one(space_id, (n,))
+        assert poly.evaluate(n) == exact((n,))
 
 
 def test_factored_structural_invariants():

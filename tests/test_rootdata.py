@@ -244,7 +244,7 @@ def test_rho_recomputation_both_forms():
 def test_rho_is_cached():
     space = lookup_space("EVIII")
     assert space.rho_pairings is space.rho_pairings
-    assert dims._group_tables("E8") is dims._group_tables("E8")
+    assert dims.compile_group("E8").shifts is dims.compile_group("E8").shifts
 
 
 TABLE3 = {"S:2": Q(1, 2), "S:4": Q(3, 2), "S:7": Q(3), "CP:2": Q(2),
@@ -393,7 +393,7 @@ def test_group_tables_match_ambient_computation():
     for gid in _FINGERPRINT_GROUPS:
         rs = rootdata.lookup_group(gid).root_system
         rho = ambient_rho([1] * len(rs.positive_roots), rs.positive_roots)
-        pairing, shifts = dims._group_tables(gid)
+        pairing, shifts = dims.compile_group(gid).pairing, dims.compile_group(gid).shifts
         assert pairing == tuple(tuple(2 * dot(w, a) / dot(a, a) for a in rs.positive_roots)
                                 for w in fundamental_weights(rs)), gid
         assert shifts == tuple(2 * dot(rho, a) / dot(a, a) for a in rs.positive_roots), gid

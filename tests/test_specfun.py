@@ -35,6 +35,12 @@ def test_log_gamma_poles():
             log_gamma(x)
 
 
+@pytest.mark.parametrize("x", [math.nan, complex(math.nan, 0.0), complex(1.0, math.nan)])
+def test_log_gamma_rejects_nan(x):
+    with pytest.raises(DomainError):
+        log_gamma(x)
+
+
 def test_log_gamma_complex_against_real():
     for x in (0.7, 1.3, 4.25, 11.5):
         assert log_gamma(complex(x, 0.0)) == pytest.approx(math.lgamma(x), rel=1e-12)
@@ -106,6 +112,8 @@ def test_digamma_domain():
         digamma(0.0)
     with pytest.raises(DomainError):
         digamma(-2.5)
+    with pytest.raises(DomainError):
+        digamma(math.nan)
 
 
 def test_riemann_zeta_against_brute_force():

@@ -8,6 +8,7 @@ import pytest
 
 from wittenzeta import dims, rootdata, zeta
 from wittenzeta.errors import DivergenceError, DomainError, UnsupportedSpace
+from wittenzeta.partition import SurfaceParams, partition_type_II
 from wittenzeta.zeta import hurwitz_relation_check, zeta_type_I, zeta_type_II
 
 
@@ -24,12 +25,33 @@ def test_s2_at_two_is_odd_basel():
 
 @pytest.mark.parametrize("run,s", [(partial(zeta_type_I, "S:2"), 1e308),
                                    (partial(zeta_type_II, "SU:2"), 1e308),
-                                   (partial(zeta_type_I, "S:3"), 1e200)])
+                                   (partial(zeta_type_I, "S:3"), 1e200),
+                                   (partial(zeta_type_I, "S:5"), 1e300)])
 def test_rank_one_at_huge_s_is_one(run, s):
-    # every term past d(0) = 1 underflows; the certified tail is 0, not NaN
+    # every term past d(0) = 1 underflows; the certified tail is 0, not NaN.
+    # S:5 has unequal shifts, so only the first-order tail bound is valid there
     res = run(s, 1e-8)
     assert res.value == 1.0 and res.converged and res.rigorous
     assert res.tail_bound == 0.0 and res.terms_used == 17
+
+
+def test_rank_one_past_the_float_scale_is_a_domain_error():
+    # s log(1/c) overflows to inf for S:5 at s = 1e308
+    with pytest.raises(DomainError):
+        zeta_type_I("S:5", 1e308)
+
+
+@pytest.mark.parametrize("group_id", ["SU:2", "SO:3", "Sp:1"])
+def test_rank_one_groups_share_one_table_path(group_id):
+    # every rank-one group has d(n) = n + 1; only the Casimir scale differs
+    expected = zeta_type_II("SU:2", 2.0).as_dict()
+    assert zeta_type_II(group_id, 2.0).as_dict() == expected
+    assert partition_type_II(group_id, SurfaceParams(2, 0.0)).as_dict() == expected
+    res = partition_type_II(group_id, SurfaceParams(2, 0.1))
+    table = dims.compile_group(group_id)
+    direct = math.fsum(math.exp(-0.1 * table.casimir((n,)))
+                       / dims.dim_type_II(group_id, (n,)) ** 2 for n in range(400))
+    assert res.converged and abs(res.value - direct) <= res.tail_bound + 1e-15
 
 
 def test_lattice_at_huge_s_warns_nothing():
@@ -211,7 +233,9 @@ def test_hurwitz_relation_domain():
 
 @pytest.mark.parametrize("run,s", [(partial(zeta_type_II, "E8"), 0.05),
                                    (partial(zeta_type_I, "EI"), 0.1),
-                                   (partial(zeta_type_II, "SU:3"), 2 / 3)])
+                                   (partial(zeta_type_II, "SU:3"), 2 / 3),
+                                   (partial(zeta_type_I, "S:2"), 1.0),
+                                   (partial(zeta_type_II, "SU:2"), 1.0)])
 def test_proven_divergence_sums_no_box(monkeypatch, run, s):
     # s J <= rank, J the number of linear factors: divergent by the shell count
     def no_box(*args):
