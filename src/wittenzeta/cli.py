@@ -53,13 +53,13 @@ def build_parser() -> _Parser:
     p.add_argument("--space", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-box", type=int, default=None)
+    p.add_argument("--max-box", type=int, default=None, help="cap on the box side")
 
     p = sub.add_parser("zeta2", help="type II Witten zeta value")
     p.add_argument("--group", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-box", type=int, default=None)
+    p.add_argument("--max-box", type=int, default=None, help="cap on the box side")
 
     p = sub.add_parser("partition", help="type I partition series")
     p.add_argument("--space", required=True)

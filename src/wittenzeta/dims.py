@@ -261,7 +261,7 @@ class LinearFactors:
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
         import numpy as np
-        return (np.array(self.pairing, dtype=np.int64),
+        return (np.array(self.pairing, dtype=float),     # exact, and a BLAS product
                 np.array([float(c) for c in self.shifts]))
 
     @cached_property

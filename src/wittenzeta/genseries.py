@@ -47,15 +47,15 @@ def _check_tolerance(tolerance: float) -> None:
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
 
-def drive(shells, tolerance: float, cap: int, rigorous: bool = True) -> EvalResult:
+def drive(shells, tolerance: float, cap: int) -> EvalResult:
     """Sum a series shell by shell until its tail bound meets the tolerance.
 
     ``shells`` yields (shell sum, term count, tail estimate, tail bound), the
-    tail covering every term after the shell.  The sum stops when the bound
-    is at most ``tolerance``, when ``cap`` terms are used, or when the shells
-    run out; its value is the running total plus the last tail estimate.
-    A tolerance that is not finite and positive is rejected before the first
-    shell.
+    tail covering every term after the shell; every bound is rigorous.  The
+    sum stops when the bound is at most ``tolerance``, when ``cap`` terms are
+    used, or when the shells run out; its value is the running total plus
+    the last tail estimate.  A tolerance that is not finite and positive is
+    rejected before the first shell.
     """
     _check_tolerance(tolerance)
     total, terms, estimate, bound = 0.0, 0, 0.0, math.inf
@@ -65,24 +65,32 @@ def drive(shells, tolerance: float, cap: int, rigorous: bool = True) -> EvalResu
         if bound <= tolerance or terms >= cap:
             break
     return EvalResult(value=total + estimate, tail_bound=bound, terms_used=terms,
-                      converged=bound <= tolerance, rigorous=rigorous)
+                      converged=bound <= tolerance)
 
 
-def tail_start_ok(kappas: list[float], powers: list[float], start: int) -> bool:
-    """Whether the certified tail formula is valid from this start index."""
-    total = sum(powers)
-    kbar = sum(p * k for p, k in zip(powers, kappas)) / total
-    a = start + kbar
-    if a <= 1.0:
-        return False
-    spread = max((abs(k - kbar) for k in kappas), default=0.0)
-    v = sum(p * (k - kbar) ** 2 for p, k in zip(powers, kappas))
-    return spread <= 0.5 * a and v <= 0.5 * a * a
+def sum_region(certify, terms, tolerance: float) -> EvalResult:
+    """Sum over a lattice region whose tail is certified before any term is:
+    ``certify(cap)`` gives the region's row chunks, its point count (within
+    ``cap``) and the bound outside it; ``terms`` maps a chunk to its terms.
+    Each chunk is one exactly rounded fsum, and the bound comes with the last.
+    """
+    cap = term_cap()
+
+    def shells():
+        # drive rejects a bad tolerance before it asks for the first shell
+        chunks, count, bound = certify(cap)
+        done = 0
+        for rows in chunks:
+            done += len(rows)
+            last = done == count
+            yield math.fsum(terms(rows).tolist()), len(rows), 0.0, bound if last else math.inf
+
+    return drive(shells(), tolerance, cap)
 
 
-def shifted_product_tail(kappas: list[float], powers: list[float],
-                         start: int) -> tuple[float, float]:
-    """Certified (value, bound) for sum_{n >= start} prod_j (n+kappa_j)^(-p_j).
+def certified_tail(kappas: list[float], powers: list[float]):
+    """start -> certified (estimate, bound) of sum_{n >= start} prod_j
+    (n+kappa_j)^(-p_j), every p_j > 0, their sum P > 1, start > -kappa_min.
 
     The product is pinned to (n + kbar)^(-P) with kbar the power-weighted
     mean shift, so the first-order deviation vanishes and the remainder is
@@ -91,18 +99,30 @@ def shifted_product_tail(kappas: list[float], powers: list[float],
         |prod - (n+kbar)^(-P)| <= 2 V (n+kbar)^(-P-2)
 
     valid for n + kbar >= 2 max|kappa_j - kbar| and V <= (n+kbar)^2 / 2.
+    Before that the tail is bounded to first order: each term is at most
+    (n + kappa_min)^(-P), so the tail is at most zeta(P, start + kappa_min).
     """
-    total = float(sum(powers))
-    if total <= 1.0:
-        raise DivergenceError(f"total exponent {total} gives a divergent tail")
-    if not tail_start_ok(kappas, powers, start):
-        raise DomainError("tail start too small for the certified bound")
+    total = sum(powers)
     kbar = sum(p * k for p, k in zip(powers, kappas)) / total
+    spread = max(abs(k - kbar) for k in kappas)
     v = sum(p * (k - kbar) ** 2 for p, k in zip(powers, kappas))
-    main, err = hurwitz_zeta_certified(total, start + kbar)
-    bound = err
+    kappa_min = min(kappas)
+
+    def tail(start: int) -> tuple[float, float]:
+        a = start + kbar
+        if a > 1.0 and spread <= 0.5 * a and v <= 0.5 * a * a:
+            return shifted_product_tail(total, v, a)
+        value, err = hurwitz_zeta_certified(total, start + kappa_min)
+        return 0.0, value + err
+
+    return tail
+
+
+def shifted_product_tail(total: float, v: float, a: float) -> tuple[float, float]:
+    """The pinned tail zeta(P, start + kbar) of ``certified_tail``, and its bound."""
+    main, bound = hurwitz_zeta_certified(total, a)
     if v > 0.0:
-        corr, corr_err = hurwitz_zeta_certified(total + 2.0, start + kbar)
+        corr, corr_err = hurwitz_zeta_certified(total + 2.0, a)
         bound += 2.0 * v * (corr + corr_err)
     return main, bound
 
@@ -122,10 +142,7 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
 
     The shells are the blocks between the checkpoints 16, 32, 64, ... terms
-    past n = 1.  The tail after each is pinned where that formula is valid
-    from there; before that it is bounded to first order: every p_j > 0 and
-    n + kappa_min > 0, so each term is at most (n + kappa_min)^(-P), P the
-    sum of the powers, and the tail at most zeta(P, n + kappa_min).
+    past n = 1, and the tail after each is ``certified_tail``'s.
     """
     total = sum(powers)
     if not all(map(math.isfinite, (*powers, total, scale_log))):
@@ -134,7 +151,7 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
         raise DivergenceError("series diverges: total exponent <= 1")
     cap = term_cap()
     factors = list(zip(powers, kappas))
-    kappa_min = min(kappas)
+    tails = certified_tail(kappas, powers)
 
     def shells():
         n, checkpoint = 1, 16
@@ -144,12 +161,8 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
             for m in range(n, stop):
                 block += math.exp(scale_log - sum(p * math.log(m + k) for p, k in factors))
             count, n = stop - n, stop
-            if tail_start_ok(kappas, powers, n):
-                tail, bound = shifted_product_tail(kappas, powers, n)
-                yield block, count, _scaled(scale_log, tail), _scaled(scale_log, bound)
-            else:
-                value, err = hurwitz_zeta_certified(total, n + kappa_min)
-                yield block, count, 0.0, _scaled(scale_log, value + err)
+            tail, bound = tails(n)
+            yield block, count, _scaled(scale_log, tail), _scaled(scale_log, bound)
             checkpoint *= 2
 
     return drive(shells(), tolerance, cap)
@@ -192,7 +205,7 @@ def pi_series(pi: list[int], kappa: list[Q | float],
     kappas = _finite_floats(kappa, "kappa")
     if any(k <= 0 for k in kappas):
         raise DomainError("kappa entries must be positive")
-    powers = [1.0 + p for p in pi]
+    powers = [1.0 + p for p in _finite_floats(pi, "pi")]
     if sum(powers) < 2.0:
         raise DivergenceError("sum of (1 + pi_j) must be at least 2")
     return _sum_with_tail(kappas, powers, tolerance)
@@ -282,15 +295,13 @@ def zeta_values_from_rank_one(space_id: str, s: int,
         pi.append(s * xi - 1)
         kappa.append(k)
     # the c^{-s} prefactor amplifies the series error, so tighten accordingly;
-    # the floor keeps an underflowed tolerance positive
-    inner_tol = max(tolerance * float(poly.c) ** s, 1e-300)
+    # the clamp keeps an underflowed tolerance positive and an overflowed one finite
+    log_c = math.log(float(poly.c))
+    inner_tol = min(max(_scaled(s * log_c, tolerance), 1e-300), 1e300)
     series = pi_series(pi, kappa, inner_tol)
     if not series.converged:
         raise NotConverged(
             f"zeta_values_from_rank_one({space_id}, {s}) unmet tolerance {tolerance} "
             f"(series tail bound {series.tail_bound:.3g} after {series.terms_used} terms)"
         )
-    n0_term = 1.0
-    for k, xi in poly.factors:
-        n0_term *= float(k) ** (-s * xi)
-    return float(poly.c) ** (-s) * (n0_term + series.value)
+    return 1.0 + _scaled(-s * log_c, series.value)

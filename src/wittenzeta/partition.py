@@ -122,7 +122,8 @@ def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
 def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
                     tolerance: float, cap: int) -> tuple[int, float]:
     """The least grade K whose majorant tail is at most ``tolerance``, and
-    that tail; the largest K within ``cap`` terms when none is.
+    that tail; when no K within ``cap`` terms is, the least K whose tail is
+    within twice that of the largest K within ``cap`` terms.
 
     The majorant sum_n prod_i h_i(n_i) is the product of the one-coordinate
     series H_i(z) = sum_m h_i(m) z^m at z = 1, and its part beyond grade K
@@ -161,12 +162,11 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
         tails = np.append(np.cumsum(coeffs[::-1])[::-1], 0.0)[1:cut + 2] + spill
         with np.errstate(divide="ignore"):
             log_tails = np.log(tails) + scale.sum()
+        if cut == k_cap and log_tails[cut] > log_tol:
+            log_tol = log_tails[cut] + math.log(2.0)
         fits = np.flatnonzero(log_tails <= log_tol)
         if fits.size:
             grade = int(fits[0])
-            break
-        if cut == k_cap:
-            grade = k_cap
             break
         cut = min(2 * cut, k_cap)
     log_tail = float(log_tails[grade])
@@ -188,23 +188,20 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     ``_majorant_grade`` turns the majorant into the least grade K whose
     tail beyond it meets the tolerance, and the weights of coordinate sum
     <= K are summed in chunks of ``weights.simplex_chunks``.  When the cap
-    cannot hold that grade, the largest grade it holds is summed, and the
-    result, not converged, carries its bound.
+    cannot hold that grade, the result is not converged and carries the
+    bound of the grade ``_majorant_grade`` falls back to.
     """
     import numpy as np
-    cap = genseries.term_cap()
     rank = len(table.lin)
 
-    def shells():
-        # drive rejects a bad tolerance before it asks for the first shell
+    def certify(cap):
         grade, bound = _majorant_grade(table, exponent, area, tolerance, cap)
-        total, done = math.comb(grade + rank, rank), 0
-        for rows in weights.simplex_chunks(rank, grade):
-            terms = np.exp(-area * table.casimirs(rows) - exponent * table.log_dims(rows))
-            done += len(rows)
-            yield math.fsum(terms.tolist()), len(rows), 0.0, bound if done == total else math.inf
+        return weights.simplex_chunks(rank, grade), math.comb(grade + rank, rank), bound
 
-    return genseries.drive(shells(), tolerance, cap)
+    def terms(rows):
+        return np.exp(-area * table.casimirs(rows) - exponent * table.log_dims(rows))
+
+    return genseries.sum_region(certify, terms, tolerance)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,

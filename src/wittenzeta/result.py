@@ -8,9 +8,9 @@ from dataclasses import dataclass
 class EvalResult:
     """Value of a summed series together with an explicit tail estimate.
 
-    ``tail_bound`` is a rigorous bound when ``rigorous`` is True and a
-    heuristic otherwise: the sum of the last box-doubling shell.
-    ``converged`` means the bound met the requested tolerance.
+    ``tail_bound`` is a rigorous bound on the error of ``value``, on every
+    path, so ``rigorous`` is always True.  ``converged`` means the bound met
+    the requested tolerance.
     """
 
     value: float

@@ -135,23 +135,16 @@ def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
 CHUNK_ROWS = 1 << 15
 
 
-def box_chunks(rank: int, box: int, inner: int = -1) -> Iterator[np.ndarray]:
-    """Every point of [0, box]^rank outside [0, inner]^rank once, in int64
-    arrays of <= CHUNK_ROWS rows.
-
-    The points are cut into slabs by their first coordinate above ``inner``;
-    with the default ``inner`` the one slab is the whole box.
-    """
+def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:
+    """Every point of [0, box]^rank once, in lex order, in int64 arrays of
+    <= CHUNK_ROWS rows."""
     import numpy as np
     if box < 0:
         raise DomainError("box_bound must be >= 0")
-    for axis in range(rank):
-        sides = [inner + 1] * axis + [max(box - inner, 0)] + [box + 1] * (rank - axis - 1)
-        total = math.prod(sides)
-        for start in range(0, total, CHUNK_ROWS):
-            index = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
-            chunk = np.empty((len(index), rank), dtype=np.int64)
-            for ax in range(rank - 1, -1, -1):
-                index, chunk[:, ax] = np.divmod(index, sides[ax])
-            chunk[:, axis] += inner + 1
-            yield chunk
+    total = (box + 1) ** rank
+    for start in range(0, total, CHUNK_ROWS):
+        index = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
+        chunk = np.empty((len(index), rank), dtype=np.int64)
+        for ax in range(rank - 1, -1, -1):
+            index, chunk[:, ax] = np.divmod(index, box + 1)
+        yield chunk

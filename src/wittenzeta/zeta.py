@@ -4,18 +4,17 @@ Both types sum d(n)^(-s) over the weight cone, with d read off the compiled
 table of the space or group (``dims.compile_space``, ``dims.compile_group``),
 and both go through ``_zeta``.  Rank-one tables get a certified evaluation
 of their factored form: explicit terms plus a tail that is pinned to a
-Hurwitz zeta with a rigorous correction bound.  Higher ranks use
-growing-box summation: each pass adds the shell between the last box and a
-box of twice its side, and the size of that shell stands in for the tail
-beyond it.  The result is flagged as non-rigorous because no analytic
-convergence region is available there.  Both run through
-``genseries.drive``.
+Hurwitz zeta with a rigorous correction bound.  Higher ranks sum a box
+[0, B]^rank once, B the least side whose tail outside the box is certified
+by one-coordinate series of the same pinned form (``_box_bound``).  Both
+run through ``genseries.drive``, and every bound is rigorous.
 """
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import replace
-from itertools import chain
 
 from . import dims, genseries, weights
 from .errors import DivergenceError, DomainError
@@ -23,42 +22,79 @@ from .result import EvalResult
 from .specfun import hurwitz_zeta, riemann_zeta
 
 
-def _growing_box(batch_term, rank: int, tolerance: float, max_box: int) -> EvalResult:
-    """Box-doubling summation over the dominant cone.
+def _box_bound(table: dims.LinearFactors, s: float):
+    """The certified bound on the sum of d(n)^(-s) outside [0, B]^rank, as a
+    function of B.
 
-    ``batch_term`` maps an integer array of coordinate rows to the array of
-    their terms.  Each pass sums only the shell [0, box]^rank minus the
-    previous box, chunk by chunk, in one exactly rounded fsum; the shell sum
-    is the heuristic tail bound, held to half the tolerance.  The second
-    time a shell sum exceeds both the one before it and the tolerance, the
-    series is taken for divergent.
+    The outside is the union of the regions {n_i > B}.  Each factor of d,
+    1 + sum_k a_k with a_k = L_kj n_k / c_j, is at least prod_k (1 + a_k /
+    w_kj)^w_kj for shares w_kj >= 0 summing to one over k (weighted AM-GM),
+    so d(n)^(-s) <= prod_k g_k(n_k), g_k(m) = prod_j (1 + L_kj m / (c_j
+    w_kj))^(-s w_kj), and region i sums to at most sum_{m > B} g_i(m) times
+    the full sums of the other g_k.  Its shares start at L_kj / sum_k L_kj
+    and move toward coordinate i by the largest t in [0, 1] that keeps
+    s sum_j w_kj >= 1.2 for every other k; a g_k with s sum_j w_kj <= 1
+    diverges and makes the bound inf.  As d >= 1, a bound at s' <= s holds
+    at s, and s' <= 1e300 keeps the power sums finite.
     """
-    cap = genseries.term_cap()
-    while (max_box + 1) ** rank > cap and max_box > 2:
-        max_box //= 2
+    s = min(s, 1e300)
+    matrix, shifts = table.pairing, table._arrays[1].tolist()
+    base = [[v / n for v, n in zip(row, map(sum, zip(*matrix)))] for row in matrix]
 
-    def shells():
-        inner, box = -1, min(8, max_box)
-        prev, increases = None, 0
-        while True:
-            shell = math.fsum(chain.from_iterable(
-                batch_term(chunk).tolist()
-                for chunk in weights.box_chunks(rank, box, inner)
-            ))
-            if prev is not None and shell > prev and shell > tolerance:
-                increases += 1
-                if increases >= 2:
-                    raise DivergenceError(
-                        "partial sums accelerate: series looks divergent"
-                    )
-            count = (box + 1) ** rank - (inner + 1) ** rank
-            yield shell, count, 0.0, abs(shell) if inner >= 0 else math.inf
-            if box >= max_box:
-                return
-            prev = shell if inner >= 0 else None
-            inner, box = box, min(2 * box, max_box)
+    def series(row, shares):    # g = exp(scale) prod_j (m + kappa_j)^(-p_j)
+        kappas = [c * w / v for c, w, v in zip(shifts, shares, row) if w > 0]
+        powers = [s * w for w in shares if w > 0]
+        if sum(powers) > 1.0:   # its tail function and scale; None when g diverges
+            return (genseries.certified_tail(kappas, powers),
+                    sum(p * math.log(k) for p, k in zip(powers, kappas)))
 
-    return genseries.drive(shells(), tolerance / 2.0, cap, rigorous=False)
+    regions = []
+    for i, own in enumerate(matrix):
+        gives = [sum(w for w, v in zip(row, own) if v) for row in base]
+        t = max(0.0, min([1.0] + [(sum(base[k]) - 1.2 / s) / g
+                                  for k, g in enumerate(gives) if k != i and g > 0]))
+        coords = [series(row, [w + t * ((k == i) - w) if v else w for w, v in zip(shares, own)])
+                  for k, (row, shares) in enumerate(zip(matrix, base))]
+        if None in coords:
+            return lambda box: math.inf
+        # the log of each full sum 1 + sum_{m >= 1} g_k(m) but the i-th; the
+        # sum of a tail's estimate and bound bounds it from above
+        log_rest = sum(math.log1p(genseries._scaled(scale, sum(tail(1))))
+                       for k, (tail, scale) in enumerate(coords) if k != i)
+        regions.append((coords[i][0], coords[i][1] + log_rest))
+
+    return lambda box: sum(genseries._scaled(scale, sum(tail(box + 1))) for tail, scale in regions)
+
+
+def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
+                 max_box: int | None) -> EvalResult:
+    """sum of d(n)^(-s) over the least box [0, B]^rank, B a power of two or
+    the largest side, whose ``_box_bound`` meets the tolerance.
+
+    The side is capped by ``max_box`` and by the term cap.  When no box
+    within the caps meets the tolerance, the least one whose bound is within
+    twice that of the largest is summed, and the result is not converged.
+    The box is summed once, in chunks of ``weights.box_chunks``.
+    """
+    if max_box is not None and max_box < 0:
+        raise DomainError(f"max_box must be >= 0, got {max_box}")
+    import numpy as np
+    rank = len(table.pairing)
+
+    def certify(cap):
+        side = round(cap ** (1.0 / rank))       # the largest side of <= cap points
+        top = min(side - (side ** rank > cap) - 1, cap if max_box is None else max_box)
+        boxes = sorted({top, *(1 << k for k in range(top.bit_length()))})
+        bound = functools.cache(_box_bound(table, s))
+        goal = tolerance if bound(top) <= tolerance else 2.0 * bound(top)
+        box = boxes[bisect.bisect_left(boxes, True, key=lambda b: bound(b) <= goal)]
+        return weights.box_chunks(rank, box), (box + 1) ** rank, bound(box)
+
+    def terms(rows):
+        with np.errstate(over="ignore"):     # -s log d past -inf: the term is 0
+            return np.exp(-s * table.log_dims(rows))
+
+    return genseries.sum_region(certify, terms, tolerance)
 
 
 def _check_s(s: float) -> None:
@@ -74,7 +110,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
     of sup-norm t, which holds at least t^(rank-1) points, d <= C t^J, and
     the sum diverges when s J <= rank.  Rank one sums the certified series
     of the factored form (``max_box`` is not used); higher ranks, the
-    growing box.
+    certified box of ``_growing_box``.
     """
     rank, factors = len(table.pairing), len(table.shifts)
     if s * factors <= rank:
@@ -86,15 +122,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
                                         [s * xi for _, xi in poly.factors], tolerance,
                                         -s * math.log(float(poly.c)))
         return replace(tail, value=1.0 + tail.value, terms_used=tail.terms_used + 1)
-    import numpy as np
-    if max_box is None:
-        max_box = {2: 2048, 3: 128}.get(rank, 24)
-
-    def terms(n):
-        with np.errstate(over="ignore"):     # -s log d past -inf: the term is 0
-            return np.exp(-s * table.log_dims(n))
-
-    return _growing_box(terms, rank, tolerance, max_box)
+    return _growing_box(table, s, tolerance, max_box)
 
 
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,

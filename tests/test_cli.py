@@ -94,7 +94,8 @@ def _reject_constant(name):
 
 
 def test_unbounded_tail_is_strict_json_null():
-    proc = run_cli("zeta", "--space", "EI", "--s", "1", "--max-box", "2")
+    # past r/J = 1/6 but below the shares' convergence point 0.256 of EI
+    proc = run_cli("zeta", "--space", "EI", "--s", "0.2", "--max-box", "2")
     assert proc.returncode == 0
     result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
     assert result["tail_bound"] is None
@@ -235,6 +236,7 @@ def test_domain_error_exit_code():
     ("genseries", "--kappa", "1e400,2", "--T", "0,0"),
     ("zeta", "--space", "AI:3", "--s", "2", "--max-box", "-1"),
     ("zeta", "--space", "S:5", "--s", "1e308"),
+    ("pizeta", "--pi", "1,1" + "0" * 400, "--kappa", "1,2"),
 ])
 def test_non_finite_input_exit_code(args):
     proc = run_cli(*args)

@@ -229,15 +229,6 @@ def test_box_chunks_cover_the_box_once(rank, boxes):
         if len(chunks) == 1:
             assert sorted(map(tuple, rows.tolist())) == sorted(
                 weights._graded_box(rank, box))
-        # the shell outside an inner box: every point of it exactly once
-        for inner in (0, box // 2, box - 1):
-            shell = np.concatenate(list(weights.box_chunks(rank, box, inner)))
-            assert shell.dtype == np.int64
-            assert shell.shape == ((box + 1) ** rank - (inner + 1) ** rank, rank)
-            assert shell.min() >= 0 and shell.max() <= box
-            assert (shell.max(axis=1) > inner).all()
-            keys = shell @ (box + 1) ** np.arange(rank, dtype=np.int64)
-            assert len(np.unique(keys)) == len(shell)
     assert len(chunks) > 1
 
 

@@ -192,6 +192,14 @@ def test_zeta_values_agree_with_direct_path(space_id):
         assert via_series == pytest.approx(direct.value, abs=1e-9), (space_id, s)
 
 
+@pytest.mark.parametrize("space_id,s", [("S:2", 2000), ("S:5", 400)])
+def test_zeta_values_past_the_float_scale(space_id, s):
+    # c^s and c^-s are past the float range, but every term after d(0)^-s = 1
+    # underflows, as on the direct path
+    assert zeta_values_from_rank_one(space_id, s) == 1.0
+    assert zeta_type_I(space_id, float(s)).value == 1.0
+
+
 def test_zeta_values_divergence():
     with pytest.raises(DivergenceError):
         zeta_values_from_rank_one("S:2", 1)
@@ -222,9 +230,9 @@ def test_drive_exits():
     assert (met.value, met.tail_bound, met.terms_used, met.converged) == (
         1.375, 0.1, 4, True)
     assert met.rigorous
-    capped = drive(iter(shells), 1e-3, 3, rigorous=False)
+    capped = drive(iter(shells), 1e-3, 3)
     assert (capped.value, capped.tail_bound, capped.terms_used,
-            capped.converged, capped.rigorous) == (1.375, 0.1, 4, False, False)
+            capped.converged, capped.rigorous) == (1.375, 0.1, 4, False, True)
     exhausted = drive(iter(shells), 1e-3, 100)
     assert (exhausted.value, exhausted.tail_bound, exhausted.terms_used,
             exhausted.converged) == (1.3125, 0.01, 6, False)

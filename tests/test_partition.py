@@ -264,3 +264,16 @@ def test_boundary_unsupported_space():
     with pytest.raises(DivergenceError):
         boundary_state("S:2", SurfaceParams(genus=1, area=0.0,
                                             holonomies=(1.0,)))
+
+
+def test_heat_sum_past_the_cap_stops_where_its_bound_does():
+    # E8 at area 0.1: no grade within the term cap meets the tolerance, and
+    # the majorant tail of grade 0 is within twice that of the cap grade
+    res = partition_type_II("E8", SurfaceParams(0, 0.1))
+    assert not res.converged and res.rigorous
+    assert res.terms_used == 1 and 1e51 < res.tail_bound < math.inf
+    # E6 at area 0.2 misses 1e-10 too, but its bound keeps falling to the cap grade
+    cap = partition.genseries.term_cap()
+    table = dims.compile_group("E6")
+    grade, bound = partition._majorant_grade(table, -2.0, 0.2, 1e-10, cap)
+    assert grade == partition._grade_cap(6, cap) == 30 and 1e-10 < bound < 1e-5

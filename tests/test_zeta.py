@@ -55,11 +55,13 @@ def test_rank_one_groups_share_one_table_path(group_id):
 
 
 def test_lattice_at_huge_s_warns_nothing():
-    # -s log d(n) overflows to -inf, and the term is exp(-inf) = 0
+    # -s log d(n) overflows to -inf, and the term is exp(-inf) = 0; the
+    # certificate, taken at s = 1e300, already meets the tolerance at box 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = zeta_type_I("AI:3", 1e308, max_box=2)
-    assert res.value == 1.0 and res.terms_used == 9
+    assert res.value == 1.0 and res.terms_used == 4
+    assert res.converged and res.rigorous and res.tail_bound == 0.0
 
 
 def test_type_i_value_within_claimed_bound():
@@ -146,35 +148,40 @@ def test_limit_at_large_s():
 
 
 def test_rank_one_vs_growing_box():
+    # the box path on a one-row table sums one certified box of B + 1 terms
     for sid in ("S:5", "CP:2"):
         certified = zeta_type_I(sid, 2.0, 1e-10)
-        table = dims.compile_space(sid)
+        box = zeta._growing_box(dims.compile_space(sid), 2.0, 1e-9, None)
+        assert box.converged and box.rigorous
+        side = box.terms_used - 1
+        assert side & (side - 1) == 0
+        # the one-row majorant is the series itself, so the bound is tight up to rounding
+        assert (abs(box.value - certified.value)
+                <= box.tail_bound + certified.tail_bound + 1e-15)
 
-        def batch_term(coords, table=table):
-            return np.exp(-2.0 * table.log_dims(coords))
 
-        box = zeta._growing_box(batch_term, 1, 1e-9, 1 << 16)
-        assert box.value == pytest.approx(certified.value, abs=1e-8)
-        assert not box.rigorous
-
-
-def test_growing_box_evaluates_each_term_once():
+def test_growing_box_evaluates_each_term_once(monkeypatch):
+    # the certified box [0, B]^2 is summed once: terms_used == (B + 1)^2
     table = dims.compile_space("AI:3")
-    for tol, max_box in ((1e-6, 2048), (1e-12, 16)):
-        rows = []
+    chunks, seen = zeta.weights.box_chunks, []
 
-        def batch_term(coords):
-            rows.append(len(coords))
-            return np.exp(-2.0 * table.log_dims(coords))
+    def recording(rank, box):
+        for rows in chunks(rank, box):
+            seen.extend(map(tuple, rows.tolist()))
+            yield rows
 
-        res = zeta._growing_box(batch_term, 2, tol, max_box)
-        assert sum(rows) == res.terms_used
-        assert res.converged == (max_box == 2048)
+    monkeypatch.setattr(zeta.weights, "box_chunks", recording)
+    for tol, max_box in ((1e-6, None), (1e-12, 16)):
+        seen.clear()
+        res = zeta._growing_box(table, 2.0, tol, max_box)
+        side = max(max(n) for n in seen) + 1
+        assert len(set(seen)) == len(seen) == res.terms_used == side ** 2
+        assert res.converged == (max_box is None) and res.rigorous
 
 
 def test_higher_rank_type_i_runs():
     res = zeta_type_I("AI:3", 2.0, 1e-6)
-    assert res.converged and not res.rigorous
+    assert res.converged and res.rigorous
     # oracle: dimensions are (2a+1)(2b+1)(a+b+1) over the A2 m=1 lattice
     brute = math.fsum(
         ((2 * a + 1) * (2 * b + 1) * (a + b + 1)) ** -2.0
@@ -246,6 +253,58 @@ def test_proven_divergence_sums_no_box(monkeypatch, run, s):
 
 
 def test_su3_past_the_proven_bound_still_sums_boxes():
-    # 0.7 * 3 > 2: no proof of divergence, the box-doubling heuristic decides
-    with pytest.raises(DivergenceError, match="accelerate"):
-        zeta_type_II("SU:3", 0.7)
+    # 0.7 * 3 > 2: no proof of divergence, and the series converges for
+    # s > 2/3, but too slowly for the term cap; the least box whose bound is
+    # within twice that of the cap box is summed, and flagged
+    res = zeta_type_II("SU:3", 0.7)
+    assert not res.converged and res.rigorous
+    assert res.terms_used == 4 and 700 < res.tail_bound < 900
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+def test_su3_bound_holds_against_closed_form(tol):
+    res = zeta_type_II("SU:3", 2.0, tol)
+    assert res.converged and res.rigorous
+    assert abs(res.value - 4 * math.pi ** 6 / 2835) <= res.tail_bound
+
+
+def test_su3_at_one_bound_holds_against_euler():
+    # zeta_SU(3)(1) = 2 sum 1/(m n (m + n)) = 4 zeta(3)
+    from wittenzeta.specfun import riemann_zeta
+    res = zeta_type_II("SU:3", 1.0, 0.1)
+    assert res.converged and res.rigorous
+    assert abs(res.value - 4 * riemann_zeta(3.0)) <= res.tail_bound
+
+
+def test_ai3_bound_holds_against_brute_sum():
+    # outside [0, N]^2, by symmetry and a + b + 1 >= a + 1, the sum is at most
+    # 2 (pi^2 / 8) sum_{a > N} (2a+1)^-2 (a+1)^-2 <= pi^2 / (48 N^3)
+    res = zeta_type_I("AI:3", 2.0)
+    assert res.converged and res.rigorous
+    n = np.arange(1001, dtype=float)
+    a, b = n[:, None], n[None, :]
+    brute = math.fsum((((2 * a + 1) * (2 * b + 1) * (a + b + 1)) ** -2.0).ravel().tolist())
+    assert abs(res.value - brute) <= res.tail_bound + math.pi ** 2 / (48 * 1000 ** 3)
+
+
+def _rank_two_tables():
+    for space in rootdata.catalog_spaces(include_blocked=False):
+        if space.rank == 2:
+            yield space.space_id, dims.compile_space(space.space_id)
+    for group_id in ("SU:3", "SO:5", "Sp:2", "G2", "SO:4"):
+        yield group_id, dims.compile_group(group_id)
+
+
+@pytest.mark.parametrize("ident,table", list(_rank_two_tables()))
+def test_rank_two_bound_holds_against_a_larger_box(ident, table):
+    # the sum lies between the box four times larger and that plus its own bound
+    for s in (1.0, 2.0):
+        if s * len(table.shifts) <= 2:
+            continue
+        res = zeta._zeta(table, s, 1e-3, 64)
+        assert res.rigorous and math.isfinite(res.tail_bound)
+        box = 4 * (math.isqrt(res.terms_used) - 1)
+        big = math.fsum(x for rows in zeta.weights.box_chunks(2, box)
+                        for x in np.exp(-s * table.log_dims(rows)).tolist())
+        assert big <= res.value + res.tail_bound, (ident, s)
+        assert res.value <= big + zeta._box_bound(table, s)(box), (ident, s)
