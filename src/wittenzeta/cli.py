@@ -27,7 +27,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _csv_list(text: str, conv):
-    return [conv(tok) for tok in text.split(",") if tok != ""]
+    tokens = text.split(",")
+    if "" in tokens:
+        raise ValueError(f"empty entry in the list {text!r}")
+    return [conv(tok) for tok in tokens]
 
 
 def build_parser() -> _Parser:

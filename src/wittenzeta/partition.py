@@ -7,19 +7,12 @@ from the compiled table of its space or group (``dims.compile_space``,
 ``dims.compile_group``), and runs through ``genseries.drive``.
 
 Rank one sums one weight per shell under a geometric ratio bound.  A higher
-rank bounds its terms by a separable majorant,
-
-    q^{c2(n)} d(n)^-e <= prod_i h_i(n_i),
-
-which rests on two inequalities over the nonnegative cone: the Casimir
-n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i because the Gram
-matrix G is entrywise nonnegative, and each factor 1 + sum_i a_i of d, with
-a_i = L_ij n_i / c_j >= 0, is at most prod_i (1 + a_i) (used when e <= 0)
-and at least prod_i (1 + a_i)^w_i for convex weights w_i (used when e > 0).
-The majorant's sum beyond coordinate sum K is a coefficient tail of a
-product of one-coordinate series, so the least K that meets the tolerance
-is known before any term is summed; the weights of coordinate sum <= K,
-from ``weights.simplex_chunks``, are then summed in chunks.
+rank bounds its terms by a separable majorant q^{c2(n)} d(n)^-e <= prod_i
+h_i(n_i) (``_majorant_logs``).  The majorant's sum beyond coordinate sum K
+is a coefficient tail of a product of one-coordinate series, so the least K
+that meets the tolerance is known before any term is summed; the weights of
+coordinate sum <= K, from ``weights.simplex_chunks``, are then summed in
+chunks.
 """
 from __future__ import annotations
 
@@ -101,21 +94,28 @@ def _grade_cap(rank: int, cap: int) -> int:
 
 def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
                    top: int) -> np.ndarray:
-    """log h_i(m) for every coordinate i (rows) and m = 0..top (columns).
+    """log h_i(m) for every coordinate i (rows) and m = 0..top (columns),
+    with q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) on the nonnegative cone:
 
-    h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + L_ij m / c_j)^p_ij
-    with p_ij = -exponent when exponent <= 0, and p_ij = -exponent w_ij with
-    w_ij = L_ij / sum_i L_ij, convex weights on the support of column j,
+        h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + r_ij m)^p_ij.
+
+    The Casimir n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i, as
+    G >= 0 entrywise.  Each factor of d, 1 + sum_i a_i with a_i = L_ij n_i /
+    c_j >= 0, is at most prod_i (1 + a_i), so r_ij = L_ij / c_j and p_ij =
+    -exponent when exponent <= 0; and at least prod_i (1 + a_i / w_ij)^w_ij
+    (weighted AM-GM, as in ``zeta._box_bound``), so at the shares w_ij =
+    L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij = -exponent w_ij
     when exponent > 0.
     """
     import numpy as np
     matrix, shifts = table._arrays
     gram, lin = table._form
-    powers = -exponent
+    rates, powers = matrix / shifts, -exponent
     if exponent > 0.0:
-        powers = powers * matrix / np.maximum(matrix.sum(axis=0), 1)
+        totals = matrix.sum(axis=0)
+        rates, powers = totals / shifts, powers * matrix / totals
     m = np.arange(top + 1, dtype=float)[:, None]
-    poly = (np.log1p(m[:, :, None] * (matrix / shifts)) * powers).sum(axis=2)
+    poly = (np.log1p(m[:, :, None] * rates) * powers).sum(axis=2)
     return (poly - area * (m * m * gram.diagonal() + m * lin)).T
 
 
@@ -144,11 +144,13 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
     log_tol = math.log(tolerance)
     cut = min(16, k_cap)
     while True:
-        logs = _majorant_logs(table, exponent, area, cut + 2)
+        # past the float range a log h_i(m) is -inf, and -inf - -inf is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = _majorant_logs(table, exponent, area, cut + 2)
+            log_ratio = np.fmax(logs[:, cut + 2] - logs[:, cut + 1],
+                                -area * (gram.diagonal() * (2 * cut + 3) + lin))
         scale = logs.max(axis=1)
         head = np.exp(logs - scale[:, None])
-        log_ratio = np.maximum(logs[:, cut + 2] - logs[:, cut + 1],
-                               -area * (gram.diagonal() * (2 * cut + 3) + lin))
         if (log_ratio < 0.0).all():
             rest = head[:, cut + 1] / -np.expm1(log_ratio)
             sums = head[:, :cut + 1].sum(axis=1) + rest
@@ -176,15 +178,8 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                     tolerance: float) -> EvalResult:
     """Higher-rank heat sum over every weight up to the grade its separable
-    majorant certifies.
+    majorant (``_majorant_logs``) certifies.
 
-    Every term obeys q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) (see
-    ``_majorant_logs``), by two inequalities on the nonnegative cone.  The
-    Casimir c2(n) = n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i,
-    because G >= 0 entrywise.  Each factor of d is 1 + sum_i a_i with
-    a_i = L_ij n_i / c_j >= 0, and 1 + sum_i a_i <= prod_i (1 + a_i), which
-    bounds d^-exponent when exponent <= 0; when exponent > 0,
-    log(1 + sum_i a_i) >= sum_i w_i log(1 + a_i) for convex weights w.
     ``_majorant_grade`` turns the majorant into the least grade K whose
     tail beyond it meets the tolerance, and the weights of coordinate sum
     <= K are summed in chunks of ``weights.simplex_chunks``.  When the cap

@@ -261,7 +261,7 @@ class SymmetricSpaceDescriptor:
         return self.rank + sum(self.mult)
 
     def require_mult(self) -> tuple[int, ...]:
-        if self.mult is None:
+        if not self.evaluable:
             raise UnsupportedSpace(
                 f"{self.space_id}: multiplicities are not tabulated; evaluation blocked"
             )
@@ -442,11 +442,8 @@ CATALOG_IDS: tuple[str, ...] = (
 )
 
 
-def catalog_spaces(include_blocked: bool = True) -> list[SymmetricSpaceDescriptor]:
-    spaces = [lookup_space(sid) for sid in CATALOG_IDS]
-    if not include_blocked:
-        spaces = [s for s in spaces if s.evaluable]
-    return spaces
+def catalog_spaces() -> list[SymmetricSpaceDescriptor]:
+    return [lookup_space(sid) for sid in CATALOG_IDS]
 
 
 # ---------------------------------------------------------------------------

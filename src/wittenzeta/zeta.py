@@ -6,7 +6,8 @@ and both go through ``_zeta``.  Rank-one tables get a certified evaluation
 of their factored form: explicit terms plus a tail that is pinned to a
 Hurwitz zeta with a rigorous correction bound.  Higher ranks sum a box
 [0, B]^rank once, B the least side whose tail outside the box is certified
-by one-coordinate series of the same pinned form (``_box_bound``).  Both
+by one-coordinate series of the same pinned form (``_box_bound``), under
+the weighted AM-GM of the heat majorant (``partition._majorant_logs``).  Both
 run through ``genseries.drive``, and every bound is rigorous.
 """
 from __future__ import annotations
@@ -68,13 +69,15 @@ def _box_bound(table: dims.LinearFactors, s: float):
 
 def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
                  max_box: int | None) -> EvalResult:
-    """sum of d(n)^(-s) over the least box [0, B]^rank, B a power of two or
-    the largest side, whose ``_box_bound`` meets the tolerance.
+    """sum of d(n)^(-s) over the least box [0, B]^rank whose ``_box_bound``
+    meets the tolerance.
 
-    The side is capped by ``max_box`` and by the term cap.  When no box
-    within the caps meets the tolerance, the least one whose bound is within
-    twice that of the largest is summed, and the result is not converged.
-    The box is summed once, in chunks of ``weights.box_chunks``.
+    The side is capped by ``max_box`` and by the term cap.  The bound does
+    not grow with B, so a bisection over every side up to the cap finds the
+    least one.  When no box within the caps meets the tolerance, the least
+    one whose bound is within twice that of the largest is summed, and the
+    result is not converged.  The box is summed once, in chunks of
+    ``weights.box_chunks``.
     """
     if max_box is not None and max_box < 0:
         raise DomainError(f"max_box must be >= 0, got {max_box}")
@@ -84,10 +87,9 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
     def certify(cap):
         side = round(cap ** (1.0 / rank))       # the largest side of <= cap points
         top = min(side - (side ** rank > cap) - 1, cap if max_box is None else max_box)
-        boxes = sorted({top, *(1 << k for k in range(top.bit_length()))})
         bound = functools.cache(_box_bound(table, s))
         goal = tolerance if bound(top) <= tolerance else 2.0 * bound(top)
-        box = boxes[bisect.bisect_left(boxes, True, key=lambda b: bound(b) <= goal)]
+        box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
         return weights.box_chunks(rank, box), (box + 1) ** rank, bound(box)
 
     def terms(rows):

@@ -225,6 +225,17 @@ def test_domain_error_exit_code():
 
 
 @pytest.mark.parametrize("args", [
+    ("dim", "--space", "AI:3", "--coords", "1,,2"),
+    ("boundary", "--space", "S:2", "--genus", "1", "--theta", "", "--area", "0.2"),
+])
+def test_empty_list_entry_is_usage_error(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr.splitlines()[0])["error"] == "usage"
+
+
+@pytest.mark.parametrize("args", [
     ("zeta", "--space", "S:2", "--s", "nan"),
     ("zeta", "--space", "AI:3", "--s", "nan"),
     ("partition", "--space", "S:3", "--genus", "1", "--area", "inf"),

@@ -46,7 +46,7 @@ def test_su2_genus_two_approaches_basel():
     assert deviations[0] > deviations[1] > deviations[2]
 
 
-@pytest.mark.parametrize("group,box", [("SU:3", 60), ("SU:4", 10)])
+@pytest.mark.parametrize("group,box", [("SU:3", 60), ("SU:4", 10), ("G2", 20), ("SO:5", 20)])
 def test_su3_partition_certified_tail(group, box):
     res = partition_type_II(group, SurfaceParams(genus=2, area=math.log(2.0)),
                             1e-10)
@@ -277,3 +277,15 @@ def test_heat_sum_past_the_cap_stops_where_its_bound_does():
     table = dims.compile_group("E6")
     grade, bound = partition._majorant_grade(table, -2.0, 0.2, 1e-10, cap)
     assert grade == partition._grade_cap(6, cap) == 30 and 1e-10 < bound < 1e-5
+
+
+@pytest.mark.parametrize("fn,ident,genus,area", [(partition_type_II, "SU:3", 1, 1e308),
+                                                 (partition_type_I, "AI:3", 2, 1e306)])
+def test_huge_area_is_one_certified_term_and_no_warning(fn, ident, genus, area):
+    # area m^2 overflows, so log h_i(m) is -inf past m = 0 and the ratio of
+    # two such terms is NaN; the Gaussian ratio bound still certifies a zero tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = fn(ident, SurfaceParams(genus, area), 1e-8)
+    assert res.value == 1.0 and res.tail_bound == 0.0
+    assert res.converged and res.rigorous and res.terms_used == 1

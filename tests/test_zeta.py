@@ -56,11 +56,11 @@ def test_rank_one_groups_share_one_table_path(group_id):
 
 def test_lattice_at_huge_s_warns_nothing():
     # -s log d(n) overflows to -inf, and the term is exp(-inf) = 0; the
-    # certificate, taken at s = 1e300, already meets the tolerance at box 1
+    # certificate, taken at s = 1e300, already meets the tolerance at box 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = zeta_type_I("AI:3", 1e308, max_box=2)
-    assert res.value == 1.0 and res.terms_used == 4
+    assert res.value == 1.0 and res.terms_used == 1
     assert res.converged and res.rigorous and res.tail_bound == 0.0
 
 
@@ -148,13 +148,14 @@ def test_limit_at_large_s():
 
 
 def test_rank_one_vs_growing_box():
-    # the box path on a one-row table sums one certified box of B + 1 terms
+    # the box path on a one-row table sums the least certified box, of B + 1 terms
     for sid in ("S:5", "CP:2"):
         certified = zeta_type_I(sid, 2.0, 1e-10)
-        box = zeta._growing_box(dims.compile_space(sid), 2.0, 1e-9, None)
+        table = dims.compile_space(sid)
+        box = zeta._growing_box(table, 2.0, 1e-9, None)
         assert box.converged and box.rigorous
-        side = box.terms_used - 1
-        assert side & (side - 1) == 0
+        side, bound = box.terms_used - 1, zeta._box_bound(table, 2.0)
+        assert bound(side - 1) > 1e-9 >= bound(side)
         # the one-row majorant is the series itself, so the bound is tight up to rounding
         assert (abs(box.value - certified.value)
                 <= box.tail_bound + certified.tail_bound + 1e-15)
@@ -258,7 +259,22 @@ def test_su3_past_the_proven_bound_still_sums_boxes():
     # within twice that of the cap box is summed, and flagged
     res = zeta_type_II("SU:3", 0.7)
     assert not res.converged and res.rigorous
-    assert res.terms_used == 4 and 700 < res.tail_bound < 900
+    assert res.terms_used == 1 and 700 < res.tail_bound < 900
+
+
+@pytest.mark.parametrize("table,s", [(dims.compile_space("AI:3"), 2.0),
+                                     (dims.compile_space("GI"), 1.0),
+                                     (dims.compile_group("SU:3"), 2.0),
+                                     (dims.compile_group("G2"), 1.0),
+                                     (dims.compile_group("SO:5"), 2.0)])
+def test_growing_box_sums_the_least_certified_side(table, s):
+    # every side is a candidate: the box one side smaller misses the tolerance
+    tol = 1e-6
+    res = zeta._growing_box(table, s, tol, None)
+    assert res.converged and res.rigorous
+    side, bound = round(res.terms_used ** 0.5) - 1, zeta._box_bound(table, s)
+    assert (side + 1) ** 2 == res.terms_used
+    assert bound(side - 1) > tol >= bound(side)
 
 
 @pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
@@ -288,8 +304,8 @@ def test_ai3_bound_holds_against_brute_sum():
 
 
 def _rank_two_tables():
-    for space in rootdata.catalog_spaces(include_blocked=False):
-        if space.rank == 2:
+    for space in rootdata.catalog_spaces():
+        if space.evaluable and space.rank == 2:
             yield space.space_id, dims.compile_space(space.space_id)
     for group_id in ("SU:3", "SO:5", "Sp:2", "G2", "SO:4"):
         yield group_id, dims.compile_group(group_id)
