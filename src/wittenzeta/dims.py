@@ -285,15 +285,6 @@ class LinearFactors:
         return ((coords @ gram) * coords).sum(axis=1) + coords @ lin
 
     @cached_property
-    def _columns(self) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], ...]:
-        # factors of one root share its column, so the loop pairs it once
-        grouped: dict[tuple[int, ...], list[float]] = {}
-        for j, c in enumerate(self.shifts):
-            column = tuple(row[j] for row in self.pairing)
-            grouped.setdefault(column, []).append(float(c))
-        return tuple((column, tuple(cs)) for column, cs in grouped.items())
-
-    @cached_property
     def factored(self) -> FactoredDimPolynomial:
         """d(n) = c prod_k (n + kappa_k)^xi_k of a one-row table: each factor
         (L_j n + c_j)/c_j is (n + kappa_j)/kappa_j with kappa_j = c_j / L_j."""
@@ -302,16 +293,6 @@ class LinearFactors:
         factors = tuple(sorted(Counter(map(truediv, self.shifts, self.pairing[0])).items()))
         return FactoredDimPolynomial(c=1 / math.prod(k ** xi for k, xi in factors),
                                      factors=factors)
-
-    def dim_float(self, coords: weights.Coords) -> float:
-        """d(n) at one weight, in floats."""
-        weights.check_coords(coords, len(self.pairing))
-        acc = 1.0
-        for column, shifts in self._columns:
-            p = sum(map(mul, coords, column))
-            for c in shifts:
-                acc *= (p + c) / c
-        return acc
 
     def casimir(self, coords: weights.Coords) -> Q:
         """c2(n) at one weight, exact."""

@@ -11,7 +11,8 @@ Every series sum of the library, here and in ``zeta`` and ``partition``,
 runs through ``drive``: a generator yields the series shell by shell, each
 shell with the certificate of the tail beyond it, and ``drive`` keeps the
 running total, stops on the tolerance or the term cap, and builds the
-``EvalResult``.
+``EvalResult``.  Their higher-rank sums go through ``sum_region``, which
+evaluates the one summand q^{c2(n)} d(n)^(-e) over a certified region.
 """
 from __future__ import annotations
 
@@ -68,13 +69,20 @@ def drive(shells, tolerance: float, cap: int) -> EvalResult:
                       converged=bound <= tolerance)
 
 
-def sum_region(certify, terms, tolerance: float) -> EvalResult:
-    """Sum over a lattice region whose tail is certified before any term is:
-    ``certify(cap)`` gives the region's row chunks, its point count (within
-    ``cap``) and the bound outside it; ``terms`` maps a chunk to its terms.
-    Each chunk is one exactly rounded fsum, and the bound comes with the last.
+def sum_region(table: dims.LinearFactors, exponent: float, area: float, certify,
+               tolerance: float) -> EvalResult:
+    """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a region of
+    ``table``'s weights certified before any term is: ``certify(cap)`` gives
+    its row chunks, its point count (within ``cap``) and the bound outside
+    it.  Each chunk is one exactly rounded fsum; the bound comes with the last.
     """
+    import numpy as np
     cap = term_cap()
+
+    def terms(rows):
+        with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
+            logs = -exponent * table.log_dims(rows)
+            return np.exp(logs - area * table.casimirs(rows) if area else logs)
 
     def shells():
         # drive rejects a bad tolerance before it asks for the first shell

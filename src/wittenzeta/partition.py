@@ -6,13 +6,14 @@ evaluation is delegated.  Every sum reads the dimension and the Casimir
 from the compiled table of its space or group (``dims.compile_space``,
 ``dims.compile_group``), and runs through ``genseries.drive``.
 
-Rank one sums one weight per shell under a geometric ratio bound.  A higher
-rank bounds its terms by a separable majorant q^{c2(n)} d(n)^-e <= prod_i
-h_i(n_i) (``_majorant_logs``).  The majorant's sum beyond coordinate sum K
-is a coefficient tail of a product of one-coordinate series, so the least K
-that meets the tolerance is known before any term is summed; the weights of
-coordinate sum <= K, from ``weights.simplex_chunks``, are then summed in
-chunks.
+Rank one sums one weight per shell under a geometric ratio bound, its
+dimension multiplied out from the table's one row.  A higher rank bounds
+its terms by a separable majorant q^{c2(n)} d(n)^-e <= prod_i h_i(n_i)
+(``_majorant_logs``).  The majorant's sum beyond coordinate sum K is a
+coefficient tail of a product of one-coordinate series, so the least K that
+meets the tolerance is known before any term is summed; the weights of
+coordinate sum <= K (``weights.simplex_chunks``) are then summed in chunks
+by ``genseries.sum_region``.
 """
 from __future__ import annotations
 
@@ -46,10 +47,6 @@ class SurfaceParams:
     def n_holes(self) -> int:
         return len(self.holonomies)
 
-    @property
-    def q(self) -> float:
-        return math.exp(-self.area)
-
 
 def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                        tolerance: float, weight=None,
@@ -65,15 +62,19 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     lq = -area
     power = exponent if bound_exponent is None else bound_exponent
     a, b = float(table.gram[0][0]), float(table.lin[0])
+    factors = [(v, float(c)) for v, c in zip(table.pairing[0], table.shifts)]
+
+    def dim(m):     # d(m) = prod_j (m L_j + c_j) / c_j, in factor order
+        return math.prod((v * m + c) / c for v, c in factors)
 
     def shells():
-        n, d, c2 = 0, table.dim_float((0,)), 0.0
+        n, d, c2 = 0, dim(0), 0.0
         while True:
             term = math.exp(lq * c2 - exponent * math.log(d))
             if weight is not None:
                 term *= weight(n)
             m = n + 1
-            d_next, c2_next = table.dim_float((m,)), a * m * m + b * m
+            d_next, c2_next = dim(m), a * m * m + b * m
             ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
             next_term = math.exp(lq * c2_next - power * math.log(d_next))
             yield term, 1, 0.0, next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
@@ -186,17 +187,13 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     cannot hold that grade, the result is not converged and carries the
     bound of the grade ``_majorant_grade`` falls back to.
     """
-    import numpy as np
     rank = len(table.lin)
 
     def certify(cap):
         grade, bound = _majorant_grade(table, exponent, area, tolerance, cap)
         return weights.simplex_chunks(rank, grade), math.comb(grade + rank, rank), bound
 
-    def terms(rows):
-        return np.exp(-area * table.casimirs(rows) - exponent * table.log_dims(rows))
-
-    return genseries.sum_region(certify, terms, tolerance)
+    return genseries.sum_region(table, exponent, area, certify, tolerance)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,

@@ -7,14 +7,16 @@ of their factored form: explicit terms plus a tail that is pinned to a
 Hurwitz zeta with a rigorous correction bound.  Higher ranks sum a box
 [0, B]^rank once, B the least side whose tail outside the box is certified
 by one-coordinate series of the same pinned form (``_box_bound``), under
-the weighted AM-GM of the heat majorant (``partition._majorant_logs``).  Both
-run through ``genseries.drive``, and every bound is rigorous.
+the weighted AM-GM of the heat majorant (``partition._majorant_logs``); the
+box's terms are those of a heat sum at q = 1 (``genseries.sum_region``).
+Both run through ``genseries.drive``, and every bound is rigorous.
 """
 from __future__ import annotations
 
 import bisect
 import functools
 import math
+import numbers
 from dataclasses import replace
 
 from . import dims, genseries, weights
@@ -79,9 +81,6 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
     result is not converged.  The box is summed once, in chunks of
     ``weights.box_chunks``.
     """
-    if max_box is not None and max_box < 0:
-        raise DomainError(f"max_box must be >= 0, got {max_box}")
-    import numpy as np
     rank = len(table.pairing)
 
     def certify(cap):
@@ -92,16 +91,14 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
         box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
         return weights.box_chunks(rank, box), (box + 1) ** rank, bound(box)
 
-    def terms(rows):
-        with np.errstate(over="ignore"):     # -s log d past -inf: the term is 0
-            return np.exp(-s * table.log_dims(rows))
-
-    return genseries.sum_region(certify, terms, tolerance)
+    return genseries.sum_region(table, s, 0.0, certify, tolerance)
 
 
-def _check_s(s: float) -> None:
+def _check_s(s: float, max_box: int | None = None) -> None:
     if not math.isfinite(s):
         raise DomainError(f"s must be finite, got {s}")
+    if max_box is not None and not (isinstance(max_box, numbers.Integral) and max_box >= 0):
+        raise DomainError(f"max_box must be None or an integer >= 0, got {max_box!r}")
 
 
 def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
@@ -130,7 +127,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
                 max_box: int | None = None) -> EvalResult:
     """sum over class-one dominant weights of dim^(-s)."""
-    _check_s(s)
+    _check_s(s, max_box)
     return _zeta(dims.compile_space(space_id), s, tolerance, max_box)
 
 
@@ -141,7 +138,7 @@ def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
     Like ``zeta_type_I``, a sum that misses the tolerance comes back with
     ``converged=False`` and its last tail estimate.
     """
-    _check_s(s)
+    _check_s(s, max_box)
     return _zeta(dims.compile_group(group_id), s, tolerance, max_box)
 
 

@@ -1,6 +1,8 @@
 """Guard against dead code: every function and method defined in the package
-is referenced, as a name or an attribute, somewhere else in the package, or
-is one of the names kept on purpose below."""
+is referenced somewhere else in the package, or is one of the names kept on
+purpose below.  A method or property counts as referenced only through an
+attribute (``x.name``); a function outside a class, through a loaded name or
+an attribute."""
 import ast
 from pathlib import Path
 
@@ -29,39 +31,42 @@ KEPT = (
 )
 
 
-def _definitions(node, prefix):
-    """(qualified name, name) of every function and method under ``node``."""
+def _definitions(node, prefix, in_class=False):
+    """(qualified name, name, whether a method) of every function and method
+    under ``node``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             qualified = f"{prefix}.{child.name}"
-            if not isinstance(child, ast.ClassDef):
-                yield qualified, child.name
-            yield from _definitions(child, qualified)
+            is_class = isinstance(child, ast.ClassDef)
+            if not is_class:
+                yield qualified, child.name, in_class
+            yield from _definitions(child, qualified, is_class)
         else:
-            yield from _definitions(child, prefix)
+            yield from _definitions(child, prefix, in_class)
 
 
 def _scan():
-    defined, referenced = [], set()
+    defined, names, attributes = [], set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined += _definitions(tree, path.stem)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    return defined, referenced
+                attributes.add(node.attr)
+    return defined, names, attributes
 
 
 def test_every_function_is_referenced_or_kept():
-    defined, referenced = _scan()
-    dead = [qualified for qualified, name in defined
-            if name not in referenced and qualified not in KEPT
+    defined, names, attributes = _scan()
+    dead = [qualified for qualified, name, method in defined
+            if name not in attributes and (method or name not in names)
+            and qualified not in KEPT
             and not (name.startswith("__") and name.endswith("__"))]
     assert dead == []
 
 
 def test_every_kept_name_is_defined():
-    defined, _ = _scan()
-    assert set(KEPT) <= {qualified for qualified, _ in defined}
+    defined = _scan()[0]
+    assert set(KEPT) <= {qualified for qualified, _, _ in defined}

@@ -246,6 +246,8 @@ def test_empty_list_entry_is_usage_error(args):
     ("pizeta", "--pi", "1,1", "--kappa", "1,1e400"),
     ("genseries", "--kappa", "1e400,2", "--T", "0,0"),
     ("zeta", "--space", "AI:3", "--s", "2", "--max-box", "-1"),
+    ("zeta", "--space", "S:2", "--s", "2", "--max-box", "-1"),
+    ("zeta2", "--group", "SU:2", "--s", "2", "--max-box", "-5"),
     ("zeta", "--space", "S:5", "--s", "1e308"),
     ("pizeta", "--pi", "1,1" + "0" * 400, "--kappa", "1,2"),
 ])

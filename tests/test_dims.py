@@ -147,7 +147,7 @@ def test_two_path_equality_at_large_weights(space_id):
             log_exact, rel=1e-9), coords
 
 
-# --- compiled linear factors: exact, scalar float and batch paths ---
+# --- compiled linear factors: exact and batch paths ---
 
 def _compiled_exact(table, coords):
     acc = Q(1)
@@ -172,11 +172,10 @@ def test_compiled_factors_match_both_paths(space_id):
     for coords, from_batch in zip(points, batch):
         exact = dim_class_one(space_id, coords)
         assert _compiled_exact(table, coords) == exact, coords
-        scalar = table.dim_float(coords)
-        assert from_batch == pytest.approx(scalar, rel=1e-13), coords
-        # criterion 4: both float paths against the log-gamma path
+        assert from_batch == pytest.approx(float(exact), rel=1e-13), coords
+        # criterion 4: the exact and batch paths against the log-gamma path
         logd = dim_class_one_log(space_id, coords)
-        assert math.log(scalar) == pytest.approx(logd, abs=1e-9), coords
+        assert math.log(exact) == pytest.approx(logd, abs=1e-9), coords
         assert math.log(from_batch) == pytest.approx(logd, abs=1e-9), coords
 
 
@@ -189,9 +188,7 @@ def test_compiled_group_factors_match_weyl(group_id):
     for coords, from_batch in zip(points, batch):
         exact = dim_type_II(group_id, coords)
         assert _compiled_exact(table, coords) == exact, coords
-        scalar = table.dim_float(coords)
-        assert scalar == pytest.approx(exact, rel=1e-13), coords
-        assert from_batch == pytest.approx(scalar, rel=1e-13), coords
+        assert from_batch == pytest.approx(float(exact), rel=1e-13), coords
 
 
 def test_compile_rejects_nonpositive_shift():
@@ -235,17 +232,14 @@ def test_box_chunks_cover_the_box_once(rank, boxes):
 def test_coordinate_count_checked():
     group, space = dims.compile_group("SU:3"), dims.compile_space("AI:3")
     for coords in ((1,), (1, 1, 1)):
-        with pytest.raises(UnknownSpace):
-            dim_class_one("AI:3", coords)
-    with pytest.raises(UnknownSpace):
-        space.dim_float((1, 1, 1))
-    with pytest.raises(UnknownSpace):
-        group.dim_float((1,))
+        for call in (partial(dim_class_one, "AI:3"), space.casimir, group.casimir):
+            with pytest.raises(UnknownSpace):
+                call(coords)
     # negative coordinates are not weights of the dominant cone
     for coords in ((-1, 0), (-3, 0), (-2, -2), (0, -1)):
-        for call in (partial(dims.dim_type_II, "SU:3"), group.dim_float, group.casimir,
+        for call in (partial(dims.dim_type_II, "SU:3"), group.casimir,
                      partial(dim_class_one, "AI:3"), partial(dim_class_one_log, "AI:3"),
-                     space.dim_float, space.casimir):
+                     space.casimir):
             with pytest.raises(UnknownSpace):
                 call(coords)
 

@@ -232,6 +232,14 @@ def test_non_finite_arguments_rejected(s, tol):
             fn(ident, s, tol)
 
 
+@pytest.mark.parametrize("max_box", [-1, 2.5, "3"])
+def test_bad_max_box_rejected_at_every_rank(max_box):
+    for fn, ident in ((zeta_type_I, "S:2"), (zeta_type_I, "AI:3"),
+                      (zeta_type_II, "SU:2"), (zeta_type_II, "SU:3")):
+        with pytest.raises(DomainError):
+            fn(ident, 2.0, 1e-6, max_box)
+
+
 def test_hurwitz_relation_domain():
     with pytest.raises(DomainError):
         hurwitz_relation_check(3, 2.0)
