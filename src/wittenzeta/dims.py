@@ -1,11 +1,12 @@
 """Class-one representation dimensions, two independent ways.
 
 The exact path evaluates the per-root closed-form factors in rational
-arithmetic.  The numeric path evaluates the gamma-quotient that defines
-each factor, rewritten with the reflection and duplication formulas so all
-log-gamma arguments stay positive; the trigonometric parts cancel exactly
-for lattice pairings and only gamma ratios remain.  The two paths share
-nothing beyond the pairing integers, so their agreement is a real check.
+arithmetic.  The numeric path evaluates the Harish-Chandra c-function
+quotient that defines each factor, reduced with the reflection and
+duplication formulas so all log-gamma arguments stay positive; the
+trigonometric parts cancel exactly for lattice pairings and only gamma
+ratios remain.  The two paths share nothing beyond the pairing integers, so
+their agreement is a real check.
 
 Float sums use a third form compiled from the per-root cases: each factor
 expands into terms (p + c)/c linear in the root pairing p, with c > 0, so
@@ -17,7 +18,6 @@ kappas being the shifts over the pairings, for spaces and groups alike.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 from operator import mul, truediv
 
 from . import rootdata, weights
-from .errors import InconsistentMultiplicities, NotRankOne, PoleError
-from .specfun import bernoulli_polynomial, log_gamma
+from .errors import InconsistentMultiplicities, NotRankOne
+from .specfun import bernoulli_polynomial
 
 _LOG_MAX = 709.0
 
@@ -41,7 +41,6 @@ class PerRootFactorParams:
     rho: Q          # (rho_X, alpha)/(alpha, alpha)
     case: str       # "even" | "odd" | "A" | "B"
     l: int
-    j: int
     r: int
 
 
@@ -54,8 +53,8 @@ def per_root_params(m: int, m2: int, rho: Q) -> PerRootFactorParams:
         if m == 0:
             raise InconsistentMultiplicities("root with no multiplicity at all")
         if m % 2 == 0:
-            return PerRootFactorParams(m, 0, rho, "even", m // 2, 0, m // 2)
-        return PerRootFactorParams(m, 0, rho, "odd", (m - 1) // 2, 0, (m - 1) // 2)
+            return PerRootFactorParams(m, 0, rho, "even", m // 2, m // 2)
+        return PerRootFactorParams(m, 0, rho, "odd", (m - 1) // 2, (m - 1) // 2)
     if m2 % 2 == 0 or m % 2 == 1:
         raise InconsistentMultiplicities(
             f"m2 must be odd and m even when m2 != 0, got ({m}, {m2})"
@@ -65,10 +64,10 @@ def per_root_params(m: int, m2: int, rho: Q) -> PerRootFactorParams:
         raise InconsistentMultiplicities(f"m2 = {m2} is outside the allowed cases")
     if m % 4 == 0:
         l = m // 4
-        return PerRootFactorParams(m, m2, rho, "A", l, j, l + j)
+        return PerRootFactorParams(m, m2, rho, "A", l, l + j)
     if m % 4 == 2:
         l = (m - 2) // 4
-        return PerRootFactorParams(m, m2, rho, "B", l, j, l + j)
+        return PerRootFactorParams(m, m2, rho, "B", l, l + j)
     raise InconsistentMultiplicities(f"no case applies to ({m}, {m2})")
 
 
@@ -165,7 +164,6 @@ def _factor_log_numeric(params: PerRootFactorParams, pairing: int) -> float:
 class _RootData:
     params: PerRootFactorParams
     column: int          # index into the positive-root pairing matrix
-    rho_float: float
 
 
 @lru_cache(maxsize=None)
@@ -185,7 +183,7 @@ def _space_roots(space_id: str) -> tuple[_RootData, ...]:
         if params.m2 == 0:
             if float(rho_a) <= params.m / 2.0 - 1.0:
                 raise AssertionError(f"{space_id}: gamma argument not positive")
-        out.append(_RootData(params=params, column=idx, rho_float=float(rho_a)))
+        out.append(_RootData(params=params, column=idx))
     return tuple(out)
 
 
@@ -420,81 +418,6 @@ def rank_one_factored(space_id: str) -> FactoredDimPolynomial:
     if poly.degree != p.m + p.m2:
         raise AssertionError(f"{space_id}: degree {poly.degree} != {p.m + p.m2}")
     return poly
-
-
-# ---------------------------------------------------------------------------
-# Harish-Chandra c-function
-# ---------------------------------------------------------------------------
-
-def _near_nonpositive_integer(w: complex, tol: float = 1e-9) -> bool:
-    if abs(w.imag) > tol:
-        return False
-    r = w.real
-    return r < 0.5 and abs(r - round(r)) < tol
-
-
-def _log_c_alpha(m: int, m2: int, w: complex) -> complex:
-    """log c_alpha at w = i z; PoleError when a gamma argument is at a pole."""
-    for arg in (w, m / 4 + 0.5 + w / 2, m / 4 + m2 / 2 + w / 2):
-        if _near_nonpositive_integer(complex(arg)):
-            raise PoleError(f"c_alpha gamma argument {arg} at a pole")
-    return (-w * math.log(2.0)
-            + log_gamma(complex(w))
-            - log_gamma(complex(m / 4 + 0.5 + w / 2))
-            - log_gamma(complex(m / 4 + m2 / 2 + w / 2)))
-
-
-def c_alpha(m: int, m2: int, z: complex) -> complex:
-    """Per-root c-function factor as a function of z = (lambda, alpha_0)."""
-    return cmath.exp(_log_c_alpha(m, m2, 1j * z))
-
-
-def c_alpha_reduced(m: int, z: complex) -> complex:
-    """Simplified factor for m2 = 0 via the duplication formula."""
-    w = 1j * z
-    for arg in (w, m / 2 + w):
-        if _near_nonpositive_integer(complex(arg)):
-            raise PoleError(f"c_alpha gamma argument {arg} at a pole")
-    logc = ((m / 2 - 1.0) * math.log(2.0) - 0.5 * math.log(math.pi)
-            + log_gamma(complex(w)) - log_gamma(complex(m / 2 + w)))
-    return cmath.exp(logc)
-
-
-def c_function(space_id: str, lam: tuple[complex, ...]) -> complex:
-    """Product of the per-root factors over indivisible positive roots."""
-    space = rootdata.lookup_space(space_id)
-    rs = space.root_system
-    acc = complex(1.0)
-    for rd in _space_roots(space_id):
-        alpha = rs.positive_roots[rd.column]
-        norm = float(rs.norms[rd.column])
-        z = sum(complex(c) * float(a) for c, a in zip(lam, alpha)) / norm
-        acc *= c_alpha(rd.params.m, rd.params.m2, z)
-    return acc
-
-
-def dimension_via_c_ratio(space_id: str, coords: weights.Coords,
-                          eps: float = 1e-5) -> float:
-    """Dimension from the c-function ratio, via a symmetric displaced limit.
-
-    At lattice points the individual c-factors hit gamma poles and zeros;
-    the ratio has a finite limit, approached here from +-eps and averaged.
-    """
-    pairings = weights.root_pairings(space_id, coords)
-
-    def ratio(d: float) -> float:
-        total = complex(0.0)
-        for rd in _space_roots(space_id):
-            m, m2 = rd.params.m, rd.params.m2
-            rho = rd.rho_float
-            x = pairings[rd.column] + rho
-            total += (_log_c_alpha(m, m2, complex(-rho + d))
-                      + _log_c_alpha(m, m2, complex(rho + d))
-                      - _log_c_alpha(m, m2, complex(-x + d))
-                      - _log_c_alpha(m, m2, complex(x + d)))
-        return cmath.exp(total).real
-
-    return 0.5 * (ratio(eps) + ratio(-eps))
 
 
 def dims_record(space_id: str, coords: weights.Coords) -> dict:

@@ -7,12 +7,13 @@ digamma values, once the divergent single-factor pieces are regularized.
 The regularization constant drops out because the partial-fraction
 coefficients sum to zero, which is also checked here in exact arithmetic.
 
-Every series sum of the library, here and in ``zeta`` and ``partition``,
-runs through ``drive``: a generator yields the series shell by shell, each
+The rank-one sums of the library, here and in ``zeta`` and ``partition``,
+run through ``drive``: a generator yields the series shell by shell, each
 shell with the certificate of the tail beyond it, and ``drive`` keeps the
 running total, stops on the tolerance or the term cap, and builds the
-``EvalResult``.  Their higher-rank sums go through ``sum_region``, which
-evaluates the one summand q^{c2(n)} d(n)^(-e) over a certified region.
+``EvalResult``.  Their higher-rank sums certify a region before any term is
+summed, and ``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e)
+over it.
 """
 from __future__ import annotations
 
@@ -74,26 +75,22 @@ def sum_region(table: dims.LinearFactors, exponent: float, area: float, certify,
     """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a region of
     ``table``'s weights certified before any term is: ``certify(cap)`` gives
     its row chunks, its point count (within ``cap``) and the bound outside
-    it.  Each chunk is one exactly rounded fsum; the bound comes with the last.
+    it.  Each chunk is one exactly rounded fsum, added in order.
     """
     import numpy as np
-    cap = term_cap()
+    _check_tolerance(tolerance)
+    chunks, count, bound = certify(term_cap())
 
-    def terms(rows):
+    def terms(rows):    # a call of its own, so a chunk's arrays die with it
         with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
             logs = -exponent * table.log_dims(rows)
             return np.exp(logs - area * table.casimirs(rows) if area else logs)
 
-    def shells():
-        # drive rejects a bad tolerance before it asks for the first shell
-        chunks, count, bound = certify(cap)
-        done = 0
-        for rows in chunks:
-            done += len(rows)
-            last = done == count
-            yield math.fsum(terms(rows).tolist()), len(rows), 0.0, bound if last else math.inf
-
-    return drive(shells(), tolerance, cap)
+    total = 0.0
+    for rows in chunks:
+        total += math.fsum(terms(rows).tolist())
+    return EvalResult(value=total, tail_bound=bound, terms_used=count,
+                      converged=bound <= tolerance)
 
 
 def certified_tail(kappas: list[float], powers: list[float]):

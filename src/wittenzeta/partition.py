@@ -4,16 +4,17 @@ For q = exp(-area) < 1 the quadratic Casimir growth makes every series here
 certifiable; at q = 1 the sums reduce to the zeta functions, to which
 evaluation is delegated.  Every sum reads the dimension and the Casimir
 from the compiled table of its space or group (``dims.compile_space``,
-``dims.compile_group``), and runs through ``genseries.drive``.
+``dims.compile_group``).
 
-Rank one sums one weight per shell under a geometric ratio bound, its
-dimension multiplied out from the table's one row.  A higher rank bounds
-its terms by a separable majorant q^{c2(n)} d(n)^-e <= prod_i h_i(n_i)
-(``_majorant_logs``).  The majorant's sum beyond coordinate sum K is a
-coefficient tail of a product of one-coordinate series, so the least K that
-meets the tolerance is known before any term is summed; the weights of
-coordinate sum <= K (``weights.simplex_chunks``) are then summed in chunks
-by ``genseries.sum_region``.
+Rank one sums one weight per shell of ``genseries.drive`` under a
+geometric ratio bound, its dimension multiplied out from the table's one
+row.  A higher rank bounds its terms by a separable majorant
+q^{c2(n)} d(n)^-e <= prod_i h_i(n_i) (``_majorant_logs``).  The
+majorant's sum beyond coordinate sum K is a coefficient tail of a product
+of one-coordinate series, so the least K that meets the tolerance is known
+before any term is summed; the weights of coordinate sum <= K
+(``weights.simplex_chunks``) are then summed in chunks by
+``genseries.sum_region``.
 """
 from __future__ import annotations
 
@@ -57,15 +58,24 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     (default ``exponent``) and no weight, so |weight(n)| must be at most
     d(n)^(exponent - bound_exponent).  The Casimir increments grow linearly,
     so beyond any n the term ratios of the bounding sum are dominated by the
-    ratio at n, which makes the geometric bound valid.
+    ratio at n, which makes the geometric bound valid.  When even the ratio
+    at the cap is at least one, no sum within the cap has a finite bound,
+    and the sum stops at its first term, as ``_majorant_grade`` does.
     """
     lq = -area
     power = exponent if bound_exponent is None else bound_exponent
     a, b = float(table.gram[0][0]), float(table.lin[0])
     factors = [(v, float(c)) for v, c in zip(table.pairing[0], table.shifts)]
+    cap = genseries.term_cap()
 
     def dim(m):     # d(m) = prod_j (m L_j + c_j) / c_j, in factor order
         return math.prod((v * m + c) / c for v, c in factors)
+
+    def ratio_at(n):    # term ratio from n to n + 1 of the bounding sum
+        return math.exp(lq * (a * (2 * n + 1) + b)) * (dim(n + 1) / dim(n)) ** max(0.0, -power)
+
+    if ratio_at(0) >= 1.0 and ratio_at(cap - 1) >= 1.0:
+        cap = 1
 
     def shells():
         n, d, c2 = 0, dim(0), 0.0
@@ -80,7 +90,7 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
             yield term, 1, 0.0, next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
             n, d, c2 = n + 1, d_next, c2_next
 
-    return genseries.drive(shells(), tolerance, genseries.term_cap())
+    return genseries.drive(shells(), tolerance, cap)
 
 
 def _grade_cap(rank: int, cap: int) -> int:

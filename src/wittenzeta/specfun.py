@@ -7,12 +7,11 @@ be returned together with a rigorous error bound.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, PoleError
+from .errors import DomainError
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -26,46 +25,6 @@ _BERNOULLI = (
 _BERNOULLI_F = tuple(float(b) for b in _BERNOULLI)
 # B_0, B_1, ..., B_25 as floats; the odd ones past B_1 vanish
 _BERNOULLI_ALL = (1.0, -0.5) + tuple(v for b in _BERNOULLI_F for v in (b, 0.0))
-
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def _log_gamma_complex(z: complex) -> complex:
-    if z.real < 0.5:
-        # reflection through Gamma(z)Gamma(1-z) = pi / sin(pi z)
-        return cmath.log(cmath.pi / cmath.sin(cmath.pi * z)) - _log_gamma_complex(1.0 - z)
-    z = z - 1.0
-    x = complex(_LANCZOS_COEFFS[0])
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        x += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * cmath.log(t) - t + cmath.log(x)
-
-
-def log_gamma(x: float | complex) -> float | complex:
-    """Principal-branch log Gamma; float in, float out for positive reals."""
-    if cmath.isnan(x):
-        raise DomainError(f"log_gamma requires a number, got {x}")
-    if isinstance(x, complex):
-        if x.imag == 0.0:
-            return log_gamma(x.real)
-        return _log_gamma_complex(x)
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"log_gamma pole at {x}")
-    if x > 0.0:
-        return math.lgamma(x)
-    return _log_gamma_complex(complex(x))
 
 
 def bernoulli_polynomial(n: int, x: float) -> float:

@@ -9,7 +9,7 @@ Hurwitz zeta with a rigorous correction bound.  Higher ranks sum a box
 by one-coordinate series of the same pinned form (``_box_bound``), under
 the weighted AM-GM of the heat majorant (``partition._majorant_logs``); the
 box's terms are those of a heat sum at q = 1 (``genseries.sum_region``).
-Both run through ``genseries.drive``, and every bound is rigorous.
+Rank one runs through ``genseries.drive``, and every bound is rigorous.
 """
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 is referenced somewhere else in the package, or is one of the names kept on
 purpose below.  A method or property counts as referenced only through an
 attribute (``x.name``); a function outside a class, through a loaded name or
-an attribute."""
+an attribute.  A dataclass field counts as used only when some attribute
+access reads it, as storing a value nobody reads is dead too."""
 import ast
 from pathlib import Path
 
@@ -14,9 +15,6 @@ KEPT = (
     # exact and gamma-path dimensions, the references of the compiled table
     "dims.dim_class_one", "dims.dim_class_one_log", "dims.dim_type_II",
     "dims.LinearFactors.casimir",
-    # the Harish-Chandra c-function path
-    "dims.c_function", "dims.c_alpha", "dims.c_alpha_reduced",
-    "dims.dimension_via_c_ratio",
     # acceptance criteria and exact identities
     "zeta.hurwitz_relation_check", "genseries.zero_identity_exact",
     "dims.FactoredDimPolynomial.evaluate", "dims.FactoredDimPolynomial.expand",
@@ -28,6 +26,12 @@ KEPT = (
     "weights._graded_box",
     # argparse calls this override on a usage error
     "cli._Parser.error",
+)
+
+#: Dataclass fields that no attribute access in the package reads.
+KEPT_FIELDS = (
+    # the group descriptor's catalog key, as space_id is the space's
+    "rootdata.CompactGroupDescriptor.group_id",
 )
 
 
@@ -58,6 +62,27 @@ def _scan():
     return defined, names, attributes
 
 
+def _is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _scan_fields():
+    """(qualified name, name) of every dataclass field, and every attribute
+    name that some access reads."""
+    fields, reads = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [(f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
+                           for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                           and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return fields, reads
+
+
 def test_every_function_is_referenced_or_kept():
     defined, names, attributes = _scan()
     dead = [qualified for qualified, name, method in defined
@@ -70,3 +95,14 @@ def test_every_function_is_referenced_or_kept():
 def test_every_kept_name_is_defined():
     defined = _scan()[0]
     assert set(KEPT) <= {qualified for qualified, _, _ in defined}
+
+
+def test_every_dataclass_field_is_read_or_kept():
+    fields, reads = _scan_fields()
+    unread = [qualified for qualified, name in fields
+              if name not in reads and qualified not in KEPT_FIELDS]
+    assert unread == []
+
+
+def test_every_kept_field_is_defined():
+    assert set(KEPT_FIELDS) <= {qualified for qualified, _ in _scan_fields()[0]}

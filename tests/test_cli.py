@@ -166,6 +166,14 @@ def test_partition2_under_a_small_cap_ends_unconverged():
     assert math.isfinite(result["tail_bound"])
 
 
+def test_partition_with_no_bound_in_the_cap_stops_at_one_term():
+    proc = run_cli("partition", "--space", "S:2", "--genus", "0", "--area", "1e-300")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["terms"] == 1 and result["tail_bound"] is None
+    assert result["converged"] is False
+
+
 def test_boundary_command():
     proc = run_cli("boundary", "--space", "S:2", "--genus", "1",
                    "--theta", "3.14159", "--area", "0.2")

@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from wittenzeta import dims, rootdata, weights
-from wittenzeta.dims import (c_alpha, c_alpha_reduced, dim_class_one,
-                             dim_class_one_log, dim_factor, dim_type_II,
-                             dimension_via_c_ratio, per_root_params,
-                             rank_one_factored)
+from wittenzeta.dims import (dim_class_one, dim_class_one_log, dim_factor,
+                             dim_type_II, per_root_params, rank_one_factored)
 from wittenzeta.errors import (InconsistentMultiplicities, NotRankOne,
-                               PoleError, UnknownSpace, UnsupportedSpace)
+                               UnknownSpace, UnsupportedSpace)
 
 EVAL_IDS = [sid for sid in rootdata.CATALOG_IDS
             if rootdata.lookup_space(sid).evaluable]
@@ -454,48 +452,3 @@ def test_gs7_identity():
             prod = math.prod(k * k - x * x for k in range(1, n + 1))
             rhs = math.pi * x / math.sin(math.pi * x) * prod
             assert lhs == pytest.approx(rhs, rel=1e-10)
-
-
-# --- c-function ---
-
-def test_c_function_gk2_vs_gk3_on_reduced_space():
-    space = rootdata.lookup_space("S:5")
-    idx = space.root_system.indivisible_indices[0]
-    m = space.m_alpha(idx)
-    z = 2.7j
-    full = c_alpha(m, 0, z)
-    reduced = c_alpha_reduced(m, z)
-    assert abs(full - reduced) / abs(reduced) < 1e-10
-
-
-def test_c_function_product_matches_scalar():
-    val = dims.c_function("S:5", (2.7j,))
-    scalar = c_alpha(4, 0, 2.7j)
-    assert abs(val - scalar) < 1e-12 * abs(scalar)
-
-
-def test_c_function_pole_detection():
-    with pytest.raises(PoleError):
-        c_alpha(4, 0, 0.0)   # Gamma(i z) at z = 0
-
-
-@pytest.mark.parametrize("space_id,n", [("S:2", 4), ("S:5", 3), ("CP:2", 2),
-                                        ("HP:2", 2), ("FII", 1)])
-def test_dimension_via_c_ratio(space_id, n):
-    expected = float(dim_class_one(space_id, (n,)))
-    got = dimension_via_c_ratio(space_id, (n,))
-    assert got == pytest.approx(expected, rel=1e-8)
-
-
-def test_c_ratio_higher_rank():
-    expected = float(dim_class_one("AI:3", (1, 2)))
-    assert dimension_via_c_ratio("AI:3", (1, 2)) == pytest.approx(expected, rel=1e-8)
-
-
-def test_c_modulus_monotone_under_multiplicity_doubling():
-    # smoke test: |c| at fixed imaginary argument moves one way as all
-    # multiplicities double
-    for t in (0.6, 1.3):
-        vals = [abs(c_alpha(m, m2, t * 1j))
-                for m, m2 in ((4, 3), (8, 6), (16, 12))]
-        assert vals[0] > vals[1] > vals[2] or vals[0] < vals[1] < vals[2]

@@ -278,6 +278,18 @@ def test_heat_sum_past_the_cap_stops_where_its_bound_does():
     assert grade == partition._grade_cap(6, cap) == 30 and 1e-10 < bound < 1e-5
 
 
+@pytest.mark.parametrize("res", [
+    lambda: partition_type_I("S:2", SurfaceParams(0, 1e-300)),
+    lambda: boundary_state("S:3", SurfaceParams(0, 1e-300, (1.0,))),
+], ids=["partition", "boundary"])
+def test_rank_one_heat_sum_with_no_bound_in_the_cap_stops_at_one_term(res):
+    # q rounds to one, so every term ratio of the bounding sum up to the cap
+    # is above one: like the higher-rank grade search, stop at the first term
+    res = res()
+    assert res.terms_used == 1 and res.tail_bound == math.inf
+    assert not res.converged and res.rigorous
+
+
 @pytest.mark.parametrize("fn,ident,genus,area", [(partition_type_II, "SU:3", 1, 1e308),
                                                  (partition_type_I, "AI:3", 2, 1e306)])
 def test_huge_area_is_one_certified_term_and_no_warning(fn, ident, genus, area):

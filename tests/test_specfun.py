@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from wittenzeta.errors import DomainError, PoleError
+from wittenzeta.errors import DomainError
 from wittenzeta.specfun import (EULER_GAMMA, bernoulli_polynomial, digamma,
                                 gauss_legendre_nodes, hurwitz_zeta,
-                                hurwitz_zeta_certified, legendre_p, log_gamma,
-                                riemann_zeta)
+                                hurwitz_zeta_certified, legendre_p, riemann_zeta)
 
 
 def brute_zeta(s: float, terms: int = 1_000_000) -> float:
@@ -15,43 +14,6 @@ def brute_zeta(s: float, terms: int = 1_000_000) -> float:
     partial = math.fsum(n ** (-s) for n in range(terms, 0, -1))
     n = terms + 1
     return partial + n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
-
-
-def test_log_gamma_known_values():
-    assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-
-def test_log_gamma_relative_accuracy_band():
-    for x in np.linspace(0.5, 50.0, 97):
-        assert math.exp(log_gamma(float(x))) == pytest.approx(math.gamma(float(x)),
-                                                              rel=1e-13)
-
-
-def test_log_gamma_poles():
-    for x in (0.0, -1.0, -7.0):
-        with pytest.raises(PoleError):
-            log_gamma(x)
-
-
-@pytest.mark.parametrize("x", [math.nan, complex(math.nan, 0.0), complex(1.0, math.nan)])
-def test_log_gamma_rejects_nan(x):
-    with pytest.raises(DomainError):
-        log_gamma(x)
-
-
-def test_log_gamma_complex_against_real():
-    for x in (0.7, 1.3, 4.25, 11.5):
-        assert log_gamma(complex(x, 0.0)) == pytest.approx(math.lgamma(x), rel=1e-12)
-
-
-def test_log_gamma_complex_modulus_identity():
-    # |Gamma(1+iy)|^2 = pi y / sinh(pi y)
-    for y in (0.5, 1.0, 2.25):
-        lg = log_gamma(complex(1.0, y))
-        expected = math.pi * y / math.sinh(math.pi * y)
-        assert math.exp(2 * lg.real) == pytest.approx(expected, rel=1e-12)
 
 
 def test_duplication_formula_residuals():
