@@ -4,14 +4,14 @@ __version__ = "0.1.0"
 
 from .errors import (DegenerateConfiguration, DivergenceError, DomainError,
                      InconsistentMultiplicities, NotConverged, NotRankOne,
-                     PoleError, UnknownSpace, UnsupportedFamily,
-                     UnsupportedSpace, WittenZetaError)
+                     UnknownSpace, UnsupportedFamily, UnsupportedSpace,
+                     WittenZetaError)
 from .result import EvalResult
 
 __all__ = [
     "__version__",
     "EvalResult",
     "WittenZetaError", "UnsupportedFamily", "UnknownSpace", "UnsupportedSpace",
-    "DomainError", "PoleError", "InconsistentMultiplicities", "NotRankOne",
+    "DomainError", "InconsistentMultiplicities", "NotRankOne",
     "DivergenceError", "NotConverged", "DegenerateConfiguration",
 ]

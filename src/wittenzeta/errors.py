@@ -21,10 +21,6 @@ class DomainError(WittenZetaError):
     """Argument outside the mathematical domain of the operation."""
 
 
-class PoleError(DomainError):
-    """Evaluation requested at a pole."""
-
-
 class InconsistentMultiplicities(WittenZetaError):
     """Multiplicity pair does not match any supported case."""
 

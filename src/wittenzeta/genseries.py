@@ -7,13 +7,12 @@ digamma values, once the divergent single-factor pieces are regularized.
 The regularization constant drops out because the partial-fraction
 coefficients sum to zero, which is also checked here in exact arithmetic.
 
-The rank-one sums of the library, here and in ``zeta`` and ``partition``,
-run through ``drive``: a generator yields the series shell by shell, each
-shell with the certificate of the tail beyond it, and ``drive`` keeps the
-running total, stops on the tolerance or the term cap, and builds the
-``EvalResult``.  Their higher-rank sums certify a region before any term is
-summed, and ``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e)
-over it.
+Every sum of the library fixes its goal, the tail bound at which it stops,
+before it sums a term: the tolerance or, when that is out of reach within
+the term cap, twice the bound at the cap.  The rank-one series
+(``_sum_with_tail``, here and in ``zeta``) pick their head from
+``certified_tail``; the higher-rank sums certify a region, and
+``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e) over it.
 """
 from __future__ import annotations
 
@@ -47,27 +46,6 @@ def term_cap() -> int:
 def _check_tolerance(tolerance: float) -> None:
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
-
-
-def drive(shells, tolerance: float, cap: int) -> EvalResult:
-    """Sum a series shell by shell until its tail bound meets the tolerance.
-
-    ``shells`` yields (shell sum, term count, tail estimate, tail bound), the
-    tail covering every term after the shell; every bound is rigorous.  The
-    sum stops when the bound is at most ``tolerance``, when ``cap`` terms are
-    used, or when the shells run out; its value is the running total plus
-    the last tail estimate.  A tolerance that is not finite and positive is
-    rejected before the first shell.
-    """
-    _check_tolerance(tolerance)
-    total, terms, estimate, bound = 0.0, 0, 0.0, math.inf
-    for shell, count, estimate, bound in shells:
-        total += shell
-        terms += count
-        if bound <= tolerance or terms >= cap:
-            break
-    return EvalResult(value=total + estimate, tail_bound=bound, terms_used=terms,
-                      converged=bound <= tolerance)
 
 
 def sum_region(table: dims.LinearFactors, exponent: float, area: float, certify,
@@ -146,31 +124,44 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
                    tolerance: float, scale_log: float = 0.0) -> EvalResult:
     """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
 
-    The shells are the blocks between the checkpoints 16, 32, 64, ... terms
-    past n = 1, and the tail after each is ``certified_tail``'s.
+    The head n = 1..h is fixed before any term is summed.  Heads of 16, 32,
+    64, ... terms, the last one the cap, are tried until ``certified_tail``
+    bounds the tail after one by the goal: the tolerance or, when the cap's
+    head misses it, twice the cap's bound.  The last doubling step is then
+    bisected until it is under 16 terms wide.  The head is one exactly
+    rounded fsum, and the value is that sum plus the pinned tail estimate.
     """
     total = sum(powers)
     if not all(map(math.isfinite, (*powers, total, scale_log))):
         raise DomainError("series powers and scale must be finite")
     if total <= 1.0:
         raise DivergenceError("series diverges: total exponent <= 1")
+    _check_tolerance(tolerance)
     cap = term_cap()
     factors = list(zip(powers, kappas))
     tails = certified_tail(kappas, powers)
+    tried = {}
 
-    def shells():
-        n, checkpoint = 1, 16
-        while True:
-            stop = 1 + min(checkpoint, cap)
-            block = 0.0
-            for m in range(n, stop):
-                block += math.exp(scale_log - sum(p * math.log(m + k) for p, k in factors))
-            count, n = stop - n, stop
-            tail, bound = tails(n)
-            yield block, count, _scaled(scale_log, tail), _scaled(scale_log, bound)
-            checkpoint *= 2
+    def bound(head):    # of the tail after n = head; ``tried`` keeps (estimate, bound)
+        if head not in tried:
+            estimate, err = tails(head + 1)
+            tried[head] = _scaled(scale_log, estimate), _scaled(scale_log, err)
+        return tried[head][1]
 
-    return drive(shells(), tolerance, cap)
+    heads = [min(16, cap)]
+    while not bound(heads[-1]) <= tolerance and heads[-1] < cap:
+        heads.append(min(2 * heads[-1], cap))
+    goal = tolerance if bound(heads[-1]) <= tolerance else 2.0 * bound(heads[-1])
+    i = next((i for i, h in enumerate(heads) if bound(h) <= goal), len(heads) - 1)
+    low, head = heads[max(i - 1, 0)], heads[i]
+    while head - low >= 16:
+        mid = (low + head) // 2
+        low, head = (low, mid) if bound(mid) <= goal else (mid, head)
+    value = math.fsum(math.exp(scale_log - sum(p * math.log(m + k) for p, k in factors))
+                      for m in range(1, head + 1))
+    estimate, err = tried[head]
+    return EvalResult(value=value + estimate, tail_bound=err, terms_used=head,
+                      converged=err <= tolerance)
 
 
 def _finite_floats(values: list, name: str) -> list[float]:
@@ -253,6 +244,8 @@ def gen_series_mf(kappa: list[Q | float], t_point: list[float]) -> float:
 
 def zero_identity_residual(kappa: list[float], t_point: list[float]) -> float:
     """|sum of partial-fraction coefficients|, which is zero in exact arithmetic."""
+    if len(kappa) != len(t_point):
+        raise DomainError("kappa and T must have equal length")
     if len(kappa) < 2:
         raise DivergenceError("need at least two factors")
     shifts = [float(k) - float(t) for k, t in zip(kappa, t_point)]
@@ -261,6 +254,8 @@ def zero_identity_residual(kappa: list[float], t_point: list[float]) -> float:
 
 def zero_identity_exact(kappa: list[Q], t_point: list[Q]) -> Q:
     """Same coefficient sum in exact rational arithmetic."""
+    if len(kappa) != len(t_point):
+        raise DomainError("kappa and T must have equal length")
     if len(kappa) < 2:
         raise DivergenceError("need at least two factors")
     shifts = [Q(k) - Q(t) for k, t in zip(kappa, t_point)]

@@ -6,15 +6,15 @@ evaluation is delegated.  Every sum reads the dimension and the Casimir
 from the compiled table of its space or group (``dims.compile_space``,
 ``dims.compile_group``).
 
-Rank one sums one weight per shell of ``genseries.drive`` under a
-geometric ratio bound, its dimension multiplied out from the table's one
-row.  A higher rank bounds its terms by a separable majorant
-q^{c2(n)} d(n)^-e <= prod_i h_i(n_i) (``_majorant_logs``).  The
-majorant's sum beyond coordinate sum K is a coefficient tail of a product
-of one-coordinate series, so the least K that meets the tolerance is known
-before any term is summed; the weights of coordinate sum <= K
-(``weights.simplex_chunks``) are then summed in chunks by
-``genseries.sum_region``.
+Rank one sums weight by weight, its dimension multiplied out from the
+table's one row, up to the first weight whose geometric ratio bound meets
+a goal fixed before the first term.  A higher rank bounds its terms by a
+separable majorant q^{c2(n)} d(n)^-e <= prod_i h_i(n_i)
+(``_majorant_logs``).  The majorant's sum beyond coordinate sum K is a
+coefficient tail of a product of one-coordinate series, so the least K
+that meets the tolerance is known before any term is summed; the weights
+of coordinate sum <= K (``weights.simplex_chunks``) are then summed in
+chunks by ``genseries.sum_region``.
 """
 from __future__ import annotations
 
@@ -58,10 +58,13 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     (default ``exponent``) and no weight, so |weight(n)| must be at most
     d(n)^(exponent - bound_exponent).  The Casimir increments grow linearly,
     so beyond any n the term ratios of the bounding sum are dominated by the
-    ratio at n, which makes the geometric bound valid.  When even the ratio
-    at the cap is at least one, no sum within the cap has a finite bound,
-    and the sum stops at its first term, as ``_majorant_grade`` does.
+    ratio at n, which makes the geometric bound valid.  The sum stops at the
+    first n whose bound meets the goal, fixed before the first term: the
+    tolerance or, when the bound after the cap's last term misses it, twice
+    that bound, as in ``_majorant_grade``.  An infinite bound at the cap
+    makes the goal infinite, and the sum stops at its first term.
     """
+    genseries._check_tolerance(tolerance)
     lq = -area
     power = exponent if bound_exponent is None else bound_exponent
     a, b = float(table.gram[0][0]), float(table.lin[0])
@@ -71,26 +74,26 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     def dim(m):     # d(m) = prod_j (m L_j + c_j) / c_j, in factor order
         return math.prod((v * m + c) / c for v, c in factors)
 
-    def ratio_at(n):    # term ratio from n to n + 1 of the bounding sum
-        return math.exp(lq * (a * (2 * n + 1) + b)) * (dim(n + 1) / dim(n)) ** max(0.0, -power)
+    def tail(m, d, c2):     # bound on the terms from m on, and d(m), c2(m); d, c2 at m - 1
+        d_next, c2_next = dim(m), a * m * m + b * m
+        ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
+        next_term = math.exp(lq * c2_next - power * math.log(d_next))
+        return next_term / (1.0 - ratio) if ratio < 1.0 else math.inf, d_next, c2_next
 
-    if ratio_at(0) >= 1.0 and ratio_at(cap - 1) >= 1.0:
-        cap = 1
-
-    def shells():
-        n, d, c2 = 0, dim(0), 0.0
-        while True:
-            term = math.exp(lq * c2 - exponent * math.log(d))
-            if weight is not None:
-                term *= weight(n)
-            m = n + 1
-            d_next, c2_next = dim(m), a * m * m + b * m
-            ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
-            next_term = math.exp(lq * c2_next - power * math.log(d_next))
-            yield term, 1, 0.0, next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
-            n, d, c2 = n + 1, d_next, c2_next
-
-    return genseries.drive(shells(), tolerance, cap)
+    m = cap - 1
+    last = tail(cap, dim(m), a * m * m + b * m)[0]
+    goal = tolerance if last <= tolerance else 2.0 * last
+    total, n, d, c2 = 0.0, 0, dim(0), 0.0
+    while True:
+        term = math.exp(lq * c2 - exponent * math.log(d))
+        if weight is not None:
+            term *= weight(n)
+        total += term
+        n += 1
+        bound, d, c2 = tail(n, d, c2)
+        if bound <= goal or n >= cap:
+            return EvalResult(value=total, tail_bound=bound, terms_used=n,
+                              converged=bound <= tolerance)
 
 
 def _grade_cap(rank: int, cap: int) -> int:

@@ -3,13 +3,14 @@
 Both types sum d(n)^(-s) over the weight cone, with d read off the compiled
 table of the space or group (``dims.compile_space``, ``dims.compile_group``),
 and both go through ``_zeta``.  Rank-one tables get a certified evaluation
-of their factored form: explicit terms plus a tail that is pinned to a
-Hurwitz zeta with a rigorous correction bound.  Higher ranks sum a box
-[0, B]^rank once, B the least side whose tail outside the box is certified
-by one-coordinate series of the same pinned form (``_box_bound``), under
-the weighted AM-GM of the heat majorant (``partition._majorant_logs``); the
-box's terms are those of a heat sum at q = 1 (``genseries.sum_region``).
-Rank one runs through ``genseries.drive``, and every bound is rigorous.
+of their factored form (``genseries._sum_with_tail``): a head of explicit
+terms, its length fixed from the bound before it is summed, plus a tail
+that is pinned to a Hurwitz zeta with a rigorous correction bound.  Higher
+ranks sum a box [0, B]^rank once, B the least side whose tail outside the
+box is certified by one-coordinate series of the same pinned form
+(``_box_bound``), under the weighted AM-GM of the heat majorant
+(``partition._majorant_logs``); the box's terms are those of a heat sum at
+q = 1 (``genseries.sum_region``).  Every bound is rigorous.
 """
 from __future__ import annotations
 

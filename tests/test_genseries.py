@@ -4,9 +4,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from wittenzeta import dims, genseries
 from wittenzeta.errors import (DegenerateConfiguration, DivergenceError,
                                DomainError, NotConverged)
-from wittenzeta.genseries import (drive, gen_series_direct, gen_series_mf,
+from wittenzeta.genseries import (certified_tail, gen_series_direct, gen_series_mf,
                                   pi_series, term_cap,
                                   zero_identity_exact, zero_identity_residual,
                                   zeta_values_from_rank_one)
@@ -142,6 +143,14 @@ def test_zero_identity_exact_random():
         assert zero_identity_exact(kappa, tpoint) == 0
 
 
+@pytest.mark.parametrize("identity", [zero_identity_residual, zero_identity_exact])
+def test_zero_identity_rejects_unequal_lengths(identity):
+    with pytest.raises(DomainError):
+        identity([1, 2, 4], [0, 0])
+    with pytest.raises(DomainError):
+        identity([1, 2], [0, 0, 0])
+
+
 def test_zero_identity_degenerate():
     with pytest.raises(DegenerateConfiguration):
         zero_identity_exact([Q(1), Q(1)], [Q(0), Q(0)])
@@ -224,18 +233,52 @@ def test_term_cap_rejects_bad_env(monkeypatch):
             term_cap()
 
 
-def test_drive_exits():
-    shells = [(1.0, 2, 0.5, 1.0), (0.25, 2, 0.125, 0.1), (0.0625, 2, 0.0, 0.01)]
-    met = drive(iter(shells), 0.2, 100)
-    assert (met.value, met.tail_bound, met.terms_used, met.converged) == (
-        1.375, 0.1, 4, True)
-    assert met.rigorous
-    capped = drive(iter(shells), 1e-3, 3)
-    assert (capped.value, capped.tail_bound, capped.terms_used,
-            capped.converged, capped.rigorous) == (1.375, 0.1, 4, False, True)
-    exhausted = drive(iter(shells), 1e-3, 100)
-    assert (exhausted.value, exhausted.tail_bound, exhausted.terms_used,
-            exhausted.converged) == (1.3125, 0.01, 6, False)
+def _zeta_tail_bound(space_id, s, head):
+    """The scaled bound of ``certified_tail`` on the rank-one zeta terms after
+    n = head, as ``zeta._zeta`` scales it."""
+    poly = dims.compile_space(space_id).factored
+    tail = certified_tail([float(k) for k, _ in poly.factors],
+                          [s * xi for _, xi in poly.factors])
+    return genseries._scaled(-s * math.log(float(poly.c)), tail(head + 1)[1])
+
+
+@pytest.mark.parametrize("space_id", ["S:2", "S:4", "S:6", "CP:2", "HP:2", "FII"])
+def test_rank_one_head_is_within_sixteen_terms_of_the_least(space_id):
+    factors = len(dims.compile_space(space_id).shifts)
+    for s in (0.25, 1.0, 2.0):
+        if s * factors <= 1:
+            continue
+        for tol in (1e-6, 1e-10):
+            res = zeta_type_I(space_id, s, tol)
+            head = res.terms_used - 1       # the n = 0 term is not in the series
+            assert res.converged, (space_id, s, tol)
+            assert res.tail_bound == _zeta_tail_bound(space_id, s, head) <= tol
+            if head >= 32:
+                assert _zeta_tail_bound(space_id, s, head - 16) > tol, (space_id, s, tol)
+
+
+def _s2_genus0_heat_bound(area, n):
+    """The geometric bound on sum_{m > n} q^{c2(m)} d(m) of S:2, d(m) = 2m + 1,
+    c2(m) = m^2 + m: the first term over one minus the ratio from n to n + 1."""
+    first = math.exp(-area * (n + 1) * (n + 2)) * (2 * n + 3)
+    ratio = math.exp(-area * 2 * (n + 1)) * (2 * n + 3) / (2 * n + 1)
+    return first / (1.0 - ratio)
+
+
+def test_missed_tolerance_stops_within_twice_the_caps_bound(monkeypatch):
+    monkeypatch.setenv("WZ_MAX_TERMS", "4096")
+    zeta = zeta_type_I("S:4", 1.0, 1e-30)
+    zeta_cap = _zeta_tail_bound("S:4", 1.0, 4096)
+    series = pi_series([1, 1], [1, 2], 1e-30)
+    series_cap = certified_tail([1.0, 2.0], [2.0, 2.0])(4097)[1]
+    heat = partition_type_I("S:2", SurfaceParams(0, 1e-6), 1e-12)
+    heat_cap = _s2_genus0_heat_bound(1e-6, 4095)
+    for res, terms, cap_bound in ((zeta, 4097, zeta_cap), (series, 4096, series_cap),
+                                  (heat, 4096, heat_cap)):
+        assert res.terms_used < terms and not res.converged
+        assert res.tail_bound <= 2.0 * cap_bound
+    # the heat sum is one pass, so it stops at the least such n
+    assert _s2_genus0_heat_bound(1e-6, heat.terms_used - 2) > 2.0 * heat_cap
 
 
 def test_term_cap_env(monkeypatch):
