@@ -8,8 +8,8 @@ The regularization constant drops out because the partial-fraction
 coefficients sum to zero, which is also checked here in exact arithmetic.
 
 Every sum of the library fixes its goal, the tail bound at which it stops,
-before it sums a term: the tolerance or, when that is out of reach within
-the term cap, twice the bound at the cap.  The rank-one series
+before it sums a term (``_goal``): the tolerance or, when that is out of
+reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from
 ``certified_tail``; the higher-rank sums certify a region, and
 ``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e) over it.
@@ -46,6 +46,12 @@ def term_cap() -> int:
 def _check_tolerance(tolerance: float) -> None:
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
+
+
+def _goal(cap_bound: float, tolerance: float) -> float:
+    """The tail bound at which a sum stops: the tolerance or, when the bound
+    at the term cap misses it, twice that bound."""
+    return tolerance if cap_bound <= tolerance else 2.0 * cap_bound
 
 
 def sum_region(table: dims.LinearFactors, exponent: float, area: float, certify,
@@ -151,7 +157,7 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     heads = [min(16, cap)]
     while not bound(heads[-1]) <= tolerance and heads[-1] < cap:
         heads.append(min(2 * heads[-1], cap))
-    goal = tolerance if bound(heads[-1]) <= tolerance else 2.0 * bound(heads[-1])
+    goal = _goal(bound(heads[-1]), tolerance)
     i = next((i for i, h in enumerate(heads) if bound(h) <= goal), len(heads) - 1)
     low, head = heads[max(i - 1, 0)], heads[i]
     while head - low >= 16:

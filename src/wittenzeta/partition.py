@@ -59,10 +59,11 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     d(n)^(exponent - bound_exponent).  The Casimir increments grow linearly,
     so beyond any n the term ratios of the bounding sum are dominated by the
     ratio at n, which makes the geometric bound valid.  The sum stops at the
-    first n whose bound meets the goal, fixed before the first term: the
-    tolerance or, when the bound after the cap's last term misses it, twice
-    that bound, as in ``_majorant_grade``.  An infinite bound at the cap
-    makes the goal infinite, and the sum stops at its first term.
+    first n whose bound meets the goal, fixed before the first term
+    (``genseries._goal``): the tolerance or, when the bound after the cap's
+    last term misses it, twice that bound.  That bound is taken in logs, so
+    a dimension past the float range does not void it.  An infinite bound
+    at the cap makes the goal infinite, and the sum stops at its first term.
     """
     genseries._check_tolerance(tolerance)
     lq = -area
@@ -70,30 +71,26 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     a, b = float(table.gram[0][0]), float(table.lin[0])
     factors = [(v, float(c)) for v, c in zip(table.pairing[0], table.shifts)]
     cap = genseries.term_cap()
-
-    def dim(m):     # d(m) = prod_j (m L_j + c_j) / c_j, in factor order
-        return math.prod((v * m + c) / c for v, c in factors)
-
-    def tail(m, d, c2):     # bound on the terms from m on, and d(m), c2(m); d, c2 at m - 1
-        d_next, c2_next = dim(m), a * m * m + b * m
-        ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
-        next_term = math.exp(lq * c2_next - power * math.log(d_next))
-        return next_term / (1.0 - ratio) if ratio < 1.0 else math.inf, d_next, c2_next
-
-    m = cap - 1
-    last = tail(cap, dim(m), a * m * m + b * m)[0]
-    goal = tolerance if last <= tolerance else 2.0 * last
-    total, n, d, c2 = 0.0, 0, dim(0), 0.0
+    log_d = [sum(math.log((v * m + c) / c) for v, c in factors) for m in (cap - 1, cap)]
+    log_ratio = lq * (a * (2 * cap - 1) + b) + max(0.0, -power) * (log_d[1] - log_d[0])
+    log_last = (lq * (a * cap * cap + b * cap) - power * log_d[1]
+                - math.log(-math.expm1(log_ratio)) if log_ratio < 0.0 else math.inf)
+    goal = genseries._goal(math.exp(log_last) if log_last < 709.0 else math.inf, tolerance)
+    total, n, d, c2 = 0.0, 0, 1.0, 0.0
     while True:
         term = math.exp(lq * c2 - exponent * math.log(d))
         if weight is not None:
             term *= weight(n)
         total += term
-        n += 1
-        bound, d, c2 = tail(n, d, c2)
+        n += 1      # d(n) = prod_j (n L_j + c_j) / c_j, in factor order
+        d_next, c2_next = math.prod((v * n + c) / c for v, c in factors), a * n * n + b * n
+        ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
+        next_term = math.exp(lq * c2_next - power * math.log(d_next))
+        bound = next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
         if bound <= goal or n >= cap:
             return EvalResult(value=total, tail_bound=bound, terms_used=n,
                               converged=bound <= tolerance)
+        d, c2 = d_next, c2_next
 
 
 def _grade_cap(rank: int, cap: int) -> int:

@@ -88,7 +88,7 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
         side = round(cap ** (1.0 / rank))       # the largest side of <= cap points
         top = min(side - (side ** rank > cap) - 1, cap if max_box is None else max_box)
         bound = functools.cache(_box_bound(table, s))
-        goal = tolerance if bound(top) <= tolerance else 2.0 * bound(top)
+        goal = genseries._goal(bound(top), tolerance)
         box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
         return weights.box_chunks(rank, box), (box + 1) ** rank, bound(box)
 

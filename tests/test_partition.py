@@ -290,6 +290,20 @@ def test_rank_one_heat_sum_with_no_bound_in_the_cap_stops_at_one_term(res):
     assert not res.converged and res.rigorous
 
 
+@pytest.mark.parametrize("res,terms", [
+    (lambda: partition_type_I("S:70", SurfaceParams(0, 1e-3)), 434),
+    (lambda: partition_type_I("S:100", SurfaceParams(0, 1e-3)), 484),
+    (lambda: partition._rank_one_heat_sum(dims.compile_space("S:70"), 0.0, 1e-3, 1e-8,
+                                          weight=lambda n: 1.0, bound_exponent=-1.0), 434),
+], ids=["S:70", "S:100", "weighted"])
+def test_rank_one_heat_sum_goal_survives_a_dimension_past_the_float_range(res, terms):
+    # d(cap) overflows a float on these tables while the bound after the
+    # cap is far below the tolerance, so the goal is the tolerance and the
+    # sum converges where its own bound first meets it
+    res = res()
+    assert res.converged and res.rigorous and res.terms_used == terms
+
+
 @pytest.mark.parametrize("fn,ident,genus,area", [(partition_type_II, "SU:3", 1, 1e308),
                                                  (partition_type_I, "AI:3", 2, 1e306)])
 def test_huge_area_is_one_certified_term_and_no_warning(fn, ident, genus, area):
