@@ -267,6 +267,13 @@ class LinearFactors:
         import numpy as np
         return np.array(self.gram, dtype=float), np.array(self.lin, dtype=float)
 
+    @cached_property
+    def _heat(self) -> partition._HeatParts:
+        """What a higher-rank heat sum needs of this table alone, built on its
+        first use (``partition._heat_parts``)."""
+        from . import partition
+        return partition._heat_parts(self)
+
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.
 

@@ -12,7 +12,8 @@ before it sums a term (``_goal``): the tolerance or, when that is out of
 reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from
 ``certified_tail``; the higher-rank sums certify a region, and
-``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e) over it.
+``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e) (``summand``)
+over it.
 """
 from __future__ import annotations
 
@@ -61,20 +62,24 @@ def sum_region(table: dims.LinearFactors, exponent: float, area: float, certify,
     its row chunks, its point count (within ``cap``) and the bound outside
     it.  Each chunk is one exactly rounded fsum, added in order.
     """
-    import numpy as np
     _check_tolerance(tolerance)
     chunks, count, bound = certify(term_cap())
-
-    def terms(rows):    # a call of its own, so a chunk's arrays die with it
-        with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
-            logs = -exponent * table.log_dims(rows)
-            return np.exp(logs - area * table.casimirs(rows) if area else logs)
-
     total = 0.0
     for rows in chunks:
-        total += math.fsum(terms(rows).tolist())
+        casimirs = table.casimirs(rows) if area else None
+        total += math.fsum(summand(table.log_dims(rows), casimirs, exponent, area).tolist())
     return EvalResult(value=total, tail_bound=bound, terms_used=count,
                       converged=bound <= tolerance)
+
+
+def summand(log_dims: np.ndarray, casimirs: np.ndarray | None, exponent: float,
+            area: float) -> np.ndarray:
+    """q^{c2(n)} d(n)^(-exponent), q = exp(-area), from log d(n) and c2(n);
+    the Casimirs are read only when area != 0."""
+    import numpy as np
+    with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
+        logs = -exponent * log_dims
+        return np.exp(logs - area * casimirs if area else logs)
 
 
 def certified_tail(kappas: list[float], powers: list[float]):

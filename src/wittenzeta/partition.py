@@ -8,19 +8,31 @@ from the compiled table of its space or group (``dims.compile_space``,
 
 Rank one sums weight by weight, its dimension multiplied out from the
 table's one row, up to the first weight whose geometric ratio bound meets
-a goal fixed before the first term.  A higher rank bounds its terms by a
-separable majorant q^{c2(n)} d(n)^-e <= prod_i h_i(n_i)
-(``_majorant_logs``).  The majorant's sum beyond coordinate sum K is a
-coefficient tail of a product of one-coordinate series, so the least K
-that meets the tolerance is known before any term is summed; the weights
-of coordinate sum <= K (``weights.simplex_chunks``) are then summed in
-chunks by ``genseries.sum_region``.
+a goal fixed before the first term, or whose running total is infinite.
+A higher rank bounds its terms by a separable majorant q^{c2(n)} d(n)^-e
+<= prod_i h_i(n_i) (``_majorant_logs``).  The majorant's sum beyond
+coordinate sum K is a coefficient tail of a product of one-coordinate
+series, so the least K that meets the tolerance is known before any term
+is summed.
+
+What a higher-rank sum needs of its table alone is built once per table,
+on its first heat sum (``_heat_parts``): the majorant's rows up to its
+first cut, the denominators of its shares and its diagonal Casimir
+coefficients, and the log-dimensions and Casimirs of the head, the largest
+simplex of at most ``weights.SIMPLEX_ROWS`` weights sorted by coordinate
+sum.  When the weights of coordinate sum <= K fit in that many rows they
+are a prefix of the head, summed as one exp and one exactly rounded fsum;
+otherwise they are summed in chunks of ``weights.simplex_chunks`` by
+``genseries.sum_region``.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
 
 from . import dims, genseries, rootdata, weights, zeta
 from .errors import DivergenceError, DomainError, UnsupportedSpace
@@ -64,6 +76,8 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     last term misses it, twice that bound.  That bound is taken in logs, so
     a dimension past the float range does not void it.  An infinite bound
     at the cap makes the goal infinite, and the sum stops at its first term.
+    A running total past the float range stops the sum too, with the value
+    inf.
     """
     genseries._check_tolerance(tolerance)
     lq = -area
@@ -87,12 +101,13 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
         ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
         next_term = math.exp(lq * c2_next - power * math.log(d_next))
         bound = next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
-        if bound <= goal or n >= cap:
+        if bound <= goal or n >= cap or total == math.inf:
             return EvalResult(value=total, tail_bound=bound, terms_used=n,
                               converged=bound <= tolerance)
         d, c2 = d_next, c2_next
 
 
+@lru_cache(maxsize=None)
 def _grade_cap(rank: int, cap: int) -> int:
     """The largest K whose C(K + rank, rank) weights of coordinate sum <= K
     fit in ``cap`` >= 1 terms."""
@@ -101,6 +116,52 @@ def _grade_cap(rank: int, cap: int) -> int:
     while math.comb(k + rank, rank) > cap:
         k -= 1
     return k
+
+
+#: The first cut M of ``_majorant_grade``; each table keeps its majorant
+#: rows up to M + 2 (``_HeatParts``).
+_FIRST_CUT = 16
+
+
+def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...]:
+    """The parts of ``_majorant_logs`` at m = 0..top that depend on the table
+    alone: log1p(m r_ij) of the upper form (exponent <= 0), log1p(m r_j) of
+    the lower form (exponent > 0), and G_ii m^2 + lin_i m."""
+    import numpy as np
+    matrix, shifts = table._arrays
+    gram, lin = table._form
+    m = np.arange(top + 1, dtype=float)[:, None]
+    return (np.log1p(m[:, :, None] * (matrix / shifts)),
+            np.log1p(m[:, :, None] * (matrix.sum(axis=0) / shifts)),
+            m * m * gram.diagonal() + m * lin)
+
+
+class _HeatParts(NamedTuple):
+    """What a higher-rank heat sum needs of its table alone, built once per
+    table (``dims.LinearFactors._heat``)."""
+
+    totals: np.ndarray                  # sum_i L_ij, the shares' denominators
+    gauss: list[tuple[float, float]]    # (G_ii, lin_i) of the ratio bound
+    rows: tuple[np.ndarray, ...]        # _majorant_rows up to _FIRST_CUT + 2
+    log_dims: np.ndarray                # of the head, by coordinate sum
+    casimirs: np.ndarray
+
+
+def _heat_parts(table: dims.LinearFactors) -> _HeatParts:
+    """The majorant's table parts, and the log-dimensions and Casimirs of the
+    head: the largest simplex of at most ``weights.SIMPLEX_ROWS`` weights,
+    sorted stably by coordinate sum, so that every simplex of at most that
+    many weights is a prefix of it."""
+    import numpy as np
+    matrix = table._arrays[0]
+    gram, lin = table._form
+    rank = len(lin)
+    block = next(weights.simplex_chunks(rank, _grade_cap(rank, weights.SIMPLEX_ROWS)))
+    head = block[np.argsort(block.sum(axis=1), kind="stable")]
+    return _HeatParts(totals=matrix.sum(axis=0),
+                      gauss=list(zip(gram.diagonal().tolist(), lin.tolist())),
+                      rows=_majorant_rows(table, _FIRST_CUT + 2),
+                      log_dims=table.log_dims(head), casimirs=table.casimirs(head))
 
 
 def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
@@ -118,16 +179,14 @@ def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
     L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij = -exponent w_ij
     when exponent > 0.
     """
-    import numpy as np
-    matrix, shifts = table._arrays
-    gram, lin = table._form
-    rates, powers = matrix / shifts, -exponent
+    parts = table._heat
+    upper, lower, quadratic = (parts.rows if top <= _FIRST_CUT + 2
+                               else _majorant_rows(table, top))
     if exponent > 0.0:
-        totals = matrix.sum(axis=0)
-        rates, powers = totals / shifts, powers * matrix / totals
-    m = np.arange(top + 1, dtype=float)[:, None]
-    poly = (np.log1p(m[:, :, None] * rates) * powers).sum(axis=2)
-    return (poly - area * (m * m * gram.diagonal() + m * lin)).T
+        poly = (lower[:top + 1] * (-exponent * table._arrays[0] / parts.totals)).sum(axis=2)
+    else:
+        poly = (upper[:top + 1] * -exponent).sum(axis=2)
+    return (poly - area * quadratic[:top + 1]).T
 
 
 def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
@@ -147,42 +206,45 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
     it.  The larger of the two at m = M+1 is r_i, and T_i <= h_i(M+1) /
     (1 - r_i).  M doubles until a K <= M meets the tolerance or M reaches
     the largest grade the cap allows.  Every h_i is scaled by its largest
-    term before the products, so nothing overflows.
+    term before the products, so nothing overflows.  The arithmetic on one
+    number per coordinate or per grade is in Python floats; the exponentials,
+    logarithms and convolutions are numpy's.
     """
     import numpy as np
-    gram, lin = table._form
-    k_cap = _grade_cap(len(lin), cap)
+    gauss = table._heat.gauss
+    k_cap = _grade_cap(len(gauss), cap)
     log_tol = math.log(tolerance)
-    cut = min(16, k_cap)
-    while True:
-        # past the float range a log h_i(m) is -inf, and -inf - -inf is NaN
-        with np.errstate(over="ignore", invalid="ignore"):
+    cut = min(_FIRST_CUT, k_cap)
+    # past the float range area m^2 makes a log h_i(m) -inf and a product of
+    # sums makes the spill inf (no certificate); a zero tail's log is -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        while True:
             logs = _majorant_logs(table, exponent, area, cut + 2)
-            log_ratio = np.fmax(logs[:, cut + 2] - logs[:, cut + 1],
-                                -area * (gram.diagonal() * (2 * cut + 3) + lin))
-        scale = logs.max(axis=1)
-        head = np.exp(logs - scale[:, None])
-        if (log_ratio < 0.0).all():
-            rest = head[:, cut + 1] / -np.expm1(log_ratio)
-            sums = head[:, :cut + 1].sum(axis=1) + rest
-            with np.errstate(over="ignore"):     # an inf spill: no certificate
-                spill = (rest * np.prod(sums) / sums).sum()
-        else:
-            spill = np.inf
-        coeffs = head[0, :cut + 1]
-        for row in head[1:, :cut + 1]:
-            coeffs = np.convolve(coeffs, row)
-        tails = np.append(np.cumsum(coeffs[::-1])[::-1], 0.0)[1:cut + 2] + spill
-        with np.errstate(divide="ignore"):
-            log_tails = np.log(tails) + scale.sum()
-        if cut == k_cap and log_tails[cut] > log_tol:
-            log_tol = log_tails[cut] + math.log(2.0)
-        fits = np.flatnonzero(log_tails <= log_tol)
-        if fits.size:
-            grade = int(fits[0])
-            break
-        cut = min(2 * cut, k_cap)
-    log_tail = float(log_tails[grade])
+            scale = logs.max(axis=1)
+            head = np.exp(logs - scale[:, None])
+            # max keeps its first argument over a NaN, the difference of two -inf
+            log_ratio = [max(-area * (g * (2 * cut + 3) + b), last - before)
+                         for (before, last), (g, b) in zip(logs[:, cut + 1:].tolist(), gauss)]
+            if all(r < 0.0 for r in log_ratio):
+                rest = head[:, cut + 1] / -np.expm1(log_ratio)
+                sums = head[:, :cut + 1].sum(axis=1) + rest
+                spill = float((rest * math.prod(sums.tolist()) / sums).sum())
+            else:
+                spill = math.inf
+            coeffs = head[0, :cut + 1]
+            for row in head[1:, :cut + 1]:
+                coeffs = np.convolve(coeffs, row)
+            # the coefficients past K, summed from the top down, for K = 0..cut
+            beyond = [*accumulate(reversed(coeffs.tolist()))][-2::-1] + [0.0]
+            log_tails = (np.log([t + spill for t in beyond[:cut + 1]])
+                         + scale.sum()).tolist()
+            if cut == k_cap and log_tails[cut] > log_tol:
+                log_tol = log_tails[cut] + math.log(2.0)
+            grade = next((k for k, t in enumerate(log_tails) if t <= log_tol), None)
+            if grade is not None:
+                break
+            cut = min(2 * cut, k_cap)
+    log_tail = log_tails[grade]
     return grade, math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
@@ -192,18 +254,27 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     majorant (``_majorant_logs``) certifies.
 
     ``_majorant_grade`` turns the majorant into the least grade K whose
-    tail beyond it meets the tolerance, and the weights of coordinate sum
-    <= K are summed in chunks of ``weights.simplex_chunks``.  When the cap
-    cannot hold that grade, the result is not converged and carries the
-    bound of the grade ``_majorant_grade`` falls back to.
+    tail beyond it meets the tolerance.  When the weights of coordinate sum
+    <= K fit in ``weights.SIMPLEX_ROWS`` rows they are a prefix of the
+    table's head, whose log-dimensions and Casimirs are built once
+    (``_heat_parts``), and they are summed as one exactly rounded fsum;
+    otherwise they are summed in chunks of ``weights.simplex_chunks``.  When
+    the cap cannot hold that grade, the result is not converged and carries
+    the bound of the grade ``_majorant_grade`` falls back to.
     """
+    genseries._check_tolerance(tolerance)
     rank = len(table.lin)
-
-    def certify(cap):
-        grade, bound = _majorant_grade(table, exponent, area, tolerance, cap)
-        return weights.simplex_chunks(rank, grade), math.comb(grade + rank, rank), bound
-
-    return genseries.sum_region(table, exponent, area, certify, tolerance)
+    grade, bound = _majorant_grade(table, exponent, area, tolerance, genseries.term_cap())
+    count = math.comb(grade + rank, rank)
+    if count > weights.SIMPLEX_ROWS:
+        chunks = weights.simplex_chunks(rank, grade)
+        return genseries.sum_region(table, exponent, area, lambda cap: (chunks, count, bound),
+                                    tolerance)
+    parts = table._heat
+    value = math.fsum(genseries.summand(parts.log_dims[:count], parts.casimirs[:count],
+                                        exponent, area).tolist())
+    return EvalResult(value=value, tail_bound=bound, terms_used=count,
+                      converged=bound <= tolerance)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,

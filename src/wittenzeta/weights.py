@@ -7,7 +7,6 @@ coordinates always range over all nonnegative integers.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from functools import lru_cache
 
@@ -59,7 +58,8 @@ def _graded_box(rank: int, box: int) -> list[Coords]:
 
 
 #: Row bound of one chunk of ``simplex_chunks``; heat sums evaluate one
-#: chunk at a time, so it bounds their memory.
+#: chunk at a time, so it bounds their memory, and each table's heat head
+#: is the largest simplex of one chunk (``partition._heat_parts``).
 SIMPLEX_ROWS = 1024
 
 
@@ -99,19 +99,6 @@ def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int) -> Iterator[
         start = stop
 
 
-@lru_cache(maxsize=None)
-def _simplex_block(rank: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The largest simplex of at most ``rows`` points, in lex order, and its
-    row sums; every smaller simplex is the rows of sum <= k, in order."""
-    import numpy as np
-    top = 0
-    while math.comb(top + 1 + rank, rank) <= rows:
-        top += 1
-    block = next(_completions(np.zeros((1, 0), dtype=np.int64),
-                              np.array([top], dtype=np.int64), rank))
-    return block, block.sum(axis=1)
-
-
 def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
     """Every point of N^rank with coordinate sum <= k once, in lex order, as
     int64 arrays of <= SIMPLEX_ROWS rows.
@@ -119,14 +106,9 @@ def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
     The rows grow from prefixes of leading coordinates, slab by slab on the
     first: a run of consecutive prefixes whose completions fit in one chunk
     is completed together, one coordinate at a time; a prefix with more
-    completions than that is first split on its next coordinate.  A simplex
-    of one chunk is cut from the largest one, built once per rank.
+    completions than that is first split on its next coordinate.
     """
     import numpy as np
-    if math.comb(k + rank, rank) <= SIMPLEX_ROWS:
-        block, sums = _simplex_block(rank, SIMPLEX_ROWS)
-        yield block[sums <= k]
-        return
     yield from _completions(np.zeros((1, 0), dtype=np.int64),
                             np.array([k], dtype=np.int64), rank)
 

@@ -314,3 +314,109 @@ def test_huge_area_is_one_certified_term_and_no_warning(fn, ident, genus, area):
         res = fn(ident, SurfaceParams(genus, area), 1e-8)
     assert res.value == 1.0 and res.tail_bound == 0.0
     assert res.converged and res.rigorous and res.terms_used == 1
+
+
+def test_rank_one_heat_sum_stops_once_its_total_overflows(monkeypatch):
+    # d(n) of S:100 at genus 0 grows past the float range long before q^{c2}
+    # pulls the terms down, so the running total overflows; the sum stops
+    # there instead of running to the term cap.  At this cap the bound after
+    # the cap is finite (about e^491), so the goal is finite too and the
+    # sum does not stop at its first term
+    monkeypatch.setenv("WZ_MAX_TERMS", "700000")
+    res = partition_type_I("S:100", SurfaceParams(0, 1e-9))
+    assert res.value == math.inf and not res.converged and res.rigorous
+    assert res.terms_used < 100_000
+
+
+#: the tables of the benchmark's heat_kernel workload
+_HEAT_TABLES = ("SU:3", "SO:5", "G2", "SU:4", "Sp:3", "F4",
+                "AI:3", "GI", "EIII", "CI:3", "BDI:4,2", "FI")
+
+
+@pytest.mark.parametrize("ident", _HEAT_TABLES)
+def test_head_sum_equals_the_chunk_sum(ident, monkeypatch):
+    # every grade whose simplex fits in one chunk is summed from the table's
+    # head; fsum rounds exactly, so the head's order gives the same float as
+    # the chunk of that simplex
+    table = _table(ident)
+    rank = len(table.lin)
+    grade = 0
+    while math.comb(grade + rank, rank) <= partition.weights.SIMPLEX_ROWS:
+        monkeypatch.setattr(partition, "_majorant_grade", lambda *args: (grade, 0.0))
+        for exponent in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
+            for area in (0.05, 0.2, 1.0):
+                head = partition._shell_heat_sum(table, exponent, area, 1e-8)
+                chunks = partition.genseries.sum_region(
+                    table, exponent, area, lambda cap: (
+                        partition.weights.simplex_chunks(rank, grade),
+                        math.comb(grade + rank, rank), 0.0), 1e-8)
+                assert head == chunks, (grade, exponent, area)
+        grade += 1
+    assert grade > 1
+
+
+def _reference_logs(table, exponent, area, top):
+    """``partition._majorant_logs`` as it was before the table parts were
+    built once per table."""
+    matrix, shifts = table._arrays
+    gram, lin = table._form
+    rates, powers = matrix / shifts, -exponent
+    if exponent > 0.0:
+        totals = matrix.sum(axis=0)
+        rates, powers = totals / shifts, powers * matrix / totals
+    m = np.arange(top + 1, dtype=float)[:, None]
+    poly = (np.log1p(m[:, :, None] * rates) * powers).sum(axis=2)
+    return (poly - area * (m * m * gram.diagonal() + m * lin)).T
+
+
+def _reference_grade(table, exponent, area, tolerance, cap):
+    """``partition._majorant_grade`` as it was before its arithmetic on one
+    number per coordinate moved to Python floats."""
+    gram, lin = table._form
+    k_cap = partition._grade_cap(len(lin), cap)
+    log_tol = math.log(tolerance)
+    cut = min(16, k_cap)
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            logs = _reference_logs(table, exponent, area, cut + 2)
+            log_ratio = np.fmax(logs[:, cut + 2] - logs[:, cut + 1],
+                                -area * (gram.diagonal() * (2 * cut + 3) + lin))
+        scale = logs.max(axis=1)
+        head = np.exp(logs - scale[:, None])
+        if (log_ratio < 0.0).all():
+            rest = head[:, cut + 1] / -np.expm1(log_ratio)
+            sums = head[:, :cut + 1].sum(axis=1) + rest
+            with np.errstate(over="ignore"):
+                spill = (rest * np.prod(sums) / sums).sum()
+        else:
+            spill = np.inf
+        coeffs = head[0, :cut + 1]
+        for row in head[1:, :cut + 1]:
+            coeffs = np.convolve(coeffs, row)
+        tails = np.append(np.cumsum(coeffs[::-1])[::-1], 0.0)[1:cut + 2] + spill
+        with np.errstate(divide="ignore"):
+            log_tails = np.log(tails) + scale.sum()
+        if cut == k_cap and log_tails[cut] > log_tol:
+            log_tol = log_tails[cut] + math.log(2.0)
+        fits = np.flatnonzero(log_tails <= log_tol)
+        if fits.size:
+            grade = int(fits[0])
+            break
+        cut = min(2 * cut, k_cap)
+    log_tail = float(log_tails[grade])
+    return grade, math.exp(log_tail) if log_tail < 709.0 else math.inf
+
+
+@pytest.mark.parametrize("ident", _HEAT_TABLES + ("E6", "E8", "EVIII"))
+def test_majorant_grade_matches_its_reference(ident):
+    # the same grade and the same bound, bit for bit, at the default term
+    # cap and at one small enough that the first cut is below 16
+    table = _table(ident)
+    for cap in (partition.genseries.term_cap(), 200):
+        for genus in range(4):
+            for exponent in (2.0 * genus - 2.0, 2.0 * genus - 1.0):
+                for area in (0.01, 0.05, 0.2, 1.0, 5.0):
+                    for tolerance in (1e-6, 1e-8, 1e-12):
+                        args = (table, exponent, area, tolerance, cap)
+                        assert (partition._majorant_grade(*args)
+                                == _reference_grade(*args)), args[1:]
