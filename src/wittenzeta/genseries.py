@@ -11,9 +11,8 @@ Every sum of the library fixes its goal, the tail bound at which it stops,
 before it sums a term (``_goal``): the tolerance or, when that is out of
 reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from
-``certified_tail``; the higher-rank sums certify a region, and
-``sum_region`` evaluates the one summand q^{c2(n)} d(n)^(-e) (``summand``)
-over it.
+``certified_tail``; the higher-rank sums certify a region and hand it to
+``sum_region``, the one loop that evaluates q^{c2(n)} d(n)^(-e) over it.
 """
 from __future__ import annotations
 
@@ -44,8 +43,16 @@ def term_cap() -> int:
     return cap
 
 
+def _finite(x) -> bool:
+    """math.isfinite, False for a number past the float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_tolerance(tolerance: float) -> None:
-    if not (math.isfinite(tolerance) and tolerance > 0):
+    if not (_finite(tolerance) and tolerance > 0):
         raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
 
 
@@ -55,31 +62,18 @@ def _goal(cap_bound: float, tolerance: float) -> float:
     return tolerance if cap_bound <= tolerance else 2.0 * cap_bound
 
 
-def sum_region(table: dims.LinearFactors, exponent: float, area: float, certify,
-               tolerance: float) -> EvalResult:
-    """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a region of
-    ``table``'s weights certified before any term is: ``certify(cap)`` gives
-    its row chunks, its point count (within ``cap``) and the bound outside
-    it.  Each chunk is one exactly rounded fsum, added in order.
-    """
-    _check_tolerance(tolerance)
-    chunks, count, bound = certify(term_cap())
-    total = 0.0
-    for rows in chunks:
-        casimirs = table.casimirs(rows) if area else None
-        total += math.fsum(summand(table.log_dims(rows), casimirs, exponent, area).tolist())
-    return EvalResult(value=total, tail_bound=bound, terms_used=count,
-                      converged=bound <= tolerance)
-
-
-def summand(log_dims: np.ndarray, casimirs: np.ndarray | None, exponent: float,
-            area: float) -> np.ndarray:
-    """q^{c2(n)} d(n)^(-exponent), q = exp(-area), from log d(n) and c2(n);
-    the Casimirs are read only when area != 0."""
+def sum_region(terms, exponent: float, area: float) -> float:
+    """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a certified
+    region given as (log d, c2) array pairs, c2 None when area is 0.  Each
+    pair is one exactly rounded fsum, added in order."""
     import numpy as np
-    with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
-        logs = -exponent * log_dims
-        return np.exp(logs - area * casimirs if area else logs)
+    total = 0.0
+    for log_dims, casimirs in terms:
+        with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
+            logs = -exponent * log_dims
+            values = np.exp(logs if casimirs is None else logs - area * casimirs)
+        total += math.fsum(values.tolist())
+    return total
 
 
 def certified_tail(kappas: list[float], powers: list[float]):
@@ -121,14 +115,16 @@ def shifted_product_tail(total: float, v: float, a: float) -> tuple[float, float
     return main, bound
 
 
+def _exp(x: float) -> float:
+    """exp(x), inf past the float range (``dims._LOG_MAX``)."""
+    return math.exp(x) if x <= dims._LOG_MAX else math.inf
+
+
 def _scaled(scale_log: float, x: float) -> float:
     """exp(scale_log) * x without overflowing on huge scale factors."""
     if x <= 0.0:
         return 0.0
-    t = scale_log + math.log(x)
-    if t > 709.0:
-        return math.inf
-    return math.exp(t)
+    return _exp(scale_log + math.log(x))
 
 
 def _sum_with_tail(kappas: list[float], powers: list[float],
@@ -177,14 +173,9 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
 
 def _finite_floats(values: list, name: str) -> list[float]:
     """The values as floats; DomainError for one not finite or past the float range."""
-    message = f"{name} entries must be finite"
-    try:
-        floats = [float(v) for v in values]
-    except OverflowError:
-        raise DomainError(message) from None
-    if not all(map(math.isfinite, floats)):
-        raise DomainError(message)
-    return floats
+    if not all(map(_finite, values)):
+        raise DomainError(f"{name} entries must be finite")
+    return [float(v) for v in values]
 
 
 def _point_shifts(kappa: list[Q | float], t_point: list[float]) -> list[float]:
@@ -207,12 +198,13 @@ def pi_series(pi: list[int], kappa: list[Q | float],
     """sum_{n>=1} prod_j (n + kappa_j)^-(1+pi_j)."""
     if len(pi) != len(kappa) or not pi:
         raise DomainError("pi and kappa must be nonempty lists of equal length")
-    if any(p < 0 for p in pi):
+    pis = _finite_floats(pi, "pi")
+    if not all(p >= 0 and p.is_integer() for p in pis):
         raise DomainError("pi entries must be nonnegative integers")
     kappas = _finite_floats(kappa, "kappa")
     if any(k <= 0 for k in kappas):
         raise DomainError("kappa entries must be positive")
-    powers = [1.0 + p for p in _finite_floats(pi, "pi")]
+    powers = [1.0 + p for p in pis]
     if sum(powers) < 2.0:
         raise DivergenceError("sum of (1 + pi_j) must be at least 2")
     return _sum_with_tail(kappas, powers, tolerance)
@@ -259,7 +251,8 @@ def zero_identity_residual(kappa: list[float], t_point: list[float]) -> float:
         raise DomainError("kappa and T must have equal length")
     if len(kappa) < 2:
         raise DivergenceError("need at least two factors")
-    shifts = [float(k) - float(t) for k, t in zip(kappa, t_point)]
+    shifts = [k - t for k, t in zip(_finite_floats(kappa, "kappa"),
+                                    _finite_floats(t_point, "T"))]
     return abs(sum(_partial_fraction_coeffs(shifts)))
 
 
@@ -292,7 +285,7 @@ def zeta_values_from_rank_one(space_id: str, s: int,
     one by the normalization d(0) = 1) is restored explicitly.  Raises
     ``NotConverged`` when that series misses its tolerance.
     """
-    if not (math.isfinite(s) and s == int(s) and s >= 1):
+    if not (_finite(s) and s == int(s) and s >= 1):
         raise DomainError(f"s must be a positive integer, got {s}")
     _check_tolerance(tolerance)
     poly = dims.rank_one_factored(space_id)

@@ -21,9 +21,9 @@ first cut, the denominators of its shares and its diagonal Casimir
 coefficients, and the log-dimensions and Casimirs of the head, the largest
 simplex of at most ``weights.SIMPLEX_ROWS`` weights sorted by coordinate
 sum.  When the weights of coordinate sum <= K fit in that many rows they
-are a prefix of the head, summed as one exp and one exactly rounded fsum;
-otherwise they are summed in chunks of ``weights.simplex_chunks`` by
-``genseries.sum_region``.
+are a prefix of the head; otherwise they come in chunks of
+``weights.simplex_chunks``.  ``genseries.sum_region`` sums them either way,
+as it sums the zeta box.
 """
 from __future__ import annotations
 
@@ -50,7 +50,9 @@ class SurfaceParams:
     def __post_init__(self):
         if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
             raise DomainError(f"genus must be an integer >= 0, got {self.genus!r}")
-        if not (math.isfinite(self.area) and self.area >= 0):
+        if not genseries._finite(2 * self.genus + self.n_holes):
+            raise DomainError("genus must be within the float range")
+        if not (genseries._finite(self.area) and self.area >= 0):
             raise DomainError(f"area must be finite and >= 0, got {self.area}")
         for theta in self.holonomies:
             if not 0.0 <= theta < 2.0 * math.pi:
@@ -89,7 +91,7 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     log_ratio = lq * (a * (2 * cap - 1) + b) + max(0.0, -power) * (log_d[1] - log_d[0])
     log_last = (lq * (a * cap * cap + b * cap) - power * log_d[1]
                 - math.log(-math.expm1(log_ratio)) if log_ratio < 0.0 else math.inf)
-    goal = genseries._goal(math.exp(log_last) if log_last < 709.0 else math.inf, tolerance)
+    goal = genseries._goal(genseries._exp(log_last), tolerance)
     total, n, d, c2 = 0.0, 0, 1.0, 0.0
     while True:
         term = math.exp(lq * c2 - exponent * math.log(d))
@@ -245,7 +247,7 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
                 break
             cut = min(2 * cut, k_cap)
     log_tail = log_tails[grade]
-    return grade, math.exp(log_tail) if log_tail < 709.0 else math.inf
+    return grade, genseries._exp(log_tail)
 
 
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
@@ -257,24 +259,23 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     tail beyond it meets the tolerance.  When the weights of coordinate sum
     <= K fit in ``weights.SIMPLEX_ROWS`` rows they are a prefix of the
     table's head, whose log-dimensions and Casimirs are built once
-    (``_heat_parts``), and they are summed as one exactly rounded fsum;
-    otherwise they are summed in chunks of ``weights.simplex_chunks``.  When
-    the cap cannot hold that grade, the result is not converged and carries
-    the bound of the grade ``_majorant_grade`` falls back to.
+    (``_heat_parts``); otherwise they come in chunks of
+    ``weights.simplex_chunks``.  Either way ``genseries.sum_region`` sums
+    them.  When the cap cannot hold that grade, the result is not converged
+    and carries the bound of the grade ``_majorant_grade`` falls back to.
     """
     genseries._check_tolerance(tolerance)
     rank = len(table.lin)
     grade, bound = _majorant_grade(table, exponent, area, tolerance, genseries.term_cap())
     count = math.comb(grade + rank, rank)
-    if count > weights.SIMPLEX_ROWS:
-        chunks = weights.simplex_chunks(rank, grade)
-        return genseries.sum_region(table, exponent, area, lambda cap: (chunks, count, bound),
-                                    tolerance)
-    parts = table._heat
-    value = math.fsum(genseries.summand(parts.log_dims[:count], parts.casimirs[:count],
-                                        exponent, area).tolist())
-    return EvalResult(value=value, tail_bound=bound, terms_used=count,
-                      converged=bound <= tolerance)
+    if count <= weights.SIMPLEX_ROWS:
+        parts = table._heat
+        terms = [(parts.log_dims[:count], parts.casimirs[:count])]
+    else:
+        terms = ((table.log_dims(rows), table.casimirs(rows))
+                 for rows in weights.simplex_chunks(rank, grade))
+    return EvalResult(value=genseries.sum_region(terms, exponent, area), tail_bound=bound,
+                      terms_used=count, converged=bound <= tolerance)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,

@@ -9,8 +9,8 @@ that is pinned to a Hurwitz zeta with a rigorous correction bound.  Higher
 ranks sum a box [0, B]^rank once, B the least side whose tail outside the
 box is certified by one-coordinate series of the same pinned form
 (``_box_bound``), under the weighted AM-GM of the heat majorant
-(``partition._majorant_logs``); the box's terms are those of a heat sum at
-q = 1 (``genseries.sum_region``).  Every bound is rigorous.
+(``partition._majorant_logs``); the box is summed by the loop that sums a
+heat region, at q = 1 (``genseries.sum_region``).  Every bound is rigorous.
 """
 from __future__ import annotations
 
@@ -80,26 +80,29 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
     least one.  When no box within the caps meets the tolerance, the least
     one whose bound is within twice that of the largest is summed, and the
     result is not converged.  The box is summed once, in chunks of
-    ``weights.box_chunks``.
+    ``weights.box_chunks``, by ``genseries.sum_region``.
     """
+    genseries._check_tolerance(tolerance)
+    cap = genseries.term_cap()
     rank = len(table.pairing)
+    side = round(cap ** (1.0 / rank))       # the largest side of <= cap points
+    top = min(side - (side ** rank > cap) - 1, cap if max_box is None else max_box)
+    bound = functools.cache(_box_bound(table, s))
+    goal = genseries._goal(bound(top), tolerance)
+    box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
+    value = genseries.sum_region(((table.log_dims(rows), None)
+                                  for rows in weights.box_chunks(rank, box)), s, 0.0)
+    return EvalResult(value=value, tail_bound=bound(box), terms_used=(box + 1) ** rank,
+                      converged=bound(box) <= tolerance)
 
-    def certify(cap):
-        side = round(cap ** (1.0 / rank))       # the largest side of <= cap points
-        top = min(side - (side ** rank > cap) - 1, cap if max_box is None else max_box)
-        bound = functools.cache(_box_bound(table, s))
-        goal = genseries._goal(bound(top), tolerance)
-        box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
-        return weights.box_chunks(rank, box), (box + 1) ** rank, bound(box)
 
-    return genseries.sum_region(table, s, 0.0, certify, tolerance)
-
-
-def _check_s(s: float, max_box: int | None = None) -> None:
-    if not math.isfinite(s):
+def _check_s(s: float, max_box: int | None = None) -> float:
+    """s as a float, once it and ``max_box`` are checked."""
+    if not genseries._finite(s):
         raise DomainError(f"s must be finite, got {s}")
     if max_box is not None and not (isinstance(max_box, numbers.Integral) and max_box >= 0):
         raise DomainError(f"max_box must be None or an integer >= 0, got {max_box!r}")
+    return float(s)
 
 
 def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
@@ -128,7 +131,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
                 max_box: int | None = None) -> EvalResult:
     """sum over class-one dominant weights of dim^(-s)."""
-    _check_s(s, max_box)
+    s = _check_s(s, max_box)
     return _zeta(dims.compile_space(space_id), s, tolerance, max_box)
 
 
@@ -139,7 +142,7 @@ def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
     Like ``zeta_type_I``, a sum that misses the tolerance comes back with
     ``converged=False`` and its last tail estimate.
     """
-    _check_s(s, max_box)
+    s = _check_s(s, max_box)
     return _zeta(dims.compile_group(group_id), s, tolerance, max_box)
 
 

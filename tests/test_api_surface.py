@@ -5,7 +5,8 @@ property counts as referenced only through an attribute (``x.name``); a
 function outside a class, a class or a constant, through a loaded name or an
 attribute, not an import or an ``__all__`` entry.  A dataclass field counts
 as used only when some attribute access reads it, as storing a value nobody
-reads is dead too."""
+reads is dead too, and a parameter's default only when some call sets that
+parameter, as a knob nobody turns is dead too."""
 import ast
 from pathlib import Path
 
@@ -123,3 +124,62 @@ def test_every_dataclass_field_is_read_or_kept():
 
 def test_every_kept_field_is_defined():
     assert set(KEPT_FIELDS) <= {qualified for qualified, _ in _scan_fields()[0]}
+
+
+#: Parameters with a default that no call in the package sets, and who does.
+KEPT_DEFAULTS = (
+    # the tests call the entry point with an argument list
+    "cli.main.argv",
+    # the benchmark's references ask for a 1e-12 tolerance
+    "genseries.zeta_values_from_rank_one.tolerance",
+    # the tests vary the quadrature order of the delta-kernel check
+    "sphere_oracle.delta_kernel_error.quad_order",
+)
+
+
+def _defaults(node, prefix, in_class=False):
+    """(qualified name, function name, parameter name, positional index or
+    None) of every parameter with a default under ``node``; a method's index
+    leaves out ``self``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = child.args
+            positional = args.posonlyargs + args.args
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                arg = positional[i].arg
+                yield f"{prefix}.{child.name}.{arg}", child.name, arg, i - in_class
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield f"{prefix}.{child.name}.{arg.arg}", child.name, arg.arg, None
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _defaults(child, f"{prefix}.{child.name}", isinstance(child, ast.ClassDef))
+        else:
+            yield from _defaults(child, prefix, in_class)
+
+
+def _unset_defaults():
+    """Every parameter with a default that no call in the package sets, by
+    position, keyword, *args or **kwargs, to a function of its name."""
+    defaults, calls = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defaults += _defaults(tree, path.stem)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                          or any(k.arg is None for k in node.keywords))
+                calls.append((name, len(node.args), {k.arg for k in node.keywords}, spread))
+    return [qualified for qualified, name, param, index in defaults
+            if not any(called == name and (spread or param in keywords
+                                           or index is not None and count > index)
+                       for called, count, keywords, spread in calls)]
+
+
+def test_every_default_is_set_or_kept():
+    assert sorted(set(_unset_defaults()) - set(KEPT_DEFAULTS)) == []
+
+
+def test_every_kept_default_is_unset():
+    assert set(KEPT_DEFAULTS) <= set(_unset_defaults())

@@ -258,6 +258,8 @@ def test_empty_list_entry_is_usage_error(args):
     ("zeta2", "--group", "SU:2", "--s", "2", "--max-box", "-5"),
     ("zeta", "--space", "S:5", "--s", "1e308"),
     ("pizeta", "--pi", "1,1" + "0" * 400, "--kappa", "1,2"),
+    ("zetagen", "--space", "S:2", "--s", "1" + "0" * 400),
+    ("partition", "--space", "S:2", "--genus", "1" + "0" * 400, "--area", "0.1"),
 ])
 def test_non_finite_input_exit_code(args):
     proc = run_cli(*args)

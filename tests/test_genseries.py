@@ -45,6 +45,9 @@ def test_pi_series_validation():
         pi_series([-1, 1], [1, 2])
     with pytest.raises(DomainError):
         pi_series([1, 1], [0, 2])
+    for pi in ([0.5, 0.5], [1e-9, 1e-9]):
+        with pytest.raises(DomainError):
+            pi_series(pi, [1, 2])
 
 
 def test_pi_series_half_shift():
@@ -151,6 +154,14 @@ def test_zero_identity_rejects_unequal_lengths(identity):
         identity([1, 2], [0, 0, 0])
 
 
+@pytest.mark.parametrize("kappa,t_point", [([math.nan, 2.0], [0, 0]),
+                                           ([1.0, 2.0], [math.inf, 0]),
+                                           ([10 ** 400, 2], [0, 0])])
+def test_zero_identity_residual_rejects_non_finite(kappa, t_point):
+    with pytest.raises(DomainError):
+        zero_identity_residual(kappa, t_point)
+
+
 def test_zero_identity_degenerate():
     with pytest.raises(DegenerateConfiguration):
         zero_identity_exact([Q(1), Q(1)], [Q(0), Q(0)])
@@ -218,6 +229,9 @@ def test_zeta_values_reject_non_integral_s():
     # the exponents s * xi - 1 of the multi-factor series must be integers
     with pytest.raises(DomainError):
         zeta_values_from_rank_one("S:3", 1.5)
+    # nor can an integer past the float range be one
+    with pytest.raises(DomainError):
+        zeta_values_from_rank_one("S:2", 10 ** 400)
 
 
 def test_zeta_values_unconverged_series_raises(monkeypatch):

@@ -23,9 +23,12 @@ def test_surface_params_validation():
         SurfaceParams(genus=0, area=-1.0)
     with pytest.raises(DomainError):
         SurfaceParams(genus=0, area=1.0, holonomies=(7.0,))
-    for area in (math.inf, math.nan):
+    for area in (math.inf, math.nan, 10 ** 400):
         with pytest.raises(DomainError):
             SurfaceParams(genus=1, area=area)
+    # an integer genus past the float range has no float exponent 2g - 2
+    with pytest.raises(DomainError):
+        partition_type_I("S:2", SurfaceParams(10 ** 400, 0.1))
 
 
 def test_su2_torus_is_theta_series():
@@ -347,10 +350,11 @@ def test_head_sum_equals_the_chunk_sum(ident, monkeypatch):
             for area in (0.05, 0.2, 1.0):
                 head = partition._shell_heat_sum(table, exponent, area, 1e-8)
                 chunks = partition.genseries.sum_region(
-                    table, exponent, area, lambda cap: (
-                        partition.weights.simplex_chunks(rank, grade),
-                        math.comb(grade + rank, rank), 0.0), 1e-8)
-                assert head == chunks, (grade, exponent, area)
+                    ((table.log_dims(rows), table.casimirs(rows))
+                     for rows in partition.weights.simplex_chunks(rank, grade)),
+                    exponent, area)
+                assert head.value == chunks, (grade, exponent, area)
+                assert head.terms_used == math.comb(grade + rank, rank)
         grade += 1
     assert grade > 1
 

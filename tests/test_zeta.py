@@ -224,7 +224,10 @@ def test_hurwitz_relation(s):
 
 @pytest.mark.parametrize("s,tol", [(math.nan, 1e-8), (math.inf, 1e-8),
                                    (-math.inf, 1e-8), (2.0, math.nan),
-                                   (2.0, math.inf), (2.0, 0.0), (2.0, -1e-8)])
+                                   (2.0, math.inf), (2.0, 0.0), (2.0, -1e-8),
+                                   pytest.param(10 ** 400, 1e-8, id="int_past_floats-1e-08"),
+                                   pytest.param(-10 ** 400, 1e-8, id="-int_past_floats-1e-08"),
+                                   pytest.param(2.0, 10 ** 400, id="2.0-int_past_floats")])
 def test_non_finite_arguments_rejected(s, tol):
     for fn, ident in ((zeta_type_I, "S:2"), (zeta_type_I, "AI:3"),
                       (zeta_type_II, "SU:2"), (zeta_type_II, "SU:3")):
