@@ -274,6 +274,13 @@ class LinearFactors:
         from . import partition
         return partition._heat_parts(self)
 
+    @cached_property
+    def _zeta_head(self) -> np.ndarray:
+        """The log-dimensions a higher-rank zeta box is read from, built on
+        its first use (``zeta._head_log_dims``)."""
+        from . import zeta
+        return zeta._head_log_dims(self)
+
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.
 

@@ -1,6 +1,15 @@
 """Exception hierarchy shared by all modules."""
 
 
+def shown(value, form=str) -> str:
+    """``form(value)`` for an error message, or the bit length of an integer
+    too long for ``str`` (more than ``sys.get_int_max_str_digits()`` digits)."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 class WittenZetaError(Exception):
     """Base class for all library errors."""
 

@@ -22,7 +22,7 @@ from fractions import Fraction as Q
 
 from . import dims
 from .errors import (DegenerateConfiguration, DivergenceError, DomainError,
-                     NotConverged)
+                     NotConverged, shown)
 from .result import EvalResult
 from .specfun import digamma, hurwitz_zeta_certified
 
@@ -53,7 +53,7 @@ def _finite(x) -> bool:
 
 def _check_tolerance(tolerance: float) -> None:
     if not (_finite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be finite and positive, got {tolerance}")
+        raise DomainError(f"tolerance must be finite and positive, got {shown(tolerance)}")
 
 
 def _goal(cap_bound: float, tolerance: float) -> float:
@@ -262,7 +262,10 @@ def zero_identity_exact(kappa: list[Q], t_point: list[Q]) -> Q:
         raise DomainError("kappa and T must have equal length")
     if len(kappa) < 2:
         raise DivergenceError("need at least two factors")
-    shifts = [Q(k) - Q(t) for k, t in zip(kappa, t_point)]
+    try:
+        shifts = [Q(k) - Q(t) for k, t in zip(kappa, t_point)]
+    except (ValueError, OverflowError):     # Fraction of a NaN or an infinity
+        raise DomainError("kappa and T entries must be finite") from None
     total = Q(0)
     for nu, a_nu in enumerate(shifts):
         prod = Q(1)
@@ -286,7 +289,7 @@ def zeta_values_from_rank_one(space_id: str, s: int,
     ``NotConverged`` when that series misses its tolerance.
     """
     if not (_finite(s) and s == int(s) and s >= 1):
-        raise DomainError(f"s must be a positive integer, got {s}")
+        raise DomainError(f"s must be a positive integer, got {shown(s)}")
     _check_tolerance(tolerance)
     poly = dims.rank_one_factored(space_id)
     if s * poly.degree <= 1:

@@ -35,7 +35,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from . import dims, genseries, rootdata, weights, zeta
-from .errors import DivergenceError, DomainError, UnsupportedSpace
+from .errors import DivergenceError, DomainError, UnsupportedSpace, shown
 from .result import EvalResult
 
 
@@ -49,11 +49,11 @@ class SurfaceParams:
 
     def __post_init__(self):
         if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
-            raise DomainError(f"genus must be an integer >= 0, got {self.genus!r}")
+            raise DomainError(f"genus must be an integer >= 0, got {shown(self.genus, repr)}")
         if not genseries._finite(2 * self.genus + self.n_holes):
             raise DomainError("genus must be within the float range")
         if not (genseries._finite(self.area) and self.area >= 0):
-            raise DomainError(f"area must be finite and >= 0, got {self.area}")
+            raise DomainError(f"area must be finite and >= 0, got {shown(self.area)}")
         for theta in self.holonomies:
             if not 0.0 <= theta < 2.0 * math.pi:
                 raise DomainError("holonomy angles must lie in [0, 2*pi)")

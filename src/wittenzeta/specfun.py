@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, shown
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -25,6 +25,10 @@ _BERNOULLI = (
 _BERNOULLI_F = tuple(float(b) for b in _BERNOULLI)
 # B_0, B_1, ..., B_25 as floats; the odd ones past B_1 vanish
 _BERNOULLI_ALL = (1.0, -0.5) + tuple(v for b in _BERNOULLI_F for v in (b, 0.0))
+# the Euler-Maclaurin coefficients B_2k / (2k)! of ``hurwitz_zeta_certified``,
+# k = 1..8, and |B_18| / 18! of its first omitted term
+_EM_COEFFS = tuple(_BERNOULLI_F[k - 1] / math.factorial(2 * k) for k in range(1, 9))
+_EM_OMITTED = abs(_BERNOULLI_F[8]) / math.factorial(18)
 
 
 def bernoulli_polynomial(n: int, x: float) -> float:
@@ -36,7 +40,7 @@ def bernoulli_polynomial(n: int, x: float) -> float:
 def digamma(x: float) -> float:
     """psi(x) for x > 0, via recurrence shift plus the asymptotic series."""
     if not x > 0.0:     # written so that a NaN fails too
-        raise DomainError(f"digamma requires x > 0, got {x}")
+        raise DomainError(f"digamma requires x > 0, got {shown(x)}")
     acc = 0.0
     while x < 12.0:
         acc -= 1.0 / x
@@ -53,9 +57,9 @@ def digamma(x: float) -> float:
 def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
     """(value, rigorous absolute error bound) for sum_{n>=0} (n+a)^(-s)."""
     if not 1.0 < s < math.inf:      # written so that a NaN fails too
-        raise DomainError(f"hurwitz_zeta requires finite s > 1, got {s}")
+        raise DomainError(f"hurwitz_zeta requires finite s > 1, got {shown(s)}")
     if not a > 0.0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got {a}")
+        raise DomainError(f"hurwitz_zeta requires a > 0, got {shown(a)}")
     shift = 0
     x = a
     while x < 16.0:
@@ -64,20 +68,20 @@ def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
     try:
         partial = math.fsum((n + a) ** (-s) for n in range(shift))
     except OverflowError:
-        raise DomainError(f"hurwitz_zeta({s}, {a}) is past the float range") from None
+        raise DomainError(f"hurwitz_zeta({shown(s)}, {shown(a)}) is past the float range"
+                          ) from None
     value = partial + x ** (1.0 - s) / (s - 1.0) + 0.5 * x ** (-s)
     factor = s
     xpow = x ** (-s - 1.0)
     inv2 = 1.0 / (x * x)
-    kmax = 8
-    for k in range(1, kmax + 1):
+    for k, coeff in enumerate(_EM_COEFFS, start=1):
         if xpow == 0.0:     # every term left is factor * 0, and factor may be inf
             break
-        value += _BERNOULLI_F[k - 1] / math.factorial(2 * k) * factor * xpow
+        value += coeff * factor * xpow
         # advance (s)(s+1)...(s+2k) and x^(-s-2k-1)
         factor *= (s + 2 * k - 1) * (s + 2 * k)
         xpow *= inv2
-    omitted = abs(_BERNOULLI_F[kmax]) / math.factorial(2 * kmax + 2) * factor * xpow
+    omitted = _EM_OMITTED * factor * xpow
     slop = 4e-16 * (abs(value) + x ** (-s)) * (shift + 4)
     return value, omitted + slop
 
@@ -90,7 +94,7 @@ def hurwitz_zeta(s: float, a: float) -> float:
 def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1."""
     if s <= 1.0:
-        raise DomainError(f"riemann_zeta requires s > 1, got {s}")
+        raise DomainError(f"riemann_zeta requires s > 1, got {shown(s)}")
     return hurwitz_zeta(s, 1.0)
 
 
@@ -114,7 +118,7 @@ def legendre_p(n: int, x: float) -> float:
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1]; exact for polynomials of degree < 2n."""
     if not 1 <= n <= 512:
-        raise DomainError(f"quadrature order must be in [1, 512], got {n}")
+        raise DomainError(f"quadrature order must be in [1, 512], got {shown(n)}")
     import numpy as np
     nodes, wts = np.polynomial.legendre.leggauss(n)
     nodes.setflags(write=False)

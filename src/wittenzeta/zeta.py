@@ -10,7 +10,10 @@ ranks sum a box [0, B]^rank once, B the least side whose tail outside the
 box is certified by one-coordinate series of the same pinned form
 (``_box_bound``), under the weighted AM-GM of the heat majorant
 (``partition._majorant_logs``); the box is summed by the loop that sums a
-heat region, at q = 1 (``genseries.sum_region``).  Every bound is rigorous.
+heat region, at q = 1 (``genseries.sum_region``).  Each table keeps, from
+its first box sum on, the log-dimensions of its head, the largest box of at
+most ``HEAD_ROWS`` weights sorted by sup-norm (``_head_log_dims``); a box
+that fits is a prefix of it.  Every bound is rigorous.
 """
 from __future__ import annotations
 
@@ -18,10 +21,11 @@ import bisect
 import functools
 import math
 import numbers
+import sys
 from dataclasses import replace
 
 from . import dims, genseries, weights
-from .errors import DivergenceError, DomainError
+from .errors import DivergenceError, DomainError, shown
 from .result import EvalResult
 from .specfun import hurwitz_zeta, riemann_zeta
 
@@ -39,7 +43,13 @@ def _box_bound(table: dims.LinearFactors, s: float):
     and move toward coordinate i by the largest t in [0, 1] that keeps
     s sum_j w_kj >= 1.2 for every other k; a g_k with s sum_j w_kj <= 1
     diverges and makes the bound inf.  As d >= 1, a bound at s' <= s holds
-    at s, and s' <= 1e300 keeps the power sums finite.
+    at s, and s' <= 1e300 keeps the power sums finite.  Where the certified
+    tail of a series from m = start is not a positive normal float (its
+    Euler-Maclaurin value at a total power P in the hundreds underflows),
+    it is taken in logs as the first term plus the integral of the rest,
+    f(start) (1 + (start + kappa_max) / (P - 1)), f(m) = prod_j (m +
+    kappa_j)^(-p_j): f decreases, and f(m) / f(start) <= ((m + kappa_max) /
+    (start + kappa_max))^(-P) for m >= start.
     """
     s = min(s, 1e300)
     matrix, shifts = table.pairing, table._arrays[1].tolist()
@@ -48,9 +58,18 @@ def _box_bound(table: dims.LinearFactors, s: float):
     def series(row, shares):    # g = exp(scale) prod_j (m + kappa_j)^(-p_j)
         kappas = [c * w / v for c, w, v in zip(shifts, shares, row) if w > 0]
         powers = [s * w for w in shares if w > 0]
-        if sum(powers) > 1.0:   # its tail function and scale; None when g diverges
-            return (genseries.certified_tail(kappas, powers),
-                    sum(p * math.log(k) for p, k in zip(powers, kappas)))
+        total = sum(powers)
+        if total > 1.0:     # its log tail function and scale; None when g diverges
+            tail = genseries.certified_tail(kappas, powers)
+
+            def log_tail(start):
+                bound = sum(tail(start))
+                if bound >= sys.float_info.min:
+                    return math.log(bound)
+                return (math.log1p((start + max(kappas)) / (total - 1.0))
+                        - sum(p * math.log(start + k) for p, k in zip(powers, kappas)))
+
+            return log_tail, sum(p * math.log(k) for p, k in zip(powers, kappas))
 
     regions = []
     for i, own in enumerate(matrix):
@@ -63,11 +82,34 @@ def _box_bound(table: dims.LinearFactors, s: float):
             return lambda box: math.inf
         # the log of each full sum 1 + sum_{m >= 1} g_k(m) but the i-th; the
         # sum of a tail's estimate and bound bounds it from above
-        log_rest = sum(math.log1p(genseries._scaled(scale, sum(tail(1))))
-                       for k, (tail, scale) in enumerate(coords) if k != i)
+        log_rest = sum(math.log1p(genseries._exp(scale + log_tail(1)))
+                       for k, (log_tail, scale) in enumerate(coords) if k != i)
         regions.append((coords[i][0], coords[i][1] + log_rest))
 
-    return lambda box: sum(genseries._scaled(scale, sum(tail(box + 1))) for tail, scale in regions)
+    return lambda box: sum(genseries._exp(scale + log_tail(box + 1))
+                           for log_tail, scale in regions)
+
+
+#: Weight bound of each table's zeta head (``_head_log_dims``): a box of at
+#: most this many weights is summed from a prefix of the head.
+HEAD_ROWS = 4096
+
+
+def _side(points: int, rank: int) -> int:
+    """The largest side whose box [0, side - 1]^rank has at most ``points`` points."""
+    side = round(points ** (1.0 / rank))
+    return side - (side ** rank > points)
+
+
+def _head_log_dims(table: dims.LinearFactors) -> np.ndarray:
+    """log d over the head: the largest box [0, b]^rank of at most HEAD_ROWS
+    weights, sorted stably by sup-norm, so that every box [0, B]^rank of at
+    most that many weights is its first (B + 1)^rank rows.  The box is one
+    chunk of ``weights.box_chunks``, as HEAD_ROWS <= CHUNK_ROWS."""
+    import numpy as np
+    rank = len(table.pairing)
+    rows = next(weights.box_chunks(rank, _side(HEAD_ROWS, rank) - 1))
+    return table.log_dims(rows)[np.argsort(rows.max(axis=1), kind="stable")]
 
 
 def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
@@ -79,29 +121,36 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
     not grow with B, so a bisection over every side up to the cap finds the
     least one.  When no box within the caps meets the tolerance, the least
     one whose bound is within twice that of the largest is summed, and the
-    result is not converged.  The box is summed once, in chunks of
-    ``weights.box_chunks``, by ``genseries.sum_region``.
+    result is not converged.  The box is summed once by
+    ``genseries.sum_region``: a box of at most ``HEAD_ROWS`` weights as one
+    prefix of the table's head, a larger one in chunks of
+    ``weights.box_chunks``.  Each chunk, as the prefix, is one exactly
+    rounded fsum, so a box of at most ``weights.CHUNK_ROWS`` weights gives
+    the same float either way.
     """
     genseries._check_tolerance(tolerance)
     cap = genseries.term_cap()
     rank = len(table.pairing)
-    side = round(cap ** (1.0 / rank))       # the largest side of <= cap points
-    top = min(side - (side ** rank > cap) - 1, cap if max_box is None else max_box)
+    top = min(_side(cap, rank) - 1, cap if max_box is None else max_box)
     bound = functools.cache(_box_bound(table, s))
     goal = genseries._goal(bound(top), tolerance)
     box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
-    value = genseries.sum_region(((table.log_dims(rows), None)
-                                  for rows in weights.box_chunks(rank, box)), s, 0.0)
-    return EvalResult(value=value, tail_bound=bound(box), terms_used=(box + 1) ** rank,
+    count = (box + 1) ** rank
+    if count <= HEAD_ROWS:
+        terms = [(table._zeta_head[:count], None)]
+    else:
+        terms = ((table.log_dims(rows), None) for rows in weights.box_chunks(rank, box))
+    value = genseries.sum_region(terms, s, 0.0)
+    return EvalResult(value=value, tail_bound=bound(box), terms_used=count,
                       converged=bound(box) <= tolerance)
 
 
 def _check_s(s: float, max_box: int | None = None) -> float:
     """s as a float, once it and ``max_box`` are checked."""
     if not genseries._finite(s):
-        raise DomainError(f"s must be finite, got {s}")
+        raise DomainError(f"s must be finite, got {shown(s)}")
     if max_box is not None and not (isinstance(max_box, numbers.Integral) and max_box >= 0):
-        raise DomainError(f"max_box must be None or an integer >= 0, got {max_box!r}")
+        raise DomainError(f"max_box must be None or an integer >= 0, got {shown(max_box, repr)}")
     return float(s)
 
 

@@ -162,6 +162,14 @@ def test_zero_identity_residual_rejects_non_finite(kappa, t_point):
         zero_identity_residual(kappa, t_point)
 
 
+@pytest.mark.parametrize("kappa,t_point", [([math.nan, 2.0], [0, 0]),
+                                           ([math.inf, 2.0], [0, 0]),
+                                           ([1.0, 2.0], [-math.inf, 0])])
+def test_zero_identity_exact_rejects_non_finite(kappa, t_point):
+    with pytest.raises(DomainError):
+        zero_identity_exact(kappa, t_point)
+
+
 def test_zero_identity_degenerate():
     with pytest.raises(DegenerateConfiguration):
         zero_identity_exact([Q(1), Q(1)], [Q(0), Q(0)])
@@ -232,6 +240,9 @@ def test_zeta_values_reject_non_integral_s():
     # nor can an integer past the float range be one
     with pytest.raises(DomainError):
         zeta_values_from_rank_one("S:2", 10 ** 400)
+    # nor one too long to print in the message
+    with pytest.raises(DomainError):
+        zeta_values_from_rank_one("S:2", 10 ** 5000)
 
 
 def test_zeta_values_unconverged_series_raises(monkeypatch):

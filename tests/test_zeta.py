@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -162,22 +163,73 @@ def test_rank_one_vs_growing_box():
 
 
 def test_growing_box_evaluates_each_term_once(monkeypatch):
-    # the certified box [0, B]^2 is summed once: terms_used == (B + 1)^2
+    # the certified box [0, B]^2 is summed once: terms_used == (B + 1)^2, from
+    # a prefix of the table's head while it fits in zeta.HEAD_ROWS weights,
+    # in chunks of weights.box_chunks past that
     table = dims.compile_space("AI:3")
-    chunks, seen = zeta.weights.box_chunks, []
+    table._zeta_head        # built before box_chunks is recorded
+    chunks, sum_region = zeta.weights.box_chunks, zeta.genseries.sum_region
+    seen, summed = [], []
 
-    def recording(rank, box):
+    def recording_chunks(rank, box):
         for rows in chunks(rank, box):
             seen.extend(map(tuple, rows.tolist()))
             yield rows
 
-    monkeypatch.setattr(zeta.weights, "box_chunks", recording)
-    for tol, max_box in ((1e-6, None), (1e-12, 16)):
+    def recording_sum(terms, exponent, area):
+        terms = list(terms)
+        summed.extend(v for log_dims, _ in terms for v in log_dims.tolist())
+        return sum_region(terms, exponent, area)
+
+    monkeypatch.setattr(zeta.weights, "box_chunks", recording_chunks)
+    monkeypatch.setattr(zeta.genseries, "sum_region", recording_sum)
+    for tol, max_box, head in ((1e-6, None, True), (1e-12, 16, True), (1e-12, 80, False)):
         seen.clear()
+        summed.clear()
         res = zeta._growing_box(table, 2.0, tol, max_box)
-        side = max(max(n) for n in seen) + 1
-        assert len(set(seen)) == len(seen) == res.terms_used == side ** 2
+        side = math.isqrt(res.terms_used)
+        box = np.indices((side, side)).reshape(2, -1).T
+        assert len(summed) == res.terms_used == side ** 2
+        assert sorted(summed) == sorted(table.log_dims(box).tolist())
+        assert (res.terms_used <= zeta.HEAD_ROWS) == head
+        if head:
+            assert not seen
+        else:
+            assert max(max(n) for n in seen) + 1 == side
+            assert len(set(seen)) == len(seen) == res.terms_used
         assert res.converged == (max_box is None) and res.rigorous
+
+
+@pytest.mark.parametrize("kind,ident", [("I", "AI:3"), ("I", "GI"), ("I", "EIII"), ("I", "EI"),
+                                        ("II", "SU:3"), ("II", "G2"), ("II", "SU:4")])
+def test_zeta_head_prefixes_are_the_boxes(kind, ident):
+    # every box [0, B]^rank of at most HEAD_ROWS weights is the first
+    # (B + 1)^rank rows of the head, in sup-norm then lex order, and its
+    # prefix sums to the float its box_chunks sum gives
+    table = (dims.compile_space if kind == "I" else dims.compile_group)(ident)
+    rank, head = len(table.pairing), table._zeta_head
+    box = 0
+    while (box + 1) ** rank <= zeta.HEAD_ROWS:
+        points = sorted(itertools.product(range(box + 1), repeat=rank), key=max)
+        prefix = head[:len(points)]
+        assert np.array_equal(prefix, table.log_dims(np.array(points)))
+        for s in (0.7, 2.0):
+            chunked = ((table.log_dims(rows), None) for rows in zeta.weights.box_chunks(rank, box))
+            assert (zeta.genseries.sum_region([(prefix, None)], s, 0.0)
+                    == zeta.genseries.sum_region(chunked, s, 0.0))
+        box += 1
+    assert len(head) == box ** rank
+
+
+def test_box_bound_stays_positive_past_hurwitz_underflow():
+    # EIX at s >= 3: the region series have total powers in the hundreds,
+    # whose Euler-Maclaurin tails underflow to a nonpositive float; the
+    # bound takes them in logs and stays positive and nonincreasing
+    for s in (3.0, 4.0, 6.0):
+        bound = zeta._box_bound(dims.compile_space("EIX"), s)
+        values = [bound(box) for box in range(65)]
+        assert all(v > 0.0 for v in values)
+        assert all(a >= b for a, b in zip(values, values[1:]))
 
 
 def test_higher_rank_type_i_runs():
@@ -227,7 +279,9 @@ def test_hurwitz_relation(s):
                                    (2.0, math.inf), (2.0, 0.0), (2.0, -1e-8),
                                    pytest.param(10 ** 400, 1e-8, id="int_past_floats-1e-08"),
                                    pytest.param(-10 ** 400, 1e-8, id="-int_past_floats-1e-08"),
-                                   pytest.param(2.0, 10 ** 400, id="2.0-int_past_floats")])
+                                   pytest.param(2.0, 10 ** 400, id="2.0-int_past_floats"),
+                                   pytest.param(10 ** 5000, 1e-8, id="int_past_str-1e-08"),
+                                   pytest.param(2.0, 10 ** 5000, id="2.0-int_past_str")])
 def test_non_finite_arguments_rejected(s, tol):
     for fn, ident in ((zeta_type_I, "S:2"), (zeta_type_I, "AI:3"),
                       (zeta_type_II, "SU:2"), (zeta_type_II, "SU:3")):
@@ -235,7 +289,8 @@ def test_non_finite_arguments_rejected(s, tol):
             fn(ident, s, tol)
 
 
-@pytest.mark.parametrize("max_box", [-1, 2.5, "3"])
+@pytest.mark.parametrize("max_box", [-1, 2.5, "3",
+                                     pytest.param(-10 ** 5000, id="int_past_str")])
 def test_bad_max_box_rejected_at_every_rank(max_box):
     for fn, ident in ((zeta_type_I, "S:2"), (zeta_type_I, "AI:3"),
                       (zeta_type_II, "SU:2"), (zeta_type_II, "SU:3")):
