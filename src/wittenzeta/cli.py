@@ -56,13 +56,15 @@ def build_parser() -> _Parser:
     p.add_argument("--space", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-box", type=int, default=None, help="cap on the box side")
+    p.add_argument("--max-box", type=int, default=None,
+                   help="cap on the box side above rank one; a rank-one sum ignores it")
 
     p = sub.add_parser("zeta2", help="type II Witten zeta value")
     p.add_argument("--group", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--max-box", type=int, default=None, help="cap on the box side")
+    p.add_argument("--max-box", type=int, default=None,
+                   help="cap on the box side above rank one; a rank-one sum ignores it")
 
     p = sub.add_parser("partition", help="type I partition series")
     p.add_argument("--space", required=True)

@@ -275,11 +275,11 @@ class LinearFactors:
         return partition._heat_parts(self)
 
     @cached_property
-    def _zeta_head(self) -> np.ndarray:
-        """The log-dimensions a higher-rank zeta box is read from, built on
-        its first use (``zeta._head_log_dims``)."""
+    def _zeta_head(self) -> zeta._Head:
+        """The log-dimensions a higher-rank zeta box is read from, grown on
+        demand (``zeta._Head``)."""
         from . import zeta
-        return zeta._head_log_dims(self)
+        return zeta._Head(self)
 
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.

@@ -65,6 +65,15 @@ def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
     while x < 16.0:
         shift += 1
         x += 1.0
+    if s > 96.0:
+        # the Euler-Maclaurin terms at x = 16 grow (s > 2 pi x): x moves on
+        # until the first omitted term is at most 2^-53 a^(-s), which the
+        # value exceeds
+        limit = (math.log(_EM_OMITTED) + math.fsum(math.log(s + j) for j in range(17))
+                 + 53.0 * math.log(2.0) + s * math.log(a))
+        while (s + 17.0) * math.log(x) < limit:
+            shift += 1
+            x += 1.0
     try:
         partial = math.fsum((n + a) ** (-s) for n in range(shift))
     except OverflowError:

@@ -10,14 +10,15 @@ ranks sum a box [0, B]^rank once, B the least side whose tail outside the
 box is certified by one-coordinate series of the same pinned form
 (``_box_bound``), under the weighted AM-GM of the heat majorant
 (``partition._majorant_logs``); the box is summed by the loop that sums a
-heat region, at q = 1 (``genseries.sum_region``).  Each table keeps, from
-its first box sum on, the log-dimensions of its head, the largest box of at
-most ``HEAD_ROWS`` weights sorted by sup-norm (``_head_log_dims``); a box
-that fits is a prefix of it.  Every bound is rigorous.
+heat region, at q = 1 (``genseries.sum_region``).  The side comes from a
+few bounds, by a search that interpolates and falls back to halving
+(``_least_side``).  Each table keeps a zeta head, the log-dimensions of a
+box in sup-norm order that grows on demand up to ``weights.CHUNK_ROWS``
+weights (``_Head``); a box of at most that many weights is a prefix of it.
+Every bound is rigorous.
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -90,26 +91,79 @@ def _box_bound(table: dims.LinearFactors, s: float):
                            for log_tail, scale in regions)
 
 
-#: Weight bound of each table's zeta head (``_head_log_dims``): a box of at
-#: most this many weights is summed from a prefix of the head.
-HEAD_ROWS = 4096
-
-
 def _side(points: int, rank: int) -> int:
     """The largest side whose box [0, side - 1]^rank has at most ``points`` points."""
     side = round(points ** (1.0 / rank))
     return side - (side ** rank > points)
 
 
-def _head_log_dims(table: dims.LinearFactors) -> np.ndarray:
-    """log d over the head: the largest box [0, b]^rank of at most HEAD_ROWS
-    weights, sorted stably by sup-norm, so that every box [0, B]^rank of at
-    most that many weights is its first (B + 1)^rank rows.  The box is one
-    chunk of ``weights.box_chunks``, as HEAD_ROWS <= CHUNK_ROWS."""
-    import numpy as np
-    rank = len(table.pairing)
-    rows = next(weights.box_chunks(rank, _side(HEAD_ROWS, rank) - 1))
-    return table.log_dims(rows)[np.argsort(rows.max(axis=1), kind="stable")]
+class _Head:
+    """A table's zeta head (``dims.LinearFactors._zeta_head``): log d over a
+    box [0, side - 1]^rank, by sup-norm shells, lex order within one, so that
+    every box [0, B]^rank with B < side is its first (B + 1)^rank rows.
+
+    It starts empty.  When a box past it is asked for, it grows to the
+    larger of that box and the largest box of at most twice its rows, never
+    past ``weights.CHUNK_ROWS`` weights, by appending the new shells.  A
+    call reads one head array throughout, so calls that grow it at once
+    still sum the right rows; the last head stored is kept.
+    """
+
+    def __init__(self, table: dims.LinearFactors):
+        self.table, self.log_dims = table, ()
+
+    def prefix(self, box: int) -> np.ndarray:
+        """log d over [0, box]^rank, a box of at most CHUNK_ROWS weights."""
+        import numpy as np
+        rank = len(self.table.pairing)
+        count, head = (box + 1) ** rank, self.log_dims
+        if len(head) < count:
+            side = max(box + 1, min(_side(2 * len(head), rank), _side(weights.CHUNK_ROWS, rank)))
+            points = np.indices((side,) * rank).reshape(rank, -1)     # lex order
+            shells = functools.reduce(np.maximum, points).astype(np.uint16)
+            new = np.argsort(shells, kind="stable")[len(head):]
+            # log d over the whole box, then the new shells' rows: cheaper
+            # than gathering their points first
+            head = np.concatenate([head, self.table.log_dims(points.T)[new]])
+            self.log_dims = head
+        return head[:count]
+
+
+def _least_side(bound, top: int, goal: float) -> int:
+    """The least side B in [0, top] with bound(B) <= goal, given that
+    bound(top) meets it: the side a bisection finds wherever bound does not
+    grow with B, from fewer evaluations.
+
+    The bracket (lo, hi] holds it, bound(lo) > goal >= bound(hi), and each
+    probe moves one of its ends.  The first probe is B = 0 when the bracket
+    holds more than 9 sides.  A later one goes where the line through two
+    points (log(B + 2), log bound(B)) meets log goal, as a power law in
+    B + 2 would, rounded up: through hi and lo after a probe that missed the
+    goal, through hi and the hi before it after one that met it.  As in
+    Brent's zero finder (1973, ch. 4), that guess is only taken when it
+    moves less than half as far as the probe before last did; otherwise, or
+    when a bound on the line is 0 or inf, the bracket is halved.
+    """
+    lo, hi, other, last, steps = -1, top, top, top, []
+    while hi - lo > 1:
+        probe = min((lo + hi) // 2 + 1, hi - 1)
+        ends = bound(other), bound(hi)
+        if lo < 0 and hi > 8:
+            probe = 0
+        elif lo >= 0 and 0.0 < min(ends) and max(ends) < math.inf and ends[0] != ends[1]:
+            y_1, y_2 = map(math.log, ends)
+            x_1, x_2 = math.log(other + 2), math.log(hi + 2)
+            x = x_1 + (math.log(goal) - y_1) / (y_2 - y_1) * (x_2 - x_1)
+            guess = min(max(math.ceil(math.exp(min(x, x_2))) - 2, lo + 1), hi - 1)
+            if len(steps) < 2 or 2 * abs(guess - last) < steps[-2]:
+                probe = guess
+        if bound(probe) <= goal:
+            hi, other = probe, hi
+        else:
+            lo = other = probe
+        steps.append(abs(probe - last))
+        last = probe
+    return hi
 
 
 def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
@@ -117,27 +171,25 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
     """sum of d(n)^(-s) over the least box [0, B]^rank whose ``_box_bound``
     meets the tolerance.
 
-    The side is capped by ``max_box`` and by the term cap.  The bound does
-    not grow with B, so a bisection over every side up to the cap finds the
-    least one.  When no box within the caps meets the tolerance, the least
-    one whose bound is within twice that of the largest is summed, and the
-    result is not converged.  The box is summed once by
-    ``genseries.sum_region``: a box of at most ``HEAD_ROWS`` weights as one
-    prefix of the table's head, a larger one in chunks of
-    ``weights.box_chunks``.  Each chunk, as the prefix, is one exactly
-    rounded fsum, so a box of at most ``weights.CHUNK_ROWS`` weights gives
-    the same float either way.
+    The side is capped by ``max_box`` and by the term cap, and found by
+    ``_least_side`` from a few bounds.  When no box within the caps meets the
+    tolerance, the least one whose bound is within twice that of the largest
+    is summed, and the result is not converged.  The box is summed once by
+    ``genseries.sum_region``: a box of at most ``weights.CHUNK_ROWS`` weights
+    as one prefix of the table's zeta head, a larger one in chunks of
+    ``weights.box_chunks``.  Each chunk, as the prefix, is one exactly rounded
+    fsum, so a box of at most CHUNK_ROWS weights gives the same float either
+    way.
     """
     genseries._check_tolerance(tolerance)
     cap = genseries.term_cap()
     rank = len(table.pairing)
     top = min(_side(cap, rank) - 1, cap if max_box is None else max_box)
     bound = functools.cache(_box_bound(table, s))
-    goal = genseries._goal(bound(top), tolerance)
-    box = bisect.bisect_left(range(top + 1), True, key=lambda b: bound(b) <= goal)
+    box = _least_side(bound, top, genseries._goal(bound(top), tolerance))
     count = (box + 1) ** rank
-    if count <= HEAD_ROWS:
-        terms = [(table._zeta_head[:count], None)]
+    if count <= weights.CHUNK_ROWS:
+        terms = [(table._zeta_head.prefix(box), None)]
     else:
         terms = ((table.log_dims(rows), None) for rows in weights.box_chunks(rank, box))
     value = genseries.sum_region(terms, s, 0.0)

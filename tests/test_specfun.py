@@ -115,6 +115,19 @@ def test_certified_zeta_is_finite_at_huge_s():
     assert value == 2.0 ** 1000 and math.isfinite(bound)
 
 
+@pytest.mark.parametrize("s,a", [(228.0, 16.0), (100.0, 16.0), (60.0, 1.5), (40.0, 1.0)])
+def test_certified_zeta_is_tight_at_large_s(s, a):
+    # past s = 96 the shift goes on from 16: at 16, (228, 16) gave
+    # -2.66e-270 +- 1.8e-269 for a true 2.9e-275
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        true = mpmath.zeta(s, a)
+        value, bound = hurwitz_zeta_certified(s, a)
+        assert value > 0.0
+        assert abs(mpmath.mpf(value) - true) <= bound
+        assert bound < 1e-10 * true
+
+
 def test_riemann_zeta_domain():
     with pytest.raises(DomainError):
         riemann_zeta(1.0)

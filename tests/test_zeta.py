@@ -1,7 +1,10 @@
+import bisect
+import functools
 import itertools
 import math
 import random
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -164,10 +167,9 @@ def test_rank_one_vs_growing_box():
 
 def test_growing_box_evaluates_each_term_once(monkeypatch):
     # the certified box [0, B]^2 is summed once: terms_used == (B + 1)^2, from
-    # a prefix of the table's head while it fits in zeta.HEAD_ROWS weights,
-    # in chunks of weights.box_chunks past that
+    # a prefix of the table's head while it fits in weights.CHUNK_ROWS
+    # weights, in chunks of weights.box_chunks past that
     table = dims.compile_space("AI:3")
-    table._zeta_head        # built before box_chunks is recorded
     chunks, sum_region = zeta.weights.box_chunks, zeta.genseries.sum_region
     seen, summed = [], []
 
@@ -183,7 +185,7 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
 
     monkeypatch.setattr(zeta.weights, "box_chunks", recording_chunks)
     monkeypatch.setattr(zeta.genseries, "sum_region", recording_sum)
-    for tol, max_box, head in ((1e-6, None, True), (1e-12, 16, True), (1e-12, 80, False)):
+    for tol, max_box, head in ((1e-6, None, True), (1e-12, 16, True), (1e-12, 250, False)):
         seen.clear()
         summed.clear()
         res = zeta._growing_box(table, 2.0, tol, max_box)
@@ -191,7 +193,7 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
         box = np.indices((side, side)).reshape(2, -1).T
         assert len(summed) == res.terms_used == side ** 2
         assert sorted(summed) == sorted(table.log_dims(box).tolist())
-        assert (res.terms_used <= zeta.HEAD_ROWS) == head
+        assert (res.terms_used <= zeta.weights.CHUNK_ROWS) == head
         if head:
             assert not seen
         else:
@@ -200,25 +202,69 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
         assert res.converged == (max_box is None) and res.rigorous
 
 
-@pytest.mark.parametrize("kind,ident", [("I", "AI:3"), ("I", "GI"), ("I", "EIII"), ("I", "EI"),
-                                        ("II", "SU:3"), ("II", "G2"), ("II", "SU:4")])
+LATTICE_TABLES = [("I", "AI:3"), ("I", "GI"), ("I", "EIII"), ("I", "EI"),
+                  ("II", "SU:3"), ("II", "G2"), ("II", "SU:4")]
+
+
+def _table(kind, ident):
+    return (dims.compile_space if kind == "I" else dims.compile_group)(ident)
+
+
+def _fresh(kind, ident):
+    """A copy of the compiled table with an empty zeta head."""
+    return replace(_table(kind, ident))
+
+
+@pytest.mark.parametrize("kind,ident", LATTICE_TABLES)
 def test_zeta_head_prefixes_are_the_boxes(kind, ident):
-    # every box [0, B]^rank of at most HEAD_ROWS weights is the first
+    # every box [0, B]^rank of at most CHUNK_ROWS weights is the first
     # (B + 1)^rank rows of the head, in sup-norm then lex order, and its
-    # prefix sums to the float its box_chunks sum gives
-    table = (dims.compile_space if kind == "I" else dims.compile_group)(ident)
+    # prefix sums to the float its box_chunks sum gives; the head grows box
+    # by box from empty and keeps the rows it had
+    table = _fresh(kind, ident)
     rank, head = len(table.pairing), table._zeta_head
-    box = 0
-    while (box + 1) ** rank <= zeta.HEAD_ROWS:
-        points = sorted(itertools.product(range(box + 1), repeat=rank), key=max)
-        prefix = head[:len(points)]
-        assert np.array_equal(prefix, table.log_dims(np.array(points)))
+    side = zeta._side(zeta.weights.CHUNK_ROWS, rank)
+    points = sorted(itertools.product(range(side), repeat=rank), key=max)
+    log_dims = table.log_dims(np.array(points))
+    for box in range(side):
+        count = (box + 1) ** rank
+        # the first count points, all of sup-norm <= box, are that box
+        assert max(points[count - 1]) == box
+        assert count == len(points) or max(points[count]) == box + 1
+        prefix = head.prefix(box)
+        assert np.array_equal(prefix, log_dims[:count])
         for s in (0.7, 2.0):
             chunked = ((table.log_dims(rows), None) for rows in zeta.weights.box_chunks(rank, box))
             assert (zeta.genseries.sum_region([(prefix, None)], s, 0.0)
                     == zeta.genseries.sum_region(chunked, s, 0.0))
-        box += 1
-    assert len(head) == box ** rank
+    assert len(head.log_dims) == side ** rank <= zeta.weights.CHUNK_ROWS
+
+
+@pytest.mark.parametrize("kind,ident", LATTICE_TABLES)
+def test_zeta_head_grows_on_demand(kind, ident):
+    # a box-1 call leaves the head holding that box; each growth keeps it
+    # within CHUNK_ROWS and within the larger of the box asked and twice its
+    # rows before
+    table = _fresh(kind, ident)
+    rank, head = len(table.pairing), table._zeta_head
+    res = zeta._zeta(table, 4.0, 1.0, 1)
+    assert len(head.log_dims) == res.terms_used <= 2 ** rank
+    for box in range(zeta._side(zeta.weights.CHUNK_ROWS, rank)):
+        before = len(head.log_dims)
+        head.prefix(box)
+        after = len(head.log_dims)
+        assert after >= (box + 1) ** rank
+        assert after == before or after <= min(zeta.weights.CHUNK_ROWS,
+                                               max((box + 1) ** rank, 2 * before))
+
+
+def test_su3_head_covers_its_box():
+    # SU:3 at s = 2 sums 26,569 weights, one chunk, from its head
+    table = _fresh("II", "SU:3")
+    res = zeta._zeta(table, 2.0, 1e-6, None)
+    assert res.terms_used == 26_569
+    assert 26_569 <= len(table._zeta_head.log_dims) <= zeta.weights.CHUNK_ROWS
+    assert res == zeta_type_II("SU:3", 2.0, 1e-6)
 
 
 def test_box_bound_stays_positive_past_hurwitz_underflow():
@@ -230,6 +276,75 @@ def test_box_bound_stays_positive_past_hurwitz_underflow():
         values = [bound(box) for box in range(65)]
         assert all(v > 0.0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+EVALUABLE_SPACES = [d.space_id for d in rootdata.catalog_spaces() if d.evaluable and d.rank >= 2]
+SCAN_GROUPS = ["SU:3", "SO:5", "G2", "SU:4", "Sp:3", "SO:7", "F4"]
+
+
+@pytest.mark.parametrize("kind,ident", [("I", i) for i in EVALUABLE_SPACES]
+                         + [("II", g) for g in SCAN_GROUPS + ["Sp:4", "SO:8", "E6", "E7", "E8"]])
+def test_box_bound_does_not_grow(kind, ident):
+    # _least_side relies on it.  With the Hurwitz tail shifted only to 16,
+    # EIII at s = 10 rose from B = 25 to 26, EVI at s = 6 from 14 to 15 and
+    # Sp:4 at s = 30 from 25 to 26
+    table = _table(kind, ident)
+    for s in (0.7, 1.0, 2.0, 3.0, 6.0, 10.0, 30.0):
+        if s * len(table.shifts) <= len(table.pairing):
+            continue
+        bound = zeta._box_bound(table, s)
+        values = [bound(box) for box in range(65)]
+        assert all(a >= b for a, b in zip(values, values[1:])), s
+
+
+def test_least_side_matches_bisection(monkeypatch):
+    # over every evaluable rank >= 2 space and 7 groups, at s in 0.7..3, tol
+    # 1e-2..1e-8 and max_box None, 2, 16, under a cap of 300,000 terms, the
+    # search finds the side bisect_left finds, from fewer bounds in all
+    monkeypatch.setenv("WZ_MAX_TERMS", "300000")
+    cap = zeta.genseries.term_cap()
+    searched = bisected = 0
+    for kind, ident in [("I", i) for i in EVALUABLE_SPACES] + [("II", g) for g in SCAN_GROUPS]:
+        table = _table(kind, ident)
+        rank = len(table.pairing)
+        for s in (0.7, 1.0, 1.5, 2.0, 3.0):
+            if s * len(table.shifts) <= rank:
+                continue
+            raw = zeta._box_bound(table, s)
+            for tol, max_box in itertools.product((1e-2, 1e-4, 1e-6, 1e-8), (None, 2, 16)):
+                top = min(zeta._side(cap, rank) - 1, cap if max_box is None else max_box)
+                goal = zeta.genseries._goal(raw(top), tol)
+                sides, counts = [], []
+                for find in (zeta._least_side, None):
+                    calls = []
+                    bound = functools.cache(lambda box: calls.append(box) or raw(box))
+                    bound(top)      # taken for the goal
+                    sides.append(find(bound, top, goal) if find else bisect.bisect_left(
+                        range(top + 1), True, key=lambda box: bound(box) <= goal))
+                    counts.append(len(calls))
+                assert sides[0] == sides[1], (ident, s, tol, max_box)
+                searched, bisected = searched + counts[0], bisected + counts[1]
+    assert searched < bisected
+
+
+@pytest.mark.parametrize("kind,ident,s,tol,max_box,terms,bisection", [
+    ("I", "AI:3", 2.0, 1e-5, None, 784, 12), ("I", "GI", 1.0, 1e-5, None, 441, 11),
+    ("I", "EIII", 1.0, 1e-4, 16, 64, 5), ("II", "SU:3", 2.0, 1e-6, None, 26_569, 12),
+    ("II", "G2", 1.0, 1e-6, None, 10_609, 11), ("II", "SU:3", 0.7, 1e-6, None, 1, 12),
+    ("I", "EI", 1.0, 1e-8, 2, 729, 2), ("II", "SU:4", 1.0, 1e-4, 16, 1_728, 5)])
+def test_least_side_takes_few_bounds(monkeypatch, kind, ident, s, tol, max_box, terms, bisection):
+    # the benchmark's higher-rank queries: a bisection over every side took
+    # ``bisection`` bounds
+    calls, box_bound = [], zeta._box_bound
+
+    def counting(table, s):
+        raw = box_bound(table, s)
+        return lambda box: calls.append(box) or raw(box)
+
+    monkeypatch.setattr(zeta, "_box_bound", counting)
+    res = (zeta_type_I if kind == "I" else zeta_type_II)(ident, s, tol, max_box)
+    assert res.terms_used == terms
+    assert len(calls) <= min(bisection, 5)
 
 
 def test_higher_rank_type_i_runs():
