@@ -269,27 +269,33 @@ class LinearFactors:
 
     @cached_property
     def _heat(self) -> partition._HeatParts:
-        """What a higher-rank heat sum needs of this table alone, built on its
-        first use (``partition._heat_parts``)."""
+        """What the majorant of a higher-rank heat sum needs of this table
+        alone, built on its first use (``partition._heat_parts``)."""
         from . import partition
         return partition._heat_parts(self)
 
     @cached_property
-    def _zeta_head(self) -> zeta._Head:
-        """The log-dimensions a higher-rank zeta box is read from, grown on
-        demand (``zeta._Head``)."""
-        from . import zeta
-        return zeta._Head(self)
+    def _heads(self) -> tuple[weights.Head, weights.Head]:
+        """The heads the balls of a higher-rank sum are read from, the box's
+        and the simplex's, grown on demand (``weights.Head``)."""
+        return weights.Head(self, simplex=False), weights.Head(self, simplex=True)
 
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.
 
         Summed as log1p(L n / c), so d(0) = 1 comes out exactly and no large
-        logarithms cancel.
+        logarithms cancel.  The rows go in blocks of at most 8 CHUNK_ROWS
+        products (2 MiB), the divide and log1p in place on each, so the
+        memory a call holds does not grow with the factor count J.
         """
         import numpy as np
         matrix, shifts = self._arrays
-        return np.log1p((coords @ matrix) / shifts).sum(axis=1)
+        step, out = max(1, 8 * weights.CHUNK_ROWS // len(shifts)), np.empty(len(coords))
+        for start in range(0, len(coords), step):
+            logs = coords[start:start + step] @ matrix
+            np.divide(logs, shifts, out=logs)
+            np.log1p(logs, out=logs).sum(axis=1, out=out[start:start + step])
+        return out
 
     def casimirs(self, coords: np.ndarray) -> np.ndarray:
         """c2(n) for every row n of an integer coordinate array, in floats."""

@@ -15,22 +15,20 @@ coordinate sum K is a coefficient tail of a product of one-coordinate
 series, so the least K that meets the tolerance is known before any term
 is summed.
 
-What a higher-rank sum needs of its table alone is built once per table,
-on its first heat sum (``_heat_parts``): the majorant's rows up to its
-first cut, the denominators of its shares and its diagonal Casimir
-coefficients, and the log-dimensions and Casimirs of the head, the largest
-simplex of at most ``weights.SIMPLEX_ROWS`` weights sorted by coordinate
-sum.  When the weights of coordinate sum <= K fit in that many rows they
-are a prefix of the head; otherwise they come in chunks of
-``weights.simplex_chunks``.  ``genseries.sum_region`` sums them either way,
-as it sums the zeta box.
+What the majorant needs of its table alone is built once per table, on
+its first heat sum (``_heat_parts``): its rows up to its first cut, the
+denominators of its shares and its diagonal Casimir coefficients.  The
+weights of coordinate sum <= K come from ``weights.ball``, as the zeta box
+does: when they fit in ``weights.CHUNK_ROWS`` rows, as a prefix of the
+table's simplex head, which holds log d and c2 by coordinate sum and grows
+on demand (``weights.Head``); otherwise in chunks of
+``weights.simplex_chunks``.  ``genseries.sum_region`` sums them.
 """
 from __future__ import annotations
 
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -109,17 +107,6 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
         d, c2 = d_next, c2_next
 
 
-@lru_cache(maxsize=None)
-def _grade_cap(rank: int, cap: int) -> int:
-    """The largest K whose C(K + rank, rank) weights of coordinate sum <= K
-    fit in ``cap`` >= 1 terms."""
-    # C(K + rank, rank) > K^rank / rank!, so K stays below this root
-    k = int((cap * math.factorial(rank)) ** (1.0 / rank)) + 1
-    while math.comb(k + rank, rank) > cap:
-        k -= 1
-    return k
-
-
 #: The first cut M of ``_majorant_grade``; each table keeps its majorant
 #: rows up to M + 2 (``_HeatParts``).
 _FIRST_CUT = 16
@@ -139,31 +126,20 @@ def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...
 
 
 class _HeatParts(NamedTuple):
-    """What a higher-rank heat sum needs of its table alone, built once per
-    table (``dims.LinearFactors._heat``)."""
+    """What the majorant of a higher-rank heat sum needs of its table alone,
+    built once per table (``dims.LinearFactors._heat``)."""
 
     totals: np.ndarray                  # sum_i L_ij, the shares' denominators
     gauss: list[tuple[float, float]]    # (G_ii, lin_i) of the ratio bound
     rows: tuple[np.ndarray, ...]        # _majorant_rows up to _FIRST_CUT + 2
-    log_dims: np.ndarray                # of the head, by coordinate sum
-    casimirs: np.ndarray
 
 
 def _heat_parts(table: dims.LinearFactors) -> _HeatParts:
-    """The majorant's table parts, and the log-dimensions and Casimirs of the
-    head: the largest simplex of at most ``weights.SIMPLEX_ROWS`` weights,
-    sorted stably by coordinate sum, so that every simplex of at most that
-    many weights is a prefix of it."""
-    import numpy as np
-    matrix = table._arrays[0]
+    """The majorant's table parts."""
     gram, lin = table._form
-    rank = len(lin)
-    block = next(weights.simplex_chunks(rank, _grade_cap(rank, weights.SIMPLEX_ROWS)))
-    head = block[np.argsort(block.sum(axis=1), kind="stable")]
-    return _HeatParts(totals=matrix.sum(axis=0),
+    return _HeatParts(totals=table._arrays[0].sum(axis=0),
                       gauss=list(zip(gram.diagonal().tolist(), lin.tolist())),
-                      rows=_majorant_rows(table, _FIRST_CUT + 2),
-                      log_dims=table.log_dims(head), casimirs=table.casimirs(head))
+                      rows=_majorant_rows(table, _FIRST_CUT + 2))
 
 
 def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
@@ -214,7 +190,7 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
     """
     import numpy as np
     gauss = table._heat.gauss
-    k_cap = _grade_cap(len(gauss), cap)
+    k_cap = weights.radius(len(gauss), cap, simplex=True)
     log_tol = math.log(tolerance)
     cut = min(_FIRST_CUT, k_cap)
     # past the float range area m^2 makes a log h_i(m) -inf and a product of
@@ -256,26 +232,17 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     majorant (``_majorant_logs``) certifies.
 
     ``_majorant_grade`` turns the majorant into the least grade K whose
-    tail beyond it meets the tolerance.  When the weights of coordinate sum
-    <= K fit in ``weights.SIMPLEX_ROWS`` rows they are a prefix of the
-    table's head, whose log-dimensions and Casimirs are built once
-    (``_heat_parts``); otherwise they come in chunks of
-    ``weights.simplex_chunks``.  Either way ``genseries.sum_region`` sums
-    them.  When the cap cannot hold that grade, the result is not converged
-    and carries the bound of the grade ``_majorant_grade`` falls back to.
+    tail beyond it meets the tolerance, and ``genseries.sum_region`` sums
+    the weights of coordinate sum <= K, from ``weights.ball``.  When the cap
+    cannot hold that grade, the result is not converged and carries the
+    bound of the grade ``_majorant_grade`` falls back to.
     """
     genseries._check_tolerance(tolerance)
-    rank = len(table.lin)
     grade, bound = _majorant_grade(table, exponent, area, tolerance, genseries.term_cap())
-    count = math.comb(grade + rank, rank)
-    if count <= weights.SIMPLEX_ROWS:
-        parts = table._heat
-        terms = [(parts.log_dims[:count], parts.casimirs[:count])]
-    else:
-        terms = ((table.log_dims(rows), table.casimirs(rows))
-                 for rows in weights.simplex_chunks(rank, grade))
-    return EvalResult(value=genseries.sum_region(terms, exponent, area), tail_bound=bound,
-                      terms_used=count, converged=bound <= tolerance)
+    value = genseries.sum_region(weights.ball(table, grade, simplex=True), exponent, area)
+    return EvalResult(value=value, tail_bound=bound,
+                      terms_used=weights.ball_size(len(table.lin), grade, simplex=True),
+                      converged=bound <= tolerance)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,

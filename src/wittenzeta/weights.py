@@ -4,11 +4,19 @@ Class-one weights of a symmetric space are coordinates over a basis dual
 to the indivisible simple restricted roots; for BC systems the coordinate
 on the divisible simple root is scaled by two internally, so user-facing
 coordinates always range over all nonnegative integers.
+
+The lattice sums above rank one run over a ball of radius r: the box
+[0, r]^rank of a zeta sum or the simplex of coordinate sum <= r of a heat
+sum.  ``ball`` hands ``genseries.sum_region`` the (log d, c2) pairs of one:
+a ball of at most ``CHUNK_ROWS`` points is a prefix of the table's head of
+that shape (``Head``), a larger one comes in chunks of ``box_chunks`` or
+``simplex_chunks``.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import rootdata
 from .errors import DomainError, UnknownSpace
@@ -57,10 +65,75 @@ def _graded_box(rank: int, box: int) -> list[Coords]:
     return list(map(tuple, rows[order].tolist()))
 
 
-#: Row bound of one chunk of ``simplex_chunks``; heat sums evaluate one
-#: chunk at a time, so it bounds their memory, and each table's heat head
-#: is the largest simplex of one chunk (``partition._heat_parts``).
-SIMPLEX_ROWS = 1024
+#: Row bound of one chunk of ``box_chunks`` and ``simplex_chunks`` and of a
+#: table's head (``Head``); it bounds the memory of a lattice sum.
+CHUNK_ROWS = 1 << 15
+
+
+def ball_size(rank: int, r: int, *, simplex: bool) -> int:
+    """The number of points of the ball of radius r >= -1: the box [0, r]^rank,
+    or the simplex of coordinate sum <= r."""
+    return math.comb(r + rank, rank) if simplex else (r + 1) ** rank
+
+
+@lru_cache(maxsize=None)
+def radius(rank: int, points: int, *, simplex: bool) -> int:
+    """The largest radius whose ball holds at most ``points`` points; -1 for none."""
+    # a ball holds more than r^rank points, over rank! for the simplex
+    r = int((points * math.factorial(rank) if simplex else points) ** (1.0 / rank)) + 1
+    while ball_size(rank, r, simplex=simplex) > points:
+        r -= 1
+    return r
+
+
+class Head:
+    """A table's head of one ball shape (``dims.LinearFactors._heads``): log d,
+    and c2 for the simplex, over a ball in shells of sup-norm (box) or of
+    coordinate sum (simplex), lex order within one, so that every ball of a
+    smaller radius is a prefix of it.
+
+    It starts empty.  When a ball past it is asked for, it grows to the
+    larger of that ball and the largest ball of at most twice its rows,
+    never past ``CHUNK_ROWS`` rows, by appending the new shells.  A call
+    reads one stored pair throughout, so calls that grow it at once still
+    get the right rows; the last pair stored is kept.
+    """
+
+    def __init__(self, table, simplex: bool):
+        self.table, self.simplex = table, simplex
+        self.pair = (), (() if simplex else None)
+
+    def prefix(self, r: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(log d, c2) over the ball of radius r, at most CHUNK_ROWS points;
+        c2 is None for the box."""
+        import numpy as np
+        simplex, rank = self.simplex, len(self.table.pairing)
+        count, (log_dims, casimirs) = ball_size(rank, r, simplex=simplex), self.pair
+        if len(log_dims) < count:
+            r = max(r, min(radius(rank, 2 * len(log_dims), simplex=simplex),
+                           radius(rank, CHUNK_ROWS, simplex=simplex)))
+            points = (next(simplex_chunks(rank, r)).T if simplex     # lex order, one chunk
+                      else np.indices((r + 1,) * rank).reshape(rank, -1))
+            shells = reduce(np.add if simplex else np.maximum, points)
+            new = np.argsort(shells.astype(np.uint16), kind="stable")[len(log_dims):]
+            # over the whole ball, then the new shells' rows: cheaper than
+            # gathering their points first
+            log_dims = np.concatenate([log_dims, self.table.log_dims(points.T)[new]])
+            if simplex:
+                casimirs = np.concatenate([casimirs, self.table.casimirs(points.T)[new]])
+            self.pair = log_dims, casimirs
+        return log_dims[:count], None if casimirs is None else casimirs[:count]
+
+
+def ball(table, r: int, *, simplex: bool):
+    """The (log d, c2) pairs of ``genseries.sum_region`` over a table's ball of
+    radius r, c2 None for the box: one prefix of the table's head when the
+    ball holds at most CHUNK_ROWS points, else one pair per chunk."""
+    rank = len(table.pairing)
+    if ball_size(rank, r, simplex=simplex) <= CHUNK_ROWS:
+        return [table._heads[simplex].prefix(r)]
+    chunks = simplex_chunks(rank, r) if simplex else box_chunks(rank, r)
+    return ((table.log_dims(rows), table.casimirs(rows) if simplex else None) for rows in chunks)
 
 
 def _next_coordinate(prefix: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +158,7 @@ def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int) -> Iterator[
     ends = np.cumsum(sizes)
     start = 0
     while start < len(budget):
-        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + SIMPLEX_ROWS,
+        stop = int(np.searchsorted(ends, ends[start] - sizes[start] + CHUNK_ROWS,
                                    side="right"))
         if stop == start:               # one prefix too many: split on the next coordinate
             yield from _completions(*_next_coordinate(prefix[start:start + 1],
@@ -101,7 +174,7 @@ def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int) -> Iterator[
 
 def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
     """Every point of N^rank with coordinate sum <= k once, in lex order, as
-    int64 arrays of <= SIMPLEX_ROWS rows.
+    int64 arrays of <= CHUNK_ROWS rows.
 
     The rows grow from prefixes of leading coordinates, slab by slab on the
     first: a run of consecutive prefixes whose completions fit in one chunk
@@ -111,10 +184,6 @@ def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
     import numpy as np
     yield from _completions(np.zeros((1, 0), dtype=np.int64),
                             np.array([k], dtype=np.int64), rank)
-
-
-#: Row bound of one chunk of ``box_chunks``; it bounds the memory of a box pass.
-CHUNK_ROWS = 1 << 15
 
 
 def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:

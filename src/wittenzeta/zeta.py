@@ -12,9 +12,9 @@ box is certified by one-coordinate series of the same pinned form
 (``partition._majorant_logs``); the box is summed by the loop that sums a
 heat region, at q = 1 (``genseries.sum_region``).  The side comes from a
 few bounds, by a search that interpolates and falls back to halving
-(``_least_side``).  Each table keeps a zeta head, the log-dimensions of a
-box in sup-norm order that grows on demand up to ``weights.CHUNK_ROWS``
-weights (``_Head``); a box of at most that many weights is a prefix of it.
+(``_least_side``).  The box comes from ``weights.ball``: a box of at most
+``weights.CHUNK_ROWS`` weights is a prefix of the table's box head, which
+holds log d in sup-norm order and grows on demand (``weights.Head``).
 Every bound is rigorous.
 """
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import replace
 
@@ -91,44 +92,6 @@ def _box_bound(table: dims.LinearFactors, s: float):
                            for log_tail, scale in regions)
 
 
-def _side(points: int, rank: int) -> int:
-    """The largest side whose box [0, side - 1]^rank has at most ``points`` points."""
-    side = round(points ** (1.0 / rank))
-    return side - (side ** rank > points)
-
-
-class _Head:
-    """A table's zeta head (``dims.LinearFactors._zeta_head``): log d over a
-    box [0, side - 1]^rank, by sup-norm shells, lex order within one, so that
-    every box [0, B]^rank with B < side is its first (B + 1)^rank rows.
-
-    It starts empty.  When a box past it is asked for, it grows to the
-    larger of that box and the largest box of at most twice its rows, never
-    past ``weights.CHUNK_ROWS`` weights, by appending the new shells.  A
-    call reads one head array throughout, so calls that grow it at once
-    still sum the right rows; the last head stored is kept.
-    """
-
-    def __init__(self, table: dims.LinearFactors):
-        self.table, self.log_dims = table, ()
-
-    def prefix(self, box: int) -> np.ndarray:
-        """log d over [0, box]^rank, a box of at most CHUNK_ROWS weights."""
-        import numpy as np
-        rank = len(self.table.pairing)
-        count, head = (box + 1) ** rank, self.log_dims
-        if len(head) < count:
-            side = max(box + 1, min(_side(2 * len(head), rank), _side(weights.CHUNK_ROWS, rank)))
-            points = np.indices((side,) * rank).reshape(rank, -1)     # lex order
-            shells = functools.reduce(np.maximum, points).astype(np.uint16)
-            new = np.argsort(shells, kind="stable")[len(head):]
-            # log d over the whole box, then the new shells' rows: cheaper
-            # than gathering their points first
-            head = np.concatenate([head, self.table.log_dims(points.T)[new]])
-            self.log_dims = head
-        return head[:count]
-
-
 def _least_side(bound, top: int, goal: float) -> int:
     """The least side B in [0, top] with bound(B) <= goal, given that
     bound(top) meets it: the side a bisection finds wherever bound does not
@@ -175,35 +138,27 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
     ``_least_side`` from a few bounds.  When no box within the caps meets the
     tolerance, the least one whose bound is within twice that of the largest
     is summed, and the result is not converged.  The box is summed once by
-    ``genseries.sum_region``: a box of at most ``weights.CHUNK_ROWS`` weights
-    as one prefix of the table's zeta head, a larger one in chunks of
-    ``weights.box_chunks``.  Each chunk, as the prefix, is one exactly rounded
-    fsum, so a box of at most CHUNK_ROWS weights gives the same float either
-    way.
+    ``genseries.sum_region``, from ``weights.ball``.
     """
     genseries._check_tolerance(tolerance)
     cap = genseries.term_cap()
     rank = len(table.pairing)
-    top = min(_side(cap, rank) - 1, cap if max_box is None else max_box)
+    top = min(weights.radius(rank, cap, simplex=False), cap if max_box is None else max_box)
     bound = functools.cache(_box_bound(table, s))
     box = _least_side(bound, top, genseries._goal(bound(top), tolerance))
-    count = (box + 1) ** rank
-    if count <= weights.CHUNK_ROWS:
-        terms = [(table._zeta_head.prefix(box), None)]
-    else:
-        terms = ((table.log_dims(rows), None) for rows in weights.box_chunks(rank, box))
-    value = genseries.sum_region(terms, s, 0.0)
-    return EvalResult(value=value, tail_bound=bound(box), terms_used=count,
+    value = genseries.sum_region(weights.ball(table, box, simplex=False), s, 0.0)
+    return EvalResult(value=value, tail_bound=bound(box),
+                      terms_used=weights.ball_size(rank, box, simplex=False),
                       converged=bound(box) <= tolerance)
 
 
-def _check_s(s: float, max_box: int | None = None) -> float:
-    """s as a float, once it and ``max_box`` are checked."""
+def _check_s(s: float, max_box: int | None = None) -> tuple[float, int | None]:
+    """s as a float and ``max_box`` as an int or None, once both are checked."""
     if not genseries._finite(s):
         raise DomainError(f"s must be finite, got {shown(s)}")
     if max_box is not None and not (isinstance(max_box, numbers.Integral) and max_box >= 0):
         raise DomainError(f"max_box must be None or an integer >= 0, got {shown(max_box, repr)}")
-    return float(s)
+    return float(s), None if max_box is None else operator.index(max_box)
 
 
 def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
@@ -232,7 +187,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
 def zeta_type_I(space_id: str, s: float, tolerance: float = 1e-8,
                 max_box: int | None = None) -> EvalResult:
     """sum over class-one dominant weights of dim^(-s)."""
-    s = _check_s(s, max_box)
+    s, max_box = _check_s(s, max_box)
     return _zeta(dims.compile_space(space_id), s, tolerance, max_box)
 
 
@@ -243,7 +198,7 @@ def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
     Like ``zeta_type_I``, a sum that misses the tolerance comes back with
     ``converged=False`` and its last tail estimate.
     """
-    s = _check_s(s, max_box)
+    s, max_box = _check_s(s, max_box)
     return _zeta(dims.compile_group(group_id), s, tolerance, max_box)
 
 

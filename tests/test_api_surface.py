@@ -3,10 +3,10 @@ module-level constant defined in the package is referenced somewhere else in
 the package, or is one of the names kept on purpose below.  A method or
 property counts as referenced only through an attribute (``x.name``); a
 function outside a class, a class or a constant, through a loaded name or an
-attribute, not an import or an ``__all__`` entry.  A dataclass field counts
-as used only when some attribute access reads it, as storing a value nobody
-reads is dead too, and a parameter's default only when some call sets that
-parameter, as a knob nobody turns is dead too."""
+attribute, not an import or an ``__all__`` entry.  A dataclass or NamedTuple
+field counts as used only when some attribute access reads it, as storing a
+value nobody reads is dead too, and a parameter's default only when some call
+sets that parameter, as a knob nobody turns is dead too."""
 import ast
 from pathlib import Path
 
@@ -33,7 +33,7 @@ KEPT = (
     "specfun.EULER_GAMMA",
 )
 
-#: Dataclass fields that no attribute access in the package reads.
+#: Dataclass and NamedTuple fields that no attribute access in the package reads.
 KEPT_FIELDS = (
     # the group descriptor's catalog key, as space_id is the space's
     "rootdata.CompactGroupDescriptor.group_id",
@@ -86,13 +86,17 @@ def _is_dataclass(node):
                and d.func.id == "dataclass" for d in node.decorator_list)
 
 
+def _is_named_tuple(node):
+    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+
+
 def _scan_fields():
-    """(qualified name, name) of every dataclass field, and every attribute
-    name that some access reads."""
+    """(qualified name, name) of every dataclass and NamedTuple field, and
+    every attribute name that some access reads."""
     fields, reads = [], set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            if isinstance(node, ast.ClassDef) and (_is_dataclass(node) or _is_named_tuple(node)):
                 fields += [(f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
                            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
                            and isinstance(stmt.target, ast.Name)]

@@ -210,6 +210,23 @@ def test_float_casimirs_match_exact(kind, ident):
     assert table.casimirs(rows).tolist() == pytest.approx(exact, rel=4 * 2.0 ** -52)
 
 
+@pytest.mark.parametrize("group_id", ["SU:3", "F4", "E8"])
+@pytest.mark.parametrize("limit", [None, 64])
+def test_log_dims_in_blocks_is_one_product(group_id, limit, monkeypatch):
+    # log_dims takes its rows in blocks, so that its N x J product stays
+    # within 8 CHUNK_ROWS floats; a row's sum is its own, so the blocks give
+    # the floats of one product over every row
+    if limit is not None:
+        monkeypatch.setattr(weights, "CHUNK_ROWS", limit)
+    table = dims.compile_group(group_id)
+    matrix, shifts = table._arrays
+    rows = np.random.default_rng(0).integers(0, 60, size=(9000, len(table.lin)))
+    blocks = -(-len(rows) // (8 * weights.CHUNK_ROWS // len(shifts)))
+    assert blocks > 1 or (group_id, limit) in (("SU:3", None), ("F4", None))
+    assert np.array_equal(table.log_dims(rows), np.log1p((rows @ matrix) / shifts).sum(axis=1))
+    assert table.log_dims(rows[:0]).shape == (0,)
+
+
 @pytest.mark.parametrize("rank,boxes", [(1, (5, 40000)), (2, (7, 200)),
                                         (3, (4, 40)), (4, (3, 15))])
 def test_box_chunks_cover_the_box_once(rank, boxes):

@@ -280,7 +280,7 @@ def test_heat_sum_past_the_cap_stops_where_its_bound_does():
     cap = partition.genseries.term_cap()
     table = dims.compile_group("E6")
     grade, bound = partition._majorant_grade(table, -2.0, 0.2, 1e-10, cap)
-    assert grade == partition._grade_cap(6, cap) == 30 and 1e-10 < bound < 1e-5
+    assert grade == partition.weights.radius(6, cap, simplex=True) == 30 and 1e-10 < bound < 1e-5
 
 
 @pytest.mark.parametrize("res", [
@@ -342,23 +342,43 @@ _HEAT_TABLES = ("SU:3", "SO:5", "G2", "SU:4", "Sp:3", "F4",
 def test_head_sum_equals_the_chunk_sum(ident, monkeypatch):
     # every grade whose simplex fits in one chunk is summed from the table's
     # head; fsum rounds exactly, so the head's order gives the same float as
-    # the chunk of that simplex
+    # the chunk of that simplex.  The grades are 0, the powers of two and the
+    # largest that fits
+    weights = partition.weights
     table = _table(ident)
     rank = len(table.lin)
-    grade = 0
-    while math.comb(grade + rank, rank) <= partition.weights.SIMPLEX_ROWS:
+    top = weights.radius(rank, weights.CHUNK_ROWS, simplex=True)
+    for grade in sorted({0, top, *(2 ** i for i in range(top.bit_length()))}):
+        assert math.comb(grade + rank, rank) <= weights.CHUNK_ROWS
         monkeypatch.setattr(partition, "_majorant_grade", lambda *args: (grade, 0.0))
+        chunks = [(table.log_dims(rows), table.casimirs(rows))
+                  for rows in weights.simplex_chunks(rank, grade)]
         for exponent in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
             for area in (0.05, 0.2, 1.0):
                 head = partition._shell_heat_sum(table, exponent, area, 1e-8)
-                chunks = partition.genseries.sum_region(
-                    ((table.log_dims(rows), table.casimirs(rows))
-                     for rows in partition.weights.simplex_chunks(rank, grade)),
-                    exponent, area)
-                assert head.value == chunks, (grade, exponent, area)
+                assert head.value == partition.genseries.sum_region(chunks, exponent, area), \
+                    (grade, exponent, area)
                 assert head.terms_used == math.comb(grade + rank, rank)
-        grade += 1
     assert grade > 1
+
+
+#: the heat_kernel queries of more than 1,024 weights, (group, genus, area)
+_PAST_THE_OLD_HEAD = (("SU:4", 1, 0.05), ("SU:4", 0, 0.2), ("Sp:3", 1, 0.05), ("Sp:3", 0, 0.2))
+
+
+def test_second_heat_sum_builds_no_chunk(monkeypatch):
+    # a heat sum of at most CHUNK_ROWS weights reads the table's simplex
+    # head, which keeps what the first call grew it to: a second call of
+    # the same query builds no simplex_chunks rows
+    firsts = [partition_type_II(g, SurfaceParams(genus, area)) for g, genus, area in
+              _PAST_THE_OLD_HEAD]
+    assert all(res.terms_used > 1024 for res in firsts)
+    calls, chunks = [], partition.weights.simplex_chunks
+    monkeypatch.setattr(partition.weights, "simplex_chunks",
+                        lambda *args: calls.append(args) or chunks(*args))
+    for (g, genus, area), first in zip(_PAST_THE_OLD_HEAD, firsts):
+        assert partition_type_II(g, SurfaceParams(genus, area)) == first
+    assert calls == []
 
 
 def _reference_logs(table, exponent, area, top):
@@ -379,7 +399,7 @@ def _reference_grade(table, exponent, area, tolerance, cap):
     """``partition._majorant_grade`` as it was before its arithmetic on one
     number per coordinate moved to Python floats."""
     gram, lin = table._form
-    k_cap = partition._grade_cap(len(lin), cap)
+    k_cap = partition.weights.radius(len(lin), cap, simplex=True)
     log_tol = math.log(tolerance)
     cut = min(16, k_cap)
     while True:

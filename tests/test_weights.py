@@ -138,9 +138,9 @@ def test_simplex_chunks_is_lex_brute_force(rank):
 def test_simplex_chunks_cover_once_within_the_row_limit(rank, k, limit, monkeypatch):
     # small limits force the prefix splits; None keeps the module's own
     if limit is not None:
-        monkeypatch.setattr(weights, "SIMPLEX_ROWS", limit)
+        monkeypatch.setattr(weights, "CHUNK_ROWS", limit)
     chunks = list(weights.simplex_chunks(rank, k))
-    assert max(len(c) for c in chunks) <= weights.SIMPLEX_ROWS
+    assert max(len(c) for c in chunks) <= weights.CHUNK_ROWS
     rows = list(map(tuple, np.concatenate(chunks).tolist()))
     assert len(set(rows)) == len(rows)
     brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) <= k]

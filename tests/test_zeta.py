@@ -1,6 +1,7 @@
 import bisect
 import functools
 import itertools
+import json
 import math
 import random
 import warnings
@@ -10,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from wittenzeta import dims, rootdata, zeta
+from wittenzeta import dims, partition, rootdata, zeta
 from wittenzeta.errors import DivergenceError, DomainError, UnsupportedSpace
 from wittenzeta.partition import SurfaceParams, partition_type_II
 from wittenzeta.zeta import hurwitz_relation_check, zeta_type_I, zeta_type_II
@@ -211,51 +212,80 @@ def _table(kind, ident):
 
 
 def _fresh(kind, ident):
-    """A copy of the compiled table with an empty zeta head."""
+    """A copy of the compiled table with empty heads."""
     return replace(_table(kind, ident))
 
 
-@pytest.mark.parametrize("kind,ident", LATTICE_TABLES)
-def test_zeta_head_prefixes_are_the_boxes(kind, ident):
-    # every box [0, B]^rank of at most CHUNK_ROWS weights is the first
-    # (B + 1)^rank rows of the head, in sup-norm then lex order, and its
-    # prefix sums to the float its box_chunks sum gives; the head grows box
-    # by box from empty and keeps the rows it had
+#: every lattice table with each ball shape; the box keeps the ids it had
+#: before the heads took the simplex too
+BOTH_SHAPES = ([pytest.param(kind, ident, False, id=f"{kind}-{ident}")
+                for kind, ident in LATTICE_TABLES]
+               + [pytest.param(kind, ident, True, id=f"{kind}-{ident}-simplex")
+                  for kind, ident in LATTICE_TABLES])
+
+
+def _lex_simplex(rank, k):
+    """Every point of N^rank with coordinate sum <= k, in lex order."""
+    if rank == 0:
+        return [()]
+    return [(a, *rest) for a in range(k + 1) for rest in _lex_simplex(rank - 1, k - a)]
+
+
+@pytest.mark.parametrize("kind,ident,simplex", BOTH_SHAPES)
+def test_zeta_head_prefixes_are_the_boxes(kind, ident, simplex):
+    # every ball of at most CHUNK_ROWS weights, the box [0, r]^rank or the
+    # simplex of coordinate sum <= r, is the first rows of the table's head
+    # of that shape, in shell (sup-norm or coordinate sum) then lex order,
+    # with c2 for the simplex, and its prefix sums to the float its chunk
+    # sum gives; the head grows ball by ball from empty and keeps the rows
+    # it had.  The simplex takes every third radius and the last
+    weights = zeta.weights
     table = _fresh(kind, ident)
-    rank, head = len(table.pairing), table._zeta_head
-    side = zeta._side(zeta.weights.CHUNK_ROWS, rank)
-    points = sorted(itertools.product(range(side), repeat=rank), key=max)
-    log_dims = table.log_dims(np.array(points))
-    for box in range(side):
-        count = (box + 1) ** rank
-        # the first count points, all of sup-norm <= box, are that box
-        assert max(points[count - 1]) == box
-        assert count == len(points) or max(points[count]) == box + 1
-        prefix = head.prefix(box)
+    rank, head = len(table.pairing), table._heads[simplex]
+    top = weights.radius(rank, weights.CHUNK_ROWS, simplex=simplex)
+    if simplex:
+        points, shell, area, chunks = _lex_simplex(rank, top), sum, 0.3, weights.simplex_chunks
+    else:
+        points, shell, area, chunks = (list(itertools.product(range(top + 1), repeat=rank)),
+                                       max, 0.0, weights.box_chunks)
+    points.sort(key=shell)
+    log_dims, casimirs = table.log_dims(np.array(points)), table.casimirs(np.array(points))
+    for r in sorted({*range(0, top + 1, 3 if simplex else 1), top}):
+        count = weights.ball_size(rank, r, simplex=simplex)
+        # the first count points, all of shell <= r, are that ball
+        assert shell(points[count - 1]) == r
+        assert count == len(points) or shell(points[count]) == r + 1
+        prefix, c2 = head.prefix(r)
         assert np.array_equal(prefix, log_dims[:count])
+        assert np.array_equal(c2, casimirs[:count]) if simplex else c2 is None
         for s in (0.7, 2.0):
-            chunked = ((table.log_dims(rows), None) for rows in zeta.weights.box_chunks(rank, box))
-            assert (zeta.genseries.sum_region([(prefix, None)], s, 0.0)
-                    == zeta.genseries.sum_region(chunked, s, 0.0))
-    assert len(head.log_dims) == side ** rank <= zeta.weights.CHUNK_ROWS
+            chunked = ((table.log_dims(rows), table.casimirs(rows) if simplex else None)
+                       for rows in chunks(rank, r))
+            assert (zeta.genseries.sum_region([(prefix, c2)], s, area)
+                    == zeta.genseries.sum_region(chunked, s, area))
+    assert len(head.pair[0]) == len(points) <= weights.CHUNK_ROWS
 
 
-@pytest.mark.parametrize("kind,ident", LATTICE_TABLES)
-def test_zeta_head_grows_on_demand(kind, ident):
-    # a box-1 call leaves the head holding that box; each growth keeps it
-    # within CHUNK_ROWS and within the larger of the box asked and twice its
-    # rows before
+@pytest.mark.parametrize("kind,ident,simplex", BOTH_SHAPES)
+def test_zeta_head_grows_on_demand(kind, ident, simplex):
+    # a box-1 call, or a heat call of grade 0, leaves the head holding that
+    # ball; each growth keeps it within CHUNK_ROWS and within the larger of
+    # the ball asked and twice its rows before
+    weights = zeta.weights
     table = _fresh(kind, ident)
-    rank, head = len(table.pairing), table._zeta_head
-    res = zeta._zeta(table, 4.0, 1.0, 1)
-    assert len(head.log_dims) == res.terms_used <= 2 ** rank
-    for box in range(zeta._side(zeta.weights.CHUNK_ROWS, rank)):
-        before = len(head.log_dims)
-        head.prefix(box)
-        after = len(head.log_dims)
-        assert after >= (box + 1) ** rank
-        assert after == before or after <= min(zeta.weights.CHUNK_ROWS,
-                                               max((box + 1) ** rank, 2 * before))
+    rank, head = len(table.pairing), table._heads[simplex]
+    if simplex:
+        res = partition._shell_heat_sum(table, 0.0, 50.0, 1.0)
+        assert len(head.pair[0]) == len(head.pair[1]) == res.terms_used == 1
+    else:
+        res = zeta._zeta(table, 4.0, 1.0, 1)
+        assert len(head.pair[0]) == res.terms_used <= 2 ** rank
+    for r in range(weights.radius(rank, weights.CHUNK_ROWS, simplex=simplex) + 1):
+        before = len(head.pair[0])
+        head.prefix(r)
+        after, size = len(head.pair[0]), weights.ball_size(rank, r, simplex=simplex)
+        assert after >= size
+        assert after == before or after <= min(weights.CHUNK_ROWS, max(size, 2 * before))
 
 
 def test_su3_head_covers_its_box():
@@ -263,8 +293,17 @@ def test_su3_head_covers_its_box():
     table = _fresh("II", "SU:3")
     res = zeta._zeta(table, 2.0, 1e-6, None)
     assert res.terms_used == 26_569
-    assert 26_569 <= len(table._zeta_head.log_dims) <= zeta.weights.CHUNK_ROWS
+    assert 26_569 <= len(table._heads[False].pair[0]) <= zeta.weights.CHUNK_ROWS
     assert res == zeta_type_II("SU:3", 2.0, 1e-6)
+
+
+@pytest.mark.parametrize("run", [zeta_type_I, zeta_type_II])
+def test_max_box_as_a_numpy_integer_gives_plain_ints(run):
+    # max_box is taken as an int, so none of its type leaks into the result
+    ident = "AI:3" if run is zeta_type_I else "SU:3"
+    res = run(ident, 2.0, 1e-6, np.int64(3))
+    assert res == run(ident, 2.0, 1e-6, 3) and type(res.terms_used) is int
+    assert json.loads(json.dumps(res.as_dict()))["terms"] == res.terms_used
 
 
 def test_box_bound_stays_positive_past_hurwitz_underflow():
@@ -312,7 +351,8 @@ def test_least_side_matches_bisection(monkeypatch):
                 continue
             raw = zeta._box_bound(table, s)
             for tol, max_box in itertools.product((1e-2, 1e-4, 1e-6, 1e-8), (None, 2, 16)):
-                top = min(zeta._side(cap, rank) - 1, cap if max_box is None else max_box)
+                top = min(zeta.weights.radius(rank, cap, simplex=False),
+                          cap if max_box is None else max_box)
                 goal = zeta.genseries._goal(raw(top), tol)
                 sides, counts = [], []
                 for find in (zeta._least_side, None):
