@@ -12,9 +12,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, dims, genseries, partition, rootdata, sphere_oracle, zeta
+from . import __version__
 from .errors import WittenZetaError
-from .partition import SurfaceParams
 
 _USAGE_EXIT = 1
 _DOMAIN_EXIT = 2
@@ -103,7 +102,7 @@ def build_parser() -> _Parser:
     p.add_argument("--check", choices=("orthogonality", "delta"), required=True)
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--m", type=int, default=7)
-    p.add_argument("--order", type=int, default=128)
+    p.add_argument("--order", type=int, help="default 128 (orthogonality), 512 (delta)")
 
     sub.add_parser("selfcheck", help="run the quick invariant battery")
     return parser
@@ -121,67 +120,72 @@ def _strict(obj):
 
 
 def _run(args) -> dict | list:
+    # each branch imports only the modules it runs
     cmd = args.command
     if cmd == "spaces":
+        from . import rootdata
         return [s.record() for s in rootdata.catalog_spaces()]
     if cmd == "dim":
+        from . import dims
         coords = (args.n,) if args.n is not None else tuple(_csv_list(args.coords, int))
         return dims.dims_record(args.space, coords)
     if cmd == "dims-table":
+        from . import dims, rootdata, zeta
         if args.nmax < 0:
             raise ValueError(f"--nmax must be >= 0, got {args.nmax}")
         zeta._check_s(args.s)
+        rank = rootdata.lookup_space(args.space).rank
         rows = []
         for n in range(args.nmax + 1):
-            space = rootdata.lookup_space(args.space)
-            coords = (n,) * space.rank
-            d = dims.dim_class_one(args.space, coords)
+            d = dims.dim_class_one(args.space, (n,) * rank)
             # null past the float range; exp underflows to 0.0 on its own
             dim_float, logd = dims.float_and_log(d)
             rows.append({"n": n, "dim": str(d), "dim_float": dim_float,
                          "inv_power": (math.exp(-args.s * logd)
                                        if -args.s * logd <= dims._LOG_MAX else None)})
         return {"space": args.space, "s": args.s, "rows": rows}
-    if cmd == "zeta":
-        res = zeta.zeta_type_I(args.space, args.s, args.tol, args.max_box)
-        return res.as_dict()
-    if cmd == "zeta2":
-        res = zeta.zeta_type_II(args.group, args.s, args.tol, args.max_box)
-        return res.as_dict()
-    if cmd == "partition":
-        surface = SurfaceParams(genus=args.genus, area=args.area)
-        return partition.partition_type_I(args.space, surface, args.tol).as_dict()
-    if cmd == "partition2":
-        surface = SurfaceParams(genus=args.genus, area=args.area)
-        return partition.partition_type_II(args.group, surface, args.tol).as_dict()
-    if cmd == "boundary":
-        thetas = tuple(_csv_list(args.theta, float))
-        surface = SurfaceParams(genus=args.genus, area=args.area, holonomies=thetas)
+    if cmd in ("zeta", "zeta2"):
+        from . import zeta
+        if cmd == "zeta":
+            return zeta.zeta_type_I(args.space, args.s, args.tol, args.max_box).as_dict()
+        return zeta.zeta_type_II(args.group, args.s, args.tol, args.max_box).as_dict()
+    if cmd in ("partition", "partition2", "boundary"):
+        from . import partition
+        thetas = tuple(_csv_list(args.theta, float)) if cmd == "boundary" else ()
+        surface = partition.SurfaceParams(args.genus, args.area, thetas)
+        if cmd == "partition":
+            return partition.partition_type_I(args.space, surface, args.tol).as_dict()
+        if cmd == "partition2":
+            return partition.partition_type_II(args.group, surface, args.tol).as_dict()
         return partition.boundary_state(args.space, surface, args.tol).as_dict()
     if cmd == "genseries":
+        from . import genseries
         kappa = _csv_list(args.kappa, Fraction)
         tpoint = _csv_list(args.T, float)
-        direct = genseries.gen_series_direct(kappa, tpoint, args.tol)
-        out = direct.as_dict()
+        out = genseries.gen_series_direct(kappa, tpoint, args.tol).as_dict()
         out["partial_fraction_value"] = genseries.gen_series_mf(kappa, tpoint)
         out["zero_identity_residual"] = genseries.zero_identity_residual(
             [float(k) for k in kappa], tpoint)
         return out
     if cmd == "pizeta":
-        pi = _csv_list(args.pi, int)
-        kappa = _csv_list(args.kappa, Fraction)
+        from . import genseries
+        pi, kappa = _csv_list(args.pi, int), _csv_list(args.kappa, Fraction)
         return genseries.pi_series(pi, kappa, args.tol).as_dict()
     if cmd == "zetagen":
+        from . import genseries, zeta
         value = genseries.zeta_values_from_rank_one(args.space, args.s)
         direct = zeta.zeta_type_I(args.space, float(args.s), 1e-10)
         return {"value": value, "direct": direct.value,
                 "difference": value - direct.value}
     if cmd == "oracle-s2":
+        from . import sphere_oracle
+        if args.order is None:      # the check's own default, shown in the inputs
+            args.order = 128 if args.check == "orthogonality" else 512
         if args.check == "orthogonality":
             res = sphere_oracle.orthogonality_residual(args.n, args.m, args.order)
             return {"check": "orthogonality", "n": args.n, "m": args.m,
                     "residual": res}
-        errs = {N: sphere_oracle.delta_kernel_error(N, math.cos)
+        errs = {N: sphere_oracle.delta_kernel_error(N, math.cos, args.order)
                 for N in (8, 32, 128)}
         return {"check": "delta", "test_function": "cos",
                 "errors": {str(k): v for k, v in errs.items()}}
@@ -191,6 +195,7 @@ def _run(args) -> dict | list:
 
 
 def _selfcheck() -> dict:
+    from . import dims, genseries, rootdata, sphere_oracle, zeta
     checks: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):

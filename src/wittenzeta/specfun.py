@@ -124,24 +124,37 @@ def legendre_p(n: int, x: float) -> float:
 
 
 @lru_cache(maxsize=64)
-def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1]; exact for polynomials of degree < 2n."""
+def gauss_legendre_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights on [-1, 1]; exact for polynomials of degree < 2n.
+
+    Newton on P_n from Tricomi's nodes (Hale and Townsend, SIAM J. Sci. Comput.
+    35, 2013), one symmetric pair at a time; the weights are scaled to sum to 2."""
     if not 1 <= n <= 512:
         raise DomainError(f"quadrature order must be in [1, 512], got {shown(n)}")
-    import numpy as np
-    nodes, wts = np.polynomial.legendre.leggauss(n)
-    nodes.setflags(write=False)
-    wts.setflags(write=False)
-    return nodes, wts
+    half = []       # (node, weight) on [0, 1), largest node first
+    for k in range((n + 1) // 2):
+        theta = math.pi * (4 * k + 3) / (4 * n + 2)
+        x = (1 - (n - 1) / (8 * n ** 3)
+             - (39 - 28 / math.sin(theta) ** 2) / (384 * n ** 4)) * math.cos(theta)
+        step = 1.0
+        while abs(step) >= 1e-16:   # at most 5 steps at every order in [1, 512]
+            prev, p = 1.0, x
+            for j in range(1, n):
+                prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+            gap = (1 - x) * (1 + x)
+            slope = n * (prev - x * p)      # (1 - x^2) P_n'(x)
+            step = p * gap / slope
+            x -= step
+        half.append((x, 2 * gap / slope ** 2))
+    pairs = [(-x, w) for x, w in half[:n // 2]] + half[::-1]
+    total = math.fsum(w for _, w in pairs)
+    return tuple(x for x, _ in pairs), tuple(2 * w / total for _, w in pairs)
 
 
-def legendre_table(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Rows 0..nmax of P_n evaluated on the array x."""
-    import numpy as np
-    table = np.empty((nmax + 1, len(x)))
-    table[0] = 1.0
-    if nmax >= 1:
-        table[1] = x
+def legendre_table(nmax: int, x: tuple[float, ...]) -> list[list[float]]:
+    """Rows 0..nmax of P_n evaluated at the points x."""
+    table = [[1.0] * len(x), list(x)]
     for n in range(1, nmax):
-        table[n + 1] = ((2 * n + 1) * x * table[n] - n * table[n - 1]) / (n + 1)
-    return table
+        table.append([((2 * n + 1) * t * p - n * q) / (n + 1)
+                      for t, p, q in zip(x, table[n], table[n - 1])])
+    return table[:nmax + 1]

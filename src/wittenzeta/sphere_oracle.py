@@ -31,10 +31,9 @@ def orthogonality_residual(n: int, m: int, quad_order: int = 128) -> float:
         raise DomainError("n and m must be >= 0")
     if quad_order < n + m + 1:
         raise DomainError("quadrature order too small for exactness")
-    import numpy as np
     x, w = gauss_legendre_nodes(quad_order)
     table = legendre_table(max(n, m), x)
-    integral = 0.5 * float(np.sum(w * table[n] * table[m]))
+    integral = 0.5 * math.fsum(wi * a * b for wi, a, b in zip(w, table[n], table[m]))
     expected = 0.0
     if n == m:
         expected = 1.0 / float(dims.dim_class_one("S:2", (n,)))
@@ -44,17 +43,15 @@ def orthogonality_residual(n: int, m: int, quad_order: int = 128) -> float:
 def delta_kernel_error(trunc: int, f: Callable[[float], float],
                        quad_order: int = 512) -> float:
     """|quadrature of the truncated reproducing kernel against f - f(0)|."""
-    if trunc < 0:
-        raise DomainError("truncation order must be >= 0")
-    import numpy as np
+    if not 0 <= trunc < quad_order:
+        raise DomainError("truncation order must be >= 0 and below the quadrature order")
     x, w = gauss_legendre_nodes(quad_order)
-    table = legendre_table(trunc, x)
-    kernel = np.zeros_like(x)
-    for n in range(trunc + 1):
-        kernel += float(dims.dim_class_one("S:2", (n,))) * table[n]
-    theta = np.arccos(x)
-    fvals = np.array([f(t) for t in theta])
-    return abs(0.5 * float(np.sum(w * kernel * fvals)) - f(0.0))
+    kernel = [0.0] * len(x)
+    for n, row in enumerate(legendre_table(trunc, x)):
+        d = float(dims.dim_class_one("S:2", (n,)))
+        kernel = [k + d * p for k, p in zip(kernel, row)]
+    return abs(0.5 * math.fsum(wi * k * f(math.acos(t)) for wi, k, t in zip(w, kernel, x))
+               - f(0.0))
 
 
 def kernel_at_identity(trunc: int) -> int:

@@ -136,8 +136,6 @@ KEPT_DEFAULTS = (
     "cli.main.argv",
     # the benchmark's references ask for a 1e-12 tolerance
     "genseries.zeta_values_from_rank_one.tolerance",
-    # the tests vary the quadrature order of the delta-kernel check
-    "sphere_oracle.delta_kernel_error.quad_order",
 )
 
 

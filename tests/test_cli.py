@@ -201,8 +201,23 @@ def test_genseries_commands():
 def test_oracle_command():
     proc = run_cli("oracle-s2", "--check", "orthogonality", "--n", "5",
                    "--m", "7")
-    result = json.loads(proc.stdout)["result"]
-    assert result["residual"] < 1e-13
+    record = json.loads(proc.stdout)
+    assert record["result"]["residual"] < 1e-13
+    assert record["inputs"]["order"] == 128
+
+
+def test_oracle_delta_honours_order():
+    default = run_cli("oracle-s2", "--check", "delta")
+    assert default.returncode == 0
+    record = json.loads(default.stdout)
+    assert record["inputs"]["order"] == 512
+    coarse = json.loads(run_cli("oracle-s2", "--check", "delta", "--order", "129").stdout)
+    assert coarse["inputs"]["order"] == 129
+    assert coarse["result"]["errors"] != record["result"]["errors"]
+    # 64 nodes cannot integrate the N = 128 kernel
+    proc = run_cli("oracle-s2", "--check", "delta", "--order", "64")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 def test_selfcheck_passes():
@@ -346,13 +361,22 @@ def test_invalid_max_terms_env_is_usage_error():
 
 
 # runs cli.main in a fresh interpreter and reports whether numpy got loaded
+# and which library modules were loaded by the import and by the command
 _COLD_PROBE = """
 import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("wittenzeta."))
 from wittenzeta.cli import main
-with contextlib.redirect_stdout(io.StringIO()) as out:
-    code = main(sys.argv[1:])
+imported = loaded()
+with contextlib.redirect_stdout(io.StringIO()) as out, \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
-                  "stdout": out.getvalue()}))
+                  "stdout": out.getvalue(), "imported": imported,
+                  "added": sorted(set(loaded()) - set(imported))}))
 """
 
 
@@ -371,11 +395,26 @@ def _cold_run(command):
     "spaces --format json",
     "zeta2 --group SU:2 --s 2",
     "partition2 --group SO:3 --genus 2 --area 0",
+    "selfcheck",
+    "oracle-s2 --check orthogonality --n 5 --m 7",
+    "oracle-s2 --check delta",
 ])
 def test_cold_command_does_not_load_numpy(command):
     probe = _cold_run(command)
     assert probe["code"] == 0
     assert not probe["numpy"]
+
+
+@pytest.mark.parametrize("command, code, added", [
+    ("spaces --format json", 0, ["wittenzeta.rootdata"]),
+    ("zeta --space S:2", 1, []),
+])
+def test_cold_command_imports_only_what_it_runs(command, code, added):
+    probe = _cold_run(command)
+    assert probe["imported"] == ["wittenzeta.cli", "wittenzeta.errors",
+                                 "wittenzeta.result"]
+    assert probe["code"] == code
+    assert probe["added"] == added
 
 
 def test_cold_lattice_command_loads_numpy_on_demand():

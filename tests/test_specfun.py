@@ -183,18 +183,51 @@ def test_gauss_nodes_small_orders():
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 64, 128, 512])
 def test_gauss_weights_sum_to_two(order):
     _, w = gauss_legendre_nodes(order)
+    w = np.asarray(w)
     assert abs(float(np.sum(w)) - 2.0) < 1e-14
 
 
 def test_gauss_polynomial_exactness():
-    x, w = gauss_legendre_nodes(3)
+    x, w = map(np.asarray, gauss_legendre_nodes(3))
     assert float(np.sum(w * x ** 4)) == pytest.approx(2.0 / 5.0, abs=1e-12)
     # degree 2n-1 exactness on a random-ish polynomial
-    x, w = gauss_legendre_nodes(5)
+    x, w = map(np.asarray, gauss_legendre_nodes(5))
     coeffs = [0.3, -1.2, 0.8, 2.0, -0.5, 1.1, 0.25, -0.75, 0.5, 1.0]
     poly = sum(c * x ** k for k, c in enumerate(coeffs))
     exact = sum(c * (1 - (-1) ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
     assert float(np.sum(w * poly)) == pytest.approx(exact, abs=1e-12)
+
+
+def _mp_gauss_point(mpmath, order, guess):
+    """(node, weight) of the order-``order`` rule by Newton's method on the
+    three-term recurrence at the working precision, from ``guess``."""
+    x = mpmath.mpf(guess)
+    for _ in range(3):
+        prev, p = mpmath.mpf(1), x
+        for j in range(1, order):
+            prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+        slope = order * (prev - x * p)      # (1 - x^2) P_n'(x)
+        x -= p * (1 - x * x) / slope
+    return x, 2 * (1 - x * x) / slope ** 2
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 64, 128, 512])
+def test_gauss_rule_against_mpmath(order):
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_legendre_nodes(order)
+    assert len(x) == len(w) == order and list(x) == sorted(x)
+    assert x[:order // 2] == tuple(-t for t in reversed(x[(order + 1) // 2:]))
+    assert w == tuple(reversed(w))
+    _, ref_w = np.polynomial.legendre.leggauss(order)
+    worst = worst_leggauss = 0.0
+    with mpmath.workdps(40):
+        for k in range(order // 2, order):      # the nodes in [0, 1)
+            node, weight = _mp_gauss_point(mpmath, order, x[k])
+            assert abs(float(node - x[k])) <= 1.2e-16
+            worst = max(worst, abs(float((w[k] - weight) / weight)))
+            worst_leggauss = max(worst_leggauss, abs(float((ref_w[k] - weight) / weight)))
+    assert worst <= 1e-11
+    assert worst <= worst_leggauss
 
 
 def test_gauss_domain():

@@ -53,6 +53,18 @@ def test_orthogonality_requires_enough_nodes():
         orthogonality_residual(80, 80, quad_order=100)
 
 
+@pytest.mark.parametrize("trunc, order", [(2000, 512), (40, 8), (8, 8), (-1, 8)])
+def test_delta_kernel_requires_enough_nodes(trunc, order):
+    # the quadrature integrates a kernel of degree trunc only with more than
+    # trunc nodes
+    with pytest.raises(DomainError):
+        delta_kernel_error(trunc, math.cos, quad_order=order)
+
+
+def test_delta_kernel_at_the_least_order():
+    assert delta_kernel_error(7, lambda t: 1.0, quad_order=8) < 1e-13
+
+
 def test_delta_kernel_constant_function():
     assert delta_kernel_error(0, lambda t: 1.0) < 1e-13
     assert delta_kernel_error(12, lambda t: 1.0) < 1e-12
