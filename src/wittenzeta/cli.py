@@ -100,8 +100,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle-s2", help="2-sphere spherical-function checks")
     p.add_argument("--check", choices=("orthogonality", "delta"), required=True)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--m", type=int, default=7)
+    p.add_argument("--n", type=int, help="default 5 (orthogonality only)")
+    p.add_argument("--m", type=int, help="default 7 (orthogonality only)")
     p.add_argument("--order", type=int, help="default 128 (orthogonality), 512 (delta)")
 
     sub.add_parser("selfcheck", help="run the quick invariant battery")
@@ -178,10 +178,14 @@ def _run(args) -> dict | list:
         return {"value": value, "direct": direct.value,
                 "difference": value - direct.value}
     if cmd == "oracle-s2":
+        if args.check == "delta" and (args.n, args.m) != (None, None):
+            raise ValueError("--n and --m apply to --check orthogonality only")
         from . import sphere_oracle
         if args.order is None:      # the check's own default, shown in the inputs
             args.order = 128 if args.check == "orthogonality" else 512
         if args.check == "orthogonality":
+            args.n = 5 if args.n is None else args.n
+            args.m = 7 if args.m is None else args.m
             res = sphere_oracle.orthogonality_residual(args.n, args.m, args.order)
             return {"check": "orthogonality", "n": args.n, "m": args.m,
                     "residual": res}

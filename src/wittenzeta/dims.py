@@ -20,20 +20,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from operator import mul, truediv
+from typing import NamedTuple
 
 from . import rootdata, weights
 from .errors import InconsistentMultiplicities, NotRankOne
+from .result import Frozen
 from .specfun import bernoulli_polynomial
 
 _LOG_MAX = 709.0
 
 
-@dataclass(frozen=True)
-class PerRootFactorParams:
+class PerRootFactorParams(NamedTuple):
     """Everything one restricted root contributes to the dimension product."""
 
     m: int
@@ -160,8 +160,7 @@ def _factor_log_numeric(params: PerRootFactorParams, pairing: int) -> float:
             - _log_part(params.rho, scale, pairs))
 
 
-@dataclass(frozen=True)
-class _RootData:
+class _RootData(NamedTuple):
     params: PerRootFactorParams
     column: int          # index into the positive-root pairing matrix
 
@@ -231,8 +230,14 @@ def dim_type_II(group_id: str, coords: weights.Coords) -> int:
 # Compiled linear factors: d(n) = prod_j (L[:, j] . n + c_j) / c_j
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearFactors:
+class _LinearFactorsFields(NamedTuple):
+    pairing: tuple[tuple[int, ...], ...]
+    shifts: tuple[Q, ...]
+    gram: tuple[tuple[Q, ...], ...]
+    lin: tuple[Q, ...]
+
+
+class LinearFactors(Frozen, _LinearFactorsFields):
     """A dimension as a product of factors linear in the coordinates n, and
     the Casimir as a quadratic form in them.
 
@@ -243,18 +248,15 @@ class LinearFactors:
     of the basis, nonnegative, and lin_i = 2 (b_i, rho).
     """
 
-    pairing: tuple[tuple[int, ...], ...]
-    shifts: tuple[Q, ...]
-    gram: tuple[tuple[Q, ...], ...]
-    lin: tuple[Q, ...]
-
-    def __post_init__(self):
+    def __new__(cls, pairing, shifts, gram, lin):
+        self = super().__new__(cls, pairing, shifts, gram, lin)
         if any(c <= 0 for c in self.shifts):
             raise AssertionError(f"nonpositive shift in {self.shifts}")
         if any(v < 0 for row in self.pairing for v in row):
             raise AssertionError("negative entry in the pairing matrix")
         if any(v < 0 for row in self.gram for v in row):
             raise AssertionError("basis Gram matrix has a negative entry")
+        return self
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -389,8 +391,7 @@ def compile_group(group_id: str) -> LinearFactors:
 # Rank-one factored polynomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactoredDimPolynomial:
+class FactoredDimPolynomial(NamedTuple):
     """d(n) = c * prod_k (n + kappa_k)^{xi_k} with d(0) = 1."""
 
     c: Q

@@ -28,24 +28,25 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple
 
 from . import dims, genseries, rootdata, weights, zeta
 from .errors import DivergenceError, DomainError, UnsupportedSpace, shown
-from .result import EvalResult
+from .result import EvalResult, Frozen
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
-    """Genus, total area, and optional boundary data of the surface."""
-
+class _SurfaceParamsFields(NamedTuple):
     genus: int
     area: float
-    holonomies: tuple[float, ...] = field(default_factory=tuple)
+    holonomies: tuple[float, ...]
 
-    def __post_init__(self):
+
+class SurfaceParams(Frozen, _SurfaceParamsFields):
+    """Genus, total area, and optional boundary data of the surface."""
+
+    def __new__(cls, genus: int, area: float, holonomies: tuple[float, ...] = ()):
+        self = super().__new__(cls, genus, area, holonomies)
         if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
             raise DomainError(f"genus must be an integer >= 0, got {shown(self.genus, repr)}")
         if not genseries._finite(2 * self.genus + self.n_holes):
@@ -55,6 +56,7 @@ class SurfaceParams:
         for theta in self.holonomies:
             if not 0.0 <= theta < 2.0 * math.pi:
                 raise DomainError("holonomy angles must lie in [0, 2*pi)")
+        return self
 
     @property
     def n_holes(self) -> int:

@@ -1,11 +1,11 @@
-"""Common result container for series evaluations."""
+"""Common records: the result of a series evaluation, and the base that
+keeps a record with cached properties immutable."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Value of a summed series together with an explicit tail estimate.
 
     ``tail_bound`` is a rigorous bound on the error of ``value``, on every
@@ -27,3 +27,21 @@ class EvalResult:
             "converged": self.converged,
             "rigorous": self.rigorous,
         }
+
+
+class Frozen:
+    """First base of a NamedTuple subclass that keeps an instance dict for its
+    cached properties.  No attribute can be set or deleted, and ``_replace``
+    builds through the constructor, so the subclass's checks run."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)

@@ -11,12 +11,13 @@ cached; descriptors are safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 from operator import add, mul
+from typing import NamedTuple
 
 from .errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
+from .result import Frozen
 
 Vector = tuple[Q, ...]
 Doubled = tuple[int, ...]   # twice an ambient vector
@@ -119,8 +120,7 @@ _ROOT_COUNT = {
 }
 
 
-@dataclass(frozen=True)
-class RestrictedRootSystem:
+class _RestrictedRootSystemFields(NamedTuple):
     family: str
     rank: int
     doubled_roots: tuple[Doubled, ...]  # twice each positive root, simple roots first
@@ -128,6 +128,8 @@ class RestrictedRootSystem:
     indivisible_indices: tuple[int, ...]
     divisible_indices: tuple[int, ...]
 
+
+class RestrictedRootSystem(Frozen, _RestrictedRootSystemFields):
     @cached_property
     def positive_roots(self) -> tuple[Vector, ...]:
         """The positive roots in ambient coordinates, as tuples of Fraction."""
@@ -236,15 +238,16 @@ def build_root_system(family: str, rank: int) -> RestrictedRootSystem:
     )
 
 
-@dataclass(frozen=True)
-class SymmetricSpaceDescriptor:
-    """One catalog entry: restricted roots, multiplicities, rho_X."""
-
+class _SymmetricSpaceDescriptorFields(NamedTuple):
     space_id: str
     cartan_label: str
     root_system: RestrictedRootSystem
     mult: tuple[int, ...] | None  # multiplicity per positive root
     normal_marker: bool = False
+
+
+class SymmetricSpaceDescriptor(Frozen, _SymmetricSpaceDescriptorFields):
+    """One catalog entry: restricted roots, multiplicities, rho_X."""
 
     @property
     def evaluable(self) -> bool:
@@ -450,8 +453,7 @@ def catalog_spaces() -> list[SymmetricSpaceDescriptor]:
 # Compact groups (the type II side)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CompactGroupDescriptor:
+class CompactGroupDescriptor(NamedTuple):
     group_id: str
     root_system: RestrictedRootSystem
 

@@ -24,7 +24,6 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import replace
 
 from . import dims, genseries, weights
 from .errors import DivergenceError, DomainError, shown
@@ -180,7 +179,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
         tail = genseries._sum_with_tail([float(k) for k, _ in poly.factors],
                                         [s * xi for _, xi in poly.factors], tolerance,
                                         -s * math.log(float(poly.c)))
-        return replace(tail, value=1.0 + tail.value, terms_used=tail.terms_used + 1)
+        return tail._replace(value=1.0 + tail.value, terms_used=tail.terms_used + 1)
     return _growing_box(table, s, tolerance, max_box)
 
 

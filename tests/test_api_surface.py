@@ -3,12 +3,18 @@ module-level constant defined in the package is referenced somewhere else in
 the package, or is one of the names kept on purpose below.  A method or
 property counts as referenced only through an attribute (``x.name``); a
 function outside a class, a class or a constant, through a loaded name or an
-attribute, not an import or an ``__all__`` entry.  A dataclass or NamedTuple
-field counts as used only when some attribute access reads it, as storing a
-value nobody reads is dead too, and a parameter's default only when some call
-sets that parameter, as a knob nobody turns is dead too."""
+attribute, not an import or an ``__all__`` entry.  A record field, a name
+annotated in a class body, counts as used only when some attribute access
+reads it, as storing a value nobody reads is dead too, and a parameter's
+default only when some call sets that parameter, as a knob nobody turns is
+dead too; a call of a class sets the parameters of its ``__new__`` and
+``__init__``.  The last test pins that the package's records are immutable."""
 import ast
 from pathlib import Path
+
+import pytest
+
+from wittenzeta import dims, partition, rootdata, zeta
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wittenzeta"
 
@@ -31,9 +37,11 @@ KEPT = (
     "cli._Parser.error",
     # the digamma test's reference constant
     "specfun.EULER_GAMMA",
+    # a record's _replace builds through it, so the record's checks run
+    "result.Frozen._make",
 )
 
-#: Dataclass and NamedTuple fields that no attribute access in the package reads.
+#: Record fields that no attribute access in the package reads.
 KEPT_FIELDS = (
     # the group descriptor's catalog key, as space_id is the space's
     "rootdata.CompactGroupDescriptor.group_id",
@@ -80,23 +88,15 @@ def _scan():
     return defined, names, attributes
 
 
-def _is_dataclass(node):
-    return any(isinstance(d, ast.Name) and d.id == "dataclass"
-               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
-               and d.func.id == "dataclass" for d in node.decorator_list)
-
-
-def _is_named_tuple(node):
-    return any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
-
-
 def _scan_fields():
-    """(qualified name, name) of every dataclass and NamedTuple field, and
-    every attribute name that some access reads."""
+    """(qualified name, name) of every record field, a name annotated in a
+    class body, whatever form the record takes (a NamedTuple, or the
+    NamedTuple base of a class that keeps cached properties), and every
+    attribute name that some access reads."""
     fields, reads = [], set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and (_is_dataclass(node) or _is_named_tuple(node)):
+            if isinstance(node, ast.ClassDef):
                 fields += [(f"{path.stem}.{node.name}.{stmt.target.id}", stmt.target.id)
                            for stmt in node.body if isinstance(stmt, ast.AnnAssign)
                            and isinstance(stmt.target, ast.Name)]
@@ -142,17 +142,19 @@ KEPT_DEFAULTS = (
 def _defaults(node, prefix, in_class=False):
     """(qualified name, function name, parameter name, positional index or
     None) of every parameter with a default under ``node``; a method's index
-    leaves out ``self``."""
+    leaves out ``self``, and a constructor's function name is its class's."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = child.args
+            args, called = child.args, child.name
+            if in_class and called in ("__new__", "__init__"):
+                called = prefix.rsplit(".", 1)[-1]
             positional = args.posonlyargs + args.args
             for i in range(len(positional) - len(args.defaults), len(positional)):
                 arg = positional[i].arg
-                yield f"{prefix}.{child.name}.{arg}", child.name, arg, i - in_class
+                yield f"{prefix}.{child.name}.{arg}", called, arg, i - in_class
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield f"{prefix}.{child.name}.{arg.arg}", child.name, arg.arg, None
+                    yield f"{prefix}.{child.name}.{arg.arg}", called, arg.arg, None
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _defaults(child, f"{prefix}.{child.name}", isinstance(child, ast.ClassDef))
         else:
@@ -185,3 +187,36 @@ def test_every_default_is_set_or_kept():
 
 def test_every_kept_default_is_unset():
     assert set(KEPT_DEFAULTS) <= set(_unset_defaults())
+
+
+#: One record of each immutable class, built fresh through its constructor,
+#: and names to assign: a field, a cached property where the class has one,
+#: and a name the class does not define.
+RECORDS = [
+    pytest.param(lambda: zeta.zeta_type_I("S:2", 2.0), ("value", "extra"), id="EvalResult"),
+    pytest.param(lambda: partition.SurfaceParams(1, 0.5, (1.0,)),
+                 ("area", "holonomies", "extra"), id="SurfaceParams"),
+    pytest.param(lambda: rootdata.RestrictedRootSystem(*rootdata.build_root_system("A", 2)),
+                 ("rank", "norms", "extra"), id="RestrictedRootSystem"),
+    pytest.param(lambda: rootdata._build_space("AI:3"),
+                 ("mult", "rho_pairings", "extra"), id="SymmetricSpaceDescriptor"),
+    pytest.param(lambda: rootdata.CompactGroupDescriptor(*rootdata.lookup_group("SU:3")),
+                 ("root_system", "extra"), id="CompactGroupDescriptor"),
+    pytest.param(lambda: dims.LinearFactors(*dims.compile_group("SU:3")),
+                 ("shifts", "_heads", "extra"), id="LinearFactors"),
+]
+
+
+@pytest.mark.parametrize("make, names", RECORDS)
+def test_records_are_immutable(make, names):
+    # what frozen dataclasses gave callers: no name can be set or deleted,
+    # cached properties included, before or after their first use
+    record = make()
+    for name in names:
+        for _ in range(2):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            getattr(record, name, None)
+    assert record == make()

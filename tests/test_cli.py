@@ -206,6 +206,21 @@ def test_oracle_command():
     assert record["inputs"]["order"] == 128
 
 
+def test_oracle_n_and_m_are_orthogonality_only():
+    # the orthogonality check prints the n and m it ran, given or not; the
+    # delta check reads neither, so it prints null and rejects them
+    given = run_cli("oracle-s2", "--check", "orthogonality", "--n", "5", "--m", "7")
+    assert given.returncode == 0
+    assert run_cli("oracle-s2", "--check", "orthogonality").stdout == given.stdout
+    inputs = json.loads(run_cli("oracle-s2", "--check", "delta").stdout)["inputs"]
+    assert inputs["n"] is None and inputs["m"] is None
+    for flag in ("--n", "--m"):
+        proc = run_cli("oracle-s2", "--check", "delta", flag, "5")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert json.loads(proc.stderr.splitlines()[0])["error"] == "usage"
+
+
 def test_oracle_delta_honours_order():
     default = run_cli("oracle-s2", "--check", "delta")
     assert default.returncode == 0
@@ -360,8 +375,9 @@ def test_invalid_max_terms_env_is_usage_error():
     assert json.loads(proc.stderr.splitlines()[0])["error"] == "usage"
 
 
-# runs cli.main in a fresh interpreter and reports whether numpy got loaded
-# and which library modules were loaded by the import and by the command
+# runs cli.main in a fresh interpreter and reports whether numpy got loaded,
+# which of the dataclass machinery's modules got loaded, and which library
+# modules were loaded by the import and by the command
 _COLD_PROBE = """
 import contextlib, io, json, sys
 def loaded():
@@ -375,6 +391,7 @@ with contextlib.redirect_stdout(io.StringIO()) as out, \\
     except SystemExit as exc:
         code = exc.code
 print(json.dumps({"code": code, "numpy": "numpy" in sys.modules,
+                  "machinery": [m for m in ("dataclasses", "inspect") if m in sys.modules],
                   "stdout": out.getvalue(), "imported": imported,
                   "added": sorted(set(loaded()) - set(imported))}))
 """
@@ -403,6 +420,20 @@ def test_cold_command_does_not_load_numpy(command):
     probe = _cold_run(command)
     assert probe["code"] == 0
     assert not probe["numpy"]
+
+
+@pytest.mark.parametrize("command, code", [
+    ("spaces", 0),
+    ("dim --space EVIII --coords 1,1,1,1,1,1,1,1", 0),
+    ("zeta --space S:2 --s 2", 0),
+    ("partition --space S:3 --genus 1 --area 0.01", 0),
+    ("selfcheck", 0),
+    ("zeta --space S:2", 1),
+])
+def test_cold_command_skips_the_dataclass_machinery(command, code):
+    probe = _cold_run(command)
+    assert probe["code"] == code
+    assert probe["machinery"] == []
 
 
 @pytest.mark.parametrize("command, code, added", [

@@ -196,6 +196,11 @@ def test_compile_rejects_nonpositive_shift():
     with pytest.raises(AssertionError):
         dims.LinearFactors(pairing=((1, 0), (0, 1)), shifts=(Q(1), Q(1)),
                            gram=((Q(1), Q(-1)), (Q(-1), Q(1))), lin=(Q(2), Q(2)))
+    with pytest.raises(AssertionError):
+        dims.LinearFactors(pairing=((1, -1),), shifts=(Q(1), Q(1)),
+                           gram=((Q(1),),), lin=(Q(2),))
+    with pytest.raises(AssertionError):     # _replace builds through the checks
+        dims.compile_group("SU:3")._replace(shifts=(Q(1), Q(0), Q(1)))
 
 
 @pytest.mark.parametrize("kind,ident", [("group", "SU:3"), ("group", "SU:4"),

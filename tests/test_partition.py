@@ -28,6 +28,8 @@ def test_surface_params_validation():
             SurfaceParams(genus=1, area=area)
     with pytest.raises(DomainError):    # an integer too long to print in the message
         SurfaceParams(genus=-10 ** 5000, area=1.0)
+    with pytest.raises(DomainError):    # _replace builds through the checks
+        s._replace(area=-1.0)
     # an integer genus past the float range has no float exponent 2g - 2
     with pytest.raises(DomainError):
         partition_type_I("S:2", SurfaceParams(10 ** 400, 0.1))

@@ -5,7 +5,6 @@ import json
 import math
 import random
 import warnings
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -213,7 +212,7 @@ def _table(kind, ident):
 
 def _fresh(kind, ident):
     """A copy of the compiled table with empty heads."""
-    return replace(_table(kind, ident))
+    return dims.LinearFactors(*_table(kind, ident))
 
 
 #: every lattice table with each ball shape; the box keeps the ids it had
