@@ -256,18 +256,17 @@ def main(argv: list[str] | None = None) -> int:
         "result": payload,
         "version": __version__,
     }
-    if args.command == "dims-table" and getattr(args, "format", "csv") == "csv":
+    rows = []
+    if args.command == "dims-table" and args.format == "csv":
         print("n,dim,inv_power")
-        for row in payload["rows"]:
-            print(",".join("" if v is None else str(v)
-                           for v in (row["n"], row["dim_float"], row["inv_power"])))
+        rows = [(row["n"], row["dim_float"], row["inv_power"]) for row in payload["rows"]]
     elif args.command == "spaces" and args.format == "csv":
         print("id,cartan_label,family,rank,dim")
-        for entry in payload:
-            print(f"{entry['id']},{entry['cartan_label']},{entry['family']},"
-                  f"{entry['rank']},{entry['dim']}")
+        rows = [(e["id"], e["cartan_label"], e["family"], e["rank"], e["dim"]) for e in payload]
     else:
         print(json.dumps(_strict(record), sort_keys=True, allow_nan=False))
+    for row in rows:    # a null is an empty field
+        print(",".join("" if v is None else str(v) for v in row))
     print(f"elapsed_s={elapsed:.6f}", file=sys.stderr)
     if args.command == "selfcheck" and not payload["ok"]:
         return _DOMAIN_EXIT

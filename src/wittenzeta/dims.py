@@ -25,12 +25,14 @@ from functools import cached_property, lru_cache
 from operator import mul, truediv
 from typing import NamedTuple
 
-from . import rootdata, weights
-from .errors import InconsistentMultiplicities, NotRankOne
+from . import rootdata
+from .errors import InconsistentMultiplicities, NotRankOne, UnknownSpace
 from .result import Frozen
 from .specfun import bernoulli_polynomial
 
 _LOG_MAX = 709.0
+
+Coords = tuple[int, ...]
 
 
 class PerRootFactorParams(NamedTuple):
@@ -186,18 +188,51 @@ def _space_roots(space_id: str) -> tuple[_RootData, ...]:
     return tuple(out)
 
 
-def dim_class_one(space_id: str, coords: weights.Coords) -> Q:
+@lru_cache(maxsize=None)
+def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
+    """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) over positive roots,
+    for the class-one basis b_i = s_i w_i (``class_one_scales``).
+
+    Entries are integers by the defining lattice conditions, which building
+    the matrix asserts, and nonnegative since every root coefficient is.
+    """
+    space = rootdata.lookup_space(space_id)
+    space.require_mult()
+    rs = space.root_system
+    return rs.pairing_matrix(rs.class_one_scales)
+
+
+def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
+    """(lambda, alpha)/(alpha, alpha) for every positive root, exact integers."""
+    matrix = class_one_pairing_matrix(space_id)
+    check_coords(coords, len(matrix))
+    ncols = len(matrix[0])
+    return tuple(
+        sum(coords[i] * matrix[i][j] for i in range(len(coords)))
+        for j in range(ncols)
+    )
+
+
+def check_coords(coords: Coords, count: int) -> None:
+    """Reject a weight that lacks ``count`` coordinates or has a negative one."""
+    if len(coords) != count:
+        raise UnknownSpace(f"expected {count} coordinates, got {len(coords)}")
+    if min(coords) < 0:
+        raise UnknownSpace("weight coordinates must be nonnegative integers")
+
+
+def dim_class_one(space_id: str, coords: Coords) -> Q:
     """Exact dimension of the class-one representation with the given coordinates."""
-    pairings = weights.root_pairings(space_id, coords)
+    pairings = root_pairings(space_id, coords)
     acc = Q(1)
     for rd in _space_roots(space_id):
         acc *= dim_factor(rd.params, pairings[rd.column])
     return acc
 
 
-def dim_class_one_log(space_id: str, coords: weights.Coords) -> float:
+def dim_class_one_log(space_id: str, coords: Coords) -> float:
     """log of the dimension via the gamma-quotient path."""
-    pairings = weights.root_pairings(space_id, coords)
+    pairings = root_pairings(space_id, coords)
     return math.fsum(
         _factor_log_numeric(rd.params, pairings[rd.column])
         for rd in _space_roots(space_id)
@@ -214,10 +249,10 @@ def float_and_log(value: Q) -> tuple[float | None, float]:
 # type II: Weyl dimension formula
 # ---------------------------------------------------------------------------
 
-def dim_type_II(group_id: str, coords: weights.Coords) -> int:
+def dim_type_II(group_id: str, coords: Coords) -> int:
     """Weyl dimension of the irreducible representation with the given labels."""
     table = compile_group(group_id)
-    weights.check_coords(coords, len(table.pairing))
+    check_coords(coords, len(table.pairing))
     acc = Q(1)
     for column, den in zip(zip(*table.pairing), table.shifts):
         acc *= (sum(map(mul, coords, column)) + den) / den
@@ -270,16 +305,17 @@ class LinearFactors(Frozen, _LinearFactorsFields):
         return np.array(self.gram, dtype=float), np.array(self.lin, dtype=float)
 
     @cached_property
-    def _heat(self) -> partition._HeatParts:
+    def _heat(self) -> weights._HeatParts:
         """What the majorant of a higher-rank heat sum needs of this table
-        alone, built on its first use (``partition._heat_parts``)."""
-        from . import partition
-        return partition._heat_parts(self)
+        alone, built on its first use (``weights._heat_parts``)."""
+        from . import weights
+        return weights._heat_parts(self)
 
     @cached_property
     def _heads(self) -> tuple[weights.Head, weights.Head]:
         """The heads the balls of a higher-rank sum are read from, the box's
         and the simplex's, grown on demand (``weights.Head``)."""
+        from . import weights
         return weights.Head(self, simplex=False), weights.Head(self, simplex=True)
 
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
@@ -291,6 +327,7 @@ class LinearFactors(Frozen, _LinearFactorsFields):
         memory a call holds does not grow with the factor count J.
         """
         import numpy as np
+        from . import weights
         matrix, shifts = self._arrays
         step, out = max(1, 8 * weights.CHUNK_ROWS // len(shifts)), np.empty(len(coords))
         for start in range(0, len(coords), step):
@@ -314,9 +351,9 @@ class LinearFactors(Frozen, _LinearFactorsFields):
         return FactoredDimPolynomial(c=1 / math.prod(k ** xi for k, xi in factors),
                                      factors=factors)
 
-    def casimir(self, coords: weights.Coords) -> Q:
+    def casimir(self, coords: Coords) -> Q:
         """c2(n) at one weight, exact."""
-        weights.check_coords(coords, len(self.pairing))
+        check_coords(coords, len(self.pairing))
         acc = Q(0)
         for i, ni in enumerate(coords):
             if not ni:
@@ -358,7 +395,7 @@ def compile_space(space_id: str) -> LinearFactors:
     """Class-one dimension of a space as compiled linear factors."""
     space = rootdata.lookup_space(space_id)
     rs = space.root_system
-    matrix = weights.class_one_pairing_matrix(space_id)
+    matrix = class_one_pairing_matrix(space_id)
     columns, shifts = [], []
     for rd in _space_roots(space_id):
         for offset in _factor_offsets(rd.params):
@@ -379,7 +416,7 @@ def compile_group(group_id: str) -> LinearFactors:
     pairings (b_i, alpha^v), one row per i and one column per positive root
     alpha, and the shifts (rho, alpha^v) = 2 (rho, alpha)/(alpha, alpha).
     """
-    rs = rootdata.lookup_group(group_id).root_system
+    rs = rootdata.lookup_group(group_id)
     ones = (1,) * len(rs.norms)
     # (b_i, alpha^v) = (2 b_i, alpha)/(alpha, alpha), with 2 b_i = |alpha_i|^2 w_i
     return LinearFactors(pairing=rs.pairing_matrix(rs.norms[:rs.rank]),
@@ -441,7 +478,7 @@ def rank_one_factored(space_id: str) -> FactoredDimPolynomial:
     return poly
 
 
-def dims_record(space_id: str, coords: weights.Coords) -> dict:
+def dims_record(space_id: str, coords: Coords) -> dict:
     """CLI payload: exact and float dimension, plus the factored form if rank one."""
     space = rootdata.lookup_space(space_id)
     exact = dim_class_one(space_id, coords)

@@ -11,8 +11,7 @@ Every sum of the library fixes its goal, the tail bound at which it stops,
 before it sums a term (``_goal``): the tolerance or, when that is out of
 reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from
-``certified_tail``; the higher-rank sums certify a region and hand it to
-``sum_region``, the one loop that evaluates q^{c2(n)} d(n)^(-e) over it.
+``certified_tail``; the higher-rank sums are in ``weights``.
 """
 from __future__ import annotations
 
@@ -60,20 +59,6 @@ def _goal(cap_bound: float, tolerance: float) -> float:
     """The tail bound at which a sum stops: the tolerance or, when the bound
     at the term cap misses it, twice that bound."""
     return tolerance if cap_bound <= tolerance else 2.0 * cap_bound
-
-
-def sum_region(terms, exponent: float, area: float) -> float:
-    """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a certified
-    region given as (log d, c2) array pairs, c2 None when area is 0.  Each
-    pair is one exactly rounded fsum, added in order."""
-    import numpy as np
-    total = 0.0
-    for log_dims, casimirs in terms:
-        with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
-            logs = -exponent * log_dims
-            values = np.exp(logs if casimirs is None else logs - area * casimirs)
-        total += math.fsum(values.tolist())
-    return total
 
 
 def certified_tail(kappas: list[float], powers: list[float]):

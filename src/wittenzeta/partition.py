@@ -9,29 +9,16 @@ from the compiled table of its space or group (``dims.compile_space``,
 Rank one sums weight by weight, its dimension multiplied out from the
 table's one row, up to the first weight whose geometric ratio bound meets
 a goal fixed before the first term, or whose running total is infinite.
-A higher rank bounds its terms by a separable majorant q^{c2(n)} d(n)^-e
-<= prod_i h_i(n_i) (``_majorant_logs``).  The majorant's sum beyond
-coordinate sum K is a coefficient tail of a product of one-coordinate
-series, so the least K that meets the tolerance is known before any term
-is summed.
-
-What the majorant needs of its table alone is built once per table, on
-its first heat sum (``_heat_parts``): its rows up to its first cut, the
-denominators of its shares and its diagonal Casimir coefficients.  The
-weights of coordinate sum <= K come from ``weights.ball``, as the zeta box
-does: when they fit in ``weights.CHUNK_ROWS`` rows, as a prefix of the
-table's simplex head, which holds log d and c2 by coordinate sum and grows
-on demand (``weights.Head``); otherwise in chunks of
-``weights.simplex_chunks``.  ``genseries.sum_region`` sums them.
+A higher rank sums the simplex its separable majorant certifies
+(``_shell_heat_sum``, from the lattice module ``weights``).
 """
 from __future__ import annotations
 
 import math
 import numbers
-from itertools import accumulate
 from typing import NamedTuple
 
-from . import dims, genseries, rootdata, weights, zeta
+from . import dims, genseries, rootdata, zeta
 from .errors import DivergenceError, DomainError, UnsupportedSpace, shown
 from .result import EvalResult, Frozen
 
@@ -109,139 +96,22 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
         d, c2 = d_next, c2_next
 
 
-#: The first cut M of ``_majorant_grade``; each table keeps its majorant
-#: rows up to M + 2 (``_HeatParts``).
-_FIRST_CUT = 16
-
-
-def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...]:
-    """The parts of ``_majorant_logs`` at m = 0..top that depend on the table
-    alone: log1p(m r_ij) of the upper form (exponent <= 0), log1p(m r_j) of
-    the lower form (exponent > 0), and G_ii m^2 + lin_i m."""
-    import numpy as np
-    matrix, shifts = table._arrays
-    gram, lin = table._form
-    m = np.arange(top + 1, dtype=float)[:, None]
-    return (np.log1p(m[:, :, None] * (matrix / shifts)),
-            np.log1p(m[:, :, None] * (matrix.sum(axis=0) / shifts)),
-            m * m * gram.diagonal() + m * lin)
-
-
-class _HeatParts(NamedTuple):
-    """What the majorant of a higher-rank heat sum needs of its table alone,
-    built once per table (``dims.LinearFactors._heat``)."""
-
-    totals: np.ndarray                  # sum_i L_ij, the shares' denominators
-    gauss: list[tuple[float, float]]    # (G_ii, lin_i) of the ratio bound
-    rows: tuple[np.ndarray, ...]        # _majorant_rows up to _FIRST_CUT + 2
-
-
-def _heat_parts(table: dims.LinearFactors) -> _HeatParts:
-    """The majorant's table parts."""
-    gram, lin = table._form
-    return _HeatParts(totals=table._arrays[0].sum(axis=0),
-                      gauss=list(zip(gram.diagonal().tolist(), lin.tolist())),
-                      rows=_majorant_rows(table, _FIRST_CUT + 2))
-
-
-def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
-                   top: int) -> np.ndarray:
-    """log h_i(m) for every coordinate i (rows) and m = 0..top (columns),
-    with q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) on the nonnegative cone:
-
-        h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + r_ij m)^p_ij.
-
-    The Casimir n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i, as
-    G >= 0 entrywise.  Each factor of d, 1 + sum_i a_i with a_i = L_ij n_i /
-    c_j >= 0, is at most prod_i (1 + a_i), so r_ij = L_ij / c_j and p_ij =
-    -exponent when exponent <= 0; and at least prod_i (1 + a_i / w_ij)^w_ij
-    (weighted AM-GM, as in ``zeta._box_bound``), so at the shares w_ij =
-    L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij = -exponent w_ij
-    when exponent > 0.
-    """
-    parts = table._heat
-    upper, lower, quadratic = (parts.rows if top <= _FIRST_CUT + 2
-                               else _majorant_rows(table, top))
-    if exponent > 0.0:
-        poly = (lower[:top + 1] * (-exponent * table._arrays[0] / parts.totals)).sum(axis=2)
-    else:
-        poly = (upper[:top + 1] * -exponent).sum(axis=2)
-    return (poly - area * quadratic[:top + 1]).T
-
-
-def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
-                    tolerance: float, cap: int) -> tuple[int, float]:
-    """The least grade K whose majorant tail is at most ``tolerance``, and
-    that tail; when no K within ``cap`` terms is, the least K whose tail is
-    within twice that of the largest K within ``cap`` terms.
-
-    The majorant sum_n prod_i h_i(n_i) is the product of the one-coordinate
-    series H_i(z) = sum_m h_i(m) z^m at z = 1, and its part beyond grade K
-    is the coefficient tail of prod_i H_i.  Split each H_i at M (``cut``)
-    into P_i, its terms m <= M, and the rest T_i.  For K <= M that tail is
-    at most the coefficients beyond K of prod_i P_i (``np.convolve``) plus
-    sum_i T_i prod_{l != i} (P_l(1) + T_l).  The ratio h_i(m+1)/h_i(m)
-    decreases in m when exponent <= 0; when exponent > 0 its polynomial
-    part is <= 1, and q^{G_ii (2m + 1) + lin_i}, which decreases, bounds
-    it.  The larger of the two at m = M+1 is r_i, and T_i <= h_i(M+1) /
-    (1 - r_i).  M doubles until a K <= M meets the tolerance or M reaches
-    the largest grade the cap allows.  Every h_i is scaled by its largest
-    term before the products, so nothing overflows.  The arithmetic on one
-    number per coordinate or per grade is in Python floats; the exponentials,
-    logarithms and convolutions are numpy's.
-    """
-    import numpy as np
-    gauss = table._heat.gauss
-    k_cap = weights.radius(len(gauss), cap, simplex=True)
-    log_tol = math.log(tolerance)
-    cut = min(_FIRST_CUT, k_cap)
-    # past the float range area m^2 makes a log h_i(m) -inf and a product of
-    # sums makes the spill inf (no certificate); a zero tail's log is -inf
-    with np.errstate(over="ignore", divide="ignore"):
-        while True:
-            logs = _majorant_logs(table, exponent, area, cut + 2)
-            scale = logs.max(axis=1)
-            head = np.exp(logs - scale[:, None])
-            # max keeps its first argument over a NaN, the difference of two -inf
-            log_ratio = [max(-area * (g * (2 * cut + 3) + b), last - before)
-                         for (before, last), (g, b) in zip(logs[:, cut + 1:].tolist(), gauss)]
-            if all(r < 0.0 for r in log_ratio):
-                rest = head[:, cut + 1] / -np.expm1(log_ratio)
-                sums = head[:, :cut + 1].sum(axis=1) + rest
-                spill = float((rest * math.prod(sums.tolist()) / sums).sum())
-            else:
-                spill = math.inf
-            coeffs = head[0, :cut + 1]
-            for row in head[1:, :cut + 1]:
-                coeffs = np.convolve(coeffs, row)
-            # the coefficients past K, summed from the top down, for K = 0..cut
-            beyond = [*accumulate(reversed(coeffs.tolist()))][-2::-1] + [0.0]
-            log_tails = (np.log([t + spill for t in beyond[:cut + 1]])
-                         + scale.sum()).tolist()
-            if cut == k_cap and log_tails[cut] > log_tol:
-                log_tol = log_tails[cut] + math.log(2.0)
-            grade = next((k for k, t in enumerate(log_tails) if t <= log_tol), None)
-            if grade is not None:
-                break
-            cut = min(2 * cut, k_cap)
-    log_tail = log_tails[grade]
-    return grade, genseries._exp(log_tail)
-
-
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                     tolerance: float) -> EvalResult:
     """Higher-rank heat sum over every weight up to the grade its separable
-    majorant (``_majorant_logs``) certifies.
+    majorant (``weights._majorant_logs``) certifies.
 
-    ``_majorant_grade`` turns the majorant into the least grade K whose
-    tail beyond it meets the tolerance, and ``genseries.sum_region`` sums
-    the weights of coordinate sum <= K, from ``weights.ball``.  When the cap
-    cannot hold that grade, the result is not converged and carries the
-    bound of the grade ``_majorant_grade`` falls back to.
+    ``weights._majorant_grade`` turns the majorant into the least grade K
+    whose tail beyond it meets the tolerance, and ``weights.sum_region``
+    sums the weights of coordinate sum <= K, from ``weights.ball``.  When
+    the cap cannot hold that grade, the result is not converged and carries
+    the bound of the grade ``_majorant_grade`` falls back to.
     """
+    from . import weights
     genseries._check_tolerance(tolerance)
-    grade, bound = _majorant_grade(table, exponent, area, tolerance, genseries.term_cap())
-    value = genseries.sum_region(weights.ball(table, grade, simplex=True), exponent, area)
+    grade, bound = weights._majorant_grade(table, exponent, area, tolerance,
+                                           genseries.term_cap())
+    value = weights.sum_region(weights.ball(table, grade, simplex=True), exponent, area)
     return EvalResult(value=value, tail_bound=bound,
                       terms_used=weights.ball_size(len(table.lin), grade, simplex=True),
                       converged=bound <= tolerance)

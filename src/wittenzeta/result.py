@@ -8,9 +8,9 @@ from typing import NamedTuple
 class EvalResult(NamedTuple):
     """Value of a summed series together with an explicit tail estimate.
 
-    ``tail_bound`` is a rigorous bound on the error of ``value``, on every
-    path, so ``rigorous`` is always True.  ``converged`` means the bound met
-    the requested tolerance.
+    ``tail_bound`` bounds the truncated tail of the series, on every path;
+    it does not yet cover the rounding of ``value``.  ``rigorous`` is always
+    True.  ``converged`` means the bound met the requested tolerance.
     """
 
     value: float

@@ -453,26 +453,18 @@ def catalog_spaces() -> list[SymmetricSpaceDescriptor]:
 # Compact groups (the type II side)
 # ---------------------------------------------------------------------------
 
-class CompactGroupDescriptor(NamedTuple):
-    group_id: str
-    root_system: RestrictedRootSystem
-
-    @property
-    def rank(self) -> int:
-        return self.root_system.rank
-
-
 _GROUP_RE = re.compile(r"^(SU|SO|Sp):([0-9]+)$")
 
 
 @lru_cache(maxsize=None)
-def lookup_group(group_id: str) -> CompactGroupDescriptor:
+def lookup_group(group_id: str) -> RestrictedRootSystem:
+    """Resolve a group id to the root system of the group."""
     token = group_id.strip()
     fixed = {"G2": ("G2", 2), "F4": ("F4", 4), "E6": ("E6", 6),
              "E7": ("E7", 7), "E8": ("E8", 8)}
     if token in fixed:
         fam, rk = fixed[token]
-        return CompactGroupDescriptor(token, build_root_system(fam, rk))
+        return build_root_system(fam, rk)
     m = _GROUP_RE.match(token)
     if not m:
         raise UnknownSpace(f"cannot parse group id {token!r}")
@@ -480,13 +472,13 @@ def lookup_group(group_id: str) -> CompactGroupDescriptor:
     if kind == "SU":
         if n < 2:
             raise UnknownSpace("SU:<n> needs n >= 2")
-        return CompactGroupDescriptor(token, build_root_system("A", n - 1))
+        return build_root_system("A", n - 1)
     if kind == "Sp":
         if n < 1:
             raise UnknownSpace("Sp:<n> needs n >= 1")
-        return CompactGroupDescriptor(token, build_root_system("C", n))
+        return build_root_system("C", n)
     if n < 3:
         raise UnknownSpace("SO:<n> needs n >= 3")
     if n % 2:
-        return CompactGroupDescriptor(token, build_root_system("B", (n - 1) // 2))
-    return CompactGroupDescriptor(token, build_root_system("D", n // 2))
+        return build_root_system("B", (n - 1) // 2)
+    return build_root_system("D", n // 2)

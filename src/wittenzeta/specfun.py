@@ -107,20 +107,20 @@ def riemann_zeta(s: float) -> float:
     return hurwitz_zeta(s, 1.0)
 
 
+def _legendre_pair(n: int, x: float) -> tuple[float, float]:
+    """(P_{n-1}(x), P_n(x)) for n >= 1, by the three-term recurrence; at
+    x = +-1 every step is exact, so P_n(+-1) = (+-1)^n comes out exactly."""
+    prev, p = 1.0, x
+    for k in range(1, n):
+        prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+    return prev, p
+
+
 def legendre_p(n: int, x: float) -> float:
-    """Legendre polynomial by the three-term recurrence, P_n(1) = 1 exactly."""
+    """Legendre polynomial P_n(x)."""
     if n < 0:
         raise DomainError("legendre_p requires n >= 0")
-    if x == 1.0:
-        return 1.0
-    if x == -1.0:
-        return -1.0 if n % 2 else 1.0
-    pm, p = 1.0, x
-    if n == 0:
-        return pm
-    for k in range(1, n):
-        pm, p = p, ((2 * k + 1) * x * p - k * pm) / (k + 1)
-    return p
+    return _legendre_pair(n, x)[1] if n else 1.0
 
 
 @lru_cache(maxsize=64)
@@ -138,9 +138,7 @@ def gauss_legendre_nodes(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
              - (39 - 28 / math.sin(theta) ** 2) / (384 * n ** 4)) * math.cos(theta)
         step = 1.0
         while abs(step) >= 1e-16:   # at most 5 steps at every order in [1, 512]
-            prev, p = 1.0, x
-            for j in range(1, n):
-                prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+            prev, p = _legendre_pair(n, x)
             gap = (1 - x) * (1 + x)
             slope = n * (prev - x * p)      # (1 - x^2) P_n'(x)
             step = p * gap / slope

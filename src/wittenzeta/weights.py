@@ -1,63 +1,40 @@
-"""Dominant-weight enumeration for both weight lattices.
+"""Lattice sums above rank one: their certificates, their regions of
+weights and the one loop that sums a region.
 
-Class-one weights of a symmetric space are coordinates over a basis dual
-to the indivisible simple restricted roots; for BC systems the coordinate
-on the divisible simple root is scaled by two internally, so user-facing
-coordinates always range over all nonnegative integers.
-
-The lattice sums above rank one run over a ball of radius r: the box
+Zeta and heat sums above rank one share one design.  A separable majorant
+bounds each term by a product of one-coordinate series, so a ball of
+weights, of radius r, is certified before any term is summed: the box
 [0, r]^rank of a zeta sum or the simplex of coordinate sum <= r of a heat
-sum.  ``ball`` hands ``genseries.sum_region`` the (log d, c2) pairs of one:
-a ball of at most ``CHUNK_ROWS`` points is a prefix of the table's head of
-that shape (``Head``), a larger one comes in chunks of ``box_chunks`` or
-``simplex_chunks``.
+sum.  Each factor of d, 1 + sum_i a_i with a_i = L_ij n_i / c_j >= 0, is at
+least prod_i (1 + a_i / w_ij)^w_ij for shares w_ij >= 0 summing to one over
+i (weighted AM-GM).  ``_box_bound`` bounds the zeta sum outside a box by
+one-coordinate series of the pinned form of ``genseries.certified_tail``,
+and ``_least_side`` finds the least side that meets the goal from a few of
+those bounds.  ``_majorant_logs`` bounds a heat term by prod_i h_i(n_i),
+whose sum past coordinate sum K is a coefficient tail of a product of
+one-coordinate series, so ``_majorant_grade`` knows the least K that meets
+the tolerance; what it needs of its table alone is built once per table
+(``_heat_parts``).
+
+``ball`` hands ``sum_region`` the (log d, c2) pairs of a ball: a ball of at
+most ``CHUNK_ROWS`` points is a prefix of the table's head of that shape
+(``Head``), which grows on demand, and a larger one comes in chunks of
+``box_chunks`` or ``simplex_chunks``.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from functools import lru_cache, reduce
+from itertools import accumulate
+from typing import NamedTuple
 
-from . import rootdata
-from .errors import DomainError, UnknownSpace
-
-Coords = tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def class_one_pairing_matrix(space_id: str) -> tuple[tuple[int, ...], ...]:
-    """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) over positive roots,
-    for the class-one basis b_i = s_i w_i (``class_one_scales``).
-
-    Entries are integers by the defining lattice conditions, which building
-    the matrix asserts, and nonnegative since every root coefficient is.
-    """
-    space = rootdata.lookup_space(space_id)
-    space.require_mult()
-    rs = space.root_system
-    return rs.pairing_matrix(rs.class_one_scales)
+from . import genseries
+from .errors import DomainError
 
 
-def root_pairings(space_id: str, coords: Coords) -> tuple[int, ...]:
-    """(lambda, alpha)/(alpha, alpha) for every positive root, exact integers."""
-    matrix = class_one_pairing_matrix(space_id)
-    check_coords(coords, len(matrix))
-    ncols = len(matrix[0])
-    return tuple(
-        sum(coords[i] * matrix[i][j] for i in range(len(coords)))
-        for j in range(ncols)
-    )
-
-
-def check_coords(coords: Coords, count: int) -> None:
-    """Reject a weight that lacks ``count`` coordinates or has a negative one."""
-    if len(coords) != count:
-        raise UnknownSpace(f"expected {count} coordinates, got {len(coords)}")
-    if min(coords) < 0:
-        raise UnknownSpace("weight coordinates must be nonnegative integers")
-
-
-def _graded_box(rank: int, box: int) -> list[Coords]:
+def _graded_box(rank: int, box: int) -> list[tuple[int, ...]]:
     """Every point of [0, box]^rank, by coordinate sum, lex order within one."""
     import numpy as np
     rows = np.concatenate(list(box_chunks(rank, box)))
@@ -126,9 +103,9 @@ class Head:
 
 
 def ball(table, r: int, *, simplex: bool):
-    """The (log d, c2) pairs of ``genseries.sum_region`` over a table's ball of
-    radius r, c2 None for the box: one prefix of the table's head when the
-    ball holds at most CHUNK_ROWS points, else one pair per chunk."""
+    """The (log d, c2) pairs of ``sum_region`` over a table's ball of radius
+    r, c2 None for the box: one prefix of the table's head when the ball
+    holds at most CHUNK_ROWS points, else one pair per chunk."""
     rank = len(table.pairing)
     if ball_size(rank, r, simplex=simplex) <= CHUNK_ROWS:
         return [table._heads[simplex].prefix(r)]
@@ -199,3 +176,230 @@ def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:
         for ax in range(rank - 1, -1, -1):
             index, chunk[:, ax] = np.divmod(index, box + 1)
         yield chunk
+
+
+def sum_region(terms, exponent: float, area: float) -> float:
+    """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a certified
+    region given as (log d, c2) array pairs, c2 None when area is 0.  Each
+    pair is one exactly rounded fsum, added in order."""
+    import numpy as np
+    total = 0.0
+    for log_dims, casimirs in terms:
+        with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
+            logs = -exponent * log_dims
+            values = np.exp(logs if casimirs is None else logs - area * casimirs)
+        total += math.fsum(values.tolist())
+    return total
+
+
+def _box_bound(table: dims.LinearFactors, s: float):
+    """The certified bound on the sum of d(n)^(-s) outside [0, B]^rank, as a
+    function of B.
+
+    The outside is the union of the regions {n_i > B}.  Under the weighted
+    AM-GM, d(n)^(-s) <= prod_k g_k(n_k), g_k(m) = prod_j (1 + L_kj m / (c_j
+    w_kj))^(-s w_kj), and region i sums to at most sum_{m > B} g_i(m) times
+    the full sums of the other g_k.  Its shares start at L_kj / sum_k L_kj
+    and move toward coordinate i by the largest t in [0, 1] that keeps
+    s sum_j w_kj >= 1.2 for every other k; a g_k with s sum_j w_kj <= 1
+    diverges and makes the bound inf.  As d >= 1, a bound at s' <= s holds
+    at s, and s' <= 1e300 keeps the power sums finite.  Where the certified
+    tail of a series from m = start is not a positive normal float (its
+    Euler-Maclaurin value at a total power P in the hundreds underflows),
+    it is taken in logs as the first term plus the integral of the rest,
+    f(start) (1 + (start + kappa_max) / (P - 1)), f(m) = prod_j (m +
+    kappa_j)^(-p_j): f decreases, and f(m) / f(start) <= ((m + kappa_max) /
+    (start + kappa_max))^(-P) for m >= start.
+    """
+    s = min(s, 1e300)
+    matrix, shifts = table.pairing, table._arrays[1].tolist()
+    base = [[v / n for v, n in zip(row, map(sum, zip(*matrix)))] for row in matrix]
+
+    def series(row, shares):    # g = exp(scale) prod_j (m + kappa_j)^(-p_j)
+        kappas = [c * w / v for c, w, v in zip(shifts, shares, row) if w > 0]
+        powers = [s * w for w in shares if w > 0]
+        total = sum(powers)
+        if total > 1.0:     # its log tail function and scale; None when g diverges
+            tail = genseries.certified_tail(kappas, powers)
+
+            def log_tail(start):
+                bound = sum(tail(start))
+                if bound >= sys.float_info.min:
+                    return math.log(bound)
+                return (math.log1p((start + max(kappas)) / (total - 1.0))
+                        - sum(p * math.log(start + k) for p, k in zip(powers, kappas)))
+
+            return log_tail, sum(p * math.log(k) for p, k in zip(powers, kappas))
+
+    regions = []
+    for i, own in enumerate(matrix):
+        gives = [sum(w for w, v in zip(row, own) if v) for row in base]
+        t = max(0.0, min([1.0] + [(sum(base[k]) - 1.2 / s) / g
+                                  for k, g in enumerate(gives) if k != i and g > 0]))
+        coords = [series(row, [w + t * ((k == i) - w) if v else w for w, v in zip(shares, own)])
+                  for k, (row, shares) in enumerate(zip(matrix, base))]
+        if None in coords:
+            return lambda box: math.inf
+        # the log of each full sum 1 + sum_{m >= 1} g_k(m) but the i-th; the
+        # sum of a tail's estimate and bound bounds it from above
+        log_rest = sum(math.log1p(genseries._exp(scale + log_tail(1)))
+                       for k, (log_tail, scale) in enumerate(coords) if k != i)
+        regions.append((coords[i][0], coords[i][1] + log_rest))
+
+    return lambda box: sum(genseries._exp(scale + log_tail(box + 1))
+                           for log_tail, scale in regions)
+
+
+def _least_side(bound, top: int, goal: float) -> int:
+    """The least side B in [0, top] with bound(B) <= goal, given that
+    bound(top) meets it: the side a bisection finds wherever bound does not
+    grow with B, from fewer evaluations.
+
+    The bracket (lo, hi] holds it, bound(lo) > goal >= bound(hi), and each
+    probe moves one of its ends.  The first probe is B = 0 when the bracket
+    holds more than 9 sides.  A later one goes where the line through two
+    points (log(B + 2), log bound(B)) meets log goal, as a power law in
+    B + 2 would, rounded up: through hi and lo after a probe that missed the
+    goal, through hi and the hi before it after one that met it.  As in
+    Brent's zero finder (1973, ch. 4), that guess is only taken when it
+    moves less than half as far as the probe before last did; otherwise, or
+    when a bound on the line is 0 or inf, the bracket is halved.
+    """
+    lo, hi, other, last, steps = -1, top, top, top, []
+    while hi - lo > 1:
+        probe = min((lo + hi) // 2 + 1, hi - 1)
+        ends = bound(other), bound(hi)
+        if lo < 0 and hi > 8:
+            probe = 0
+        elif lo >= 0 and 0.0 < min(ends) and max(ends) < math.inf and ends[0] != ends[1]:
+            y_1, y_2 = map(math.log, ends)
+            x_1, x_2 = math.log(other + 2), math.log(hi + 2)
+            x = x_1 + (math.log(goal) - y_1) / (y_2 - y_1) * (x_2 - x_1)
+            guess = min(max(math.ceil(math.exp(min(x, x_2))) - 2, lo + 1), hi - 1)
+            if len(steps) < 2 or 2 * abs(guess - last) < steps[-2]:
+                probe = guess
+        if bound(probe) <= goal:
+            hi, other = probe, hi
+        else:
+            lo = other = probe
+        steps.append(abs(probe - last))
+        last = probe
+    return hi
+
+
+#: The first cut M of ``_majorant_grade``; each table keeps its majorant
+#: rows up to M + 2 (``_HeatParts``).
+_FIRST_CUT = 16
+
+
+def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...]:
+    """The parts of ``_majorant_logs`` at m = 0..top that depend on the table
+    alone: log1p(m r_ij) of the upper form (exponent <= 0), log1p(m r_j) of
+    the lower form (exponent > 0), and G_ii m^2 + lin_i m."""
+    import numpy as np
+    matrix, shifts = table._arrays
+    gram, lin = table._form
+    m = np.arange(top + 1, dtype=float)[:, None]
+    return (np.log1p(m[:, :, None] * (matrix / shifts)),
+            np.log1p(m[:, :, None] * (matrix.sum(axis=0) / shifts)),
+            m * m * gram.diagonal() + m * lin)
+
+
+class _HeatParts(NamedTuple):
+    """What the majorant of a higher-rank heat sum needs of its table alone,
+    built once per table (``dims.LinearFactors._heat``)."""
+
+    totals: np.ndarray                  # sum_i L_ij, the shares' denominators
+    gauss: list[tuple[float, float]]    # (G_ii, lin_i) of the ratio bound
+    rows: tuple[np.ndarray, ...]        # _majorant_rows up to _FIRST_CUT + 2
+
+
+def _heat_parts(table: dims.LinearFactors) -> _HeatParts:
+    """The majorant's table parts."""
+    gram, lin = table._form
+    return _HeatParts(totals=table._arrays[0].sum(axis=0),
+                      gauss=list(zip(gram.diagonal().tolist(), lin.tolist())),
+                      rows=_majorant_rows(table, _FIRST_CUT + 2))
+
+
+def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
+                   top: int) -> np.ndarray:
+    """log h_i(m) for every coordinate i (rows) and m = 0..top (columns),
+    with q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) on the nonnegative cone:
+
+        h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + r_ij m)^p_ij.
+
+    The Casimir n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i, as
+    G >= 0 entrywise.  Each factor of d, 1 + sum_i a_i, is at most
+    prod_i (1 + a_i), so r_ij = L_ij / c_j and p_ij = -exponent when
+    exponent <= 0; and at least its weighted AM-GM product, so at the shares
+    w_ij = L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij = -exponent
+    w_ij when exponent > 0.
+    """
+    parts = table._heat
+    upper, lower, quadratic = (parts.rows if top <= _FIRST_CUT + 2
+                               else _majorant_rows(table, top))
+    if exponent > 0.0:
+        poly = (lower[:top + 1] * (-exponent * table._arrays[0] / parts.totals)).sum(axis=2)
+    else:
+        poly = (upper[:top + 1] * -exponent).sum(axis=2)
+    return (poly - area * quadratic[:top + 1]).T
+
+
+def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
+                    tolerance: float, cap: int) -> tuple[int, float]:
+    """The least grade K whose majorant tail is at most ``tolerance``, and
+    that tail; when no K within ``cap`` terms is, the least K whose tail is
+    within twice that of the largest K within ``cap`` terms.
+
+    The majorant sum_n prod_i h_i(n_i) is the product of the one-coordinate
+    series H_i(z) = sum_m h_i(m) z^m at z = 1, and its part beyond grade K
+    is the coefficient tail of prod_i H_i.  Split each H_i at M (``cut``)
+    into P_i, its terms m <= M, and the rest T_i.  For K <= M that tail is
+    at most the coefficients beyond K of prod_i P_i (``np.convolve``) plus
+    sum_i T_i prod_{l != i} (P_l(1) + T_l).  The ratio h_i(m+1)/h_i(m)
+    decreases in m when exponent <= 0; when exponent > 0 its polynomial
+    part is <= 1, and q^{G_ii (2m + 1) + lin_i}, which decreases, bounds
+    it.  The larger of the two at m = M+1 is r_i, and T_i <= h_i(M+1) /
+    (1 - r_i).  M doubles until a K <= M meets the tolerance or M reaches
+    the largest grade the cap allows.  Every h_i is scaled by its largest
+    term before the products, so nothing overflows.  The arithmetic on one
+    number per coordinate or per grade is in Python floats; the exponentials,
+    logarithms and convolutions are numpy's.
+    """
+    import numpy as np
+    gauss = table._heat.gauss
+    k_cap = radius(len(gauss), cap, simplex=True)
+    log_tol = math.log(tolerance)
+    cut = min(_FIRST_CUT, k_cap)
+    # past the float range area m^2 makes a log h_i(m) -inf and a product of
+    # sums makes the spill inf (no certificate); a zero tail's log is -inf
+    with np.errstate(over="ignore", divide="ignore"):
+        while True:
+            logs = _majorant_logs(table, exponent, area, cut + 2)
+            scale = logs.max(axis=1)
+            head = np.exp(logs - scale[:, None])
+            # max keeps its first argument over a NaN, the difference of two -inf
+            log_ratio = [max(-area * (g * (2 * cut + 3) + b), last - before)
+                         for (before, last), (g, b) in zip(logs[:, cut + 1:].tolist(), gauss)]
+            if all(r < 0.0 for r in log_ratio):
+                rest = head[:, cut + 1] / -np.expm1(log_ratio)
+                sums = head[:, :cut + 1].sum(axis=1) + rest
+                spill = float((rest * math.prod(sums.tolist()) / sums).sum())
+            else:
+                spill = math.inf
+            coeffs = head[0, :cut + 1]
+            for row in head[1:, :cut + 1]:
+                coeffs = np.convolve(coeffs, row)
+            # the coefficients past K, summed from the top down, for K = 0..cut
+            beyond = [*accumulate(reversed(coeffs.tolist()))][-2::-1] + [0.0]
+            log_tails = (np.log([t + spill for t in beyond[:cut + 1]])
+                         + scale.sum()).tolist()
+            if cut == k_cap and log_tails[cut] > log_tol:
+                log_tol = log_tails[cut] + math.log(2.0)
+            grade = next((k for k, t in enumerate(log_tails) if t <= log_tol), None)
+            if grade is not None:
+                break
+            cut = min(2 * cut, k_cap)
+    log_tail = log_tails[grade]
+    return grade, genseries._exp(log_tail)

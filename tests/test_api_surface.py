@@ -8,7 +8,9 @@ annotated in a class body, counts as used only when some attribute access
 reads it, as storing a value nobody reads is dead too, and a parameter's
 default only when some call sets that parameter, as a knob nobody turns is
 dead too; a call of a class sets the parameters of its ``__new__`` and
-``__init__``.  The last test pins that the package's records are immutable."""
+``__init__``, and a call of a record, or of a class built on it, sets its
+fields by position or keyword.  The last test pins that the package's
+records are immutable."""
 import ast
 from pathlib import Path
 
@@ -42,10 +44,7 @@ KEPT = (
 )
 
 #: Record fields that no attribute access in the package reads.
-KEPT_FIELDS = (
-    # the group descriptor's catalog key, as space_id is the space's
-    "rootdata.CompactGroupDescriptor.group_id",
-)
+KEPT_FIELDS = ()
 
 
 def _definitions(node, prefix, in_class=False):
@@ -136,13 +135,17 @@ KEPT_DEFAULTS = (
     "cli.main.argv",
     # the benchmark's references ask for a 1e-12 tolerance
     "genseries.zeta_values_from_rank_one.tolerance",
+    # a field default: every result's JSON carries it, and whether it can
+    # turn False waits on bounds that cover the rounding of the value
+    "result.EvalResult.rigorous",
 )
 
 
 def _defaults(node, prefix, in_class=False):
-    """(qualified name, function name, parameter name, positional index or
-    None) of every parameter with a default under ``node``; a method's index
-    leaves out ``self``, and a constructor's function name is its class's."""
+    """(qualified name, names of the functions whose call sets it, parameter
+    name, positional index or None) of every parameter with a default under
+    ``node``; a method's index leaves out ``self``, and a constructor's
+    function name is its class's."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args, called = child.args, child.name
@@ -151,23 +154,45 @@ def _defaults(node, prefix, in_class=False):
             positional = args.posonlyargs + args.args
             for i in range(len(positional) - len(args.defaults), len(positional)):
                 arg = positional[i].arg
-                yield f"{prefix}.{child.name}.{arg}", called, arg, i - in_class
+                yield f"{prefix}.{child.name}.{arg}", {called}, arg, i - in_class
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                 if default is not None:
-                    yield f"{prefix}.{child.name}.{arg.arg}", called, arg.arg, None
+                    yield f"{prefix}.{child.name}.{arg.arg}", {called}, arg.arg, None
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield from _defaults(child, f"{prefix}.{child.name}", isinstance(child, ast.ClassDef))
         else:
             yield from _defaults(child, prefix, in_class)
 
 
+def _field_defaults(trees):
+    """(qualified name, names of the classes whose call sets it, field name,
+    position) of every record field with a default, a name annotated and
+    assigned in a class body: a call of its class, or of a class built on
+    it, sets it."""
+    classes = {node.name: (stem, node) for stem, tree in trees
+               for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    for name, (stem, node) in classes.items():
+        built = {name}
+        while more := {other for other, (_, cls) in classes.items() if other not in built
+                       and any(getattr(base, "id", getattr(base, "attr", None)) in built
+                               for base in cls.bases)}:
+            built |= more
+        fields = [stmt for stmt in node.body
+                  if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        for i, stmt in enumerate(fields):
+            if stmt.value is not None:
+                yield f"{stem}.{name}.{stmt.target.id}", built, stmt.target.id, i
+
+
 def _unset_defaults():
-    """Every parameter with a default that no call in the package sets, by
-    position, keyword, *args or **kwargs, to a function of its name."""
-    defaults, calls = [], []
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defaults += _defaults(tree, path.stem)
+    """Every parameter or field with a default that no call in the package
+    sets, by position, keyword, *args or **kwargs, to a function or class of
+    its name."""
+    trees = [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))]
+    defaults, calls = [*_field_defaults(trees)], []
+    for stem, tree in trees:
+        defaults += _defaults(tree, stem)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -175,8 +200,8 @@ def _unset_defaults():
                 spread = (any(isinstance(a, ast.Starred) for a in node.args)
                           or any(k.arg is None for k in node.keywords))
                 calls.append((name, len(node.args), {k.arg for k in node.keywords}, spread))
-    return [qualified for qualified, name, param, index in defaults
-            if not any(called == name and (spread or param in keywords
+    return [qualified for qualified, names, param, index in defaults
+            if not any(called in names and (spread or param in keywords
                                            or index is not None and count > index)
                        for called, count, keywords, spread in calls)]
 
@@ -200,8 +225,6 @@ RECORDS = [
                  ("rank", "norms", "extra"), id="RestrictedRootSystem"),
     pytest.param(lambda: rootdata._build_space("AI:3"),
                  ("mult", "rho_pairings", "extra"), id="SymmetricSpaceDescriptor"),
-    pytest.param(lambda: rootdata.CompactGroupDescriptor(*rootdata.lookup_group("SU:3")),
-                 ("root_system", "extra"), id="CompactGroupDescriptor"),
     pytest.param(lambda: dims.LinearFactors(*dims.compile_group("SU:3")),
                  ("shifts", "_heads", "extra"), id="LinearFactors"),
 ]

@@ -40,6 +40,9 @@ def test_spaces_csv():
     lines = proc.stdout.strip().splitlines()
     assert lines[0] == "id,cartan_label,family,rank,dim"
     assert any(line.startswith("FII,") for line in lines)
+    # a null is an empty field, as in dims-table: EVII has no dimension yet
+    assert "EVII,E7/E6xSO(2),C,3," in lines
+    assert not any("None" in line for line in lines)
 
 
 def test_dim_command_exact_and_float():
@@ -436,9 +439,23 @@ def test_cold_command_skips_the_dataclass_machinery(command, code):
     assert probe["machinery"] == []
 
 
+_RANK_ONE = ["wittenzeta.dims", "wittenzeta.genseries", "wittenzeta.rootdata",
+             "wittenzeta.specfun", "wittenzeta.zeta"]
+
+
 @pytest.mark.parametrize("command, code, added", [
     ("spaces --format json", 0, ["wittenzeta.rootdata"]),
     ("zeta --space S:2", 1, []),
+    # a rank-one or exact command never loads the lattice module, weights
+    ("zeta --space S:2 --s 2", 0, _RANK_ONE),
+    ("zetagen --space S:2 --s 2", 0, _RANK_ONE),
+    ("partition --space S:3 --genus 1 --area 0.01", 0,
+     sorted(_RANK_ONE + ["wittenzeta.partition"])),
+    # dim imports dims alone, which loads neither weights nor partition
+    ("dim --space EVIII --coords 1,1,1,1,1,1,1,1", 0,
+     ["wittenzeta.dims", "wittenzeta.rootdata", "wittenzeta.specfun"]),
+    ("selfcheck", 0, sorted(_RANK_ONE + ["wittenzeta.sphere_oracle"])),
+    ("zeta2 --group SU:3 --s 2 --tol 1e-4", 0, sorted(_RANK_ONE + ["wittenzeta.weights"])),
 ])
 def test_cold_command_imports_only_what_it_runs(command, code, added):
     probe = _cold_run(command)

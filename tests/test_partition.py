@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wittenzeta import dims, partition, rootdata, zeta
+from wittenzeta import dims, partition, rootdata, weights, zeta
 from wittenzeta.errors import (DivergenceError, DomainError, UnsupportedSpace)
 from wittenzeta.partition import (SurfaceParams, boundary_state,
                                   partition_type_I, partition_type_II,
@@ -170,7 +170,7 @@ def test_majorant_dominates_every_term(ident):
         for area in (0.05, 1.0):
             log_terms = (-area * table.casimirs(coords)
                          - exponent * table.log_dims(coords))
-            logs = partition._majorant_logs(table, float(exponent), area, box)
+            logs = weights._majorant_logs(table, float(exponent), area, box)
             log_major = logs[np.arange(rank), coords].sum(axis=1)
             excess = log_terms - log_major
             assert excess.max() <= math.log1p(1e-12), (exponent, area)
@@ -281,8 +281,8 @@ def test_heat_sum_past_the_cap_stops_where_its_bound_does():
     # E6 at area 0.2 misses 1e-10 too, but its bound keeps falling to the cap grade
     cap = partition.genseries.term_cap()
     table = dims.compile_group("E6")
-    grade, bound = partition._majorant_grade(table, -2.0, 0.2, 1e-10, cap)
-    assert grade == partition.weights.radius(6, cap, simplex=True) == 30 and 1e-10 < bound < 1e-5
+    grade, bound = weights._majorant_grade(table, -2.0, 0.2, 1e-10, cap)
+    assert grade == weights.radius(6, cap, simplex=True) == 30 and 1e-10 < bound < 1e-5
 
 
 @pytest.mark.parametrize("res", [
@@ -346,19 +346,18 @@ def test_head_sum_equals_the_chunk_sum(ident, monkeypatch):
     # head; fsum rounds exactly, so the head's order gives the same float as
     # the chunk of that simplex.  The grades are 0, the powers of two and the
     # largest that fits
-    weights = partition.weights
     table = _table(ident)
     rank = len(table.lin)
     top = weights.radius(rank, weights.CHUNK_ROWS, simplex=True)
     for grade in sorted({0, top, *(2 ** i for i in range(top.bit_length()))}):
         assert math.comb(grade + rank, rank) <= weights.CHUNK_ROWS
-        monkeypatch.setattr(partition, "_majorant_grade", lambda *args: (grade, 0.0))
+        monkeypatch.setattr(weights, "_majorant_grade", lambda *args: (grade, 0.0))
         chunks = [(table.log_dims(rows), table.casimirs(rows))
                   for rows in weights.simplex_chunks(rank, grade)]
         for exponent in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
             for area in (0.05, 0.2, 1.0):
                 head = partition._shell_heat_sum(table, exponent, area, 1e-8)
-                assert head.value == partition.genseries.sum_region(chunks, exponent, area), \
+                assert head.value == weights.sum_region(chunks, exponent, area), \
                     (grade, exponent, area)
                 assert head.terms_used == math.comb(grade + rank, rank)
     assert grade > 1
@@ -375,8 +374,8 @@ def test_second_heat_sum_builds_no_chunk(monkeypatch):
     firsts = [partition_type_II(g, SurfaceParams(genus, area)) for g, genus, area in
               _PAST_THE_OLD_HEAD]
     assert all(res.terms_used > 1024 for res in firsts)
-    calls, chunks = [], partition.weights.simplex_chunks
-    monkeypatch.setattr(partition.weights, "simplex_chunks",
+    calls, chunks = [], weights.simplex_chunks
+    monkeypatch.setattr(weights, "simplex_chunks",
                         lambda *args: calls.append(args) or chunks(*args))
     for (g, genus, area), first in zip(_PAST_THE_OLD_HEAD, firsts):
         assert partition_type_II(g, SurfaceParams(genus, area)) == first
@@ -384,7 +383,7 @@ def test_second_heat_sum_builds_no_chunk(monkeypatch):
 
 
 def _reference_logs(table, exponent, area, top):
-    """``partition._majorant_logs`` as it was before the table parts were
+    """``weights._majorant_logs`` as it was before the table parts were
     built once per table."""
     matrix, shifts = table._arrays
     gram, lin = table._form
@@ -398,10 +397,10 @@ def _reference_logs(table, exponent, area, top):
 
 
 def _reference_grade(table, exponent, area, tolerance, cap):
-    """``partition._majorant_grade`` as it was before its arithmetic on one
+    """``weights._majorant_grade`` as it was before its arithmetic on one
     number per coordinate moved to Python floats."""
     gram, lin = table._form
-    k_cap = partition.weights.radius(len(lin), cap, simplex=True)
+    k_cap = weights.radius(len(lin), cap, simplex=True)
     log_tol = math.log(tolerance)
     cut = min(16, k_cap)
     while True:
@@ -446,5 +445,5 @@ def test_majorant_grade_matches_its_reference(ident):
                 for area in (0.01, 0.05, 0.2, 1.0, 5.0):
                     for tolerance in (1e-6, 1e-8, 1e-12):
                         args = (table, exponent, area, tolerance, cap)
-                        assert (partition._majorant_grade(*args)
+                        assert (weights._majorant_grade(*args)
                                 == _reference_grade(*args)), args[1:]

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from wittenzeta import dims, rootdata, weights
+from wittenzeta import dims, rootdata
 from wittenzeta.errors import UnknownSpace, UnsupportedFamily, UnsupportedSpace
 from wittenzeta.rootdata import build_root_system, lookup_space
 
@@ -337,10 +337,10 @@ def test_catalog_records_schema():
 def test_group_lookup():
     su3 = rootdata.lookup_group("SU:3")
     assert su3.rank == 2
-    assert len(su3.root_system.positive_roots) == 3
-    assert rootdata.lookup_group("SO:5").root_system.family == "B"
-    assert rootdata.lookup_group("SO:8").root_system.family == "D"
-    assert rootdata.lookup_group("Sp:2").root_system.family == "C"
+    assert len(su3.positive_roots) == 3
+    assert rootdata.lookup_group("SO:5").family == "B"
+    assert rootdata.lookup_group("SO:8").family == "D"
+    assert rootdata.lookup_group("Sp:2").family == "C"
     with pytest.raises(UnknownSpace):
         rootdata.lookup_group("SU:1")
     with pytest.raises(UnknownSpace):
@@ -355,8 +355,8 @@ def fundamental_weights(rs):
 def test_fundamental_weights_duality():
     for gid in ("SU:3", "SO:5", "Sp:3", "G2", "F4"):
         g = rootdata.lookup_group(gid)
-        weights_ = fundamental_weights(g.root_system)
-        simples = simple_roots(g.root_system)
+        weights_ = fundamental_weights(g)
+        simples = simple_roots(g)
         for i, w in enumerate(weights_):
             for j, a in enumerate(simples):
                 expected = Q(1) if i == j else Q(0)
@@ -381,7 +381,7 @@ def test_space_pairings_match_ambient_computation():
         basis = [scale(dot(a, a) * (2 if i in rs.divisible_indices else 1), w)
                  for i, (a, w) in enumerate(zip(simple_roots(rs), ambient_coweights(rs)))]
         rho = ambient_rho(space.mult, rs.positive_roots)
-        matrix = weights.class_one_pairing_matrix(space.space_id)
+        matrix = dims.class_one_pairing_matrix(space.space_id)
         assert matrix == tuple(tuple(dot(b, a) / dot(a, a) for a in rs.positive_roots)
                                for b in basis), space.space_id
         assert space.rho_pairings == tuple(dot(rho, a) / dot(a, a)
@@ -391,7 +391,7 @@ def test_space_pairings_match_ambient_computation():
 def test_group_tables_match_ambient_computation():
     # coroot pairings of the fundamental weights and of rho, in ambient vectors
     for gid in _FINGERPRINT_GROUPS:
-        rs = rootdata.lookup_group(gid).root_system
+        rs = rootdata.lookup_group(gid)
         rho = ambient_rho([1] * len(rs.positive_roots), rs.positive_roots)
         pairing, shifts = dims.compile_group(gid).pairing, dims.compile_group(gid).shifts
         assert pairing == tuple(tuple(2 * dot(w, a) / dot(a, a) for a in rs.positive_roots)

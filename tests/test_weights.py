@@ -5,7 +5,7 @@ import pytest
 
 from test_rootdata import (ambient_coweights, combine, dot, fundamental_weights, scale,
                            simple_roots)
-from wittenzeta import rootdata, weights
+from wittenzeta import dims, rootdata, weights
 from wittenzeta.errors import DomainError, UnknownSpace
 
 
@@ -83,15 +83,15 @@ def test_cp2_divisible_root_pairing_is_even():
 
 def test_pairing_matrix_integrality():
     for sid in SAMPLE_SPACES:
-        matrix = weights.class_one_pairing_matrix(sid)
+        matrix = dims.class_one_pairing_matrix(sid)
         assert all(v >= 0 for row in matrix for v in row)
 
 
 def test_coordinate_validation():
     with pytest.raises(UnknownSpace):
-        weights.root_pairings("S:2", (1, 2))
+        dims.root_pairings("S:2", (1, 2))
     with pytest.raises(UnknownSpace):
-        weights.root_pairings("S:2", (-1,))
+        dims.root_pairings("S:2", (-1,))
     with pytest.raises(DomainError):
         _box("S:2", -1)
 
@@ -114,10 +114,10 @@ def test_su3_dominant():
 @pytest.mark.parametrize("group_id", ("SU:3", "SO:5", "Sp:2", "G2"))
 def test_dominant_condition_every_positive_root(group_id):
     group = rootdata.lookup_group(group_id)
-    basis = fundamental_weights(group.root_system)
+    basis = fundamental_weights(group)
     for coords in _dominant_box(group_id, 2):
         nu = combine(coords, basis)
-        for alpha in group.root_system.positive_roots:
+        for alpha in group.positive_roots:
             val = 2 * dot(nu, alpha) / dot(alpha, alpha)
             assert val.denominator == 1 and val >= 0
 

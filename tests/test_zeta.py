@@ -10,7 +10,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from wittenzeta import dims, partition, rootdata, zeta
+from wittenzeta import dims, partition, rootdata, weights, zeta
 from wittenzeta.errors import DivergenceError, DomainError, UnsupportedSpace
 from wittenzeta.partition import SurfaceParams, partition_type_II
 from wittenzeta.zeta import hurwitz_relation_check, zeta_type_I, zeta_type_II
@@ -37,6 +37,30 @@ def test_rank_one_at_huge_s_is_one(run, s):
     res = run(s, 1e-8)
     assert res.value == 1.0 and res.converged and res.rigorous
     assert res.tail_bound == 0.0 and res.terms_used == 17
+
+
+#: closed forms of rank-one zeta values: d(n) = 2n + 1, (n + 1)^2 and (n + 1)^3
+_CLOSED_FORMS = {"S:2": lambda mp, s: (1 - mp.mpf(2) ** -s) * mp.zeta(s),
+                 "S:3": lambda mp, s: mp.zeta(2 * s), "CP:2": lambda mp, s: mp.zeta(3 * s)}
+
+
+@pytest.mark.xfail(strict=True, reason="tail_bound does not yet cover the rounding of value")
+def test_rank_one_bound_holds_against_closed_forms():
+    # every converged answer lies within its tail_bound of the closed form,
+    # at 40 digits; 30 of the 33 cases miss, each by a fraction of an ulp of
+    # the value.  S:2 at s = 1 diverges
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(sid, s, tol) for sid in _CLOSED_FORMS for s in (1, 2, 3, 4)
+             for tol in (1e-6, 1e-10, 1e-13) if (sid, s) != ("S:2", 1)]
+    assert len(cases) == 33
+    missed = []
+    with mpmath.workdps(40):
+        for sid, s, tol in cases:
+            res = zeta_type_I(sid, float(s), tol)
+            true = _CLOSED_FORMS[sid](mpmath, s)
+            if res.converged and abs(mpmath.mpf(res.value) - true) > res.tail_bound:
+                missed.append((sid, s, tol))
+    assert missed == []
 
 
 def test_rank_one_past_the_float_scale_is_a_domain_error():
@@ -158,7 +182,7 @@ def test_rank_one_vs_growing_box():
         table = dims.compile_space(sid)
         box = zeta._growing_box(table, 2.0, 1e-9, None)
         assert box.converged and box.rigorous
-        side, bound = box.terms_used - 1, zeta._box_bound(table, 2.0)
+        side, bound = box.terms_used - 1, weights._box_bound(table, 2.0)
         assert bound(side - 1) > 1e-9 >= bound(side)
         # the one-row majorant is the series itself, so the bound is tight up to rounding
         assert (abs(box.value - certified.value)
@@ -170,7 +194,7 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
     # a prefix of the table's head while it fits in weights.CHUNK_ROWS
     # weights, in chunks of weights.box_chunks past that
     table = dims.compile_space("AI:3")
-    chunks, sum_region = zeta.weights.box_chunks, zeta.genseries.sum_region
+    chunks, sum_region = weights.box_chunks, weights.sum_region
     seen, summed = [], []
 
     def recording_chunks(rank, box):
@@ -183,8 +207,8 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
         summed.extend(v for log_dims, _ in terms for v in log_dims.tolist())
         return sum_region(terms, exponent, area)
 
-    monkeypatch.setattr(zeta.weights, "box_chunks", recording_chunks)
-    monkeypatch.setattr(zeta.genseries, "sum_region", recording_sum)
+    monkeypatch.setattr(weights, "box_chunks", recording_chunks)
+    monkeypatch.setattr(weights, "sum_region", recording_sum)
     for tol, max_box, head in ((1e-6, None, True), (1e-12, 16, True), (1e-12, 250, False)):
         seen.clear()
         summed.clear()
@@ -193,7 +217,7 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
         box = np.indices((side, side)).reshape(2, -1).T
         assert len(summed) == res.terms_used == side ** 2
         assert sorted(summed) == sorted(table.log_dims(box).tolist())
-        assert (res.terms_used <= zeta.weights.CHUNK_ROWS) == head
+        assert (res.terms_used <= weights.CHUNK_ROWS) == head
         if head:
             assert not seen
         else:
@@ -238,7 +262,6 @@ def test_zeta_head_prefixes_are_the_boxes(kind, ident, simplex):
     # with c2 for the simplex, and its prefix sums to the float its chunk
     # sum gives; the head grows ball by ball from empty and keeps the rows
     # it had.  The simplex takes every third radius and the last
-    weights = zeta.weights
     table = _fresh(kind, ident)
     rank, head = len(table.pairing), table._heads[simplex]
     top = weights.radius(rank, weights.CHUNK_ROWS, simplex=simplex)
@@ -260,8 +283,8 @@ def test_zeta_head_prefixes_are_the_boxes(kind, ident, simplex):
         for s in (0.7, 2.0):
             chunked = ((table.log_dims(rows), table.casimirs(rows) if simplex else None)
                        for rows in chunks(rank, r))
-            assert (zeta.genseries.sum_region([(prefix, c2)], s, area)
-                    == zeta.genseries.sum_region(chunked, s, area))
+            assert (weights.sum_region([(prefix, c2)], s, area)
+                    == weights.sum_region(chunked, s, area))
     assert len(head.pair[0]) == len(points) <= weights.CHUNK_ROWS
 
 
@@ -270,7 +293,6 @@ def test_zeta_head_grows_on_demand(kind, ident, simplex):
     # a box-1 call, or a heat call of grade 0, leaves the head holding that
     # ball; each growth keeps it within CHUNK_ROWS and within the larger of
     # the ball asked and twice its rows before
-    weights = zeta.weights
     table = _fresh(kind, ident)
     rank, head = len(table.pairing), table._heads[simplex]
     if simplex:
@@ -292,7 +314,7 @@ def test_su3_head_covers_its_box():
     table = _fresh("II", "SU:3")
     res = zeta._zeta(table, 2.0, 1e-6, None)
     assert res.terms_used == 26_569
-    assert 26_569 <= len(table._heads[False].pair[0]) <= zeta.weights.CHUNK_ROWS
+    assert 26_569 <= len(table._heads[False].pair[0]) <= weights.CHUNK_ROWS
     assert res == zeta_type_II("SU:3", 2.0, 1e-6)
 
 
@@ -310,7 +332,7 @@ def test_box_bound_stays_positive_past_hurwitz_underflow():
     # whose Euler-Maclaurin tails underflow to a nonpositive float; the
     # bound takes them in logs and stays positive and nonincreasing
     for s in (3.0, 4.0, 6.0):
-        bound = zeta._box_bound(dims.compile_space("EIX"), s)
+        bound = weights._box_bound(dims.compile_space("EIX"), s)
         values = [bound(box) for box in range(65)]
         assert all(v > 0.0 for v in values)
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -330,7 +352,7 @@ def test_box_bound_does_not_grow(kind, ident):
     for s in (0.7, 1.0, 2.0, 3.0, 6.0, 10.0, 30.0):
         if s * len(table.shifts) <= len(table.pairing):
             continue
-        bound = zeta._box_bound(table, s)
+        bound = weights._box_bound(table, s)
         values = [bound(box) for box in range(65)]
         assert all(a >= b for a, b in zip(values, values[1:])), s
 
@@ -348,13 +370,13 @@ def test_least_side_matches_bisection(monkeypatch):
         for s in (0.7, 1.0, 1.5, 2.0, 3.0):
             if s * len(table.shifts) <= rank:
                 continue
-            raw = zeta._box_bound(table, s)
+            raw = weights._box_bound(table, s)
             for tol, max_box in itertools.product((1e-2, 1e-4, 1e-6, 1e-8), (None, 2, 16)):
-                top = min(zeta.weights.radius(rank, cap, simplex=False),
+                top = min(weights.radius(rank, cap, simplex=False),
                           cap if max_box is None else max_box)
                 goal = zeta.genseries._goal(raw(top), tol)
                 sides, counts = [], []
-                for find in (zeta._least_side, None):
+                for find in (weights._least_side, None):
                     calls = []
                     bound = functools.cache(lambda box: calls.append(box) or raw(box))
                     bound(top)      # taken for the goal
@@ -374,13 +396,13 @@ def test_least_side_matches_bisection(monkeypatch):
 def test_least_side_takes_few_bounds(monkeypatch, kind, ident, s, tol, max_box, terms, bisection):
     # the benchmark's higher-rank queries: a bisection over every side took
     # ``bisection`` bounds
-    calls, box_bound = [], zeta._box_bound
+    calls, box_bound = [], weights._box_bound
 
     def counting(table, s):
         raw = box_bound(table, s)
         return lambda box: calls.append(box) or raw(box)
 
-    monkeypatch.setattr(zeta, "_box_bound", counting)
+    monkeypatch.setattr(weights, "_box_bound", counting)
     res = (zeta_type_I if kind == "I" else zeta_type_II)(ident, s, tol, max_box)
     assert res.terms_used == terms
     assert len(calls) <= min(bisection, 5)
@@ -468,7 +490,7 @@ def test_proven_divergence_sums_no_box(monkeypatch, run, s):
     # s J <= rank, J the number of linear factors: divergent by the shell count
     def no_box(*args):
         raise AssertionError("a box was summed")
-    monkeypatch.setattr(zeta.weights, "box_chunks", no_box)
+    monkeypatch.setattr(weights, "box_chunks", no_box)
     with pytest.raises(DivergenceError, match="<= rank"):
         run(s)
 
@@ -492,7 +514,7 @@ def test_growing_box_sums_the_least_certified_side(table, s):
     tol = 1e-6
     res = zeta._growing_box(table, s, tol, None)
     assert res.converged and res.rigorous
-    side, bound = round(res.terms_used ** 0.5) - 1, zeta._box_bound(table, s)
+    side, bound = round(res.terms_used ** 0.5) - 1, weights._box_bound(table, s)
     assert (side + 1) ** 2 == res.terms_used
     assert bound(side - 1) > tol >= bound(side)
 
@@ -540,7 +562,7 @@ def test_rank_two_bound_holds_against_a_larger_box(ident, table):
         res = zeta._zeta(table, s, 1e-3, 64)
         assert res.rigorous and math.isfinite(res.tail_bound)
         box = 4 * (math.isqrt(res.terms_used) - 1)
-        big = math.fsum(x for rows in zeta.weights.box_chunks(2, box)
+        big = math.fsum(x for rows in weights.box_chunks(2, box)
                         for x in np.exp(-s * table.log_dims(rows)).tolist())
         assert big <= res.value + res.tail_bound, (ident, s)
-        assert res.value <= big + zeta._box_bound(table, s)(box), (ident, s)
+        assert res.value <= big + weights._box_bound(table, s)(box), (ident, s)
