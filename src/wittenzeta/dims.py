@@ -312,6 +312,13 @@ class LinearFactors(Frozen, _LinearFactorsFields):
         return weights._heat_parts(self)
 
     @cached_property
+    def _dual(self) -> dual._DualParts:
+        """What the Poisson dual of a genus-0 type II heat sum needs of this
+        group's table alone, built on its first use (``dual._dual_parts``)."""
+        from . import dual
+        return dual._dual_parts(self)
+
+    @cached_property
     def _heads(self) -> tuple[weights.Head, weights.Head]:
         """The heads the balls of a higher-rank sum are read from, the box's
         and the simplex's, grown on demand (``weights.Head``)."""

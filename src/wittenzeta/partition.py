@@ -6,11 +6,17 @@ evaluation is delegated.  Every sum reads the dimension and the Casimir
 from the compiled table of its space or group (``dims.compile_space``,
 ``dims.compile_group``).
 
-Rank one sums weight by weight, its dimension multiplied out from the
-table's one row, up to the first weight whose geometric ratio bound meets
-a goal fixed before the first term, or whose running total is infinite.
-A higher rank sums the simplex its separable majorant certifies
-(``_shell_heat_sum``, from the lattice module ``weights``).
+A type II sum at genus 0, d^2 q^{c2}, is first tried by Poisson duality
+(``dual.heat_sum``), at every rank: its closed-form leading term is the
+answer when the certified bound on the dual terms meets the tolerance, and
+``terms_used`` then counts the dual lattice vectors read one by one.  Every
+other sum, and one whose dual bound misses, is summed directly.  Rank one
+sums weight by weight, its dimension multiplied out from the table's one
+row, up to the first weight whose geometric ratio bound meets a goal fixed
+before the first term, or whose running total is infinite; its terms are
+added with ``math.fsum`` and rounded once.  A higher rank sums the
+simplex its separable majorant certifies (``_shell_heat_sum``, from the
+lattice module ``weights``).
 """
 from __future__ import annotations
 
@@ -66,7 +72,7 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     a dimension past the float range does not void it.  An infinite bound
     at the cap makes the goal infinite, and the sum stops at its first term.
     A running total past the float range stops the sum too, with the value
-    inf.
+    inf; otherwise the value is the sum of the terms, rounded once.
     """
     genseries._check_tolerance(tolerance)
     lq = -area
@@ -79,20 +85,26 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     log_last = (lq * (a * cap * cap + b * cap) - power * log_d[1]
                 - math.log(-math.expm1(log_ratio)) if log_ratio < 0.0 else math.inf)
     goal = genseries._goal(genseries._exp(log_last), tolerance)
-    total, n, d, c2 = 0.0, 0, 1.0, 0.0
+    terms, total, n, d, c2 = [], 0.0, 0, 1.0, 0.0
     while True:
         term = math.exp(lq * c2 - exponent * math.log(d))
         if weight is not None:
             term *= weight(n)
+        terms.append(term)
         total += term
+        if len(terms) > 1 << 15 and total < math.inf:
+            # hold the sum so far as head + rest, exact to 2^-106 of it, so
+            # the memory of a sum of a million terms stays under one MiB
+            head = math.fsum(terms)
+            terms = [head, math.fsum([*terms, -head])]
         n += 1      # d(n) = prod_j (n L_j + c_j) / c_j, in factor order
         d_next, c2_next = math.prod((v * n + c) / c for v, c in factors), a * n * n + b * n
         ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
         next_term = math.exp(lq * c2_next - power * math.log(d_next))
         bound = next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
         if bound <= goal or n >= cap or total == math.inf:
-            return EvalResult(value=total, tail_bound=bound, terms_used=n,
-                              converged=bound <= tolerance)
+            return EvalResult(value=total if total == math.inf else math.fsum(terms),
+                              tail_bound=bound, terms_used=n, converged=bound <= tolerance)
         d, c2 = d_next, c2_next
 
 
@@ -121,6 +133,11 @@ def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: floa
                tolerance: float) -> EvalResult:
     if surface.area == 0.0:
         return zeta._zeta(table, exponent, tolerance, None)
+    if exponent == -2.0:        # type II at genus 0: the dual, where it certifies
+        from . import dual
+        result = dual.heat_sum(table, surface.area, tolerance)
+        if result is not None:
+            return result
     heat_sum = _rank_one_heat_sum if len(table.lin) == 1 else _shell_heat_sum
     return heat_sum(table, exponent, surface.area, tolerance)
 

@@ -11,6 +11,9 @@ class EvalResult(NamedTuple):
     ``tail_bound`` bounds the truncated tail of the series, on every path;
     it does not yet cover the rounding of ``value``.  ``rigorous`` is always
     True.  ``converged`` means the bound met the requested tolerance.
+    ``terms_used`` counts the terms summed; for a sphere sum answered by
+    its Poisson dual (``dual.heat_sum``), the dual lattice vectors read one
+    by one.
     """
 
     value: float

@@ -180,16 +180,16 @@ def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:
 
 def sum_region(terms, exponent: float, area: float) -> float:
     """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a certified
-    region given as (log d, c2) array pairs, c2 None when area is 0.  Each
-    pair is one exactly rounded fsum, added in order."""
+    region given as (log d, c2) array pairs, c2 None when area is 0: one
+    exactly rounded fsum per pair, and one over those."""
     import numpy as np
-    total = 0.0
+    totals = []
     for log_dims, casimirs in terms:
         with np.errstate(over="ignore"):     # -e log d past -inf: the term is 0
             logs = -exponent * log_dims
             values = np.exp(logs if casimirs is None else logs - area * casimirs)
-        total += math.fsum(values.tolist())
-    return total
+        totals.append(math.fsum(values.tolist()))
+    return math.fsum(totals)
 
 
 def _box_bound(table: dims.LinearFactors, s: float):

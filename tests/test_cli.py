@@ -415,6 +415,7 @@ def _cold_run(command):
     "spaces --format json",
     "zeta2 --group SU:2 --s 2",
     "partition2 --group SO:3 --genus 2 --area 0",
+    "partition2 --group SU:3 --genus 0 --area 0.2",
     "selfcheck",
     "oracle-s2 --check orthogonality --n 5 --m 7",
     "oracle-s2 --check delta",
@@ -456,6 +457,9 @@ _RANK_ONE = ["wittenzeta.dims", "wittenzeta.genseries", "wittenzeta.rootdata",
      ["wittenzeta.dims", "wittenzeta.rootdata", "wittenzeta.specfun"]),
     ("selfcheck", 0, sorted(_RANK_ONE + ["wittenzeta.sphere_oracle"])),
     ("zeta2 --group SU:3 --s 2 --tol 1e-4", 0, sorted(_RANK_ONE + ["wittenzeta.weights"])),
+    # a sphere sum that its Poisson dual answers loads the dual, not weights
+    ("partition2 --group SU:3 --genus 0 --area 0.2", 0,
+     sorted(_RANK_ONE + ["wittenzeta.dual", "wittenzeta.partition"])),
 ])
 def test_cold_command_imports_only_what_it_runs(command, code, added):
     probe = _cold_run(command)

@@ -363,22 +363,27 @@ def test_head_sum_equals_the_chunk_sum(ident, monkeypatch):
     assert grade > 1
 
 
-#: the heat_kernel queries of more than 1,024 weights, (group, genus, area)
+#: the heat_kernel queries whose direct sums hold more than 1,024 weights, (group, genus, area)
 _PAST_THE_OLD_HEAD = (("SU:4", 1, 0.05), ("SU:4", 0, 0.2), ("Sp:3", 1, 0.05), ("Sp:3", 0, 0.2))
+
+
+def _direct_type_II(group, genus, area):
+    """The direct heat sum of a type II query, which a genus-0 query skips
+    when its dual certifies (SU:4 at area 0.2)."""
+    return partition._shell_heat_sum(dims.compile_group(group), 2.0 * genus - 2.0, area, 1e-8)
 
 
 def test_second_heat_sum_builds_no_chunk(monkeypatch):
     # a heat sum of at most CHUNK_ROWS weights reads the table's simplex
     # head, which keeps what the first call grew it to: a second call of
     # the same query builds no simplex_chunks rows
-    firsts = [partition_type_II(g, SurfaceParams(genus, area)) for g, genus, area in
-              _PAST_THE_OLD_HEAD]
+    firsts = [_direct_type_II(*query) for query in _PAST_THE_OLD_HEAD]
     assert all(res.terms_used > 1024 for res in firsts)
     calls, chunks = [], weights.simplex_chunks
     monkeypatch.setattr(weights, "simplex_chunks",
                         lambda *args: calls.append(args) or chunks(*args))
-    for (g, genus, area), first in zip(_PAST_THE_OLD_HEAD, firsts):
-        assert partition_type_II(g, SurfaceParams(genus, area)) == first
+    for query, first in zip(_PAST_THE_OLD_HEAD, firsts):
+        assert _direct_type_II(*query) == first
     assert calls == []
 
 
