@@ -177,6 +177,25 @@ def test_partition_with_no_bound_in_the_cap_stops_at_one_term():
     assert result["converged"] is False
 
 
+@pytest.mark.parametrize("command,ident,area", [
+    ("partition", "AI:3", "5e-324"), ("partition", "AI:3", "1e-320"),
+    ("partition", "AI:3", "1e-323"), ("partition", "GI", "1e-320"),
+    ("partition", "GI", "1e-323"), ("partition2", "SU:3", "5e-324")])
+def test_subnormal_area_heat_sum_ends_unconverged_at_once(command, ident, area):
+    # the majorant's one-coordinate sums overflow there; inf * inf / inf made
+    # its spill NaN, which no tolerance meets, and the grade search never ended
+    flag = "--group" if command == "partition2" else "--space"
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "wittenzeta", command, flag, ident,
+         "--genus", "1", "--area", area],
+        capture_output=True, text=True, env=_ENV, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["converged"] is False and result["tail_bound"] is None
+    assert _elapsed_s(proc.stderr) < 1.0
+
+
 def test_boundary_command():
     proc = run_cli("boundary", "--space", "S:2", "--genus", "1",
                    "--theta", "3.14159", "--area", "0.2")

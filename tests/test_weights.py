@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -145,3 +146,141 @@ def test_simplex_chunks_cover_once_within_the_row_limit(rank, k, limit, monkeypa
     assert len(set(rows)) == len(rows)
     brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) <= k]
     assert rows == brute
+
+
+# --- the exactly rounded sum of a region's terms ---
+
+def _assert_same_as_fsum(values):
+    """weights._exact_sum(values) is math.fsum(values.tolist()), bit for bit,
+    or raises the exception type fsum raises."""
+    try:
+        want = math.fsum(values.tolist())
+    except (OverflowError, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            weights._exact_sum(values)
+        return
+    assert weights._exact_sum(values).hex() == want.hex()
+
+
+def _random_arrays(rng, n):
+    """Arrays of n terms that stress the extraction: mixed signs, a huge
+    dynamic range, subnormals, terms of one size and sign, cancellation to
+    +-0 and d^-s shaped terms."""
+    signs = rng.choice([-1.0, 1.0], n)
+    yield signs * 10.0 ** rng.uniform(-320, 290, n)
+    yield signs * rng.integers(1, 1 << 20, n) * 5e-324
+    yield rng.standard_normal(n) * 2.0 ** rng.integers(-60, 60, n)
+    yield rng.uniform(0.5, 1.0, n) * 2.0 ** int(rng.integers(-1000, 1000))
+    half = rng.standard_normal(n // 2)
+    yield rng.permutation(np.concatenate([half, -half, np.zeros(n % 2)]))
+    yield np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    yield rng.integers(1, 10 ** 6, n).astype(float) ** -rng.uniform(0.5, 8)
+    yield rng.random(n) * np.exp(-rng.uniform(0, 700, n))
+
+
+def _near_ties(n):
+    """One and terms of 2^-54 that sum to half an ulp of one, the tie, then
+    the tie nudged by one least subnormal either way."""
+    tie = np.zeros(n)
+    tie[0], tie[1:3] = 1.0, 2.0 ** -54
+    for nudge in (0.0, 5e-324, -5e-324):
+        nudged = tie.copy()
+        nudged[3] = nudge
+        yield nudged
+    yield np.concatenate([[1.0], np.full(n - 1, 1e-16)])
+
+
+@pytest.mark.parametrize("n", [2, 299, 300, 301, 1000, 4099])
+def test_exact_sum_is_fsum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for _ in range(40):
+        for values in _random_arrays(rng, n):
+            _assert_same_as_fsum(values)
+    for values in _near_ties(max(n, 4)):
+        _assert_same_as_fsum(values)
+
+
+def test_exact_sum_at_a_full_chunk():
+    rng = np.random.default_rng(1)
+    for values in [*_random_arrays(rng, weights.CHUNK_ROWS), *_near_ties(weights.CHUNK_ROWS)]:
+        _assert_same_as_fsum(values)
+
+
+@pytest.mark.parametrize("special", [[math.inf], [-math.inf], [math.inf, -math.inf],
+                                     [math.nan], [math.inf, math.nan],
+                                     [1.7e308, 1.7e308],          # the sum overflows
+                                     [1.7e308, 1.7e308, -1.7e308],  # an intermediate one
+                                     [8.9e307] * 3 + [-8.9e307] * 3,
+                                     [math.inf, 1.7e308, 1.7e308]])
+@pytest.mark.parametrize("n", [10, 1000])
+def test_exact_sum_of_non_finite_and_overflowing_terms(special, n):
+    values = np.random.default_rng(n).random(n)
+    values[:len(special)] = special
+    _assert_same_as_fsum(values)
+
+
+def test_exact_sum_just_inside_the_float_range():
+    # sigma = 2^(e+m) is 2^1023 at most; a larger top term is left to fsum
+    n = 1000
+    m = (n + 1).bit_length()
+    for top in (2.0 ** (1023 - m) * 0.99, 2.0 ** (1023 - m), 1.7e308):
+        values = np.random.default_rng(2).random(n) * top
+        values[0] = top
+        _assert_same_as_fsum(values)
+
+
+def test_region_sum_takes_the_vector_path(monkeypatch):
+    # the box of zeta_II(SU:3, 2) at 1e-6 holds 26,569 terms; were they
+    # handed to fsum as a list, the vector path would have gone
+    lengths, fsum = [], math.fsum
+
+    def recording_fsum(terms):
+        if isinstance(terms, list):
+            lengths.append(len(terms))
+        return fsum(terms)
+
+    monkeypatch.setattr(math, "fsum", recording_fsum)
+    table = dims.compile_group("SU:3")
+    assert weights.sum_region(weights.ball(table, 162, simplex=False), 2.0, 0.0) > 1.0
+    assert max(lengths, default=0) < weights._FSUM_ROWS
+
+
+def _reference_region_sum(pairs, exponent, area):
+    """sum_region's value with one math.fsum over each pair's term list."""
+    totals = []
+    for log_dims, casimirs in pairs:
+        logs = -exponent * log_dims - (0.0 if casimirs is None else area * casimirs)
+        totals.append(math.fsum(np.exp(logs).tolist()))
+    return math.fsum(totals)
+
+
+@pytest.mark.parametrize("ident,group,r,simplex,exponent,area", [
+    ("SU:3", True, 162, False, 2.0, 0.0),
+    ("SU:3", True, 255, False, 2.0, 0.0),      # two chunks
+    ("G2", True, 102, False, 1.0, 0.0),
+    ("AI:3", False, 40, False, 2.0, 0.0),
+    ("SU:4", True, 30, True, 0.0, 0.2),
+    ("Sp:3", True, 25, True, -2.0, 0.2),
+    ("EIII", False, 12, True, 2.0, 0.05),
+    ("SU:3", True, 300, True, 0.0, 1e-3),      # a simplex past one chunk
+])
+def test_region_sum_matches_fsum_of_each_pair(ident, group, r, simplex, exponent, area):
+    table = dims.compile_group(ident) if group else dims.compile_space(ident)
+    got = weights.sum_region(weights.ball(table, r, simplex=simplex), exponent, area)
+    want = _reference_region_sum(weights.ball(table, r, simplex=simplex), exponent, area)
+    assert got.hex() == want.hex()
+
+
+def test_region_sum_of_one_chunk_holds_two_chunk_arrays():
+    tracemalloc = pytest.importorskip("tracemalloc")
+    table = dims.compile_group("SU:4")
+    r = weights.radius(3, weights.CHUNK_ROWS, simplex=True)
+    pair = weights.ball(table, r, simplex=True)[0]
+    weights.sum_region([pair], 0.0, 0.2)
+    tracemalloc.start()
+    try:
+        weights.sum_region([pair], 0.0, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * pair[0].nbytes + (16 << 10)
