@@ -138,11 +138,15 @@ def _run(args) -> dict | list:
         rows = []
         for n in range(args.nmax + 1):
             d = dims.dim_class_one(args.space, (n,) * rank)
-            # null past the float range; exp underflows to 0.0 on its own
+            # null past the float range; d^-s from the float d where there is
+            # one, else from log d, and either underflows to 0.0 on its own
             dim_float, logd = dims.float_and_log(d)
+            inv_power = None
+            if -args.s * logd <= dims._LOG_MAX:
+                inv_power = (math.exp(-args.s * logd) if dim_float is None
+                             else dim_float ** -args.s)
             rows.append({"n": n, "dim": str(d), "dim_float": dim_float,
-                         "inv_power": (math.exp(-args.s * logd)
-                                       if -args.s * logd <= dims._LOG_MAX else None)})
+                         "inv_power": inv_power})
         return {"space": args.space, "s": args.s, "rows": rows}
     if cmd in ("zeta", "zeta2"):
         from . import zeta

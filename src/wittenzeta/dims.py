@@ -312,6 +312,13 @@ class LinearFactors(Frozen, _LinearFactorsFields):
         return weights._heat_parts(self)
 
     @cached_property
+    def _box(self) -> weights._BoxParts:
+        """What the certificate of a higher-rank zeta box needs of this table
+        alone, built on its first use (``weights._box_parts``)."""
+        from . import weights
+        return weights._box_parts(self)
+
+    @cached_property
     def _dual(self) -> dual._DualParts:
         """What the Poisson dual of a genus-0 type II heat sum needs of this
         group's table alone, built on its first use (``dual._dual_parts``)."""

@@ -11,7 +11,9 @@ Every sum of the library fixes its goal, the tail bound at which it stops,
 before it sums a term (``_goal``): the tolerance or, when that is out of
 reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from
-``certified_tail``; the higher-rank sums are in ``weights``.
+``certified_tail``; the higher-rank sums are in ``weights``, whose zeta box
+certificate takes the same tail rule from its series' moments
+(``moment_tail``).
 """
 from __future__ import annotations
 
@@ -63,7 +65,32 @@ def _goal(cap_bound: float, tolerance: float) -> float:
 
 def certified_tail(kappas: list[float], powers: list[float]):
     """start -> certified (estimate, bound) of sum_{n >= start} prod_j
-    (n+kappa_j)^(-p_j), every p_j > 0, their sum P > 1, start > -kappa_min.
+    (n+kappa_j)^(-p_j), every p_j > 0, their sum P > 1, start > -kappa_min:
+    the tail of ``moment_tail`` at the moments of the factors
+    (``tail_moments``).
+    """
+    return moment_tail(*tail_moments(kappas, powers))
+
+
+def tail_moments(kappas: list[float], powers: list[float]
+                 ) -> tuple[float, float, float, float, float]:
+    """(P, kbar, spread, V, kappa_min) of the factors prod_j (n+kappa_j)^(-p_j):
+    the total power P = sum p_j, the power-weighted mean shift kbar,
+    max|kappa_j - kbar|, V = sum p_j (kappa_j - kbar)^2 and the least shift.
+    ``weights._box_bound`` takes the same moments of many series at once, in
+    array passes."""
+    total = sum(powers)
+    kbar = sum(p * k for p, k in zip(powers, kappas)) / total
+    spread = max(abs(k - kbar) for k in kappas)
+    v = sum(p * (k - kbar) ** 2 for p, k in zip(powers, kappas))
+    return total, kbar, spread, v, min(kappas)
+
+
+def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: float):
+    """start -> certified (estimate, bound) of the tail from n = start of a
+    product of factors prod_j (n+kappa_j)^(-p_j), given by its moments
+    (``tail_moments``): the one tail rule of the rank-one series and of the
+    one-coordinate series of the zeta box certificate.
 
     The product is pinned to (n + kbar)^(-P) with kbar the power-weighted
     mean shift, so the first-order deviation vanishes and the remainder is
@@ -71,16 +98,11 @@ def certified_tail(kappas: list[float], powers: list[float]):
 
         |prod - (n+kbar)^(-P)| <= 2 V (n+kbar)^(-P-2)
 
-    valid for n + kbar >= 2 max|kappa_j - kbar| and V <= (n+kbar)^2 / 2.
-    Before that the tail is bounded to first order: each term is at most
-    (n + kappa_min)^(-P), so the tail is at most zeta(P, start + kappa_min).
+    valid for n + kbar >= 2 max|kappa_j - kbar| and V <= (n+kbar)^2 / 2
+    (``shifted_product_tail``).  Before that the tail is bounded to
+    first order: each term is at most (n + kappa_min)^(-P), so the tail is
+    at most zeta(P, start + kappa_min).
     """
-    total = sum(powers)
-    kbar = sum(p * k for p, k in zip(powers, kappas)) / total
-    spread = max(abs(k - kbar) for k in kappas)
-    v = sum(p * (k - kbar) ** 2 for p, k in zip(powers, kappas))
-    kappa_min = min(kappas)
-
     def tail(start: int) -> tuple[float, float]:
         a = start + kbar
         if a > 1.0 and spread <= 0.5 * a and v <= 0.5 * a * a:
@@ -92,7 +114,7 @@ def certified_tail(kappas: list[float], powers: list[float]):
 
 
 def shifted_product_tail(total: float, v: float, a: float) -> tuple[float, float]:
-    """The pinned tail zeta(P, start + kbar) of ``certified_tail``, and its bound."""
+    """The pinned tail zeta(P, start + kbar) of ``moment_tail``, and its bound."""
     main, bound = hurwitz_zeta_certified(total, a)
     if v > 0.0:
         corr, corr_err = hurwitz_zeta_certified(total + 2.0, a)

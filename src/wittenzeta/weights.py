@@ -8,13 +8,15 @@ weights, of radius r, is certified before any term is summed: the box
 sum.  Each factor of d, 1 + sum_i a_i with a_i = L_ij n_i / c_j >= 0, is at
 least prod_i (1 + a_i / w_ij)^w_ij for shares w_ij >= 0 summing to one over
 i (weighted AM-GM).  ``_box_bound`` bounds the zeta sum outside a box by
-one-coordinate series of the pinned form of ``genseries.certified_tail``,
-and ``_least_side`` finds the least side that meets the goal from a few of
-those bounds.  ``_majorant_logs`` bounds a heat term by prod_i h_i(n_i),
-whose sum past coordinate sum K is a coefficient tail of a product of
-one-coordinate series, so ``_majorant_grade`` knows the least K that meets
-the tolerance; what it needs of its table alone is built once per table
-(``_heat_parts``).
+one-coordinate series, each tailed by ``genseries.moment_tail``; it takes
+the shares, shifts, powers and moments of all rank^2 of them in a few
+array passes, from what it needs of its table alone (``_box_parts``,
+built once per table), and ``_least_side`` finds the least side that
+meets the goal from a few of those bounds.  ``_majorant_logs`` bounds a
+heat term by prod_i h_i(n_i), whose sum past coordinate sum K is a
+coefficient tail of a product of one-coordinate series, so
+``_majorant_grade`` knows the least K that meets the tolerance; what it
+needs of its table alone is built once per table (``_heat_parts``).
 
 ``ball`` hands ``sum_region`` the (log d, c2) pairs of a ball: a ball of at
 most ``CHUNK_ROWS`` points is a prefix of the table's head of that shape
@@ -31,7 +33,7 @@ import math
 import sys
 from collections.abc import Iterator
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from . import genseries
@@ -236,6 +238,67 @@ def _exact_sum(values: np.ndarray) -> float:
     return math.fsum(values.tolist())
 
 
+class _BoxParts(NamedTuple):
+    """What the box certificate needs of its table alone, built once per
+    table (``dims.LinearFactors._box``).  The arrays run over (region i,
+    coordinate k, factor j), or (k, j), or are flat indices into the
+    (i, k, j) arrays."""
+
+    base: np.ndarray            # (k, j): the shares L_kj / sum_l L_lj before a move
+    toward: np.ndarray          # (i, k, j): [k == i] - base_kj where L_ij > 0, else 0
+    divisors: np.ndarray        # (k, j): L_kj where it is > 0, else 1
+    gives: list[list[float]]    # [i][k]: the sum of base_kj over j with L_ij > 0
+    sums: list[float]           # [k]: the sum of base_kj over j
+    square_firsts: np.ndarray   # one entry of each kappa class of each series (i, k)
+    square_series: np.ndarray   # the series (i, k) of each, flat
+    log_firsts: np.ndarray      # one entry of each kappa class
+    classes: np.ndarray         # (2, i, k, j): each entry's class of its series, and
+                                # its kappa class past the series classes
+
+
+def _classes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(one entry of each class, each entry's class) of the entries (i, k, j),
+    given each one's class code, a small integer."""
+    import numpy as np
+    member = np.full(codes.max() + 1, -1)
+    member[codes.ravel()] = np.arange(codes.size)   # any entry of a class will do
+    used = member >= 0
+    return member[used], (np.cumsum(used) - 1)[codes]
+
+
+def _box_parts(table: dims.LinearFactors) -> _BoxParts:
+    """The certificate's table parts; every sum from left to right.
+
+    Two entries (i, k, j) of one kappa class hold the same c_j, base_kj and
+    L_kj > 0 and, where region i moves them, the same i and [k == i], so the
+    same share and kappa = c w / L at every s; two of one series (i, k) and
+    one kappa class have the same square (kappa - kbar)^2 too.  The entries
+    with L_kj = 0, which have no share at any s, make one class of each kind.
+    """
+    import numpy as np
+    matrix, shifts = table._arrays
+    support = matrix > 0
+    base = matrix / matrix.sum(axis=0)      # sums of small integers: exact
+    rank = len(matrix)
+    own = np.broadcast_to(support[:, None, :], (rank,) + base.shape)
+    i, k, _ = np.indices(own.shape)
+    triples = {}        # (c_j, base_kj, L_kj) -> its number, from 1
+    kinds = support * np.reshape([triples.setdefault(key, len(triples) + 1) for key in zip(
+        np.broadcast_to(shifts, base.shape).ravel().tolist(), base.ravel().tolist(),
+        matrix.ravel().tolist())], base.shape)
+    log_firsts, log_class = _classes(
+        kinds + (len(triples) + 1) * (1 + 2 * i + (i == k)) * (own & support))
+    square_firsts, square_class = _classes(
+        (kinds > 0) * (1 + (i * rank + k) * len(log_firsts) + log_class))
+    return _BoxParts(base=base, toward=np.where(own, (i == k) - base, 0.0),
+                     divisors=np.where(support, matrix, 1.0),
+                     gives=np.cumsum(np.where(own, base, 0.0), axis=2)[..., -1].tolist(),
+                     sums=np.cumsum(base, axis=1)[:, -1].tolist(),
+                     square_firsts=square_firsts, square_series=square_firsts // len(shifts),
+                     log_firsts=log_firsts,
+                     classes=np.stack((square_class, log_class + len(square_firsts))))
+
+
 def _box_bound(table: dims.LinearFactors, s: float):
     """The certified bound on the sum of d(n)^(-s) outside [0, B]^rank, as a
     function of B.
@@ -254,44 +317,86 @@ def _box_bound(table: dims.LinearFactors, s: float):
     f(start) (1 + (start + kappa_max) / (P - 1)), f(m) = prod_j (m +
     kappa_j)^(-p_j): f decreases, and f(m) / f(start) <= ((m + kappa_max) /
     (start + kappa_max))^(-P) for m >= start.
+
+    The moves t_i are taken in Python from the table's parts
+    (``_box_parts``); the shares, the kappas c w / L, the powers p = s w,
+    the log scale sum_j p_j log kappa_j and the moments of
+    ``genseries.tail_moments`` of all rank^2 series, in a few passes over
+    (i, k, j) arrays.  Every sum runs from left to right
+    (``np.add.accumulate``), and each logarithm and square is Python's
+    ``math.log`` and ``math.pow`` (the libm call of ``x ** 2``), taken once
+    per class of equal values, so the bound is the scalar formula's bit for
+    bit; max|kappa - kbar| is the larger of kappa_max - kbar and kbar -
+    kappa_min, as rounding is monotone.  Every tail is
+    ``genseries.moment_tail``, taken once per series moments and start.
     """
+    import numpy as np
     s = min(s, 1e300)
-    matrix, shifts = table.pairing, table._arrays[1].tolist()
-    base = [[v / n for v, n in zip(row, map(sum, zip(*matrix)))] for row in matrix]
+    parts, need = table._box, 1.2 / s
+    moves = [max(0.0, min([1.0] + [(parts.sums[k] - need) / g
+                                   for k, g in enumerate(gives) if k != i and g > 0]))
+             for i, gives in enumerate(parts.gives)]
+    shares = parts.base + parts.toward * np.array(moves)[:, None, None]
+    powers = s * shares
+    kappas = table._arrays[1] * shares / parts.divisors
+    totals = np.add.accumulate(powers, axis=2)[..., -1]
+    if totals.min() <= 1.0:
+        return lambda box: math.inf
+    kbars = np.add.accumulate(powers * kappas, axis=2)[..., -1] / totals
+    offsets = kappas.take(parts.square_firsts) - kbars.take(parts.square_series)
+    # a kappa of 0 has no share: its log is finite, and its power 0
+    firsts = np.maximum(kappas.take(parts.log_firsts), sys.float_info.min)
+    values = np.fromiter(chain(map(math.pow, offsets.tolist(), repeat(2.0)),
+                               map(math.log, firsts.tolist())), float, len(offsets) + len(firsts))
+    moments = np.add.accumulate(powers * values[parts.classes], axis=3)[..., -1]
+    least = np.minimum.accumulate(np.where(shares > 0, kappas, math.inf), axis=2)[..., -1]
+    most = np.maximum.accumulate(kappas, axis=2)[..., -1]
+    spread = np.maximum(most - kbars, kbars - least)
+    tails = {}      # moments -> (their tail, {start: (estimate, bound)}, P)
 
-    def series(row, shares):    # g = exp(scale) prod_j (m + kappa_j)^(-p_j)
-        kappas = [c * w / v for c, w, v in zip(shifts, shares, row) if w > 0]
-        powers = [s * w for w in shares if w > 0]
-        total = sum(powers)
-        if total > 1.0:     # its log tail function and scale; None when g diverges
-            tail = genseries.certified_tail(kappas, powers)
+    def tail_of(key):
+        if key not in tails:
+            tails[key] = genseries.moment_tail(*key), {}, key[0]
+        return tails[key]
 
-            def log_tail(start):
-                bound = sum(tail(start))
-                if bound >= sys.float_info.min:
-                    return math.log(bound)
-                return (math.log1p((start + max(kappas)) / (total - 1.0))
-                        - sum(p * math.log(start + k) for p, k in zip(powers, kappas)))
+    series = [[*map(tail_of, zip(*rows))] for rows in zip(*(a.tolist() for a in (
+        totals, kbars, spread, moments[0], least)))]
 
-            return log_tail, sum(p * math.log(k) for p, k in zip(powers, kappas))
+    def log_tail(i, k, start):
+        """The log of the certified tail from m = start of series k of region i;
+        a series met again shares the tails of the first."""
+        tail, known, total = series[i][k]
+        pair = known.get(start)
+        if pair is None:
+            pair = known[start] = tail(start)
+        estimate, bound = pair
+        bound += estimate
+        if bound >= sys.float_info.min:
+            return math.log(bound)
+        live = shares[i, k] > 0
+        ps, ks = powers[i, k, live].tolist(), kappas[i, k, live].tolist()
+        acc = 0.0
+        for p, kappa in zip(ps, ks):
+            acc += p * math.log(start + kappa)
+        return math.log1p((start + max(ks)) / (total - 1.0)) - acc
 
-    regions = []
-    for i, own in enumerate(matrix):
-        gives = [sum(w for w, v in zip(row, own) if v) for row in base]
-        t = max(0.0, min([1.0] + [(sum(base[k]) - 1.2 / s) / g
-                                  for k, g in enumerate(gives) if k != i and g > 0]))
-        coords = [series(row, [w + t * ((k == i) - w) if v else w for w, v in zip(shares, own)])
-                  for k, (row, shares) in enumerate(zip(matrix, base))]
-        if None in coords:
-            return lambda box: math.inf
+    regions, exp = [], genseries._exp
+    for i, scales in enumerate(moments[1].tolist()):
         # the log of each full sum 1 + sum_{m >= 1} g_k(m) but the i-th; the
         # sum of a tail's estimate and bound bounds it from above
-        log_rest = sum(math.log1p(genseries._exp(scale + log_tail(1)))
-                       for k, (log_tail, scale) in enumerate(coords) if k != i)
-        regions.append((coords[i][0], coords[i][1] + log_rest))
+        log_rest = 0.0
+        for k, scale in enumerate(scales):
+            if k != i:
+                log_rest += math.log1p(exp(scale + log_tail(i, k, 1)))
+        regions.append(scales[i] + log_rest)
 
-    return lambda box: sum(genseries._exp(scale + log_tail(box + 1))
-                           for log_tail, scale in regions)
+    def bound(box):
+        acc = 0.0
+        for i, scale in enumerate(regions):
+            acc += exp(scale + log_tail(i, i, box + 1))
+        return acc
+
+    return bound
 
 
 def _least_side(bound, top: int, goal: float) -> int:

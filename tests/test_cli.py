@@ -361,6 +361,22 @@ def test_dims_table_csv():
     assert float(row[2]) == pytest.approx(1.0 / 9.0)
 
 
+@pytest.mark.parametrize("space,rank", [("S:2", 1), ("AI:3", 2)])
+def test_dims_table_inverse_power_is_the_float_power(space, rank):
+    # d^-s is taken from the float d, not as exp(-s log d), which is a few
+    # ulps off: AI:3 at n = 3 printed 8.499859752314094e-06 for 343^-2
+    proc = run_cli("dims-table", "--space", space, "--s", "2", "--nmax", "20",
+                   "--format", "json")
+    rows = json.loads(proc.stdout)["result"]["rows"]
+    assert len(rows) == 21
+    for row in rows:
+        assert row["dim_float"] == float(row["dim"]) == float(int(row["dim"]))
+        assert row["inv_power"] == float(row["dim"]) ** -2.0, row
+    if rank == 2:
+        assert rows[3]["inv_power"] == 343.0 ** -2 == 8.499859752314087e-06
+        assert rows[2]["inv_power"] == 6.4e-05
+
+
 def test_dims_table_past_float_range():
     # d^2 is past the float range from n = 10 on, d itself from n = 184 on
     proc = run_cli("dims-table", "--space", "EVIII", "--s", "-2", "--nmax", "12",

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import warnings
 from functools import partial
 
@@ -355,6 +356,101 @@ def test_box_bound_does_not_grow(kind, ident):
         bound = weights._box_bound(table, s)
         values = [bound(box) for box in range(65)]
         assert all(a >= b for a, b in zip(values, values[1:])), s
+
+
+def _add(values):
+    """Left-to-right float sum, as the builtin ``sum`` adds before Python 3.12."""
+    acc = 0
+    for value in values:
+        acc = acc + value
+    return acc
+
+
+def _scalar_box_bound(table, s):
+    """The box certificate as a scalar formula, one share at a time: the
+    reference ``weights._box_bound`` must equal bit for bit."""
+    s = min(s, 1e300)
+    matrix, shifts = table.pairing, [float(c) for c in table.shifts]
+    base = [[v / n for v, n in zip(row, map(_add, zip(*matrix)))] for row in matrix]
+
+    def series(row, shares):    # (log tail function, log scale), None when g diverges
+        kappas = [c * w / v for c, w, v in zip(shifts, shares, row) if w > 0]
+        powers = [s * w for w in shares if w > 0]
+        total = _add(powers)
+        if not total > 1.0:
+            return None
+        kbar = _add(p * k for p, k in zip(powers, kappas)) / total
+        spread = max(abs(k - kbar) for k in kappas)
+        v = _add(p * (k - kbar) ** 2 for p, k in zip(powers, kappas))
+
+        def log_tail(start):
+            a = start + kbar
+            if a > 1.0 and spread <= 0.5 * a and v <= 0.5 * a * a:
+                bound = _add(zeta.genseries.shifted_product_tail(total, v, a))
+            else:
+                value, err = zeta.genseries.hurwitz_zeta_certified(total, start + min(kappas))
+                bound = _add((0.0, value + err))
+            if bound >= sys.float_info.min:
+                return math.log(bound)
+            return (math.log1p((start + max(kappas)) / (total - 1.0))
+                    - _add(p * math.log(start + k) for p, k in zip(powers, kappas)))
+
+        return log_tail, _add(p * math.log(k) for p, k in zip(powers, kappas))
+
+    regions = []
+    for i, own in enumerate(matrix):
+        gives = [_add(w for w, v in zip(row, own) if v) for row in base]
+        t = max(0.0, min([1.0] + [(_add(base[k]) - 1.2 / s) / g
+                                  for k, g in enumerate(gives) if k != i and g > 0]))
+        coords = [series(row, [w + t * ((k == i) - w) if v else w for w, v in zip(shares, own)])
+                  for k, (row, shares) in enumerate(zip(matrix, base))]
+        if None in coords:
+            return lambda box: math.inf
+        log_rest = _add(math.log1p(zeta.genseries._exp(scale + log_tail(1)))
+                        for k, (log_tail, scale) in enumerate(coords) if k != i)
+        regions.append((coords[i][0], coords[i][1] + log_rest))
+    return lambda box: _add(zeta.genseries._exp(scale + log_tail(box + 1))
+                            for log_tail, scale in regions)
+
+
+BOX_GROUPS = SCAN_GROUPS + ["Sp:4", "SO:8", "E6", "E7", "E8"]
+
+
+@pytest.mark.parametrize("kind,ident", [("I", i) for i in EVALUABLE_SPACES]
+                         + [("II", g) for g in BOX_GROUPS])
+def test_box_bound_is_the_scalar_formula_bit_for_bit(kind, ident):
+    # the array passes add in the scalar formula's order and take its
+    # squares and logarithms from the same functions
+    table = _table(kind, ident)
+    checks = [(s, (0, 1, 2, 5, 16, 100, 1000))
+              for s in (0.7, 1.0, 1.5, 2.0, 3.0, 6.0, 10.0, 30.0)
+              if s * len(table.shifts) > len(table.pairing)]
+    if ident == "EIX":      # the log form past the Hurwitz underflow
+        checks += [(s, range(65)) for s in (3.0, 4.0, 6.0)]
+    for s, boxes in checks:
+        bound, scalar = weights._box_bound(table, s), _scalar_box_bound(table, s)
+        for box in boxes:
+            assert bound(box).hex() == scalar(box).hex(), (s, box)
+
+
+@pytest.mark.parametrize("kind,ident,calls,parent_calls", [
+    ("I", "EI", 22, 30), ("II", "SU:4", 2, 6)])
+def test_box_bound_takes_each_pinned_tail_once(monkeypatch, kind, ident, calls, parent_calls):
+    # building the certificate at s = 1 takes the pinned tail of each full
+    # one-coordinate sum once per distinct series (the scalar formula took
+    # ``parent_calls``)
+    seen, pinned = [], zeta.genseries.shifted_product_tail
+
+    def counting(*args):
+        seen.append(args)
+        return pinned(*args)
+
+    monkeypatch.setattr(zeta.genseries, "shifted_product_tail", counting)
+    weights._box_bound(_table(kind, ident), 1.0)
+    assert len(seen) <= calls and len(set(seen)) == len(seen)
+    seen.clear()
+    _scalar_box_bound(_table(kind, ident), 1.0)
+    assert len(seen) == parent_calls
 
 
 def test_least_side_matches_bisection(monkeypatch):
