@@ -13,21 +13,29 @@ reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from
 ``certified_tail``; the higher-rank sums are in ``weights``, whose zeta box
 certificate takes the same tail rule from its series' moments
-(``moment_tail``).
+(``moment_tail``).  Every tail bound comes from the cheap certified upper
+bound ``specfun.hurwitz_zeta_upper``; the one full-precision Hurwitz value,
+``hurwitz_zeta_certified``, is the rank-one estimate at its final head.
 """
 from __future__ import annotations
 
 import math
 import os
+import sys
 from fractions import Fraction as Q
+from itertools import chain
 
 from . import dims
 from .errors import (DegenerateConfiguration, DivergenceError, DomainError,
                      NotConverged, shown)
 from .result import EvalResult
-from .specfun import digamma, hurwitz_zeta_certified
+from .specfun import (digamma, hurwitz_zeta_certified, hurwitz_zeta_error,
+                      hurwitz_zeta_upper)
 
 _DEFAULT_CAP = 2_000_000
+
+#: The unit roundoff 2^-53: one rounding to nearest errs by at most u of its result.
+_U = 2.0 ** -53
 
 
 def term_cap() -> int:
@@ -64,10 +72,9 @@ def _goal(cap_bound: float, tolerance: float) -> float:
 
 
 def certified_tail(kappas: list[float], powers: list[float]):
-    """start -> certified (estimate, bound) of sum_{n >= start} prod_j
-    (n+kappa_j)^(-p_j), every p_j > 0, their sum P > 1, start > -kappa_min:
-    the tail of ``moment_tail`` at the moments of the factors
-    (``tail_moments``).
+    """start -> (a, bound) of sum_{n >= start} prod_j (n+kappa_j)^(-p_j), every
+    p_j > 0, their sum P > 1, start > -kappa_min: the tail of ``moment_tail``
+    at the moments of the factors (``tail_moments``).
     """
     return moment_tail(*tail_moments(kappas, powers))
 
@@ -80,17 +87,26 @@ def tail_moments(kappas: list[float], powers: list[float]
     ``weights._box_bound`` takes the same moments of many series at once, in
     array passes."""
     total = sum(powers)
-    kbar = sum(p * k for p, k in zip(powers, kappas)) / total
-    spread = max(abs(k - kbar) for k in kappas)
-    v = sum(p * (k - kbar) ** 2 for p, k in zip(powers, kappas))
-    return total, kbar, spread, v, min(kappas)
+    kbar = sum([p * k for p, k in zip(powers, kappas)]) / total
+    least = min(kappas)
+    # max |kappa_j - kbar|, exact as rounding is monotone
+    spread = max(max(kappas) - kbar, kbar - least)
+    v = sum([p * (k - kbar) ** 2 for p, k in zip(powers, kappas)])
+    return total, kbar, spread, v, least
+
+
+def _upper(s: float, a: float) -> float:
+    """``hurwitz_zeta_upper(s, a)``, or NaN when that is not a positive normal
+    float and so bounds nothing (its true value may lie below the float range)."""
+    bound = hurwitz_zeta_upper(s, a)
+    return bound if bound >= sys.float_info.min else math.nan
 
 
 def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: float):
-    """start -> certified (estimate, bound) of the tail from n = start of a
-    product of factors prod_j (n+kappa_j)^(-p_j), given by its moments
-    (``tail_moments``): the one tail rule of the rank-one series and of the
-    one-coordinate series of the zeta box certificate.
+    """start -> (a, bound) for the tail from n = start of a product of factors
+    prod_j (n+kappa_j)^(-p_j), given by its moments (``tail_moments``): the
+    one tail rule of the rank-one series and of the one-coordinate series of
+    the zeta box certificate.
 
     The product is pinned to (n + kbar)^(-P) with kbar the power-weighted
     mean shift, so the first-order deviation vanishes and the remainder is
@@ -98,28 +114,23 @@ def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: f
 
         |prod - (n+kbar)^(-P)| <= 2 V (n+kbar)^(-P-2)
 
-    valid for n + kbar >= 2 max|kappa_j - kbar| and V <= (n+kbar)^2 / 2
-    (``shifted_product_tail``).  Before that the tail is bounded to
-    first order: each term is at most (n + kappa_min)^(-P), so the tail is
-    at most zeta(P, start + kappa_min).
+    valid for n + kbar >= 2 max|kappa_j - kbar| and V <= (n+kbar)^2 / 2.
+    There the tail is zeta(P, a), a = start + kbar, within bound = 2 V
+    zeta(P+2, a).  Before that it is bounded to first order: each term is at
+    most (n + kappa_min)^(-P), so the tail is at most bound = zeta(P, start +
+    kappa_min), and a is None.  Every zeta here is the certified upper bound
+    ``specfun.hurwitz_zeta_upper``; where that is not a positive normal float
+    the bound is NaN, no bound.  A caller that wants the tail itself adds
+    the upper bound at (P, a) or, for the rank-one estimate, the certified
+    value.
     """
-    def tail(start: int) -> tuple[float, float]:
+    def tail(start: int) -> tuple[float | None, float]:
         a = start + kbar
         if a > 1.0 and spread <= 0.5 * a and v <= 0.5 * a * a:
-            return shifted_product_tail(total, v, a)
-        value, err = hurwitz_zeta_certified(total, start + kappa_min)
-        return 0.0, value + err
+            return a, 2.0 * v * _upper(total + 2.0, a) if v > 0.0 else 0.0
+        return None, _upper(total, start + kappa_min)
 
     return tail
-
-
-def shifted_product_tail(total: float, v: float, a: float) -> tuple[float, float]:
-    """The pinned tail zeta(P, start + kbar) of ``moment_tail``, and its bound."""
-    main, bound = hurwitz_zeta_certified(total, a)
-    if v > 0.0:
-        corr, corr_err = hurwitz_zeta_certified(total + 2.0, a)
-        bound += 2.0 * v * (corr + corr_err)
-    return main, bound
 
 
 def _exp(x: float) -> float:
@@ -134,16 +145,137 @@ def _scaled(scale_log: float, x: float) -> float:
     return _exp(scale_log + math.log(x))
 
 
+def log_first_order(factors: list[tuple[float, float]], total: float, start: int) -> float:
+    """The log of a bound on sum_{n >= start} f(n), f(n) = prod_j (n +
+    kappa_j)^(-p_j) over the (p_j, kappa_j) of ``factors``, P = sum p_j > 1:
+    the first term plus the integral of the rest, f(start) (1 + (start +
+    kappa_max) / (P - 1)), as f(n) / f(start) <= ((n + kappa_max) / (start +
+    kappa_max))^(-P) for n >= start.  It holds where no float does."""
+    acc = 0.0
+    for p, k in factors:
+        acc += p * math.log(start + k)
+    return math.log1p((start + max(k for _, k in factors)) / (total - 1.0)) - acc
+
+
+def _scaling_error(scale_log: float, x: float) -> float:
+    """A bound on the relative error of ``_scaled(scale_log, x)``, x > 0: the
+    logarithm and the exponential are each within an ulp and the sum rounds
+    once, so the exponent errs by u (|scale_log| + 3 |log x|) and the result
+    by that plus 2u, while that is small."""
+    return _U * (3.0 + abs(scale_log) + 4.0 * abs(math.log(x)))
+
+
+def _estimate_error(scale_log: float, value: float, err: float, scaled: float) -> float:
+    """A bound on the distance of the estimate, scaled = ``_scaled(scale_log,
+    value)``, from the scaled tail, given |value - tail| <= err: its own
+    rounding and err, scaled alike."""
+    if scaled > 0.0:
+        return scaled * (_scaling_error(scale_log, value) + err / value)
+    return _scaled(scale_log, err)
+
+
+def _addition_error(x: float, y: float) -> float:
+    """|x + y - fl(x + y)|, exactly: Knuth's TwoSum."""
+    total = x + y
+    back = total - x
+    return abs((x - (total - back)) + (y - back))
+
+
+def _head_error(scale_log: float, total: float, count: int, log_span: float) -> float:
+    """A bound, relative to head_sum, on the distance of head_sum, the fsum
+    of a head's terms exp(y_m), y_m = scale_log - sum_j p_j log(m +
+    kappa_j) over ``count`` factors of total power P, from their exact sum,
+    given log_span >= |log(m + kappa_j)| for every m of the head and every j.
+
+    The fsum rounds once: u.  In y_m each shift, product, partial sum and
+    the difference round once and each logarithm is within an ulp, so y_m
+    errs by at most E = (J + 3) Y u, Y = |scale_log| + P (1 + log_span),
+    and exp adds an ulp: each term is within 1.01 (E + 2u) of its value, and
+    the head's terms, against head_sum, within rho = 1.02 (E + 2u), while
+    rho <= 2^-10 (else inf).
+    """
+    rho = 1.02 * _U * ((count + 3) * (abs(scale_log) + total * (1.0 + log_span)) + 2.0)
+    return _U + rho if rho <= 2.0 ** -10 else math.inf
+
+
+def _series_tail(kappas: list[float], powers: list[float], scale_log: float, cap: int):
+    """(head -> (a, bound, search bound), rel) for the series of
+    ``_sum_with_tail`` after n = head <= cap: the pinned argument of its
+    estimate (None when the estimate is 0), the scaled bound on the tail's
+    distance from that estimate, and what the head search reads, that bound
+    plus the evaluation's error as bounded before the evaluation: the
+    estimate's (``specfun.hurwitz_zeta_error``, ``_estimate_error``, at an
+    upper bound on zeta(P, a)), the head's and the addition's, at a head sum
+    and value of ``top``, which bounds the sum; rel is the head's relative
+    error (``_head_error``).
+    Without the rounding in the search, a bound that the bisection leaves
+    just below the tolerance can miss it once the rounding is added:
+    ``zeta_type_I("S:6", 0.25, 1e-10)`` would end unconverged at 45,961
+    terms with the bound 1.0009e-10.
+
+    Where ``certified_tail`` has no float bound (NaN) the tail is bounded in
+    logs, as the zeta box certificate does (``log_first_order``).  That
+    bound at start = 1 is ``top``.
+    """
+    total = sum(powers)
+    factors = list(zip(powers, kappas))
+    tails = certified_tail(kappas, powers)
+    top = _exp(scale_log + log_first_order(factors, total, 1))
+    rel = _head_error(scale_log, total, len(kappas), max(
+        abs(math.log(1.0 + min(kappas))), abs(math.log(cap + max(kappas)))))
+    rounding = rel * top + _U * top if top else 0.0
+    known = {}
+
+    def tail(head: int) -> tuple[float | None, float, float]:
+        if head not in known:
+            a, bound = tails(head + 1)
+            # zeta(P, a) <= a^-P + a^(1-P) / (P - 1), the first term plus the
+            # integral of the rest: loose, but it only sizes the estimate's error
+            upper = 0.0 if a is None else a ** -total + a ** (1.0 - total) / (total - 1.0)
+            if not upper >= sys.float_info.min and a is not None:
+                upper = math.nan
+            err = rounding
+            if not (bound >= 0.0 and upper >= 0.0):     # a NaN: no float bound
+                a, bound = None, _exp(scale_log + log_first_order(factors, total, head + 1))
+            else:
+                if a is not None:   # _estimate_error at the upper bound, in one scaling
+                    err += _scaled(scale_log, _scaling_error(scale_log, upper) * upper
+                                   + hurwitz_zeta_error(total, a, upper))
+                bound = _scaled(scale_log, bound)
+            known[head] = a, bound, bound + err
+        return known[head]
+
+    return tail, rel
+
+
+#: The head's terms are made this many at a time (``_head_terms``).
+_HEAD_BLOCK = 1024
+
+
+def _head_terms(factors: list[tuple[float, float]], scale_log: float, lo: int, hi: int
+                ) -> list[float]:
+    """The terms exp(scale_log - sum_j p_j log(m + kappa_j)), m = lo..hi-1,
+    the sum over j from left to right: one list per factor, then the sums."""
+    columns = [[p * math.log(m + k) for m in range(lo, hi)] for p, k in factors]
+    return [math.exp(scale_log - y) for y in map(sum, zip(*columns))]
+
+
 def _sum_with_tail(kappas: list[float], powers: list[float],
                    tolerance: float, scale_log: float = 0.0) -> EvalResult:
-    """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified.
+    """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified; the
+    bound covers the float returned.
 
     The head n = 1..h is fixed before any term is summed.  Heads of 16, 32,
-    64, ... terms, the last one the cap, are tried until ``certified_tail``
-    bounds the tail after one by the goal: the tolerance or, when the cap's
-    head misses it, twice the cap's bound.  The last doubling step is then
-    bisected until it is under 16 terms wide.  The head is one exactly
-    rounded fsum, and the value is that sum plus the pinned tail estimate.
+    64, ... terms, the last one the cap, are tried until the search bound
+    of ``_series_tail`` after one, the tail's bound plus the evaluation's
+    error bounded beforehand, meets the goal: the tolerance or, when the
+    cap's head misses it, twice the cap's bound.  The last doubling step is
+    then bisected until it is under 16 terms wide.  A tried head costs a
+    few pow calls.  The head is one exactly rounded fsum; on the pinned
+    branch the value adds the tail's estimate, ``hurwitz_zeta_certified(P,
+    a)`` scaled, the one full-precision evaluation.  The bound is the
+    tail's bound plus that estimate's error (``_estimate_error``), the
+    head's (``_head_error``) and the exact error of the addition.
     """
     total = sum(powers)
     if not all(map(math.isfinite, (*powers, total, scale_log))):
@@ -153,14 +285,10 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     _check_tolerance(tolerance)
     cap = term_cap()
     factors = list(zip(powers, kappas))
-    tails = certified_tail(kappas, powers)
-    tried = {}
+    tail, rel = _series_tail(kappas, powers, scale_log, cap)
 
-    def bound(head):    # of the tail after n = head; ``tried`` keeps (estimate, bound)
-        if head not in tried:
-            estimate, err = tails(head + 1)
-            tried[head] = _scaled(scale_log, estimate), _scaled(scale_log, err)
-        return tried[head][1]
+    def bound(head):
+        return tail(head)[2]
 
     heads = [min(16, cap)]
     while not bound(heads[-1]) <= tolerance and heads[-1] < cap:
@@ -171,11 +299,19 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     while head - low >= 16:
         mid = (low + head) // 2
         low, head = (low, mid) if bound(mid) <= goal else (mid, head)
-    value = math.fsum(math.exp(scale_log - sum(p * math.log(m + k) for p, k in factors))
-                      for m in range(1, head + 1))
-    estimate, err = tried[head]
-    return EvalResult(value=value + estimate, tail_bound=err, terms_used=head,
-                      converged=err <= tolerance)
+    head_sum = math.fsum(chain.from_iterable(
+        _head_terms(factors, scale_log, lo, min(lo + _HEAD_BLOCK, head + 1))
+        for lo in range(1, head + 1, _HEAD_BLOCK)))
+    a, tail_bound, _ = tail(head)
+    estimate = 0.0
+    if a is not None:
+        value, err = hurwitz_zeta_certified(total, a)
+        estimate = _scaled(scale_log, value)
+        tail_bound += _estimate_error(scale_log, value, err, estimate)
+    value = head_sum + estimate
+    tail_bound += (rel * head_sum if head_sum else 0.0) + _addition_error(head_sum, estimate)
+    return EvalResult(value=value, tail_bound=tail_bound, terms_used=head,
+                      converged=tail_bound <= tolerance)
 
 
 def _finite_floats(values: list, name: str) -> list[float]:

@@ -9,7 +9,8 @@ class EvalResult(NamedTuple):
     """Value of a summed series together with an explicit tail estimate.
 
     ``tail_bound`` bounds the truncated tail of the series, on every path;
-    it does not yet cover the rounding of ``value``.  ``rigorous`` is always
+    on the rank-one series (``genseries._sum_with_tail``) it also covers the
+    rounding of ``value``, elsewhere not yet.  ``rigorous`` is always
     True.  ``converged`` means the bound met the requested tolerance.
     ``terms_used`` counts the terms summed; for a sphere sum answered by
     its Poisson dual (``dual.heat_sum``), the dual lattice vectors read one

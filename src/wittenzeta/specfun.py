@@ -1,9 +1,13 @@
 """Scalar special functions with explicit error control.
 
 The Hurwitz/Riemann zeta evaluations use Euler-Maclaurin with Bernoulli
-terms; because the relevant derivatives keep a fixed sign, the remainder
-after truncation is bounded by the first omitted term, so every value can
-be returned together with a rigorous error bound.
+terms; because the derivatives of x^(-s) alternate in sign (it is
+completely monotone), the remainder after a Bernoulli term has the sign of
+the first omitted term and is at most that term (Olver, Asymptotics and
+Special Functions, ch. 8).  ``hurwitz_zeta_certified`` returns a value to
+full precision with a rigorous error bound; ``hurwitz_zeta_upper`` returns
+only a certified upper bound, from a few terms and B_2, which is all a tail
+bound needs.
 """
 from __future__ import annotations
 
@@ -54,12 +58,9 @@ def digamma(x: float) -> float:
     return acc + math.log(x) - 0.5 / x - series
 
 
-def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
-    """(value, rigorous absolute error bound) for sum_{n>=0} (n+a)^(-s)."""
-    if not 1.0 < s < math.inf:      # written so that a NaN fails too
-        raise DomainError(f"hurwitz_zeta requires finite s > 1, got {shown(s)}")
-    if not a > 0.0:
-        raise DomainError(f"hurwitz_zeta requires a > 0, got {shown(a)}")
+def _em_point(s: float, a: float) -> tuple[int, float]:
+    """The shift and the point x = a + shift at which ``hurwitz_zeta_certified``
+    takes Euler-Maclaurin."""
     shift = 0
     x = a
     while x < 16.0:
@@ -74,8 +75,22 @@ def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
         while (s + 17.0) * math.log(x) < limit:
             shift += 1
             x += 1.0
+    return shift, x
+
+
+def _check_hurwitz(s: float, a: float) -> None:
+    if not 1.0 < s < math.inf:      # written so that a NaN fails too
+        raise DomainError(f"hurwitz_zeta requires finite s > 1, got {shown(s)}")
+    if not a > 0.0:
+        raise DomainError(f"hurwitz_zeta requires a > 0, got {shown(a)}")
+
+
+def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
+    """(value, rigorous absolute error bound) for sum_{n>=0} (n+a)^(-s)."""
+    _check_hurwitz(s, a)
+    shift, x = _em_point(s, a)
     try:
-        partial = math.fsum((n + a) ** (-s) for n in range(shift))
+        partial = math.fsum([(n + a) ** (-s) for n in range(shift)]) if shift else 0.0
     except OverflowError:
         raise DomainError(f"hurwitz_zeta({shown(s)}, {shown(a)}) is past the float range"
                           ) from None
@@ -93,6 +108,73 @@ def hurwitz_zeta_certified(s: float, a: float) -> tuple[float, float]:
     omitted = _EM_OMITTED * factor * xpow
     slop = 4e-16 * (abs(value) + x ** (-s)) * (shift + 4)
     return value, omitted + slop
+
+
+def hurwitz_zeta_error(s: float, a: float, upper: float) -> float:
+    """A bound, taken before the evaluation, on the error bound that
+    ``hurwitz_zeta_certified(s, a)`` returns, given upper >= zeta(s, a).
+
+    Its first omitted term is at most |B_18| / 18! ((s+16)/x)^17 x^(-s):
+    (s+16)^17 exceeds s (s+1) ... (s+16) by over 136/(s+16) of it, which
+    dwarfs the rounding of either side wherever x^(-s) > 0, as that needs
+    s < 269 at x >= 16.  Its value is at most zeta(s, a) plus that term
+    plus its rounding, which is below 2^-40 of it while the shift is below
+    2,000, so the rounding allowance is taken at (upper + omitted)(1 +
+    2^-40) and is at least the evaluation's."""
+    _check_hurwitz(s, a)
+    shift, x = _em_point(s, a)
+    power = x ** (-s)
+    omitted = _EM_OMITTED * ((s + 16.0) / x) ** 17 * power if power else 0.0
+    return omitted + 4e-16 * ((upper + omitted) * (1.0 + 2.0 ** -40) + power) * (shift + 4)
+
+
+#: The most explicit terms ``hurwitz_zeta_upper`` takes before its tail.
+_UPPER_TERMS = 16
+
+
+def hurwitz_zeta_upper(s: float, a: float) -> float:
+    """A certified upper bound on zeta(s, a) = sum_{n>=0} (n+a)^(-s), s > 1,
+    a > 0, from at most 16 explicit terms and Euler-Maclaurin through B_2;
+    a result that is not a positive normal float bounds nothing.
+
+    The terms run to x = a + m, m = ceil(1.1 (s+1) - a) clipped to [0, 16].
+    At every x > 0 the remainder after the B_2 term has the sign of the
+    first omitted one, -s(s+1)(s+2) x^(-s-3) / 720, so
+
+        zeta(s, x) <= x^(1-s) / (s-1) + x^(-s) / 2 + s x^(-s-1) / 12,
+
+    and the first term plus the integral of the rest gives zeta(s, x) <=
+    x^(-s) + x^(1-s) / (s-1); the smaller of the two is taken, so a huge s
+    needs no shift.  At x >= 1.1 (s+1) the B_2 form exceeds zeta(s, x) by
+    less than (s-1) s (s+1) (s+2) / (720 x^4) < 1/1054 of it; when 16 terms
+    stop short of that point, they hold all but a sliver of the sum.  The
+    points a + n are floats: when a + m rounds, a moves down onto the grid of
+    a + m past the first term, which only raises the bound.  Each pow is
+    within an ulp and each other operation rounds once, so the sum of
+    positive parts is within (m + 8) 2^-52 of its exact value; the result is
+    rounded outward by 1 + 1e-15 (m + 8).  No loop grows with s.
+    """
+    _check_hurwitz(s, a)
+    need = 1.1 * (s + 1.0) - a
+    m = (0 if need <= 0.0 or a >= 2.0 ** 52
+         else _UPPER_TERMS if need >= _UPPER_TERMS else math.ceil(need))
+    total = 0.0
+    if m:
+        try:
+            total = a ** -s
+        except OverflowError:       # a < 1 and a^(-s) past the float range
+            return math.inf
+        if a + m - a != m or a + m - m != a:    # some a + n rounds
+            grid = math.ldexp(1.0, math.frexp(a + m)[1] - 53)
+            a = math.floor(a / grid) * grid
+        for n in range(1, m):
+            total += (a + n) ** -s
+    x = a + m
+    power = x ** -s
+    # 1 - s is exact below 2^53; past it x^(1-s) is x times x^(-s)
+    lead = x ** (1.0 - s) if s <= 2.0 ** 53 else power * x
+    total += lead / (s - 1.0) + power * min(0.5 + s / (12.0 * x), 1.0)
+    return total * (1.0 + 1e-15 * (m + 8))
 
 
 def hurwitz_zeta(s: float, a: float) -> float:

@@ -8,11 +8,12 @@ weights, of radius r, is certified before any term is summed: the box
 sum.  Each factor of d, 1 + sum_i a_i with a_i = L_ij n_i / c_j >= 0, is at
 least prod_i (1 + a_i / w_ij)^w_ij for shares w_ij >= 0 summing to one over
 i (weighted AM-GM).  ``_box_bound`` bounds the zeta sum outside a box by
-one-coordinate series, each tailed by ``genseries.moment_tail``; it takes
-the shares, shifts, powers and moments of all rank^2 of them in a few
-array passes, from what it needs of its table alone (``_box_parts``,
-built once per table), and ``_least_side`` finds the least side that
-meets the goal from a few of those bounds.  ``_majorant_logs`` bounds a
+one-coordinate series, each tailed by ``genseries.moment_tail`` from the
+cheap upper bound ``specfun.hurwitz_zeta_upper``; it takes the shares,
+shifts, powers and moments of all rank^2 of them in a few array passes,
+from what it needs of its table alone (``_box_parts``, built once per
+table), and ``_least_side`` finds the least side that meets the goal from
+a few of those bounds.  ``_majorant_logs`` bounds a
 heat term by prod_i h_i(n_i), whose sum past coordinate sum K is a
 coefficient tail of a product of one-coordinate series, so
 ``_majorant_grade`` knows the least K that meets the tolerance; what it
@@ -311,12 +312,11 @@ def _box_bound(table: dims.LinearFactors, s: float):
     s sum_j w_kj >= 1.2 for every other k; a g_k with s sum_j w_kj <= 1
     diverges and makes the bound inf.  As d >= 1, a bound at s' <= s holds
     at s, and s' <= 1e300 keeps the power sums finite.  Where the certified
-    tail of a series from m = start is not a positive normal float (its
-    Euler-Maclaurin value at a total power P in the hundreds underflows),
-    it is taken in logs as the first term plus the integral of the rest,
-    f(start) (1 + (start + kappa_max) / (P - 1)), f(m) = prod_j (m +
-    kappa_j)^(-p_j): f decreases, and f(m) / f(start) <= ((m + kappa_max) /
-    (start + kappa_max))^(-P) for m >= start.
+    tail of a series from m = start is not a positive normal float (at a
+    total power P in the hundreds the kernel's value underflows, and the
+    tail rule passes NaN), it is taken in logs as the first term plus the
+    integral of the rest, f(start) (1 + (start + kappa_max) / (P - 1)),
+    f(m) = prod_j (m + kappa_j)^(-p_j) (``genseries.log_first_order``).
 
     The moves t_i are taken in Python from the table's parts
     (``_box_parts``); the shares, the kappas c w / L, the powers p = s w,
@@ -328,7 +328,10 @@ def _box_bound(table: dims.LinearFactors, s: float):
     per class of equal values, so the bound is the scalar formula's bit for
     bit; max|kappa - kbar| is the larger of kappa_max - kbar and kbar -
     kappa_min, as rounding is monotone.  Every tail is
-    ``genseries.moment_tail``, taken once per series moments and start.
+    ``genseries.moment_tail``, taken once per series moments and start: its
+    bound plus, on its pinned branch, the kernel's upper bound on zeta(P, a)
+    (``specfun.hurwitz_zeta_upper``), so the certificate makes no
+    full-precision Hurwitz evaluation.
     """
     import numpy as np
     s = min(s, 1e300)
@@ -352,7 +355,7 @@ def _box_bound(table: dims.LinearFactors, s: float):
     least = np.minimum.accumulate(np.where(shares > 0, kappas, math.inf), axis=2)[..., -1]
     most = np.maximum.accumulate(kappas, axis=2)[..., -1]
     spread = np.maximum(most - kbars, kbars - least)
-    tails = {}      # moments -> (their tail, {start: (estimate, bound)}, P)
+    tails = {}      # moments -> (their tail, {start: its bound}, P)
 
     def tail_of(key):
         if key not in tails:
@@ -366,19 +369,17 @@ def _box_bound(table: dims.LinearFactors, s: float):
         """The log of the certified tail from m = start of series k of region i;
         a series met again shares the tails of the first."""
         tail, known, total = series[i][k]
-        pair = known.get(start)
-        if pair is None:
-            pair = known[start] = tail(start)
-        estimate, bound = pair
-        bound += estimate
+        bound = known.get(start)
+        if bound is None:
+            a, bound = tail(start)
+            if a is not None:
+                bound += genseries._upper(total, a)
+            known[start] = bound
         if bound >= sys.float_info.min:
             return math.log(bound)
         live = shares[i, k] > 0
-        ps, ks = powers[i, k, live].tolist(), kappas[i, k, live].tolist()
-        acc = 0.0
-        for p, kappa in zip(ps, ks):
-            acc += p * math.log(start + kappa)
-        return math.log1p((start + max(ks)) / (total - 1.0)) - acc
+        return genseries.log_first_order(
+            list(zip(powers[i, k, live].tolist(), kappas[i, k, live].tolist())), total, start)
 
     regions, exp = [], genseries._exp
     for i, scales in enumerate(moments[1].tolist()):

@@ -5,7 +5,8 @@ table of the space or group (``dims.compile_space``, ``dims.compile_group``),
 and both go through ``_zeta``.  Rank-one tables get a certified evaluation
 of their factored form (``genseries._sum_with_tail``): a head of explicit
 terms, its length fixed from the bound before it is summed, plus a tail
-that is pinned to a Hurwitz zeta with a rigorous correction bound.  Higher
+that is pinned to a Hurwitz zeta with a rigorous correction bound; the
+bound covers the float returned.  Higher
 ranks sum the least box [0, B]^rank whose tail outside it is certified
 (``_growing_box``, from the lattice module ``weights``).
 """
@@ -71,10 +72,13 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
                               f"{s * factors} <= rank {rank}")
     if rank == 1:    # 1 + sum_{n>=1} d(n)^(-s), d(n) = c prod_k (n + kappa_k)^xi_k
         poly = table.factored
-        tail = genseries._sum_with_tail([float(k) for k, _ in poly.factors],
+        # k.numerator / k.denominator is float(k), without the Fraction method call
+        tail = genseries._sum_with_tail([k.numerator / k.denominator for k, _ in poly.factors],
                                         [s * xi for _, xi in poly.factors], tolerance,
                                         -s * math.log(float(poly.c)))
-        return tail._replace(value=1.0 + tail.value, terms_used=tail.terms_used + 1)
+        value = 1.0 + tail.value
+        bound = tail.tail_bound + genseries._addition_error(1.0, tail.value)
+        return EvalResult(value, bound, tail.terms_used + 1, bound <= tolerance)
     return _growing_box(table, s, tolerance, max_box)
 
 

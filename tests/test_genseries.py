@@ -7,13 +7,12 @@ import pytest
 from wittenzeta import dims, genseries
 from wittenzeta.errors import (DegenerateConfiguration, DivergenceError,
                                DomainError, NotConverged)
-from wittenzeta.genseries import (certified_tail, gen_series_direct, gen_series_mf,
-                                  pi_series, term_cap,
+from wittenzeta.genseries import (gen_series_direct, gen_series_mf, pi_series, term_cap,
                                   zero_identity_exact, zero_identity_residual,
                                   zeta_values_from_rank_one)
 from wittenzeta.partition import (SurfaceParams, boundary_state,
                                   partition_type_I, partition_type_II)
-from wittenzeta.specfun import digamma, riemann_zeta
+from wittenzeta.specfun import digamma, hurwitz_zeta_certified, riemann_zeta
 from wittenzeta.zeta import zeta_type_I
 
 ZETA2 = math.pi ** 2 / 6
@@ -258,13 +257,17 @@ def test_term_cap_rejects_bad_env(monkeypatch):
             term_cap()
 
 
-def _zeta_tail_bound(space_id, s, head):
-    """The scaled bound of ``certified_tail`` on the rank-one zeta terms after
-    n = head, as ``zeta._zeta`` scales it."""
+def _zeta_series(space_id, s):
+    """(kappas, powers, scale_log) of the rank-one zeta series, as ``zeta._zeta``
+    builds it."""
     poly = dims.compile_space(space_id).factored
-    tail = certified_tail([float(k) for k, _ in poly.factors],
-                          [s * xi for _, xi in poly.factors])
-    return genseries._scaled(-s * math.log(float(poly.c)), tail(head + 1)[1])
+    return ([float(k) for k, _ in poly.factors], [s * xi for _, xi in poly.factors],
+            -s * math.log(float(poly.c)))
+
+
+def _zeta_tail_bound(space_id, s, head):
+    """The bound the head search reads on the rank-one zeta terms after n = head."""
+    return genseries._series_tail(*_zeta_series(space_id, s), term_cap())[0](head)[2]
 
 
 @pytest.mark.parametrize("space_id", ["S:2", "S:4", "S:6", "CP:2", "HP:2", "FII"])
@@ -277,7 +280,24 @@ def test_rank_one_head_is_within_sixteen_terms_of_the_least(space_id):
             res = zeta_type_I(space_id, s, tol)
             head = res.terms_used - 1       # the n = 0 term is not in the series
             assert res.converged, (space_id, s, tol)
-            assert res.tail_bound == _zeta_tail_bound(space_id, s, head) <= tol
+            # the certified tail's bound plus the evaluation error: the
+            # pinned estimate's, the head's and that of the two additions
+            kappas, powers, scale = _zeta_series(space_id, s)
+            pairs = list(zip(powers, kappas))
+            tail, rel = genseries._series_tail(kappas, powers, scale, term_cap())
+            a, bound, _ = tail(head)
+            head_sum = math.fsum(math.exp(scale - sum(p * math.log(m + k) for p, k in pairs))
+                                 for m in range(1, head + 1))
+            estimate = 0.0
+            if a is not None:
+                value, err = hurwitz_zeta_certified(sum(powers), a)
+                estimate = genseries._scaled(scale, value)
+                bound += genseries._estimate_error(scale, value, err, estimate)
+            series = head_sum + estimate
+            bound += rel * head_sum + genseries._addition_error(head_sum, estimate)
+            assert bound <= _zeta_tail_bound(space_id, s, head) <= tol
+            assert res.value == 1.0 + series
+            assert res.tail_bound == bound + genseries._addition_error(1.0, series)
             if head >= 32:
                 assert _zeta_tail_bound(space_id, s, head - 16) > tol, (space_id, s, tol)
 
@@ -293,15 +313,18 @@ def _s2_genus0_heat_bound(area, n):
 def test_missed_tolerance_stops_within_twice_the_caps_bound(monkeypatch):
     monkeypatch.setenv("WZ_MAX_TERMS", "4096")
     zeta = zeta_type_I("S:4", 1.0, 1e-30)
-    zeta_cap = _zeta_tail_bound("S:4", 1.0, 4096)
     series = pi_series([1, 1], [1, 2], 1e-30)
-    series_cap = certified_tail([1.0, 2.0], [2.0, 2.0])(4097)[1]
+    for res, terms, (kappas, powers, scale) in (
+            (zeta, 4097, _zeta_series("S:4", 1.0)), (series, 4096, ([1.0, 2.0], [2.0, 2.0], 0.0))):
+        # a rank-one series stops within twice the search bound at the cap,
+        # which holds the rounding; the zeta adds its n = 0 term after it
+        search = genseries._series_tail(kappas, powers, scale, 4096)[0]
+        assert res.terms_used < terms and not res.converged
+        assert res.tail_bound <= 2.0 * search(4096)[2] + (res is zeta) * genseries._U * res.value
     heat = partition_type_I("S:2", SurfaceParams(0, 1e-6), 1e-12)
     heat_cap = _s2_genus0_heat_bound(1e-6, 4095)
-    for res, terms, cap_bound in ((zeta, 4097, zeta_cap), (series, 4096, series_cap),
-                                  (heat, 4096, heat_cap)):
-        assert res.terms_used < terms and not res.converged
-        assert res.tail_bound <= 2.0 * cap_bound
+    assert heat.terms_used < 4096 and not heat.converged
+    assert heat.tail_bound <= 2.0 * heat_cap
     # the heat sum is one pass, so it stops at the least such n
     assert _s2_genus0_heat_bound(1e-6, heat.terms_used - 2) > 2.0 * heat_cap
 

@@ -1,12 +1,16 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from wittenzeta import genseries
 from wittenzeta.errors import DomainError
 from wittenzeta.specfun import (EULER_GAMMA, bernoulli_polynomial, digamma,
                                 gauss_legendre_nodes, hurwitz_zeta,
-                                hurwitz_zeta_certified, legendre_p, riemann_zeta)
+                                hurwitz_zeta_certified, hurwitz_zeta_error,
+                                hurwitz_zeta_upper, legendre_p, riemann_zeta)
 
 
 def brute_zeta(s: float, terms: int = 1_000_000) -> float:
@@ -126,6 +130,77 @@ def test_certified_zeta_is_tight_at_large_s(s, a):
         assert value > 0.0
         assert abs(mpmath.mpf(value) - true) <= bound
         assert bound < 1e-10 * true
+
+
+#: The audit grid of ``hurwitz_zeta_upper``.
+UPPER_S = (1.001, 1.05, 1.25, 2.0, 3.0, 10.0, 30.0, 96.0, 97.0, 300.0, 1e300)
+UPPER_A = (1.0, 1.3, 2.5, 7.25, 16.0, 17.5, 100.0, 1e4, 1e300)
+
+
+def _normal(x):
+    return sys.float_info.min <= x
+
+
+def test_upper_zeta_bounds_zeta_tightly():
+    # at 40 digits: a positive normal result is at least zeta(s, a), and
+    # wherever zeta(s, a) is a normal float and s <= 100 the result is one,
+    # at most 2^-10 above it
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    with mpmath.workdps(40):
+        for s, a in itertools.product(UPPER_S, UPPER_A):
+            upper, true = hurwitz_zeta_upper(s, a), mpmath.zeta(s, a)
+            if _normal(upper):
+                assert mpmath.mpf(upper) >= true, (s, a)
+            if true >= sys.float_info.min and s <= 100.0:
+                assert (mpmath.mpf(upper) - true) / true <= 2.0 ** -10, (s, a)
+                checked += 1
+    assert checked == 74
+
+
+@pytest.mark.parametrize("s", UPPER_S)
+def test_upper_zeta_does_not_grow_along_a(s):
+    # the box's least side and the rank-one head search read it as a
+    # non-increasing function of the start
+    for a in UPPER_A:
+        values = [hurwitz_zeta_upper(s, a + n) for n in range(81)]
+        assert all(x >= y for x, y in zip(values, values[1:])), (s, a)
+
+
+def test_upper_zeta_below_the_float_range_is_no_bound():
+    # zeta(96, 1e4) is about 1e-382: the kernel's 0 or subnormal result is
+    # below it, and the tail rule passes it on as NaN, no bound
+    assert not _normal(hurwitz_zeta_upper(96.0, 1e4))
+    pinned = genseries.moment_tail(94.0, 1e4, 0.5, 1.0, 1e4 - 0.5)(0)
+    first_order = genseries.moment_tail(96.0, 1e4, 1e5, 0.0, 1e4)(0)
+    assert pinned[0] == 1e4 and math.isnan(pinned[1])
+    assert first_order[0] is None and math.isnan(first_order[1])
+    # the rank-one sum then bounds the tail in logs: every term underflows
+    res = genseries.pi_series([95], [1e4], 1e-300)
+    assert res == (0.0, 0.0, 16, True, True)
+
+
+@pytest.mark.parametrize("s", [1.001, 1.5, 2.0, 6.0, 30.0, 96.0, 97.0, 150.0, 400.0])
+def test_hurwitz_error_bounds_the_evaluation_error(s):
+    # the a-priori error, given the kernel's bound, is at least the error
+    # the evaluation returns
+    for a in (0.5, 1.0, 1.3, 7.25, 16.0, 17.5, 20.0, 100.0, 1e4):
+        upper = hurwitz_zeta_upper(s, a)
+        if _normal(upper):
+            assert hurwitz_zeta_error(s, a, upper) >= hurwitz_zeta_certified(s, a)[1], (s, a)
+
+
+def test_upper_zeta_at_huge_s_and_its_domain():
+    # a huge s needs no shift: the first term is all there is, or past the
+    # float range for a < 1
+    for s in (1e6, 1e200, 1e300):
+        assert hurwitz_zeta_upper(s, 1.0) == pytest.approx(1.0, rel=1e-13)
+        assert hurwitz_zeta_upper(s, 1.5) == 0.0
+        assert hurwitz_zeta_upper(s, 0.5) == math.inf
+    for s, a in ((0.5, 1.0), (1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (2.0, 0.0),
+                 (2.0, math.nan)):
+        with pytest.raises(DomainError):
+            hurwitz_zeta_upper(s, a)
 
 
 def test_riemann_zeta_domain():
