@@ -328,7 +328,8 @@ class LinearFactors(Frozen, _LinearFactorsFields):
     @cached_property
     def _heads(self) -> tuple[weights.Head, weights.Head]:
         """The heads the balls of a higher-rank sum are read from, the box's
-        and the simplex's, grown on demand (``weights.Head``)."""
+        and the simplex's, grown on demand from ``weights.ball_chunks``
+        (``weights.Head``)."""
         from . import weights
         return weights.Head(self, simplex=False), weights.Head(self, simplex=True)
 

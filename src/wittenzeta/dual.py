@@ -245,7 +245,8 @@ def _leading(parts: _DualParts, area: float) -> float:
 def heat_sum(table, area: float, tolerance: float) -> EvalResult | None:
     """The genus-0 type II heat sum of a group's table at area > 0 from its
     dual: Z0 with its tail bound, or None as soon as that bound passes the
-    tolerance.  ``terms_used`` counts the dual vectors read one by one: k = 0
+    tolerance.  A Z0 past the float range is inf with bound inf, not
+    converged.  ``terms_used`` counts the dual vectors read one by one: k = 0
     and every k of the shells."""
     genseries._check_tolerance(tolerance)
     parts = table._dual
@@ -263,5 +264,8 @@ def heat_sum(table, area: float, tolerance: float) -> EvalResult | None:
     bound += _remainder(parts, area, log_base, tolerance - bound)
     if bound > tolerance:
         return None
-    return EvalResult(value=_leading(parts, area), tail_bound=bound,
-                      terms_used=1 + parts.vectors, converged=True)
+    value = _leading(parts, area)
+    if not math.isfinite(value):    # Z0 past the float range: no certificate
+        bound = math.inf
+    return EvalResult(value=value, tail_bound=bound, terms_used=1 + parts.vectors,
+                      converged=bound <= tolerance)

@@ -8,7 +8,8 @@ from the compiled table of its space or group (``dims.compile_space``,
 
 A type II sum at genus 0, d^2 q^{c2}, is first tried by Poisson duality
 (``dual.heat_sum``), at every rank: its closed-form leading term is the
-answer when the certified bound on the dual terms meets the tolerance, and
+answer when the certified bound on the dual terms meets the tolerance (inf
+with bound inf, not converged, when it is past the float range), and
 ``terms_used`` then counts the dual lattice vectors read one by one.  Every
 other sum, and one whose dual bound misses, is summed directly.  Rank one
 sums weight by weight, its dimension multiplied out from the table's one

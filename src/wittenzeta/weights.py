@@ -21,12 +21,12 @@ needs of its table alone is built once per table (``_heat_parts``).
 
 ``ball`` hands ``sum_region`` the (log d, c2) pairs of a ball: a ball of at
 most ``CHUNK_ROWS`` points is a prefix of the table's head of that shape
-(``Head``), which grows on demand, and a larger one comes in chunks of
-``box_chunks`` or ``simplex_chunks``.  ``sum_region`` rounds the sum of
-each pair's terms once, as ``math.fsum`` does, but from a few array passes
-(``_exact_sum``, an error-free vector extraction); ``math.fsum`` itself
-takes the few terms, the rare cases the extraction cannot decide, and the
-pairs' totals.
+(``Head``), which grows on demand, and a larger one comes in chunks.  Every
+row of either shape, head or chunk, comes from ``ball_chunks``.
+``sum_region`` rounds the sum of each pair's terms once, as ``math.fsum``
+does, but from a few array passes (``_exact_sum``, an error-free vector
+extraction); ``math.fsum`` itself takes the few terms, the rare cases the
+extraction cannot decide, and the pairs' totals.
 """
 from __future__ import annotations
 
@@ -44,13 +44,15 @@ from .errors import DomainError
 def _graded_box(rank: int, box: int) -> list[tuple[int, ...]]:
     """Every point of [0, box]^rank, by coordinate sum, lex order within one."""
     import numpy as np
-    rows = np.concatenate(list(box_chunks(rank, box)))
+    if box < 0:
+        raise DomainError("box_bound must be >= 0")
+    rows = np.concatenate(list(ball_chunks(rank, box, simplex=False)))
     order = np.argsort(rows.sum(axis=1), kind="stable")
     return list(map(tuple, rows[order].tolist()))
 
 
-#: Row bound of one chunk of ``box_chunks`` and ``simplex_chunks`` and of a
-#: table's head (``Head``); it bounds the memory of a lattice sum.
+#: Row bound of one chunk of ``ball_chunks`` and of a table's head
+#: (``Head``); it bounds the memory of a lattice sum.
 CHUNK_ROWS = 1 << 15
 
 
@@ -96,8 +98,7 @@ class Head:
         if len(log_dims) < count:
             r = max(r, min(radius(rank, 2 * len(log_dims), simplex=simplex),
                            radius(rank, CHUNK_ROWS, simplex=simplex)))
-            points = (next(simplex_chunks(rank, r)).T if simplex     # lex order, one chunk
-                      else np.indices((r + 1,) * rank).reshape(rank, -1))
+            points = next(ball_chunks(rank, r, simplex=simplex)).T   # lex order, one chunk
             shells = reduce(np.add if simplex else np.maximum, points)
             new = np.argsort(shells.astype(np.uint16), kind="stable")[len(log_dims):]
             # over the whole ball, then the new shells' rows: cheaper than
@@ -116,29 +117,36 @@ def ball(table, r: int, *, simplex: bool):
     rank = len(table.pairing)
     if ball_size(rank, r, simplex=simplex) <= CHUNK_ROWS:
         return [table._heads[simplex].prefix(r)]
-    chunks = simplex_chunks(rank, r) if simplex else box_chunks(rank, r)
-    return ((table.log_dims(rows), table.casimirs(rows) if simplex else None) for rows in chunks)
+    return ((table.log_dims(rows), table.casimirs(rows) if simplex else None)
+            for rows in ball_chunks(rank, r, simplex=simplex))
 
 
-def _next_coordinate(prefix: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _next_coordinate(prefix: np.ndarray, budget: np.ndarray,
+                     simplex: bool) -> tuple[np.ndarray, np.ndarray]:
     """Every prefix row followed by each next coordinate 0..budget, in lex
-    order, with the budget left after it: one ragged arange."""
+    order, with the budget left after it (all of it for the box): one ragged
+    arange."""
     import numpy as np
     counts = budget + 1
     offsets = np.repeat(np.cumsum(counts) - counts, counts)
     nxt = np.arange(len(offsets), dtype=np.int64) - offsets
     return (np.concatenate([np.repeat(prefix, counts, axis=0), nxt[:, None]], axis=1),
-            np.repeat(budget, counts) - nxt)
+            np.repeat(budget, counts) - simplex * nxt)
 
 
-def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int) -> Iterator[np.ndarray]:
+def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int,
+                 simplex: bool) -> Iterator[np.ndarray]:
     """Every completion of the prefix rows to ``rank`` coordinates whose added
-    coordinates sum to at most the row's budget, in lex order, in chunks."""
+    coordinates sum to at most the row's budget (simplex) or are each at
+    most it (box), in lex order, in chunks."""
     import numpy as np
     free = rank - prefix.shape[1]
-    sizes = np.ones_like(budget)
-    for t in range(1, free + 1):        # C(budget + free, free) completions each
-        sizes = sizes * (budget + t) // t
+    if simplex:
+        sizes = np.ones_like(budget)
+        for t in range(1, free + 1):    # C(budget + free, free) completions each
+            sizes = sizes * (budget + t) // t
+    else:
+        sizes = (budget + 1) ** free
     ends = np.cumsum(sizes)
     start = 0
     while start < len(budget):
@@ -146,43 +154,32 @@ def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int) -> Iterator[
                                    side="right"))
         if stop == start:               # one prefix too many: split on the next coordinate
             yield from _completions(*_next_coordinate(prefix[start:start + 1],
-                                                      budget[start:start + 1]), rank)
+                                                      budget[start:start + 1], simplex),
+                                    rank, simplex)
             stop = start + 1
         else:
             rows, left = prefix[start:stop], budget[start:stop]
             for _ in range(free):
-                rows, left = _next_coordinate(rows, left)
+                rows, left = _next_coordinate(rows, left, simplex)
             yield rows
         start = stop
 
 
-def simplex_chunks(rank: int, k: int) -> Iterator[np.ndarray]:
-    """Every point of N^rank with coordinate sum <= k once, in lex order, as
-    int64 arrays of <= CHUNK_ROWS rows.
+def ball_chunks(rank: int, r: int, *, simplex: bool) -> Iterator[np.ndarray]:
+    """Every point of the ball of radius r, the box [0, r]^rank or the
+    simplex of coordinate sum <= r, once, in lex order, as int64 arrays of
+    <= CHUNK_ROWS rows.
 
     The rows grow from prefixes of leading coordinates, slab by slab on the
     first: a run of consecutive prefixes whose completions fit in one chunk
     is completed together, one coordinate at a time; a prefix with more
-    completions than that is first split on its next coordinate.
+    completions than that is first split on its next coordinate.  The two
+    shapes differ only in the budget a coordinate leaves the next ones: r
+    less that coordinate for the simplex, r for the box.
     """
     import numpy as np
     yield from _completions(np.zeros((1, 0), dtype=np.int64),
-                            np.array([k], dtype=np.int64), rank)
-
-
-def box_chunks(rank: int, box: int) -> Iterator[np.ndarray]:
-    """Every point of [0, box]^rank once, in lex order, in int64 arrays of
-    <= CHUNK_ROWS rows."""
-    import numpy as np
-    if box < 0:
-        raise DomainError("box_bound must be >= 0")
-    total = (box + 1) ** rank
-    for start in range(0, total, CHUNK_ROWS):
-        index = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
-        chunk = np.empty((len(index), rank), dtype=np.int64)
-        for ax in range(rank - 1, -1, -1):
-            index, chunk[:, ax] = np.divmod(index, box + 1)
-        yield chunk
+                            np.array([r], dtype=np.int64), rank, simplex)
 
 
 def sum_region(terms, exponent: float, area: float) -> float:

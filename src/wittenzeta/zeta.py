@@ -20,7 +20,6 @@ import operator
 from . import dims, genseries
 from .errors import DivergenceError, DomainError, shown
 from .result import EvalResult
-from .specfun import hurwitz_zeta, riemann_zeta
 
 
 def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
@@ -98,20 +97,3 @@ def zeta_type_II(group_id: str, s: float, tolerance: float = 1e-8,
     """
     s, max_box = _check_s(s, max_box)
     return _zeta(dims.compile_group(group_id), s, tolerance, max_box)
-
-
-def hurwitz_relation_check(m: int, s: float) -> dict:
-    """Compare zeta_I of the 2-sphere against the scaled half-shift Hurwitz value."""
-    if m != 2:
-        raise DomainError("only the 2-sphere relation is implemented")
-    left = zeta_type_I("S:2", s, tolerance=1e-12)
-    scaled = 2.0 ** (-s) * hurwitz_zeta(s, 0.5)
-    riemann_form = (2.0 ** s - 1.0) * riemann_zeta(s)
-    return {
-        "s": s,
-        "zeta_I_S2": left.value,
-        "scaled_hurwitz": scaled,
-        "difference": left.value - scaled,
-        "hurwitz_half": hurwitz_zeta(s, 0.5),
-        "hurwitz_vs_riemann": hurwitz_zeta(s, 0.5) - riemann_form,
-    }

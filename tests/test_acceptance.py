@@ -53,9 +53,10 @@ def test_criterion_03_hurwitz_relation():
     from wittenzeta.specfun import hurwitz_zeta, riemann_zeta
     worst_rel = 0.0
     for s in (2.0, 3.0, 5.0):
-        report = zeta.hurwitz_relation_check(2, s)
-        worst_rel = max(worst_rel, abs(report["difference"]))
-        assert abs(report["difference"]) < 1e-10, s
+        # zeta_I(S:2, s) = 2^-s zeta(s, 1/2)
+        difference = zeta.zeta_type_I("S:2", s, 1e-12).value - 2.0 ** -s * hurwitz_zeta(s, 0.5)
+        worst_rel = max(worst_rel, abs(difference))
+        assert abs(difference) < 1e-10, s
     worst_id = 0.0
     for s in (2.0, 3.0, 5.0):
         resid = abs(hurwitz_zeta(s, 0.5) - (2 ** s - 1) * riemann_zeta(s))

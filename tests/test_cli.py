@@ -177,6 +177,15 @@ def test_partition_with_no_bound_in_the_cap_stops_at_one_term():
     assert result["converged"] is False
 
 
+def test_partition2_dual_past_the_float_range_is_not_converged():
+    # the dual's leading term overflows while its tail bound underflows to 0
+    proc = run_cli("partition2", "--group", "SU:3", "--genus", "0", "--area", "1e-300")
+    assert proc.returncode == 0
+    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    assert result["value"] is None and result["tail_bound"] is None
+    assert result["converged"] is False
+
+
 @pytest.mark.parametrize("command,ident,area", [
     ("partition", "AI:3", "5e-324"), ("partition", "AI:3", "1e-320"),
     ("partition", "AI:3", "1e-323"), ("partition", "GI", "1e-320"),

@@ -236,7 +236,7 @@ def test_log_dims_in_blocks_is_one_product(group_id, limit, monkeypatch):
                                         (3, (4, 40)), (4, (3, 15))])
 def test_box_chunks_cover_the_box_once(rank, boxes):
     for box in boxes:
-        chunks = list(weights.box_chunks(rank, box))
+        chunks = list(weights.ball_chunks(rank, box, simplex=False))
         assert all(0 < len(c) <= weights.CHUNK_ROWS for c in chunks)
         rows = np.concatenate(chunks)
         assert rows.dtype == np.int64 and rows.shape == ((box + 1) ** rank, rank)

@@ -107,12 +107,13 @@ def _seconds(call):
 @pytest.mark.parametrize("group", ["SU:2", "SU:3", "Sp:1"])
 @pytest.mark.parametrize("area", [1e-300, 5e-324])
 def test_a_leading_term_past_the_float_range_is_inf(group, area):
-    # on Sp:1 at 5e-324 the factor mu |a|^2 A / 2 of the bound rounds to 0
+    # on Sp:1 at 5e-324 the factor mu |a|^2 A / 2 of the bound rounds to 0;
+    # an inf value bounds nothing, so its bound is inf too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = partition_type_II(group, SurfaceParams(0, area))
-    assert res.value == math.inf and res.tail_bound == 0.0
-    assert not (math.isfinite(res.value) and res.converged)
+    assert res.value == math.inf and res.tail_bound == math.inf
+    assert not res.converged
 
 
 @pytest.mark.parametrize("group", ["SU:2", "SU:3", "E8"])
@@ -167,3 +168,26 @@ def test_rank_one_heat_sum_holds_its_terms_in_bounded_memory():
         tracemalloc.stop()
     assert res.converged and res.terms_used > 3 << 15
     assert peak < 2 << 20
+
+
+def test_leading_terms_past_the_float_range_over_a_grid():
+    # at a small area Z0 ~ A^-(r/2+N) passes the float range while the dual
+    # tail bound underflows to 0: inf is no answer to a finite sum, so it
+    # comes back with bound inf, not converged, as a rank-one total past the
+    # float range does
+    groups = ("SU:2", "SU:3", "SO:5", "G2", "SU:4", "Sp:3", "F4", "E6", "E7", "E8")
+    past = set()
+    for group in groups:
+        table = dims.compile_group(group)
+        for area in (1e-300, 1e-200, 1e-100, 1e-60, 1e-40, 1e-20, 1e-10):
+            res = dual.heat_sum(table, area, 1e-8)
+            if res is not None and math.isfinite(res.value):
+                assert res.converged and res.tail_bound <= 1e-8, (group, area)
+            elif res is not None:
+                assert res.value == res.tail_bound == math.inf, (group, area)
+                assert not res.converged and res.rigorous
+                past.add((group, area))
+    assert len(past) == 47
+    assert {("SU:2", 1e-300), ("SU:3", 1e-300), ("SU:3", 1e-100), ("F4", 1e-20),
+            ("E6", 1e-20), ("E7", 1e-20), ("E8", 1e-20)} <= past
+    assert ("SU:3", 1e-60) not in past

@@ -353,7 +353,7 @@ def test_head_sum_equals_the_chunk_sum(ident, monkeypatch):
         assert math.comb(grade + rank, rank) <= weights.CHUNK_ROWS
         monkeypatch.setattr(weights, "_majorant_grade", lambda *args: (grade, 0.0))
         chunks = [(table.log_dims(rows), table.casimirs(rows))
-                  for rows in weights.simplex_chunks(rank, grade)]
+                  for rows in weights.ball_chunks(rank, grade, simplex=True)]
         for exponent in (-2.0, -1.0, 0.0, 1.0, 2.0, 3.0):
             for area in (0.05, 0.2, 1.0):
                 head = partition._shell_heat_sum(table, exponent, area, 1e-8)
@@ -376,12 +376,12 @@ def _direct_type_II(group, genus, area):
 def test_second_heat_sum_builds_no_chunk(monkeypatch):
     # a heat sum of at most CHUNK_ROWS weights reads the table's simplex
     # head, which keeps what the first call grew it to: a second call of
-    # the same query builds no simplex_chunks rows
+    # the same query builds no ball_chunks rows
     firsts = [_direct_type_II(*query) for query in _PAST_THE_OLD_HEAD]
     assert all(res.terms_used > 1024 for res in firsts)
-    calls, chunks = [], weights.simplex_chunks
-    monkeypatch.setattr(weights, "simplex_chunks",
-                        lambda *args: calls.append(args) or chunks(*args))
+    calls, chunks = [], weights.ball_chunks
+    monkeypatch.setattr(weights, "ball_chunks",
+                        lambda *args, **kwargs: calls.append(args) or chunks(*args, **kwargs))
     for query, first in zip(_PAST_THE_OLD_HEAD, firsts):
         assert _direct_type_II(*query) == first
     assert calls == []

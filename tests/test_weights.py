@@ -123,29 +123,42 @@ def test_dominant_condition_every_positive_root(group_id):
             assert val.denominator == 1 and val >= 0
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_simplex_chunks_is_lex_brute_force(rank):
+def _both_shapes(*cases):
+    """Each case of a ``ball_chunks`` test for the simplex and for the box;
+    the simplex keeps the ids it had before the box joined it."""
+    ids = ["-".join(map(str, case)) for case in cases]
+    return ([pytest.param(*case, True, id=i) for case, i in zip(cases, ids)]
+            + [pytest.param(*case, False, id=f"{i}-box") for case, i in zip(cases, ids)])
+
+
+def _lex_ball(rank, r, simplex):
+    """Every point of the box [0, r]^rank or of its simplex, coordinate sum
+    <= r, in lex order."""
+    return [n for n in product(range(r + 1), repeat=rank) if not simplex or sum(n) <= r]
+
+
+@pytest.mark.parametrize("rank,simplex", _both_shapes((1,), (2,), (3,), (4,)))
+def test_simplex_chunks_is_lex_brute_force(rank, simplex):
     for k in range(8):
-        chunks = list(weights.simplex_chunks(rank, k))
+        chunks = list(weights.ball_chunks(rank, k, simplex=simplex))
         assert all(c.dtype == np.int64 and c.shape[1] == rank for c in chunks)
         rows = np.concatenate(chunks)
-        brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) <= k]
-        assert list(map(tuple, rows.tolist())) == brute
+        assert list(map(tuple, rows.tolist())) == _lex_ball(rank, k, simplex)
 
 
-@pytest.mark.parametrize("rank,k,limit", [(1, 9, 4), (2, 9, 1), (2, 9, 7),
-                                          (3, 8, 5), (4, 6, 13), (5, 5, 40),
-                                          (2, 120, None), (3, 60, None)])
-def test_simplex_chunks_cover_once_within_the_row_limit(rank, k, limit, monkeypatch):
+@pytest.mark.parametrize("rank,k,limit,simplex", _both_shapes(
+    (1, 9, 4), (2, 9, 1), (2, 9, 7), (3, 8, 5), (4, 6, 13), (5, 5, 40),
+    (2, 120, None), (3, 60, None)))
+def test_simplex_chunks_cover_once_within_the_row_limit(rank, k, limit, simplex,
+                                                        monkeypatch):
     # small limits force the prefix splits; None keeps the module's own
     if limit is not None:
         monkeypatch.setattr(weights, "CHUNK_ROWS", limit)
-    chunks = list(weights.simplex_chunks(rank, k))
+    chunks = list(weights.ball_chunks(rank, k, simplex=simplex))
     assert max(len(c) for c in chunks) <= weights.CHUNK_ROWS
     rows = list(map(tuple, np.concatenate(chunks).tolist()))
     assert len(set(rows)) == len(rows)
-    brute = [n for n in product(range(k + 1), repeat=rank) if sum(n) <= k]
-    assert rows == brute
+    assert rows == _lex_ball(rank, k, simplex)
 
 
 # --- the exactly rounded sum of a region's terms ---

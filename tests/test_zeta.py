@@ -14,7 +14,7 @@ import pytest
 from wittenzeta import dims, partition, rootdata, specfun, weights, zeta
 from wittenzeta.errors import DivergenceError, DomainError, UnsupportedSpace
 from wittenzeta.partition import SurfaceParams, partition_type_II
-from wittenzeta.zeta import hurwitz_relation_check, zeta_type_I, zeta_type_II
+from wittenzeta.zeta import zeta_type_I, zeta_type_II
 
 
 def test_s3_at_one_is_basel():
@@ -196,14 +196,14 @@ def test_rank_one_vs_growing_box():
 def test_growing_box_evaluates_each_term_once(monkeypatch):
     # the certified box [0, B]^2 is summed once: terms_used == (B + 1)^2, from
     # a prefix of the table's head while it fits in weights.CHUNK_ROWS
-    # weights, in chunks of weights.box_chunks past that
-    table = dims.compile_space("AI:3")
-    chunks, sum_region = weights.box_chunks, weights.sum_region
+    # weights, in chunks past that.  weights.ball_chunks builds the rows of
+    # both: one chunk for a head grown from empty to the box, several past it
+    chunks, sum_region = weights.ball_chunks, weights.sum_region
     seen, summed = [], []
 
-    def recording_chunks(rank, box):
-        for rows in chunks(rank, box):
-            seen.extend(map(tuple, rows.tolist()))
+    def recording_chunks(rank, box, *, simplex):
+        for rows in chunks(rank, box, simplex=simplex):
+            seen.append(list(map(tuple, rows.tolist())))
             yield rows
 
     def recording_sum(terms, exponent, area):
@@ -211,22 +211,21 @@ def test_growing_box_evaluates_each_term_once(monkeypatch):
         summed.extend(v for log_dims, _ in terms for v in log_dims.tolist())
         return sum_region(terms, exponent, area)
 
-    monkeypatch.setattr(weights, "box_chunks", recording_chunks)
+    monkeypatch.setattr(weights, "ball_chunks", recording_chunks)
     monkeypatch.setattr(weights, "sum_region", recording_sum)
     for tol, max_box, head in ((1e-6, None, True), (1e-12, 16, True), (1e-12, 250, False)):
         seen.clear()
         summed.clear()
+        table = _fresh("I", "AI:3")
         res = zeta._growing_box(table, 2.0, tol, max_box)
         side = math.isqrt(res.terms_used)
         box = np.indices((side, side)).reshape(2, -1).T
         assert len(summed) == res.terms_used == side ** 2
         assert sorted(summed) == sorted(table.log_dims(box).tolist())
-        assert (res.terms_used <= weights.CHUNK_ROWS) == head
-        if head:
-            assert not seen
-        else:
-            assert max(max(n) for n in seen) + 1 == side
-            assert len(set(seen)) == len(seen) == res.terms_used
+        assert (res.terms_used <= weights.CHUNK_ROWS) == head == (len(seen) == 1)
+        rows = [n for chunk in seen for n in chunk]
+        assert max(max(n) for n in rows) + 1 == side
+        assert len(set(rows)) == len(rows) == res.terms_used
         assert res.converged == (max_box is None) and res.rigorous
 
 
@@ -270,10 +269,9 @@ def test_zeta_head_prefixes_are_the_boxes(kind, ident, simplex):
     rank, head = len(table.pairing), table._heads[simplex]
     top = weights.radius(rank, weights.CHUNK_ROWS, simplex=simplex)
     if simplex:
-        points, shell, area, chunks = _lex_simplex(rank, top), sum, 0.3, weights.simplex_chunks
+        points, shell, area = _lex_simplex(rank, top), sum, 0.3
     else:
-        points, shell, area, chunks = (list(itertools.product(range(top + 1), repeat=rank)),
-                                       max, 0.0, weights.box_chunks)
+        points, shell, area = list(itertools.product(range(top + 1), repeat=rank)), max, 0.0
     points.sort(key=shell)
     log_dims, casimirs = table.log_dims(np.array(points)), table.casimirs(np.array(points))
     for r in sorted({*range(0, top + 1, 3 if simplex else 1), top}):
@@ -286,7 +284,7 @@ def test_zeta_head_prefixes_are_the_boxes(kind, ident, simplex):
         assert np.array_equal(c2, casimirs[:count]) if simplex else c2 is None
         for s in (0.7, 2.0):
             chunked = ((table.log_dims(rows), table.casimirs(rows) if simplex else None)
-                       for rows in chunks(rank, r))
+                       for rows in weights.ball_chunks(rank, r, simplex=simplex))
             assert (weights.sum_region([(prefix, c2)], s, area)
                     == weights.sum_region(chunked, s, area))
     assert len(head.pair[0]) == len(points) <= weights.CHUNK_ROWS
@@ -629,13 +627,6 @@ def test_term_level_spot_check():
         assert numeric == pytest.approx(exact, rel=1e-9)
 
 
-@pytest.mark.parametrize("s", [2.0, 3.0, 1.2])
-def test_hurwitz_relation(s):
-    report = hurwitz_relation_check(2, s)
-    tol = 1e-10 if s >= 2 else 1e-8
-    assert abs(report["difference"]) < tol
-
-
 @pytest.mark.parametrize("s,tol", [(math.nan, 1e-8), (math.inf, 1e-8),
                                    (-math.inf, 1e-8), (2.0, math.nan),
                                    (2.0, math.inf), (2.0, 0.0), (2.0, -1e-8),
@@ -660,13 +651,6 @@ def test_bad_max_box_rejected_at_every_rank(max_box):
             fn(ident, 2.0, 1e-6, max_box)
 
 
-def test_hurwitz_relation_domain():
-    with pytest.raises(DomainError):
-        hurwitz_relation_check(3, 2.0)
-    with pytest.raises(DomainError):
-        hurwitz_relation_check(2, 2000.0)     # 0.5^(-2000) is past the float range
-
-
 @pytest.mark.parametrize("run,s", [(partial(zeta_type_II, "E8"), 0.05),
                                    (partial(zeta_type_I, "EI"), 0.1),
                                    (partial(zeta_type_II, "SU:3"), 2 / 3),
@@ -674,9 +658,9 @@ def test_hurwitz_relation_domain():
                                    (partial(zeta_type_II, "SU:2"), 1.0)])
 def test_proven_divergence_sums_no_box(monkeypatch, run, s):
     # s J <= rank, J the number of linear factors: divergent by the shell count
-    def no_box(*args):
+    def no_box(*args, **kwargs):
         raise AssertionError("a box was summed")
-    monkeypatch.setattr(weights, "box_chunks", no_box)
+    monkeypatch.setattr(weights, "ball_chunks", no_box)
     with pytest.raises(DivergenceError, match="<= rank"):
         run(s)
 
@@ -748,7 +732,7 @@ def test_rank_two_bound_holds_against_a_larger_box(ident, table):
         res = zeta._zeta(table, s, 1e-3, 64)
         assert res.rigorous and math.isfinite(res.tail_bound)
         box = 4 * (math.isqrt(res.terms_used) - 1)
-        big = math.fsum(x for rows in weights.box_chunks(2, box)
+        big = math.fsum(x for rows in weights.ball_chunks(2, box, simplex=False)
                         for x in np.exp(-s * table.log_dims(rows)).tolist())
         assert big <= res.value + res.tail_bound, (ident, s)
         assert res.value <= big + weights._box_bound(table, s)(box), (ident, s)
