@@ -94,7 +94,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kappa", required=True)
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = sub.add_parser("zetagen", help="rank-one zeta via the generating series")
+    p = sub.add_parser("zetagen", help="rank-one zeta at an integer s from its "
+                       "multi-factor series (pi_series)")
     p.add_argument("--space", required=True)
     p.add_argument("--s", type=int, required=True)
 

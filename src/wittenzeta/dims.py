@@ -31,6 +31,8 @@ from .result import Frozen
 from .specfun import bernoulli_polynomial
 
 _LOG_MAX = 709.0
+#: The most products of one block of ``LinearFactors.log_dims``
+_LOG_BLOCK = 1 << 18
 
 Coords = tuple[int, ...]
 
@@ -291,6 +293,9 @@ class LinearFactors(Frozen, _LinearFactorsFields):
             raise AssertionError("negative entry in the pairing matrix")
         if any(v < 0 for row in self.gram for v in row):
             raise AssertionError("basis Gram matrix has a negative entry")
+        # the parts by builder (``part``): a cache keyed by the table would
+        # hash it on every lookup, which is too slow
+        self.__dict__["_parts"] = {}
         return self
 
     @cached_property
@@ -304,47 +309,23 @@ class LinearFactors(Frozen, _LinearFactorsFields):
         import numpy as np
         return np.array(self.gram, dtype=float), np.array(self.lin, dtype=float)
 
-    @cached_property
-    def _heat(self) -> weights._HeatParts:
-        """What the majorant of a higher-rank heat sum needs of this table
-        alone, built on its first use (``weights._heat_parts``)."""
-        from . import weights
-        return weights._heat_parts(self)
-
-    @cached_property
-    def _box(self) -> weights._BoxParts:
-        """What the certificate of a higher-rank zeta box needs of this table
-        alone, built on its first use (``weights._box_parts``)."""
-        from . import weights
-        return weights._box_parts(self)
-
-    @cached_property
-    def _dual(self) -> dual._DualParts:
-        """What the Poisson dual of a genus-0 type II heat sum needs of this
-        group's table alone, built on its first use (``dual._dual_parts``)."""
-        from . import dual
-        return dual._dual_parts(self)
-
-    @cached_property
-    def _heads(self) -> tuple[weights.Head, weights.Head]:
-        """The heads the balls of a higher-rank sum are read from, the box's
-        and the simplex's, grown on demand from ``weights.ball_chunks``
-        (``weights.Head``)."""
-        from . import weights
-        return weights.Head(self, simplex=False), weights.Head(self, simplex=True)
+    def part(self, build):
+        """``build(self)``, what a sum needs of this table alone, built on the
+        first call and kept.  Calls that build at once all get the one kept."""
+        parts = self._parts
+        return parts[build] if build in parts else parts.setdefault(build, build(self))
 
     def log_dims(self, coords: np.ndarray) -> np.ndarray:
         """log d(n) for every row n of an integer coordinate array.
 
         Summed as log1p(L n / c), so d(0) = 1 comes out exactly and no large
-        logarithms cancel.  The rows go in blocks of at most 8 CHUNK_ROWS
+        logarithms cancel.  The rows go in blocks of at most ``_LOG_BLOCK``
         products (2 MiB), the divide and log1p in place on each, so the
         memory a call holds does not grow with the factor count J.
         """
         import numpy as np
-        from . import weights
         matrix, shifts = self._arrays
-        step, out = max(1, 8 * weights.CHUNK_ROWS // len(shifts)), np.empty(len(coords))
+        step, out = max(1, _LOG_BLOCK // len(shifts)), np.empty(len(coords))
         for start in range(0, len(coords), step):
             logs = coords[start:start + step] @ matrix
             np.divide(logs, shifts, out=logs)

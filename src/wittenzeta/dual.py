@@ -35,8 +35,9 @@ where the direct sum over the simplex is long.
 The degrees come from the table alone: c_j is the height of coroot j, and
 the exponents d_i - 1 are the parts of the partition dual to the counts of
 coroots of each height (Kostant).  What a table needs is built once, in
-integers and Fractions (``dims.LinearFactors._dual``); a sum then takes a
-few logarithms per class of equal terms.  Nothing here needs numpy.
+integers and Fractions (``_dual_parts``), and kept on the table
+(``dims.LinearFactors.part``); a sum then takes a few logarithms per class
+of equal terms.  Nothing here needs numpy.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import NamedTuple
 
-from . import genseries
+from . import genseries, rootdata
 from .result import EvalResult
 
 #: pi to 50 digits, for the constant of Z0, rounded once
@@ -62,25 +63,6 @@ def degrees(heights) -> list[int]:
     partition dual to the counts of coroots of each height."""
     counts = Counter(heights)
     return [1 + sum(1 for n in counts.values() if n >= i) for i in range(counts[1], 0, -1)]
-
-
-def _inverse(matrix) -> tuple[list[list[Q]], Q]:
-    """The inverse and the determinant of a nonsingular matrix, exact
-    (Gauss-Jordan)."""
-    r = len(matrix)
-    rows = [[Q(v) for v in row] + [Q(int(i == j)) for j in range(r)]
-            for i, row in enumerate(matrix)]
-    det = Q(1)
-    for k in range(r):
-        pivot = next(i for i in range(k, r) if rows[i][k])
-        if pivot != k:
-            rows[k], rows[pivot], det = rows[pivot], rows[k], -det
-        det *= rows[k][k]
-        rows[k] = [v / rows[k][k] for v in rows[k]]
-        for i in range(r):
-            if i != k and rows[i][k]:
-                rows[i] = [a - rows[i][k] * b for a, b in zip(rows[i], rows[k])]
-    return [row[r:] for row in rows], det
 
 
 def _norm(form, v) -> int:
@@ -129,7 +111,7 @@ def _short_vectors(form, bound: int) -> list[tuple[int, ...]]:
 
 class _DualParts(NamedTuple):
     """What the dual of a type II genus-0 heat sum needs of its table alone,
-    built once per table (``dims.LinearFactors._dual``)."""
+    built once per table (``_dual_parts``, by ``table.part``)."""
 
     rank: int
     roots: int              # N, the number of positive roots
@@ -156,7 +138,7 @@ def _dual_parts(table) -> _DualParts:
     (Chevalley).
     """
     r, n_roots = len(table.lin), len(table.shifts)
-    inverse, det = _inverse(table.gram)
+    inverse, det = rootdata.inverse(table.gram)
     scale = math.lcm(*(v.denominator for row in inverse for v in row))
     form = [[int(v * scale) for v in row] for row in inverse]      # scale G^-1
     columns = list(zip(*table.pairing))
@@ -249,7 +231,7 @@ def heat_sum(table, area: float, tolerance: float) -> EvalResult | None:
     converged.  ``terms_used`` counts the dual vectors read one by one: k = 0
     and every k of the shells."""
     genseries._check_tolerance(tolerance)
-    parts = table._dual
+    parts = table.part(_dual_parts)
     log_area = math.log(area)
     # the log of the constant of every term: e^{A |rho|^2} (pi/A)^{r/2} A^{-2N} / ...
     log_base = (area * parts.rho2 + parts.log_scale

@@ -10,12 +10,13 @@ coefficients sum to zero, which is also checked here in exact arithmetic.
 Every sum of the library fixes its goal, the tail bound at which it stops,
 before it sums a term (``_goal``): the tolerance or, when that is out of
 reach within the term cap, twice the bound at the cap.  The rank-one series
-(``_sum_with_tail``, here and in ``zeta``) pick their head from
-``certified_tail``; the higher-rank sums are in ``weights``, whose zeta box
-certificate takes the same tail rule from its series' moments
-(``moment_tail``).  Every tail bound comes from the cheap certified upper
-bound ``specfun.hurwitz_zeta_upper``; the one full-precision Hurwitz value,
-``hurwitz_zeta_certified``, is the rank-one estimate at its final head.
+(``_sum_with_tail``, here and in ``zeta``) pick their head from the tail
+rule ``moment_tail`` at their factors' moments (``tail_moments``); the
+higher-rank sums are in ``weights``, whose zeta box certificate takes the
+same rule from its series' moments.  Every tail bound comes from the cheap
+certified upper bound ``specfun.hurwitz_zeta_upper``; the one
+full-precision Hurwitz value, ``hurwitz_zeta_certified``, is the rank-one
+estimate at its final head.
 """
 from __future__ import annotations
 
@@ -69,14 +70,6 @@ def _goal(cap_bound: float, tolerance: float) -> float:
     """The tail bound at which a sum stops: the tolerance or, when the bound
     at the term cap misses it, twice that bound."""
     return tolerance if cap_bound <= tolerance else 2.0 * cap_bound
-
-
-def certified_tail(kappas: list[float], powers: list[float]):
-    """start -> (a, bound) of sum_{n >= start} prod_j (n+kappa_j)^(-p_j), every
-    p_j > 0, their sum P > 1, start > -kappa_min: the tail of ``moment_tail``
-    at the moments of the factors (``tail_moments``).
-    """
-    return moment_tail(*tail_moments(kappas, powers))
 
 
 def tail_moments(kappas: list[float], powers: list[float]
@@ -213,13 +206,13 @@ def _series_tail(kappas: list[float], powers: list[float], scale_log: float, cap
     ``zeta_type_I("S:6", 0.25, 1e-10)`` would end unconverged at 45,961
     terms with the bound 1.0009e-10.
 
-    Where ``certified_tail`` has no float bound (NaN) the tail is bounded in
+    Where ``moment_tail`` has no float bound (NaN) the tail is bounded in
     logs, as the zeta box certificate does (``log_first_order``).  That
     bound at start = 1 is ``top``.
     """
     total = sum(powers)
     factors = list(zip(powers, kappas))
-    tails = certified_tail(kappas, powers)
+    tails = moment_tail(*tail_moments(kappas, powers))
     top = _exp(scale_log + log_first_order(factors, total, 1))
     rel = _head_error(scale_log, total, len(kappas), max(
         abs(math.log(1.0 + min(kappas))), abs(math.log(cap + max(kappas)))))

@@ -10,6 +10,7 @@ cached; descriptors are safe to share between threads.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
@@ -28,6 +29,30 @@ FAMILIES = ("A", "B", "C", "D", "BC", "E6", "E7", "E8", "F4", "G2")
 def _inner(x: Doubled, y: Doubled) -> int:
     """Inner product of two doubled vectors: four times that of the vectors."""
     return sum(map(mul, x, y))
+
+
+def inverse(matrix) -> tuple[list[list[Q]], Q]:
+    """The inverse and the determinant of a positive definite rational
+    matrix M, exact.
+
+    Fraction-free Gauss-Jordan on [D M | I] (Bareiss, Math. Comp. 22, 1968),
+    D the least common denominator of M: every division is exact, no pivot
+    is zero as M is positive definite, and the last pivot d = det(D M)
+    leaves d (D M)^-1 on the right, so M^-1 = D right / d.
+    """
+    r = len(matrix)
+    den = math.lcm(*(v.denominator for row in matrix for v in row))
+    rows = [[int(v * den) for v in row] + [int(i == j) for j in range(r)]
+            for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(r):
+        pivot = rows[k][k]
+        for i in range(r):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], rows[k])]
+        prev = pivot
+    return [[Q(den * v, prev) for v in row[r:]] for row in rows], Q(prev, den ** r)
 
 
 def _twice(dim: int, *entries: tuple[int, int]) -> Doubled:
@@ -163,22 +188,10 @@ class RestrictedRootSystem(Frozen, _RestrictedRootSystemFields):
         """The inverse Gram matrix W: row i holds the coefficients on the simple
         roots of the w_i with (w_i, alpha_j) = delta_ij.
 
-        So (w_i, alpha) is alpha's i-th coefficient and (w_i, w_k) = W_ik.
-        Fraction-free Gauss-Jordan on [4G | I] (Bareiss, Math. Comp. 22, 1968):
-        every division is exact, no pivot is zero as G is positive definite,
-        and the last pivot d leaves d (4G)^-1 on the right, so W = 4 right / d.
+        So (w_i, alpha) is alpha's i-th coefficient and (w_i, w_k) = W_ik,
+        W = 4 (4G)^-1 (``inverse``).
         """
-        r = self.rank
-        rows = [list(g) + [int(i == j) for j in range(r)] for i, g in enumerate(self.gram4)]
-        prev = 1
-        for k in range(r):
-            pivot = rows[k][k]
-            for i in range(r):
-                if i != k:
-                    f = rows[i][k]
-                    rows[i] = [(pivot * a - f * b) // prev for a, b in zip(rows[i], rows[k])]
-            prev = pivot
-        return tuple(tuple(Q(4 * v, prev) for v in row[r:]) for row in rows)
+        return tuple(tuple(4 * v for v in row) for row in inverse(self.gram4)[0])
 
     def pairing_matrix(self, scales: tuple[Q, ...]) -> tuple[tuple[int, ...], ...]:
         """Row i, column j: (b_i, alpha_j)/(alpha_j, alpha_j) for the weight basis

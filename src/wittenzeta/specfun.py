@@ -177,16 +177,11 @@ def hurwitz_zeta_upper(s: float, a: float) -> float:
     return total * (1.0 + 1e-15 * (m + 8))
 
 
-def hurwitz_zeta(s: float, a: float) -> float:
-    """sum_{n>=0} (n+a)^(-s) for s > 1, a > 0; absolute error below 1e-12."""
-    return hurwitz_zeta_certified(s, a)[0]
-
-
 def riemann_zeta(s: float) -> float:
     """zeta(s) for s > 1."""
     if s <= 1.0:
         raise DomainError(f"riemann_zeta requires s > 1, got {shown(s)}")
-    return hurwitz_zeta(s, 1.0)
+    return hurwitz_zeta_certified(s, 1.0)[0]
 
 
 def _legendre_pair(n: int, x: float) -> tuple[float, float]:

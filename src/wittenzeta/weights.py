@@ -11,18 +11,20 @@ i (weighted AM-GM).  ``_box_bound`` bounds the zeta sum outside a box by
 one-coordinate series, each tailed by ``genseries.moment_tail`` from the
 cheap upper bound ``specfun.hurwitz_zeta_upper``; it takes the shares,
 shifts, powers and moments of all rank^2 of them in a few array passes,
-from what it needs of its table alone (``_box_parts``, built once per
-table), and ``_least_side`` finds the least side that meets the goal from
-a few of those bounds.  ``_majorant_logs`` bounds a
-heat term by prod_i h_i(n_i), whose sum past coordinate sum K is a
-coefficient tail of a product of one-coordinate series, so
-``_majorant_grade`` knows the least K that meets the tolerance; what it
-needs of its table alone is built once per table (``_heat_parts``).
+from what it needs of its table alone (``_box_parts``), and
+``_least_side`` finds the least side that meets the goal from a few of
+those bounds.  ``_majorant_logs`` bounds a heat term by prod_i h_i(n_i),
+whose sum past coordinate sum K is a coefficient tail of a product of
+one-coordinate series, so ``_majorant_grade`` knows the least K that meets
+the tolerance, from what it needs of its table alone (``_heat_parts``).
+Each such part is built once per table and kept on it
+(``dims.LinearFactors.part``).
 
 ``ball`` hands ``sum_region`` the (log d, c2) pairs of a ball: a ball of at
 most ``CHUNK_ROWS`` points is a prefix of the table's head of that shape
-(``Head``), which grows on demand, and a larger one comes in chunks.  Every
-row of either shape, head or chunk, comes from ``ball_chunks``.
+(``Head``, kept on the table as a part, ``_heads``), which grows on demand,
+and a larger one comes in chunks.  Every row of either shape, head or
+chunk, comes from ``ball_chunks``.
 ``sum_region`` rounds the sum of each pair's terms once, as ``math.fsum``
 does, but from a few array passes (``_exact_sum``, an error-free vector
 extraction); ``math.fsum`` itself takes the few terms, the rare cases the
@@ -73,10 +75,10 @@ def radius(rank: int, points: int, *, simplex: bool) -> int:
 
 
 class Head:
-    """A table's head of one ball shape (``dims.LinearFactors._heads``): log d,
-    and c2 for the simplex, over a ball in shells of sup-norm (box) or of
-    coordinate sum (simplex), lex order within one, so that every ball of a
-    smaller radius is a prefix of it.
+    """A table's head of one ball shape (``_heads``): log d, and c2 for the
+    simplex, over a ball in shells of sup-norm (box) or of coordinate sum
+    (simplex), lex order within one, so that every ball of a smaller radius
+    is a prefix of it.
 
     It starts empty.  When a ball past it is asked for, it grows to the
     larger of that ball and the largest ball of at most twice its rows,
@@ -110,13 +112,18 @@ class Head:
         return log_dims[:count], None if casimirs is None else casimirs[:count]
 
 
+def _heads(table) -> tuple[Head, Head]:
+    """The table's heads, the box's and the simplex's (``table.part``)."""
+    return Head(table, simplex=False), Head(table, simplex=True)
+
+
 def ball(table, r: int, *, simplex: bool):
     """The (log d, c2) pairs of ``sum_region`` over a table's ball of radius
     r, c2 None for the box: one prefix of the table's head when the ball
     holds at most CHUNK_ROWS points, else one pair per chunk."""
     rank = len(table.pairing)
     if ball_size(rank, r, simplex=simplex) <= CHUNK_ROWS:
-        return [table._heads[simplex].prefix(r)]
+        return [table.part(_heads)[simplex].prefix(r)]
     return ((table.log_dims(rows), table.casimirs(rows) if simplex else None)
             for rows in ball_chunks(rank, r, simplex=simplex))
 
@@ -238,7 +245,7 @@ def _exact_sum(values: np.ndarray) -> float:
 
 class _BoxParts(NamedTuple):
     """What the box certificate needs of its table alone, built once per
-    table (``dims.LinearFactors._box``).  The arrays run over (region i,
+    table (``_box_parts``, by ``table.part``).  The arrays run over (region i,
     coordinate k, factor j), or (k, j), or are flat indices into the
     (i, k, j) arrays."""
 
@@ -332,7 +339,7 @@ def _box_bound(table: dims.LinearFactors, s: float):
     """
     import numpy as np
     s = min(s, 1e300)
-    parts, need = table._box, 1.2 / s
+    parts, need = table.part(_box_parts), 1.2 / s
     moves = [max(0.0, min([1.0] + [(parts.sums[k] - need) / g
                                    for k, g in enumerate(gives) if k != i and g > 0]))
              for i, gives in enumerate(parts.gives)]
@@ -454,7 +461,7 @@ def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...
 
 class _HeatParts(NamedTuple):
     """What the majorant of a higher-rank heat sum needs of its table alone,
-    built once per table (``dims.LinearFactors._heat``)."""
+    built once per table (``_heat_parts``, by ``table.part``)."""
 
     totals: np.ndarray                  # sum_i L_ij, the shares' denominators
     gauss: list[tuple[float, float]]    # (G_ii, lin_i) of the ratio bound
@@ -483,7 +490,7 @@ def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
     w_ij = L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij = -exponent
     w_ij when exponent > 0.
     """
-    parts = table._heat
+    parts = table.part(_heat_parts)
     upper, lower, quadratic = (parts.rows if top <= _FIRST_CUT + 2
                                else _majorant_rows(table, top))
     if exponent > 0.0:
@@ -515,7 +522,7 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
     logarithms and convolutions are numpy's.
     """
     import numpy as np
-    gauss = table._heat.gauss
+    gauss = table.part(_heat_parts).gauss
     k_cap = radius(len(gauss), cap, simplex=True)
     log_tol = math.log(tolerance)
     cut = min(_FIRST_CUT, k_cap)

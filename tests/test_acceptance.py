@@ -50,16 +50,17 @@ def test_criterion_02_rank_one_zeta_values():
 
 
 def test_criterion_03_hurwitz_relation():
-    from wittenzeta.specfun import hurwitz_zeta, riemann_zeta
+    from wittenzeta.specfun import hurwitz_zeta_certified, riemann_zeta
     worst_rel = 0.0
     for s in (2.0, 3.0, 5.0):
         # zeta_I(S:2, s) = 2^-s zeta(s, 1/2)
-        difference = zeta.zeta_type_I("S:2", s, 1e-12).value - 2.0 ** -s * hurwitz_zeta(s, 0.5)
+        difference = (zeta.zeta_type_I("S:2", s, 1e-12).value
+                      - 2.0 ** -s * hurwitz_zeta_certified(s, 0.5)[0])
         worst_rel = max(worst_rel, abs(difference))
         assert abs(difference) < 1e-10, s
     worst_id = 0.0
     for s in (2.0, 3.0, 5.0):
-        resid = abs(hurwitz_zeta(s, 0.5) - (2 ** s - 1) * riemann_zeta(s))
+        resid = abs(hurwitz_zeta_certified(s, 0.5)[0] - (2 ** s - 1) * riemann_zeta(s))
         worst_id = max(worst_id, resid)
         assert resid < 1e-11, s
     _report(f"criterion 3: PASS hurwitz relation worst diff={worst_rel:.2e}, "

@@ -114,6 +114,23 @@ def test_every_function_is_referenced_or_kept():
     assert dead == []
 
 
+def test_the_table_layer_names_no_sum_built_on_it():
+    # weights and dual build their sums on dims' compiled tables and keep
+    # what they need of a table on it (``LinearFactors.part``), so dims
+    # neither imports nor names either module
+    named = set()
+    for node in ast.walk(ast.parse((SRC / "dims.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.update(node.name.split("."))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            named.update(node.module.split("."))
+    assert named & {"weights", "dual"} == set()
+
+
 def test_every_kept_name_is_defined():
     defined = _scan()[0]
     assert set(KEPT) <= {qualified for qualified, _, _ in defined}

@@ -219,17 +219,60 @@ def test_float_casimirs_match_exact(kind, ident):
 @pytest.mark.parametrize("limit", [None, 64])
 def test_log_dims_in_blocks_is_one_product(group_id, limit, monkeypatch):
     # log_dims takes its rows in blocks, so that its N x J product stays
-    # within 8 CHUNK_ROWS floats; a row's sum is its own, so the blocks give
+    # within _LOG_BLOCK floats; a row's sum is its own, so the blocks give
     # the floats of one product over every row
     if limit is not None:
-        monkeypatch.setattr(weights, "CHUNK_ROWS", limit)
+        monkeypatch.setattr(dims, "_LOG_BLOCK", 8 * limit)
     table = dims.compile_group(group_id)
     matrix, shifts = table._arrays
     rows = np.random.default_rng(0).integers(0, 60, size=(9000, len(table.lin)))
-    blocks = -(-len(rows) // (8 * weights.CHUNK_ROWS // len(shifts)))
+    blocks = -(-len(rows) // (dims._LOG_BLOCK // len(shifts)))
     assert blocks > 1 or (group_id, limit) in (("SU:3", None), ("F4", None))
     assert np.array_equal(table.log_dims(rows), np.log1p((rows @ matrix) / shifts).sum(axis=1))
     assert table.log_dims(rows[:0]).shape == (0,)
+
+
+def _counting():
+    """A part builder that records each table it builds for."""
+    built = []
+
+    def build(table):
+        built.append(table)
+        return object()
+    return build, built
+
+
+def test_part_builds_once_per_table():
+    build, built = _counting()
+    table = dims.LinearFactors(*dims.compile_group("SU:3"))
+    other = dims.LinearFactors(*dims.compile_group("SU:3"))
+    first = table.part(build)
+    assert table.part(build) is first and len(built) == 1 and built[0] is table
+    assert other.part(build) is not first and len(built) == 2 and built[1] is other
+    assert other.part(build) is other.part(build) and len(built) == 2
+
+
+def test_part_keeps_the_first_stored_when_builds_overlap():
+    # a build that starts while another is under way, as two threads' first
+    # calls may, stores its part first; the outer call returns that one
+    table, inner = dims.LinearFactors(*dims.compile_space("AI:3")), []
+
+    def build(t):
+        if not inner:
+            inner.append(None)
+            inner[0] = t.part(build)
+        return object()
+    assert table.part(build) is inner[0] is table.part(build)
+
+
+def test_a_replaced_table_starts_with_no_parts():
+    build, built = _counting()
+    table = dims.LinearFactors(*dims.compile_group("SU:3"))
+    table.part(build)
+    copy = table._replace()
+    assert copy == table and copy is not table
+    copy.part(build)
+    assert len(built) == 2 and built[1] is copy
 
 
 @pytest.mark.parametrize("rank,boxes", [(1, (5, 40000)), (2, (7, 200)),

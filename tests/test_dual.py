@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from wittenzeta import dims, dual, partition
+from wittenzeta import dims, dual, partition, rootdata
 from wittenzeta.partition import SurfaceParams, partition_type_II
 
 #: the degrees of the Weyl group of each group, from the classification
@@ -37,8 +37,8 @@ def test_shells_count_every_short_dual_vector(group):
     # the shells keep one dominant k per Weyl orbit, weighted by the orbit's
     # size; that weight must count every k of norm up to twice the least
     table = dims.compile_group(group)
-    parts = table._dual
-    inverse, _ = dual._inverse(table.gram)
+    parts = table.part(dual._dual_parts)
+    inverse, _ = rootdata.inverse(table.gram)
     scale = math.lcm(*(v.denominator for row in inverse for v in row))
     form = [[int(v * scale) for v in row] for row in inverse]
     every = dual._short_vectors(form, round(2 * parts.least * scale))
@@ -83,7 +83,8 @@ def test_benchmark_sphere_queries_take_the_dual_where_it_certifies(group, taken)
     direct = partition._shell_heat_sum(table, -2.0, 0.2, 1e-8)
     assert res.converged and res.rigorous
     if taken:
-        assert res.terms_used == 1 + table._dual.vectors and res.tail_bound < 1e-25
+        assert res.terms_used == 1 + table.part(dual._dual_parts).vectors \
+            and res.tail_bound < 1e-25
         assert res.value == pytest.approx(direct.value, rel=1e-12)
     else:
         assert res == direct

@@ -266,7 +266,7 @@ def test_zeta_head_prefixes_are_the_boxes(kind, ident, simplex):
     # sum gives; the head grows ball by ball from empty and keeps the rows
     # it had.  The simplex takes every third radius and the last
     table = _fresh(kind, ident)
-    rank, head = len(table.pairing), table._heads[simplex]
+    rank, head = len(table.pairing), table.part(weights._heads)[simplex]
     top = weights.radius(rank, weights.CHUNK_ROWS, simplex=simplex)
     if simplex:
         points, shell, area = _lex_simplex(rank, top), sum, 0.3
@@ -296,7 +296,7 @@ def test_zeta_head_grows_on_demand(kind, ident, simplex):
     # ball; each growth keeps it within CHUNK_ROWS and within the larger of
     # the ball asked and twice its rows before
     table = _fresh(kind, ident)
-    rank, head = len(table.pairing), table._heads[simplex]
+    rank, head = len(table.pairing), table.part(weights._heads)[simplex]
     if simplex:
         res = partition._shell_heat_sum(table, 0.0, 50.0, 1.0)
         assert len(head.pair[0]) == len(head.pair[1]) == res.terms_used == 1
@@ -316,7 +316,7 @@ def test_su3_head_covers_its_box():
     table = _fresh("II", "SU:3")
     res = zeta._zeta(table, 2.0, 1e-6, None)
     assert res.terms_used == 26_569
-    assert 26_569 <= len(table._heads[False].pair[0]) <= weights.CHUNK_ROWS
+    assert 26_569 <= len(table.part(weights._heads)[False].pair[0]) <= weights.CHUNK_ROWS
     assert res == zeta_type_II("SU:3", 2.0, 1e-6)
 
 
