@@ -11,7 +11,9 @@ Every sum of the library fixes its goal, the tail bound at which it stops,
 before it sums a term (``_goal``): the tolerance or, when that is out of
 reach within the term cap, twice the bound at the cap.  The rank-one series
 (``_sum_with_tail``, here and in ``zeta``) pick their head from the tail
-rule ``moment_tail`` at their factors' moments (``tail_moments``); the
+rule ``moment_tail`` at their factors' moments (``tail_moments``), and sum
+it over the s-free log-dimensions of a ``Series``, which a compiled
+rank-one table keeps; the
 higher-rank sums are in ``weights``, whose zeta box certificate takes the
 same rule from its series' moments.  Every tail bound comes from the cheap
 certified upper bound ``specfun.hurwitz_zeta_upper``; the one
@@ -76,15 +78,19 @@ def tail_moments(kappas: list[float], powers: list[float]
                  ) -> tuple[float, float, float, float, float]:
     """(P, kbar, spread, V, kappa_min) of the factors prod_j (n+kappa_j)^(-p_j):
     the total power P = sum p_j, the power-weighted mean shift kbar,
-    max|kappa_j - kbar|, V = sum p_j (kappa_j - kbar)^2 and the least shift.
-    ``weights._box_bound`` takes the same moments of many series at once, in
-    array passes."""
+    max|kappa_j - kbar|, V = sum p_j (kappa_j - kbar)^2 (inf past the float
+    range) and the least shift.  Scaling every power by s scales P and V by
+    s and leaves the rest (``Series``).  ``weights._box_bound`` takes the
+    same moments of many series at once, in array passes."""
     total = sum(powers)
     kbar = sum([p * k for p, k in zip(powers, kappas)]) / total
     least = min(kappas)
     # max |kappa_j - kbar|, exact as rounding is monotone
     spread = max(max(kappas) - kbar, kbar - least)
-    v = sum([p * (k - kbar) ** 2 for p, k in zip(powers, kappas)])
+    try:
+        v = sum([p * (k - kbar) ** 2 for p, k in zip(powers, kappas)])
+    except OverflowError:       # a shift some 1e154 from the mean
+        v = math.inf
     return total, kbar, spread, v, least
 
 
@@ -107,8 +113,8 @@ def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: f
 
         |prod - (n+kbar)^(-P)| <= 2 V (n+kbar)^(-P-2)
 
-    valid for n + kbar >= 2 max|kappa_j - kbar| and V <= (n+kbar)^2 / 2.
-    There the tail is zeta(P, a), a = start + kbar, within bound = 2 V
+    valid for n + kbar >= 2 max|kappa_j - kbar| and a finite V <= (n+kbar)^2
+    / 2.  There the tail is zeta(P, a), a = start + kbar, within bound = 2 V
     zeta(P+2, a).  Before that it is bounded to first order: each term is at
     most (n + kappa_min)^(-P), so the tail is at most bound = zeta(P, start +
     kappa_min), and a is None.  Every zeta here is the certified upper bound
@@ -119,7 +125,7 @@ def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: f
     """
     def tail(start: int) -> tuple[float | None, float]:
         a = start + kbar
-        if a > 1.0 and spread <= 0.5 * a and v <= 0.5 * a * a:
+        if a > 1.0 and spread <= 0.5 * a and v <= 0.5 * a * a and v < math.inf:
             return a, 2.0 * v * _upper(total + 2.0, a) if v > 0.0 else 0.0
         return None, _upper(total, start + kappa_min)
 
@@ -129,6 +135,17 @@ def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: f
 def _exp(x: float) -> float:
     """exp(x), inf past the float range (``dims._LOG_MAX``)."""
     return math.exp(x) if x <= dims._LOG_MAX else math.inf
+
+
+#: The least positive float 2^-1074: below the normal range a rounding errs
+#: by up to this much, whatever the result.
+_TINY = 2.0 ** -1074
+
+
+def _up(x: float) -> float:
+    """A computed bound x on a positive quantity, raised by ``_TINY`` where it
+    is below the normal range, so that it never reads 0."""
+    return x if x >= sys.float_info.min else x + _TINY
 
 
 def _scaled(scale_log: float, x: float) -> float:
@@ -161,10 +178,13 @@ def _scaling_error(scale_log: float, x: float) -> float:
 def _estimate_error(scale_log: float, value: float, err: float, scaled: float) -> float:
     """A bound on the distance of the estimate, scaled = ``_scaled(scale_log,
     value)``, from the scaled tail, given |value - tail| <= err: its own
-    rounding and err, scaled alike."""
-    if scaled > 0.0:
+    rounding and err, scaled alike.  Below the normal range the scaling keeps
+    no relative accuracy, and the bound is on both: twice the scaled value +
+    err, its exponent raised by its own error, plus ``_TINY``."""
+    if scaled >= sys.float_info.min:
         return scaled * (_scaling_error(scale_log, value) + err / value)
-    return _scaled(scale_log, err)
+    reach = value + err
+    return 2.0 * _exp(scale_log + math.log(reach) + _scaling_error(scale_log, reach)) + _TINY
 
 
 def _addition_error(x: float, y: float) -> float:
@@ -174,33 +194,101 @@ def _addition_error(x: float, y: float) -> float:
     return abs((x - (total - back)) + (y - back))
 
 
-def _head_error(scale_log: float, total: float, count: int, log_span: float) -> float:
-    """A bound, relative to head_sum, on the distance of head_sum, the fsum
-    of a head's terms exp(y_m), y_m = scale_log - sum_j p_j log(m +
-    kappa_j) over ``count`` factors of total power P, from their exact sum,
-    given log_span >= |log(m + kappa_j)| for every m of the head and every j.
+#: The kept prefix of a ``Series`` holds at most this many log-dimensions,
+#: and a longer head reads the rest in blocks of this many.
+_HEAD_BLOCK = 1024
 
-    The fsum rounds once: u.  In y_m each shift, product, partial sum and
-    the difference round once and each logarithm is within an ulp, so y_m
-    errs by at most E = (J + 3) Y u, Y = |scale_log| + P (1 + log_span),
-    and exp adds an ulp: each term is within 1.01 (E + 2u) of its value, and
-    the head's terms, against head_sum, within rho = 1.02 (E + 2u), while
-    rho <= 2^-10 (else inf).
+
+def _log_dims(factors: list[tuple[float, float]], lo: int, hi: int) -> list[float]:
+    """l_m = sum_j xi_j log(m + kappa_j), m = lo..hi-1, over the (xi_j,
+    kappa_j) of ``factors``, the sum over j from left to right: one list per
+    factor, then the sums.  The rank-one twin of ``LinearFactors.log_dims``."""
+    columns = [[xi * math.log(m + k) for m in range(lo, hi)] for xi, k in factors]
+    return list(map(sum, zip(*columns)))
+
+
+class Series:
+    """The parts of a rank-one series sum_{n >= 1} exp(-s log c) prod_j (n +
+    kappa_j)^(-s xi_j) that do not depend on s (``_sum_with_tail``): the
+    factors (xi_j, kappa_j), log c, the moments of ``tail_moments`` at s = 1
+    and a prefix of the log-dimensions l_m of ``_log_dims``, m = 1, 2, ...;
+    the n-th term is exp(-s log c - s l_n).
+
+    The prefix starts empty.  When a head past it is asked for, it grows to
+    the larger of that head and twice its length, never past
+    ``_HEAD_BLOCK`` terms; a longer head reads the rest block by block and
+    keeps none of it.  A call reads one stored prefix throughout, so calls
+    that grow it at once still get the right values; the last one stored
+    is kept.  A compiled rank-one table keeps one (``zeta._series``);
+    ``pi_series`` and ``gen_series_direct`` build one per call.
     """
-    rho = 1.02 * _U * ((count + 3) * (abs(scale_log) + total * (1.0 + log_span)) + 2.0)
-    return _U + rho if rho <= 2.0 ** -10 else math.inf
+
+    def __init__(self, kappas: list[float], xis: list[float], log_c: float = 0.0):
+        self.factors = list(zip(xis, kappas))
+        self.log_c = log_c
+        self.moments = tail_moments(kappas, xis)
+        self.logs = []
+
+    def prefix(self, head: int) -> list[float]:
+        """The kept log-dimensions, grown to hold at least min(head, _HEAD_BLOCK)."""
+        logs = self.logs
+        if len(logs) < min(head, _HEAD_BLOCK):
+            size = min(max(head, 2 * len(logs)), _HEAD_BLOCK)
+            logs = logs + _log_dims(self.factors, len(logs) + 1, size + 1)
+            self.logs = logs
+        return logs
+
+    def log_dims(self, head: int):
+        """l_1, ..., l_head in blocks: the kept prefix's, then ``_log_dims``'s."""
+        yield self.prefix(head)[:head]
+        for lo in range(_HEAD_BLOCK + 1, head + 1, _HEAD_BLOCK):
+            yield _log_dims(self.factors, lo, min(lo + _HEAD_BLOCK, head + 1))
 
 
-def _series_tail(kappas: list[float], powers: list[float], scale_log: float, cap: int):
-    """(head -> (a, bound, search bound), rel) for the series of
+def _head_error(scale_log: float, s: float, first: float, total: float, count: int,
+                log_span: float):
+    """(head_sum, tiny) -> a bound on the distance of head_sum, the fsum of
+    a head's terms t_m = exp(y_m), y_m = scale_log - s l_m (``Series``), from
+    their exact sum, where ``tiny`` of the terms are below the normal range;
+    ``count`` factors of total power P = s sum xi_j, log_span >= |log(m +
+    kappa_j)| for every m of the head and every j, and first = l_1.
+
+    In l_m each shift, product and partial sum rounds once and each
+    logarithm is within an ulp, and s l_m and y_m round once more each, so
+    y_m errs by at most E = (J + 4) Y u, Y = |scale_log| + P (1 + log_span),
+    one more rounding than a term exp(scale_log - sum_j s xi_j log(m +
+    kappa_j)) made at once.  A term in the normal range is then within rho = 1.02
+    (E + 2u) of its value, exp adding an ulp, while rho <= 2^-10, and the
+    fsum rounds once: u + rho of head_sum.  A term below the normal range
+    also loses up to ``_TINY`` to rounding, and the fsum up to half that:
+    2 ``_TINY`` each.  Past rho = 2^-10 the bound holds only a head of
+    zeros whose largest term, the first, is below ``_TINY`` even with E
+    added to its exponent: 2 ``_TINY`` a term; else it is inf.
+    """
+    # u inside the sum keeps E finite at s up to the float range
+    exponent = (count + 4) * (_U * abs(scale_log) + _U * total * (1.0 + log_span))
+    rho = 1.02 * (exponent + 2.0 * _U)
+    rel = _U + rho if rho <= 2.0 ** -10 else math.inf
+    zeros = scale_log - s * first + exponent <= -745.0     # exp(-745) < 2^-1074
+
+    def error(head_sum: float, tiny: int) -> float:
+        if rel < math.inf:
+            return rel * head_sum + 2.0 * _TINY * tiny
+        return 2.0 * _TINY * tiny if head_sum == 0.0 and zeros else math.inf
+
+    return error
+
+
+def _series_tail(series: Series, s: float, cap: int):
+    """(head -> (a, bound, search bound), error) for the series of
     ``_sum_with_tail`` after n = head <= cap: the pinned argument of its
     estimate (None when the estimate is 0), the scaled bound on the tail's
     distance from that estimate, and what the head search reads, that bound
     plus the evaluation's error as bounded before the evaluation: the
-    estimate's (``specfun.hurwitz_zeta_error``, ``_estimate_error``, at an
-    upper bound on zeta(P, a)), the head's and the addition's, at a head sum
-    and value of ``top``, which bounds the sum; rel is the head's relative
-    error (``_head_error``).
+    estimate's (``_estimate_error`` at an upper bound on zeta(P, a), with
+    ``specfun.hurwitz_zeta_error``), the head's (``_head_error``, at a head
+    sum of ``top``, which bounds the sum, every term below the normal range)
+    and the addition's; error is the head's error (``_head_error``).
     Without the rounding in the search, a bound that the bisection leaves
     just below the tolerance can miss it once the rounding is added:
     ``zeta_type_I("S:6", 0.25, 1e-10)`` would end unconverged at 45,961
@@ -208,15 +296,17 @@ def _series_tail(kappas: list[float], powers: list[float], scale_log: float, cap
 
     Where ``moment_tail`` has no float bound (NaN) the tail is bounded in
     logs, as the zeta box certificate does (``log_first_order``).  That
-    bound at start = 1 is ``top``.
+    bound at start = 1 is ``top``.  A bound on a positive tail never reads
+    0 (``_up``).
     """
-    total = sum(powers)
-    factors = list(zip(powers, kappas))
-    tails = moment_tail(*tail_moments(kappas, powers))
-    top = _exp(scale_log + log_first_order(factors, total, 1))
-    rel = _head_error(scale_log, total, len(kappas), max(
-        abs(math.log(1.0 + min(kappas))), abs(math.log(cap + max(kappas)))))
-    rounding = rel * top + _U * top if top else 0.0
+    total, kbar, spread, v, least = series.moments
+    total, scale_log = s * total, -s * series.log_c
+    tails = moment_tail(total, kbar, spread, s * v, least)
+    most = max(k for _, k in series.factors)
+    first = series.prefix(min(16, cap))[0]      # every head has at least so many terms
+    top = _exp(scale_log - s * first + math.log1p((1.0 + most) / (total - 1.0)))
+    error = _head_error(scale_log, s, first, total, len(series.factors), max(
+        abs(math.log(1.0 + least)), abs(math.log(cap + most))))
     known = {}
 
     def tail(head: int) -> tuple[float | None, float, float]:
@@ -227,35 +317,23 @@ def _series_tail(kappas: list[float], powers: list[float], scale_log: float, cap
             upper = 0.0 if a is None else a ** -total + a ** (1.0 - total) / (total - 1.0)
             if not upper >= sys.float_info.min and a is not None:
                 upper = math.nan
-            err = rounding
+            err = error(top, head) + _U * top if top else error(0.0, head)
             if not (bound >= 0.0 and upper >= 0.0):     # a NaN: no float bound
-                a, bound = None, _exp(scale_log + log_first_order(factors, total, head + 1))
+                factors = [(s * xi, k) for xi, k in series.factors]
+                a, bound = None, _up(_exp(scale_log + log_first_order(factors, total, head + 1)))
             else:
-                if a is not None:   # _estimate_error at the upper bound, in one scaling
-                    err += _scaled(scale_log, _scaling_error(scale_log, upper) * upper
-                                   + hurwitz_zeta_error(total, a, upper))
-                bound = _scaled(scale_log, bound)
+                if a is not None:
+                    err += _estimate_error(scale_log, upper, hurwitz_zeta_error(total, a, upper),
+                                           _scaled(scale_log, upper))
+                bound = _up(_scaled(scale_log, bound)) if bound > 0.0 else 0.0
             known[head] = a, bound, bound + err
         return known[head]
 
-    return tail, rel
+    return tail, error
 
 
-#: The head's terms are made this many at a time (``_head_terms``).
-_HEAD_BLOCK = 1024
-
-
-def _head_terms(factors: list[tuple[float, float]], scale_log: float, lo: int, hi: int
-                ) -> list[float]:
-    """The terms exp(scale_log - sum_j p_j log(m + kappa_j)), m = lo..hi-1,
-    the sum over j from left to right: one list per factor, then the sums."""
-    columns = [[p * math.log(m + k) for m in range(lo, hi)] for p, k in factors]
-    return [math.exp(scale_log - y) for y in map(sum, zip(*columns))]
-
-
-def _sum_with_tail(kappas: list[float], powers: list[float],
-                   tolerance: float, scale_log: float = 0.0) -> EvalResult:
-    """sum_{n >= 1} exp(scale_log) * prod (n+kappa_j)^(-p_j), certified; the
+def _sum_with_tail(series: Series, s: float, tolerance: float) -> EvalResult:
+    """sum_{n >= 1} exp(-s log c - s l_n) of a ``Series``, certified; the
     bound covers the float returned.
 
     The head n = 1..h is fixed before any term is summed.  Heads of 16, 32,
@@ -264,21 +342,22 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     error bounded beforehand, meets the goal: the tolerance or, when the
     cap's head misses it, twice the cap's bound.  The last doubling step is
     then bisected until it is under 16 terms wide.  A tried head costs a
-    few pow calls.  The head is one exactly rounded fsum; on the pinned
-    branch the value adds the tail's estimate, ``hurwitz_zeta_certified(P,
-    a)`` scaled, the one full-precision evaluation.  The bound is the
-    tail's bound plus that estimate's error (``_estimate_error``), the
-    head's (``_head_error``) and the exact error of the addition.
+    few pow calls.  The head's terms are exp(-s log c - s l_m) over the
+    series' log-dimensions (``Series.log_dims``), one exactly rounded fsum;
+    on the pinned branch the value adds the tail's estimate,
+    ``hurwitz_zeta_certified(P, a)`` scaled, the one full-precision
+    evaluation.  The bound is the tail's bound plus that estimate's error
+    (``_estimate_error``), the head's (``_head_error``) and the exact error
+    of the addition.
     """
-    total = sum(powers)
-    if not all(map(math.isfinite, (*powers, total, scale_log))):
+    total, scale_log = s * series.moments[0], -s * series.log_c
+    if not (math.isfinite(total) and math.isfinite(scale_log)):
         raise DomainError("series powers and scale must be finite")
     if total <= 1.0:
         raise DivergenceError("series diverges: total exponent <= 1")
     _check_tolerance(tolerance)
     cap = term_cap()
-    factors = list(zip(powers, kappas))
-    tail, rel = _series_tail(kappas, powers, scale_log, cap)
+    tail, error = _series_tail(series, s, cap)
 
     def bound(head):
         return tail(head)[2]
@@ -292,9 +371,15 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
     while head - low >= 16:
         mid = (low + head) // 2
         low, head = (low, mid) if bound(mid) <= goal else (mid, head)
-    head_sum = math.fsum(chain.from_iterable(
-        _head_terms(factors, scale_log, lo, min(lo + _HEAD_BLOCK, head + 1))
-        for lo in range(1, head + 1, _HEAD_BLOCK)))
+    exp, blocks, tiny = math.exp, [], 0
+    for logs in series.log_dims(head):
+        terms = [exp(scale_log - s * y) for y in logs]
+        # the terms fall with m, so only a block ending below twice the
+        # least normal float holds terms below it
+        if terms[-1] < 2.0 * sys.float_info.min:
+            tiny += sum(t < sys.float_info.min for t in terms)
+        blocks.append(terms)
+    head_sum = math.fsum(chain.from_iterable(blocks))
     a, tail_bound, _ = tail(head)
     estimate = 0.0
     if a is not None:
@@ -302,7 +387,7 @@ def _sum_with_tail(kappas: list[float], powers: list[float],
         estimate = _scaled(scale_log, value)
         tail_bound += _estimate_error(scale_log, value, err, estimate)
     value = head_sum + estimate
-    tail_bound += (rel * head_sum if head_sum else 0.0) + _addition_error(head_sum, estimate)
+    tail_bound += error(head_sum, tiny) + _addition_error(head_sum, estimate)
     return EvalResult(value=value, tail_bound=tail_bound, terms_used=head,
                       converged=tail_bound <= tolerance)
 
@@ -343,14 +428,14 @@ def pi_series(pi: list[int], kappa: list[Q | float],
     powers = [1.0 + p for p in pis]
     if sum(powers) < 2.0:
         raise DivergenceError("sum of (1 + pi_j) must be at least 2")
-    return _sum_with_tail(kappas, powers, tolerance)
+    return _sum_with_tail(Series(kappas, powers), 1.0, tolerance)
 
 
 def gen_series_direct(kappa: list[Q | float], t_point: list[float],
                       tolerance: float = 1e-12) -> EvalResult:
     """sum_{n>=1} prod_j (n + kappa_j - T_j)^(-1) by direct summation."""
     shifts = _point_shifts(kappa, t_point)
-    return _sum_with_tail(shifts, [1.0] * len(shifts), tolerance)
+    return _sum_with_tail(Series(shifts, [1.0] * len(shifts)), 1.0, tolerance)
 
 
 def _partial_fraction_coeffs(shifts: list[float]) -> list[float]:

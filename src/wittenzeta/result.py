@@ -10,7 +10,8 @@ class EvalResult(NamedTuple):
 
     ``tail_bound`` bounds the truncated tail of the series, on every path;
     on the rank-one series (``genseries._sum_with_tail``) it also covers the
-    rounding of ``value``, elsewhere not yet.  ``rigorous`` is always
+    rounding of ``value``, terms lost below the float range included (it is
+    0 only where ``value`` is exact), elsewhere not yet.  ``rigorous`` is always
     True.  ``converged`` means the bound met the requested tolerance.
     ``terms_used`` counts the terms summed; for a sphere sum answered by
     its Poisson dual (``dual.heat_sum``), the dual lattice vectors read one

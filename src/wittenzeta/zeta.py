@@ -3,7 +3,8 @@
 Both types sum d(n)^(-s) over the weight cone, with d read off the compiled
 table of the space or group (``dims.compile_space``, ``dims.compile_group``),
 and both go through ``_zeta``.  Rank-one tables get a certified evaluation
-of their factored form (``genseries._sum_with_tail``): a head of explicit
+of their factored form (``genseries._sum_with_tail``) on the s-free parts
+each table keeps (``_series``, ``genseries.Series``): a head of explicit
 terms, its length fixed from the bound before it is summed, plus a tail
 that is pinned to a Hurwitz zeta with a rigorous correction bound; the
 bound covers the float returned.  Higher
@@ -46,6 +47,15 @@ def _growing_box(table: dims.LinearFactors, s: float, tolerance: float,
                       converged=bound(box) <= tolerance)
 
 
+def _series(table: dims.LinearFactors) -> genseries.Series:
+    """The s-free parts of a rank-one table's series (``table.part``): the
+    kappa_k and the integers xi_k of d(n) = c prod_k (n + kappa_k)^xi_k, as
+    floats (a float product is much faster than an int one), and log c."""
+    poly = table.factored
+    return genseries.Series([float(k) for k, _ in poly.factors],
+                            [float(xi) for _, xi in poly.factors], math.log(float(poly.c)))
+
+
 def _check_s(s: float, max_box: int | None = None) -> tuple[float, int | None]:
     """s as a float and ``max_box`` as an int or None, once both are checked."""
     if not genseries._finite(s):
@@ -70,11 +80,7 @@ def _zeta(table: dims.LinearFactors, s: float, tolerance: float,
         raise DivergenceError(f"series diverges: s * {factors} linear factors = "
                               f"{s * factors} <= rank {rank}")
     if rank == 1:    # 1 + sum_{n>=1} d(n)^(-s), d(n) = c prod_k (n + kappa_k)^xi_k
-        poly = table.factored
-        # k.numerator / k.denominator is float(k), without the Fraction method call
-        tail = genseries._sum_with_tail([k.numerator / k.denominator for k, _ in poly.factors],
-                                        [s * xi for _, xi in poly.factors], tolerance,
-                                        -s * math.log(float(poly.c)))
+        tail = genseries._sum_with_tail(table.part(_series), s, tolerance)
         value = 1.0 + tail.value
         bound = tail.tail_bound + genseries._addition_error(1.0, tail.value)
         return EvalResult(value, bound, tail.terms_used + 1, bound <= tolerance)

@@ -229,6 +229,18 @@ def test_genseries_commands():
     assert abs(result["difference"]) < 1e-9
 
 
+@pytest.mark.parametrize("args", [("pizeta", "--pi", "0,0", "--kappa", "1e300,2e300"),
+                                  ("genseries", "--kappa", "1e300,2e300", "--T", "0,0")])
+def test_series_with_huge_shifts_is_certified(args):
+    # (kappa_j - kbar)^2 is past the float range: the tail takes its
+    # first-order bound, and the sum, log 2 / 1e300, lies within it
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["converged"] and result["value"] == 0.0
+    assert math.log(2) / 1e300 <= result["tail_bound"] < 1e-290
+
+
 def test_oracle_command():
     proc = run_cli("oracle-s2", "--check", "orthogonality", "--n", "5",
                    "--m", "7")

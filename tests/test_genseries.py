@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from wittenzeta import dims, genseries
+from wittenzeta import dims, genseries, zeta
 from wittenzeta.errors import (DegenerateConfiguration, DivergenceError,
                                DomainError, NotConverged)
 from wittenzeta.genseries import (gen_series_direct, gen_series_mf, pi_series, term_cap,
@@ -257,17 +257,14 @@ def test_term_cap_rejects_bad_env(monkeypatch):
             term_cap()
 
 
-def _zeta_series(space_id, s):
-    """(kappas, powers, scale_log) of the rank-one zeta series, as ``zeta._zeta``
-    builds it."""
-    poly = dims.compile_space(space_id).factored
-    return ([float(k) for k, _ in poly.factors], [s * xi for _, xi in poly.factors],
-            -s * math.log(float(poly.c)))
+def _zeta_series(space_id):
+    """The kept series parts of a rank-one table, as ``zeta._zeta`` reads them."""
+    return dims.compile_space(space_id).part(zeta._series)
 
 
 def _zeta_tail_bound(space_id, s, head):
     """The bound the head search reads on the rank-one zeta terms after n = head."""
-    return genseries._series_tail(*_zeta_series(space_id, s), term_cap())[0](head)[2]
+    return genseries._series_tail(_zeta_series(space_id), s, term_cap())[0](head)[2]
 
 
 @pytest.mark.parametrize("space_id", ["S:2", "S:4", "S:6", "CP:2", "HP:2", "FII"])
@@ -282,22 +279,22 @@ def test_rank_one_head_is_within_sixteen_terms_of_the_least(space_id):
             assert res.converged, (space_id, s, tol)
             # the certified tail's bound plus the evaluation error: the
             # pinned estimate's, the head's and that of the two additions
-            kappas, powers, scale = _zeta_series(space_id, s)
-            pairs = list(zip(powers, kappas))
-            tail, rel = genseries._series_tail(kappas, powers, scale, term_cap())
+            series = _zeta_series(space_id)
+            scale, total = -s * series.log_c, s * series.moments[0]
+            tail, error = genseries._series_tail(series, s, term_cap())
             a, bound, _ = tail(head)
-            head_sum = math.fsum(math.exp(scale - sum(p * math.log(m + k) for p, k in pairs))
-                                 for m in range(1, head + 1))
+            logs = genseries._log_dims(series.factors, 1, head + 1)
+            head_sum = math.fsum(math.exp(scale - s * y) for y in logs)
             estimate = 0.0
             if a is not None:
-                value, err = hurwitz_zeta_certified(sum(powers), a)
+                value, err = hurwitz_zeta_certified(total, a)
                 estimate = genseries._scaled(scale, value)
                 bound += genseries._estimate_error(scale, value, err, estimate)
-            series = head_sum + estimate
-            bound += rel * head_sum + genseries._addition_error(head_sum, estimate)
+            series_sum = head_sum + estimate
+            bound += error(head_sum, 0) + genseries._addition_error(head_sum, estimate)
             assert bound <= _zeta_tail_bound(space_id, s, head) <= tol
-            assert res.value == 1.0 + series
-            assert res.tail_bound == bound + genseries._addition_error(1.0, series)
+            assert res.value == 1.0 + series_sum
+            assert res.tail_bound == bound + genseries._addition_error(1.0, series_sum)
             if head >= 32:
                 assert _zeta_tail_bound(space_id, s, head - 16) > tol, (space_id, s, tol)
 
@@ -314,11 +311,11 @@ def test_missed_tolerance_stops_within_twice_the_caps_bound(monkeypatch):
     monkeypatch.setenv("WZ_MAX_TERMS", "4096")
     zeta = zeta_type_I("S:4", 1.0, 1e-30)
     series = pi_series([1, 1], [1, 2], 1e-30)
-    for res, terms, (kappas, powers, scale) in (
-            (zeta, 4097, _zeta_series("S:4", 1.0)), (series, 4096, ([1.0, 2.0], [2.0, 2.0], 0.0))):
+    for res, terms, parts in ((zeta, 4097, _zeta_series("S:4")),
+                              (series, 4096, genseries.Series([1.0, 2.0], [2.0, 2.0]))):
         # a rank-one series stops within twice the search bound at the cap,
         # which holds the rounding; the zeta adds its n = 0 term after it
-        search = genseries._series_tail(kappas, powers, scale, 4096)[0]
+        search = genseries._series_tail(parts, 1.0, 4096)[0]
         assert res.terms_used < terms and not res.converged
         assert res.tail_bound <= 2.0 * search(4096)[2] + (res is zeta) * genseries._U * res.value
     heat = partition_type_I("S:2", SurfaceParams(0, 1e-6), 1e-12)
@@ -354,3 +351,89 @@ def test_bad_tolerance_rejected(name, tol, monkeypatch):
     monkeypatch.setenv("WZ_MAX_TERMS", "1000")
     with pytest.raises(DomainError):
         _BAD_TOLERANCE_CALLS[name](tol)
+
+
+@pytest.mark.parametrize("run,true_log", [
+    (lambda: pi_series([1000000, 0], [1, 2]), -1000001 * math.log(2) - math.log(3)),
+    (lambda: zeta_type_I("S:2", 1e300), -1e300 * math.log(3))])
+def test_an_underflowed_head_has_a_positive_bound(run, true_log):
+    # every term rounds to 0; the float is not exact, so the bound is not 0
+    res = run()
+    assert res.converged and res.value in (0.0, 1.0)
+    assert 0.0 < res.tail_bound < 1e-320 and true_log < math.log(res.tail_bound)
+
+
+_HISTORY_CASES = [(sid, s, tol) for sid in ("S:6", "CP:3", "HP:3", "FII")
+                  for s in (0.5, 1.0, 2.0) for tol in (1e-6, 1e-10)]
+
+
+def test_rank_one_answers_do_not_depend_on_history(monkeypatch):
+    # each answer on a fresh table equals the answer on a table warmed by
+    # every other s and tolerance, bit for bit
+    warmed = {case: zeta_type_I(*case) for case in _HISTORY_CASES}
+    for case in _HISTORY_CASES:
+        table = dims.compile_space(case[0])
+        fresh = table._replace()        # a _replace'd table keeps no parts
+        assert zeta._zeta(fresh, case[1], case[2], None) == warmed[case], case
+    # the kept prefix is the block function's, bit for bit, and at most one block
+    calls, block = [], genseries._log_dims
+    for sid in ("S:6", "CP:3", "HP:3", "FII"):
+        series = dims.compile_space(sid).part(zeta._series)
+        assert 0 < len(series.logs) <= genseries._HEAD_BLOCK
+        assert series.logs == block(series.factors, 1, len(series.logs) + 1)
+
+    def counting(*args):
+        calls.append(args)
+        return block(*args)
+
+    # a second query within the kept block makes no block call
+    monkeypatch.setattr(genseries, "_log_dims", counting)
+    within = [case for case in _HISTORY_CASES
+              if warmed[case].terms_used - 1 <= genseries._HEAD_BLOCK]
+    assert len(within) >= 20
+    for case in within:
+        assert zeta_type_I(*case) == warmed[case]
+    assert calls == []
+    # a head past the block reads its later blocks afresh and keeps none
+    res = zeta_type_I("S:6", 0.25, 1e-8)
+    series = dims.compile_space("S:6").part(zeta._series)
+    assert res.terms_used - 1 > genseries._HEAD_BLOCK
+    assert len(series.logs) == genseries._HEAD_BLOCK and calls
+    assert all(lo > genseries._HEAD_BLOCK for _, lo, _ in calls)
+
+
+_AUDIT = [(sid, s) for sid in ("S:6", "CP:3", "HP:3", "FII") for s in (0.25, 0.5, 1.0, 2.0)]
+
+
+@pytest.mark.parametrize("sid,s", _AUDIT)
+def test_rank_one_zeta_within_its_bound_of_mpmath(sid, s):
+    # heads below, at and past one block; the true value is mpmath's sum of
+    # the head in 40 digits plus its Hurwitz-Euler-Maclaurin tail (nsum is
+    # too slow here), d(n) from the exact factored form
+    mpmath = pytest.importorskip("mpmath")
+    poly = dims.compile_space(sid).factored
+    for tol in (1e-6, 1e-10):
+        res = zeta_type_I(sid, s, tol)
+        if res.terms_used > 20000:
+            continue
+        with mpmath.workdps(40):
+            def term(n):
+                d = mpmath.mpf(poly.c.numerator) / poly.c.denominator
+                for k, xi in poly.factors:
+                    d *= (n + mpmath.mpf(k.numerator) / k.denominator) ** xi
+                return d ** -s
+            true = mpmath.fsum(term(n) for n in range(res.terms_used))
+            true += mpmath.nsum(term, [res.terms_used, mpmath.inf], method="e")
+        assert abs(res.value - true) <= res.tail_bound, (sid, s, tol)
+
+
+@pytest.mark.parametrize("call,exact", [
+    (lambda: pi_series([1, 1], [1, 2], 1e-12), lambda mp: 2 * mp.pi ** 2 / 6 - mp.mpf(13) / 4),
+    (lambda: pi_series([0, 0], [1, 2], 1e-10), lambda mp: mp.mpf(1) / 2),
+    (lambda: gen_series_direct([1, 3], [0.25, 0.75], 1e-10),
+     lambda mp: (mp.digamma(mp.mpf(13) / 4) - mp.digamma(mp.mpf(7) / 4)) / mp.mpf(3) * 2)])
+def test_multi_factor_series_within_its_bound_of_mpmath(call, exact):
+    mpmath = pytest.importorskip("mpmath")
+    res = call()
+    with mpmath.workdps(40):
+        assert abs(res.value - exact(mpmath)) <= res.tail_bound

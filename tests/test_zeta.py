@@ -14,6 +14,7 @@ import pytest
 from wittenzeta import dims, partition, rootdata, specfun, weights, zeta
 from wittenzeta.errors import DivergenceError, DomainError, UnsupportedSpace
 from wittenzeta.partition import SurfaceParams, partition_type_II
+from wittenzeta.genseries import Series
 from wittenzeta.zeta import zeta_type_I, zeta_type_II
 
 
@@ -33,11 +34,13 @@ def test_s2_at_two_is_odd_basel():
                                    (partial(zeta_type_I, "S:3"), 1e200),
                                    (partial(zeta_type_I, "S:5"), 1e300)])
 def test_rank_one_at_huge_s_is_one(run, s):
-    # every term past d(0) = 1 underflows; the certified tail is 0, not NaN.
-    # S:5 has unequal shifts, so only the first-order tail bound is valid there
+    # every term past d(0) = 1 underflows; the certified tail is below the
+    # float range, not NaN, and the bound counts the lost terms, so it is not
+    # 0: 1.0 is not exact.  S:5 has unequal shifts, so only the first-order
+    # tail bound is valid there
     res = run(s, 1e-8)
     assert res.value == 1.0 and res.converged and res.rigorous
-    assert res.tail_bound == 0.0 and res.terms_used == 17
+    assert 0.0 < res.tail_bound < 1e-320 and res.terms_used == 17
 
 
 #: closed forms of rank-one zeta values: d(n) = 2n + 1, (n + 1)^2, (n + 1)^3 and n + 1
@@ -484,17 +487,16 @@ def test_box_certificate_makes_no_full_precision_hurwitz_call(monkeypatch):
 
 
 def _rank_one_cases():
-    """(kappas, powers, tolerance, scale_log) of the rank-one zeta series at
-    s = 1, 2, 5 and tolerances 1e-6, 1e-10, plus the three generating-series
-    shapes of the benchmark."""
-    cases = [([1.0, 2.0], [2.0, 2.0], 1e-10, 0.0), ([0.5, 1.5], [1.0, 1.0], 1e-12, 0.0),
-             ([1.0], [3.0], 1e-8, 0.0)]
+    """(series, s, tolerance) of the rank-one zeta series at s = 1, 2, 5 and
+    tolerances 1e-6, 1e-10, on each table's kept parts, plus the three
+    generating-series shapes of the benchmark."""
+    cases = [(Series([1.0, 2.0], [2.0, 2.0]), 1.0, 1e-10),
+             (Series([0.5, 1.5], [1.0, 1.0]), 1.0, 1e-12), (Series([1.0], [3.0]), 1.0, 1e-8)]
     for sid in ("S:2", "S:3", "S:5", "CP:2", "HP:2", "FII"):
-        poly = dims.compile_space(sid).factored
+        table = dims.compile_space(sid)
         for s in (1.0, 2.0, 5.0):
-            if s * poly.degree > 1:
-                cases += [([float(k) for k, _ in poly.factors], [s * xi for _, xi in poly.factors],
-                           tol, -s * math.log(float(poly.c))) for tol in (1e-6, 1e-10)]
+            if s * table.factored.degree > 1:
+                cases += [(table.part(zeta._series), s, tol) for tol in (1e-6, 1e-10)]
     return cases
 
 
@@ -510,12 +512,12 @@ def test_rank_one_sum_makes_one_full_precision_hurwitz_call(monkeypatch):
 
     monkeypatch.setattr(zeta.genseries, "hurwitz_zeta_certified", counting)
     pinned = 0
-    for kappas, powers, tol, scale in _rank_one_cases():
+    for series, s, tol in _rank_one_cases():
         calls.clear()
-        res = zeta.genseries._sum_with_tail(kappas, powers, tol, scale)
-        tail = zeta.genseries._series_tail(kappas, powers, scale, zeta.genseries.term_cap())[0]
+        res = zeta.genseries._sum_with_tail(series, s, tol)
+        tail = zeta.genseries._series_tail(series, s, zeta.genseries.term_cap())[0]
         a = tail(res.terms_used)[0]
-        assert calls == ([] if a is None else [(sum(powers), a)]), (kappas, powers, tol)
+        assert calls == ([] if a is None else [(s * series.moments[0], a)]), (series.factors, tol)
         pinned += a is not None
     assert pinned >= 30
 
