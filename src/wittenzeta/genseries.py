@@ -348,7 +348,7 @@ def _sum_with_tail(series: Series, s: float, tolerance: float) -> EvalResult:
     ``hurwitz_zeta_certified(P, a)`` scaled, the one full-precision
     evaluation.  The bound is the tail's bound plus that estimate's error
     (``_estimate_error``), the head's (``_head_error``) and the exact error
-    of the addition.
+    of the addition.  A head term past the float range is a ``DomainError``.
     """
     total, scale_log = s * series.moments[0], -s * series.log_c
     if not (math.isfinite(total) and math.isfinite(scale_log)):
@@ -373,7 +373,10 @@ def _sum_with_tail(series: Series, s: float, tolerance: float) -> EvalResult:
         low, head = (low, mid) if bound(mid) <= goal else (mid, head)
     exp, blocks, tiny = math.exp, [], 0
     for logs in series.log_dims(head):
-        terms = [exp(scale_log - s * y) for y in logs]
+        try:
+            terms = [exp(scale_log - s * y) for y in logs]
+        except OverflowError:   # 1 + kappa_j - T_j near 0 in many factors
+            raise DomainError("a series term is past the float range") from None
         # the terms fall with m, so only a block ending below twice the
         # least normal float holds terms below it
         if terms[-1] < 2.0 * sys.float_info.min:

@@ -333,6 +333,8 @@ def test_empty_list_entry_is_usage_error(args):
     ("pizeta", "--pi", "1,1" + "0" * 400, "--kappa", "1,2"),
     ("zetagen", "--space", "S:2", "--s", "1" + "0" * 400),
     ("partition", "--space", "S:2", "--genus", "1" + "0" * 400, "--area", "0.1"),
+    # 1 + kappa_j - T_j = 2^-53 in 20 factors: the first term is past the float range
+    ("genseries", "--kappa", ",".join(["0"] * 20), "--T", ",".join(["0.9999999999999999"] * 20)),
 ])
 def test_non_finite_input_exit_code(args):
     proc = run_cli(*args)

@@ -86,6 +86,9 @@ def test_gen_series_direct_errors():
         gen_series_direct([1, 2], [0.0])
     with pytest.raises(DomainError):
         gen_series_direct([1, 2], [0.0, 3.5])
+    # 1 + kappa_j - T_j = 2^-53 in 20 factors: the first term is 2^1060
+    with pytest.raises(DomainError, match="past the float range"):
+        gen_series_direct([0.0] * 20, [1.0 - 2.0 ** -53] * 20)
 
 
 def test_mf_two_factor_digamma():
@@ -408,12 +411,19 @@ _AUDIT = [(sid, s) for sid in ("S:6", "CP:3", "HP:3", "FII") for s in (0.25, 0.5
 @pytest.mark.parametrize("sid,s", _AUDIT)
 def test_rank_one_zeta_within_its_bound_of_mpmath(sid, s):
     # heads below, at and past one block; the true value is mpmath's sum of
-    # the head in 40 digits plus its Hurwitz-Euler-Maclaurin tail (nsum is
-    # too slow here), d(n) from the exact factored form
+    # the head in 40 digits plus its Euler-Maclaurin tail, d(n) from the
+    # exact factored form.  Where the search bound still falls there, a
+    # tolerance equal to it at n = 1024 (1040) makes the head exactly the
+    # kept block (the block and 16 terms of the next)
     mpmath = pytest.importorskip("mpmath")
-    poly = dims.compile_space(sid).factored
-    for tol in (1e-6, 1e-10):
+    table = dims.compile_space(sid)
+    poly, search = table.factored, genseries._series_tail(table.part(zeta._series), s,
+                                                           term_cap())[0]
+    edges = {search(n)[2]: n for n in (1024, 1040) if search(n - 8)[2] > search(n)[2]}
+    for tol in (1e-6, 1e-10, *edges):
         res = zeta_type_I(sid, s, tol)
+        if tol in edges:
+            assert res.terms_used - 1 == edges[tol], (sid, s, tol)
         if res.terms_used > 20000:
             continue
         with mpmath.workdps(40):
