@@ -371,18 +371,24 @@ def _sum_with_tail(series: Series, s: float, tolerance: float) -> EvalResult:
     while head - low >= 16:
         mid = (low + head) // 2
         low, head = (low, mid) if bound(mid) <= goal else (mid, head)
-    exp, blocks, tiny = math.exp, [], 0
-    for logs in series.log_dims(head):
-        try:
-            terms = [exp(scale_log - s * y) for y in logs]
-        except OverflowError:   # 1 + kappa_j - T_j near 0 in many factors
-            raise DomainError("a series term is past the float range") from None
-        # the terms fall with m, so only a block ending below twice the
-        # least normal float holds terms below it
-        if terms[-1] < 2.0 * sys.float_info.min:
-            tiny += sum(t < sys.float_info.min for t in terms)
-        blocks.append(terms)
-    head_sum = math.fsum(chain.from_iterable(blocks))
+    tiny = 0
+
+    def blocks():
+        """The head's terms block by block, so that fsum holds one block at a time."""
+        nonlocal tiny
+        exp = math.exp
+        for logs in series.log_dims(head):
+            try:
+                terms = [exp(scale_log - s * y) for y in logs]
+            except OverflowError:   # 1 + kappa_j - T_j near 0 in many factors
+                raise DomainError("a series term is past the float range") from None
+            # the terms fall with m, so only a block ending below twice the
+            # least normal float holds terms below it
+            if terms[-1] < 2.0 * sys.float_info.min:
+                tiny += sum(t < sys.float_info.min for t in terms)
+            yield terms
+
+    head_sum = math.fsum(chain.from_iterable(blocks()))
     a, tail_bound, _ = tail(head)
     estimate = 0.0
     if a is not None:
