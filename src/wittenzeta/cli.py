@@ -71,7 +71,13 @@ def build_parser() -> _Parser:
     p.add_argument("--area", type=float, required=True)
     p.add_argument("--tol", type=float, default=1e-8)
 
-    p = sub.add_parser("partition2", help="type II partition series")
+    p = sub.add_parser(
+        "partition2", help="type II partition series",
+        description="Type II partition series sum_n d(n)^(2-2g) e^(-area c2(n)) of a "
+        "compact group.  At genus 0 it is first tried by Poisson duality, at genus 1 "
+        "(below the area where the direct sum converges faster) in closed form over "
+        "the Weyl orbits of the flats of the coroot hyperplanes; where that bound "
+        "misses --tol, the weights are summed directly.")
     p.add_argument("--group", required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--area", type=float, required=True)

@@ -10,17 +10,25 @@ A type II sum at genus 0, d^2 q^{c2}, is first tried by Poisson duality
 (``dual.heat_sum``), at every rank: its closed-form leading term is the
 answer when the certified bound on the dual terms meets the tolerance (inf
 with bound inf, not converged, when it is past the float range), and
-``terms_used`` then counts the dual lattice vectors read one by one.  Every
-other sum, and one whose dual bound misses, is summed directly.  Rank one
-sums weight by weight, its dimension multiplied out from the table's one
-row, up to the first weight whose geometric ratio bound meets a goal fixed
-before the first term, or whose running total is infinite; its terms are
-added with ``math.fsum`` and rounded once.  A higher rank sums the
+``terms_used`` then counts the dual lattice vectors read one by one.  A
+type II sum at genus 1, q^{c2}, is first tried in closed form over the Weyl
+orbits of the flats of the coroot hyperplanes (``dual.torus_sum``): a few
+lattice theta series, each exact by Poisson summation, with the same
+bound, the same rejection and the same inf past the float range.  It is
+tried below the area where the direct side of Poisson summation is the
+faster (``_crossover``), so a large area neither imports ``dual`` nor builds
+a table's flats.  Every other sum, and one whose dual bound misses, is
+summed directly.  Rank one sums weight by weight, its dimension multiplied
+out from the table's one row, up to the first weight whose geometric ratio
+bound meets a goal fixed before the first term, or whose running total is
+infinite; its terms are added with ``math.fsum`` and rounded once.  A higher rank sums the
 simplex its separable majorant certifies (``_shell_heat_sum``, from the
-lattice module ``weights``).
+lattice module ``weights``), or, at exponent > 0 where the majorant misses,
+the least box whose zeta bound meets the tolerance.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from typing import NamedTuple
@@ -112,31 +120,63 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                     tolerance: float) -> EvalResult:
     """Higher-rank heat sum over every weight up to the grade its separable
-    majorant (``weights._majorant_logs``) certifies.
+    majorant (``weights._majorant_logs``) certifies, or over a box.
 
     ``weights._majorant_grade`` turns the majorant into the least grade K
     whose tail beyond it meets the tolerance, and ``weights.sum_region``
     sums the weights of coordinate sum <= K, from ``weights.ball``.  When
-    the cap cannot hold that grade, the result is not converged and carries
-    the bound of the grade ``_majorant_grade`` falls back to.
+    the cap cannot hold that grade, the bound is that of the grade
+    ``_majorant_grade`` falls back to.  Then, at exponent > 0, q^{c2} <= 1
+    makes the zeta bound outside a box (``weights._box_bound``) a bound on
+    the heat sum's tail too, and where a box within the cap meets the
+    tolerance, the least such side (``weights._least_side``) is summed
+    instead, the Casimirs of its rows taken from ``weights.ball_chunks``, as
+    the box head keeps none.  A tiny area, where the majorant's
+    one-coordinate sums overflow or fall too slowly, is then certified as
+    the zeta sum at area 0 is.
     """
     from . import weights
     genseries._check_tolerance(tolerance)
-    grade, bound = weights._majorant_grade(table, exponent, area, tolerance,
-                                           genseries.term_cap())
+    cap, rank = genseries.term_cap(), len(table.lin)
+    grade, bound = weights._majorant_grade(table, exponent, area, tolerance, cap)
+    if bound > tolerance and exponent > 0.0:
+        top = weights.radius(rank, cap, simplex=False)
+        box_bound = functools.cache(weights._box_bound(table, exponent))
+        if box_bound(top) <= tolerance:
+            side = weights._least_side(box_bound, top, tolerance)
+            value = weights.sum_region(
+                ((table.log_dims(rows), table.casimirs(rows))
+                 for rows in weights.ball_chunks(rank, side, simplex=False)), exponent, area)
+            return EvalResult(value=value, tail_bound=box_bound(side),
+                              terms_used=weights.ball_size(rank, side, simplex=False),
+                              converged=True)
     value = weights.sum_region(weights.ball(table, grade, simplex=True), exponent, area)
     return EvalResult(value=value, tail_bound=bound,
-                      terms_used=weights.ball_size(len(table.lin), grade, simplex=True),
+                      terms_used=weights.ball_size(rank, grade, simplex=True),
                       converged=bound <= tolerance)
+
+
+def _crossover(table: dims.LinearFactors) -> float:
+    """The area A from which a genus-1 sum's first direct term e^{-A m1} is
+    at most its first dual term e^{-pi^2 l1 / A}, so that the direct sum is
+    the faster side of Poisson summation: pi sqrt(D / m1), with m1 = min_i
+    (G_ii + lin_i) the least Casimir of a weight n != 0 (G >= 0), and D =
+    min_i (G^-1)_ii at least the least dual norm l1."""
+    inverse, _ = rootdata.inverse(table.gram)
+    least = min(row[i] + c for i, (row, c) in enumerate(zip(table.gram, table.lin)))
+    return math.pi * math.sqrt(min(row[i] for i, row in enumerate(inverse)) / least)
 
 
 def _partition(table: dims.LinearFactors, surface: SurfaceParams, exponent: float,
                tolerance: float) -> EvalResult:
     if surface.area == 0.0:
         return zeta._zeta(table, exponent, tolerance, None)
-    if exponent == -2.0:        # type II at genus 0: the dual, where it certifies
+    # type II at genus 0, or at genus 1 where the dual side is the faster:
+    # the dual, where it certifies
+    if exponent == -2.0 or exponent == 0.0 and surface.area < table.part(_crossover):
         from . import dual
-        result = dual.heat_sum(table, surface.area, tolerance)
+        dual_sum = dual.heat_sum if exponent else dual.torus_sum
+        result = dual_sum(table, surface.area, tolerance)
         if result is not None:
             return result
     heat_sum = _rank_one_heat_sum if len(table.lin) == 1 else _shell_heat_sum

@@ -128,17 +128,49 @@ def ball(table, r: int, *, simplex: bool):
             for rows in ball_chunks(rank, r, simplex=simplex))
 
 
-def _next_coordinate(prefix: np.ndarray, budget: np.ndarray,
-                     simplex: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Every prefix row followed by each next coordinate 0..budget, in lex
-    order, with the budget left after it (all of it for the box): one ragged
-    arange."""
+def _sizes(budget: np.ndarray, free: int, simplex: bool) -> np.ndarray:
+    """The number of completions of each row by ``free`` more coordinates
+    within its budget: C(budget + free, free) (simplex) or (budget + 1)^free
+    (box)."""
+    if not simplex:
+        return (budget + 1) ** free
     import numpy as np
-    counts = budget + 1
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    nxt = np.arange(len(offsets), dtype=np.int64) - offsets
-    return (np.concatenate([np.repeat(prefix, counts, axis=0), nxt[:, None]], axis=1),
-            np.repeat(budget, counts) - simplex * nxt)
+    sizes = np.ones_like(budget)
+    for t in range(1, free + 1):
+        sizes = sizes * (budget + t) // t
+    return sizes
+
+
+def _fill(prefix: np.ndarray, budget: np.ndarray, sizes: np.ndarray, rank: int,
+          simplex: bool) -> np.ndarray:
+    """Every completion of a run of prefix rows, in lex order, written into one
+    (rows, rank) array column by column.
+
+    A prefix column is each row's entry repeated by its number of
+    completions.  A free column grows the nodes of the one before, each node
+    a run of rows that agree up to it: every node branches on the next
+    coordinate 0..budget (one ragged arange), and the branch's value is
+    repeated by its completions.  The transients are a few arrays of one
+    column.
+    """
+    import numpy as np
+    rows = np.empty((int(sizes.sum()), rank), dtype=np.int64)
+    width = prefix.shape[1]
+    for column in range(width):
+        rows[:, column] = np.repeat(prefix[:, column], sizes)
+    left = budget
+    for column in range(width, rank):
+        counts = left + 1
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        values = np.subtract(np.arange(len(starts), dtype=np.int64), starts, out=starts)
+        if column == rank - 1:
+            rows[:, column] = values
+            break
+        left = np.repeat(left, counts)
+        if simplex:
+            left -= values
+        rows[:, column] = np.repeat(values, _sizes(left, rank - column - 1, simplex))
+    return rows
 
 
 def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int,
@@ -147,28 +179,21 @@ def _completions(prefix: np.ndarray, budget: np.ndarray, rank: int,
     coordinates sum to at most the row's budget (simplex) or are each at
     most it (box), in lex order, in chunks."""
     import numpy as np
-    free = rank - prefix.shape[1]
-    if simplex:
-        sizes = np.ones_like(budget)
-        for t in range(1, free + 1):    # C(budget + free, free) completions each
-            sizes = sizes * (budget + t) // t
-    else:
-        sizes = (budget + 1) ** free
+    sizes = _sizes(budget, rank - prefix.shape[1], simplex)
     ends = np.cumsum(sizes)
     start = 0
     while start < len(budget):
         stop = int(np.searchsorted(ends, ends[start] - sizes[start] + CHUNK_ROWS,
                                    side="right"))
         if stop == start:               # one prefix too many: split on the next coordinate
-            yield from _completions(*_next_coordinate(prefix[start:start + 1],
-                                                      budget[start:start + 1], simplex),
-                                    rank, simplex)
+            values = np.arange(budget[start] + 1, dtype=np.int64)
+            yield from _completions(
+                np.column_stack([np.repeat(prefix[start:start + 1], len(values), axis=0),
+                                 values]),
+                budget[start] - simplex * values, rank, simplex)
             stop = start + 1
         else:
-            rows, left = prefix[start:stop], budget[start:stop]
-            for _ in range(free):
-                rows, left = _next_coordinate(rows, left, simplex)
-            yield rows
+            yield _fill(prefix[start:stop], budget[start:stop], sizes[start:stop], rank, simplex)
         start = stop
 
 
@@ -179,8 +204,9 @@ def ball_chunks(rank: int, r: int, *, simplex: bool) -> Iterator[np.ndarray]:
 
     The rows grow from prefixes of leading coordinates, slab by slab on the
     first: a run of consecutive prefixes whose completions fit in one chunk
-    is completed together, one coordinate at a time; a prefix with more
-    completions than that is first split on its next coordinate.  The two
+    is completed together, into one array filled column by column
+    (``_fill``); a prefix with more completions than that is first split on
+    its next coordinate.  The two
     shapes differ only in the budget a coordinate leaves the next ones: r
     less that coordinate for the simplex, r for the box.
     """

@@ -155,11 +155,12 @@ def test_partition2_e6_converges_in_few_terms():
 
 
 def test_partition2_under_a_small_cap_ends_unconverged():
-    # the grade search stops at the largest grade the cap holds
+    # the grade search stops at the largest grade the cap holds; at genus 2,
+    # as genus 1 is answered in closed form over the flats at this area
     env = {**_ENV, "WZ_MAX_TERMS": "50000"}
     proc = subprocess.run(
         [sys.executable, "-m", "wittenzeta", "partition2", "--group", "SU:3",
-         "--genus", "1", "--area", "1e-6"],
+         "--genus", "2", "--area", "1e-6"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0
@@ -186,13 +187,9 @@ def test_partition2_dual_past_the_float_range_is_not_converged():
     assert result["converged"] is False
 
 
-@pytest.mark.parametrize("command,ident,area", [
-    ("partition", "AI:3", "5e-324"), ("partition", "AI:3", "1e-320"),
-    ("partition", "AI:3", "1e-323"), ("partition", "GI", "1e-320"),
-    ("partition", "GI", "1e-323"), ("partition2", "SU:3", "5e-324")])
-def test_subnormal_area_heat_sum_ends_unconverged_at_once(command, ident, area):
-    # the majorant's one-coordinate sums overflow there; inf * inf / inf made
-    # its spill NaN, which no tolerance meets, and the grade search never ended
+def _genus_one(command, ident, area):
+    """The genus-1 heat sum command at ``area``, warnings as errors: its
+    result and the seconds it reports."""
     flag = "--group" if command == "partition2" else "--space"
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "wittenzeta", command, flag, ident,
@@ -200,9 +197,31 @@ def test_subnormal_area_heat_sum_ends_unconverged_at_once(command, ident, area):
         capture_output=True, text=True, env=_ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout, parse_constant=_reject_constant)["result"]
+    return json.loads(proc.stdout, parse_constant=_reject_constant)["result"], \
+        _elapsed_s(proc.stderr)
+
+
+@pytest.mark.parametrize("command,ident,area", [
+    ("partition", "AI:3", "5e-324"), ("partition", "AI:3", "1e-320"),
+    ("partition", "AI:3", "1e-323"), ("partition2", "SU:3", "5e-324")])
+def test_subnormal_area_heat_sum_ends_unconverged_at_once(command, ident, area):
+    # the majorant's one-coordinate sums overflow there; inf * inf / inf made
+    # its spill NaN, which no tolerance meets, and the grade search never ended
+    result, seconds = _genus_one(command, ident, area)
     assert result["converged"] is False and result["tail_bound"] is None
-    assert _elapsed_s(proc.stderr) < 1.0
+    assert seconds < 1.0
+
+
+@pytest.mark.parametrize("area", ["1e-320", "1e-323"])
+def test_subnormal_area_heat_sum_at_positive_exponent_is_certified_by_a_box(area):
+    # GI at genus 1 sums d^-1 q^{c2}: where the majorant overflows, the zeta
+    # bound outside a box bounds its tail, and that box is the zeta sum's
+    result, seconds = _genus_one("partition", "GI", area)
+    zeta = json.loads(run_cli("zeta", "--space", "GI", "--s", "1").stdout)["result"]
+    assert result["converged"] is True and result["tail_bound"] <= 1e-8
+    assert result["terms"] == zeta["terms"]
+    assert abs(result["value"] - zeta["value"]) <= 2 * zeta["tail_bound"]
+    assert seconds < 1.0
 
 
 def test_boundary_command():

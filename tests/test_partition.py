@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from wittenzeta import dims, partition, rootdata, weights, zeta
+from wittenzeta import dims, dual, partition, rootdata, weights, zeta
 from wittenzeta.errors import (DivergenceError, DomainError, UnsupportedSpace)
 from wittenzeta.partition import (SurfaceParams, boundary_state,
                                   partition_type_I, partition_type_II,
@@ -195,13 +195,44 @@ def test_majorant_bound_holds_between_tolerances(ident):
 
 
 def test_majorant_overflow_is_no_certificate_and_no_warning(monkeypatch):
-    # at a tiny area the product of the one-coordinate sums overflows
+    # at a tiny area the product of the one-coordinate sums overflows; under
+    # this cap no box meets the tolerance either
     monkeypatch.setenv("WZ_MAX_TERMS", "1000")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = partition_type_II("SU:3", SurfaceParams(genus=1, area=1e-300), 1e-8)
+        res = partition_type_I("AI:3", SurfaceParams(genus=1, area=1e-300), 1e-8)
     assert not res.converged and res.tail_bound == math.inf
     assert 0 < res.terms_used <= 1000
+
+
+def test_torus_sum_at_a_tiny_area_is_finite_and_bounds_its_rounding():
+    # SU:3 at genus 1 and area 1e-300: the closed form over the flats is
+    # about 3e300, finite, and its bound covers the float returned, so half
+    # an ulp of it (about 2e284) is more than a tolerance of 1e-8 and the
+    # path declines; a tolerance above its rounding takes it
+    table = dims.compile_group("SU:3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dual.torus_sum(table, 1e-300, 1e-8) is None
+        res = dual.torus_sum(table, 1e-300, 1e290)
+    # the orbit J = {} alone: (pi / A) / (|W| sqrt(det G)), det G = 1/3
+    leading = math.pi / 1e-300 / (6.0 * math.sqrt(1.0 / 3.0))
+    assert res.converged and math.isfinite(res.value)
+    assert res.value == pytest.approx(leading, rel=1e-12)
+    assert math.ulp(res.value) / 2 <= res.tail_bound <= 1e-14 * res.value
+
+
+@pytest.mark.parametrize("space", ["AI:3", "GI"])
+@pytest.mark.parametrize("area", [1e-30, 1e-12])
+def test_tiny_area_heat_sum_at_positive_exponent_is_certified_by_a_box(space, area):
+    # genus 2, exponent 3: q^{c2} <= 1, so the zeta bound outside a box
+    # bounds the heat tail where the majorant's one-coordinate sums do not
+    # fall fast enough; the sum then lies within both bounds of area 0
+    res = partition_type_I(space, SurfaceParams(2, area), 1e-8)
+    at_zero = partition_type_I(space, SurfaceParams(2, 0.0), 1e-8)
+    assert res.converged and res.rigorous and res.tail_bound <= 1e-8
+    assert res.terms_used <= 10_000
+    assert abs(res.value - at_zero.value) <= res.tail_bound + at_zero.tail_bound + 1e-10
 
 
 @pytest.mark.parametrize("space,box", [("AI:3", 39), ("AI:4", 10)])

@@ -161,6 +161,79 @@ def test_simplex_chunks_cover_once_within_the_row_limit(rank, k, limit, simplex,
     assert rows == _lex_ball(rank, k, simplex)
 
 
+def _reference_chunks(rank, r, simplex):
+    """``weights.ball_chunks`` as it was when it built each chunk by repeat
+    and concatenate, one coordinate at a time."""
+    def next_coordinate(prefix, budget):
+        counts = budget + 1
+        offsets = np.repeat(np.cumsum(counts) - counts, counts)
+        nxt = np.arange(len(offsets), dtype=np.int64) - offsets
+        return (np.concatenate([np.repeat(prefix, counts, axis=0), nxt[:, None]], axis=1),
+                np.repeat(budget, counts) - simplex * nxt)
+
+    def completions(prefix, budget):
+        free = rank - prefix.shape[1]
+        if simplex:
+            sizes = np.ones_like(budget)
+            for t in range(1, free + 1):
+                sizes = sizes * (budget + t) // t
+        else:
+            sizes = (budget + 1) ** free
+        ends, start = np.cumsum(sizes), 0
+        while start < len(budget):
+            stop = int(np.searchsorted(ends, ends[start] - sizes[start] + weights.CHUNK_ROWS,
+                                       side="right"))
+            if stop == start:
+                yield from completions(*next_coordinate(prefix[start:start + 1],
+                                                        budget[start:start + 1]))
+                stop = start + 1
+            else:
+                rows, left = prefix[start:stop], budget[start:stop]
+                for _ in range(free):
+                    rows, left = next_coordinate(rows, left)
+                yield rows
+            start = stop
+
+    yield from completions(np.zeros((1, 0), dtype=np.int64), np.array([r], dtype=np.int64))
+
+
+@pytest.mark.parametrize("limit", [None, 7, 50])
+@pytest.mark.parametrize("simplex", [True, False], ids=["simplex", "box"])
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_chunks_filled_column_by_column_match_the_repeated_ones(rank, simplex, limit,
+                                                                monkeypatch):
+    # the same chunks, row for row, as the generator that grew each chunk
+    # by repeat and concatenate; small limits force the prefix splits
+    if limit is not None:
+        monkeypatch.setattr(weights, "CHUNK_ROWS", limit)
+    radii = (0, 1, 2, 5, 13, 40) if rank <= 4 else (0, 1, 2, 3, 5, 8)
+    for r in radii:
+        if weights.ball_size(rank, r, simplex=simplex) > 200_000:
+            continue
+        new = list(weights.ball_chunks(rank, r, simplex=simplex))
+        old = list(_reference_chunks(rank, r, simplex))
+        assert len(new) == len(old), r
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), r
+
+
+@pytest.mark.parametrize("rank,r,simplex,peak_kib", [(2, 400, False, 1800),
+                                                     (3, 60, True, 1800)])
+def test_chunks_hold_one_array_and_a_few_columns(rank, r, simplex, peak_kib):
+    # each chunk is one preallocated (rows, rank) array; the transients are
+    # single columns, not the repeated prefix rows of every coordinate
+    tracemalloc = pytest.importorskip("tracemalloc")
+    list(weights.ball_chunks(rank, 3, simplex=simplex))
+    tracemalloc.start()
+    try:
+        for rows in weights.ball_chunks(rank, r, simplex=simplex):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= peak_kib << 10
+
+
 # --- the exactly rounded sum of a region's terms ---
 
 def _assert_same_as_fsum(values):
