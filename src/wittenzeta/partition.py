@@ -21,16 +21,24 @@ a table's flats.  Every other sum, and one whose dual bound misses, is
 summed directly.  Rank one sums weight by weight, its dimension multiplied
 out from the table's one row, up to the first weight whose geometric ratio
 bound meets a goal fixed before the first term, or whose running total is
-infinite; its terms are added with ``math.fsum`` and rounded once.  A higher rank sums the
-simplex its separable majorant certifies (``_shell_heat_sum``, from the
-lattice module ``weights``), or, at exponent > 0 where the majorant misses,
-the least box whose zeta bound meets the tolerance.
+infinite; its terms are added with ``math.fsum`` and rounded once.  Where
+the area is so small that the geometric bound says little and the bound
+exponent is > 0, the zeta tail of the bounding sum bounds the heat tail
+too, as q^{c2} <= 1 (``_zeta_tail``).  A higher rank sums the simplex its
+separable majorant certifies (``_shell_heat_sum``, from the lattice module
+``weights``), or, at exponent > 0 where the majorant misses, the least box
+whose zeta bound meets the tolerance.  The majorant's rows that depend on
+the table, and on the table and the exponent, are kept on the table
+(``weights._HeatParts``), so a heat sum pays only for the passes that
+depend on its area, and a head of fewer than a few hundred weights goes
+straight to ``math.fsum``.
 """
 from __future__ import annotations
 
 import functools
 import math
 import numbers
+import sys
 from typing import NamedTuple
 
 from . import dims, genseries, rootdata, zeta
@@ -65,6 +73,41 @@ class SurfaceParams(Frozen, _SurfaceParamsFields):
         return len(self.holonomies)
 
 
+def _zeta_tail(table: dims.LinearFactors, power: float):
+    """start -> a bound on sum_{m >= start} d(m)^-power over a rank-one
+    table, or None where that sum diverges (power times the degree at most
+    one, as for every power <= 0).  As q^{c2} <= 1 it bounds a heat tail
+    from m = start too.
+
+    It is the tail rule of the table's series (``zeta._series``,
+    ``genseries.moment_tail``) plus, on its pinned branch, the kernel's
+    upper bound on zeta(P, a) (``specfun.hurwitz_zeta_upper``), as
+    ``weights._box_bound`` takes a tail; where that is no positive normal
+    float, the first term plus the integral of the rest in logs
+    (``genseries.log_first_order``).  The scale c^-power of d(m) = c prod_k
+    (m + kappa_k)^xi_k is applied in logs, and a bound never reads 0
+    (``genseries._up``).  Each start is evaluated once.
+    """
+    series = table.part(zeta._series)
+    total, kbar, spread, v, least = series.moments
+    total, scale_log = power * total, -power * series.log_c
+    if not total > 1.0:
+        return None
+    tail = genseries.moment_tail(total, kbar, spread, power * v, least)
+    factors = [(power * xi, k) for xi, k in series.factors]
+
+    @functools.cache
+    def bound(start: int) -> float:
+        a, value = tail(start)
+        if a is not None:
+            value += genseries._upper(total, a)
+        log_value = (math.log(value) if value >= sys.float_info.min
+                     else genseries.log_first_order(factors, total, start))
+        return genseries._up(genseries._exp(scale_log + log_value))
+
+    return bound
+
+
 def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                        tolerance: float, weight=None,
                        bound_exponent: float | None = None) -> EvalResult:
@@ -82,6 +125,15 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     at the cap makes the goal infinite, and the sum stops at its first term.
     A running total past the float range stops the sum too, with the value
     inf; otherwise the value is the sum of the terms, rounded once.
+
+    At a tiny area the geometric bound says little: where q^{Delta c2} rounds
+    to one at the cap, every bound the loop takes is inf.  So where the bound
+    exponent is > 0, the bounding sum converges at area 0, and the bound
+    after the cap misses the tolerance or that ratio rounds to one, the
+    zeta tail of the bounding sum (``_zeta_tail``) bounds the tail too: the
+    goal is then fixed from the smaller of the two bounds after the cap,
+    and from the least n whose zeta tail meets it (``weights._least_side``)
+    the bound is the smaller of the two.
     """
     genseries._check_tolerance(tolerance)
     lq = -area
@@ -93,7 +145,17 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     log_ratio = lq * (a * (2 * cap - 1) + b) + max(0.0, -power) * (log_d[1] - log_d[0])
     log_last = (lq * (a * cap * cap + b * cap) - power * log_d[1]
                 - math.log(-math.expm1(log_ratio)) if log_ratio < 0.0 else math.inf)
-    goal = genseries._goal(genseries._exp(log_last), tolerance)
+    cap_bound = genseries._exp(log_last)
+    stop, zeta_bound, tail = cap, math.inf, None
+    if cap_bound > tolerance or math.exp(lq * (a * (2 * cap - 1) + b)) == 1.0:
+        tail = _zeta_tail(table, power)
+    if tail is not None:
+        cap_bound = min(cap_bound, tail(cap))
+    goal = genseries._goal(cap_bound, tolerance)
+    if tail is not None and tail(cap) <= goal:
+        from . import weights
+        stop = weights._least_side(lambda side: tail(side + 1), cap - 1, goal) + 1
+        zeta_bound = tail(stop)
     terms, total, n, d, c2 = [], 0.0, 0, 1.0, 0.0
     while True:
         term = math.exp(lq * c2 - exponent * math.log(d))
@@ -111,6 +173,8 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
         ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
         next_term = math.exp(lq * c2_next - power * math.log(d_next))
         bound = next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
+        if n >= stop:
+            bound = min(bound, zeta_bound)
         if bound <= goal or n >= cap or total == math.inf:
             return EvalResult(value=total if total == math.inf else math.fsum(terms),
                               tail_bound=bound, terms_used=n, converged=bound <= tolerance)
@@ -120,7 +184,7 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                     tolerance: float) -> EvalResult:
     """Higher-rank heat sum over every weight up to the grade its separable
-    majorant (``weights._majorant_logs``) certifies, or over a box.
+    majorant (``weights._HeatParts.logs``) certifies, or over a box.
 
     ``weights._majorant_grade`` turns the majorant into the least grade K
     whose tail beyond it meets the tolerance, and ``weights.sum_region``
@@ -151,9 +215,8 @@ def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
                               terms_used=weights.ball_size(rank, side, simplex=False),
                               converged=True)
     value = weights.sum_region(weights.ball(table, grade, simplex=True), exponent, area)
-    return EvalResult(value=value, tail_bound=bound,
-                      terms_used=weights.ball_size(rank, grade, simplex=True),
-                      converged=bound <= tolerance)
+    return EvalResult(value, bound, weights.ball_size(rank, grade, simplex=True),
+                      bound <= tolerance)
 
 
 def _crossover(table: dims.LinearFactors) -> float:

@@ -13,12 +13,15 @@ cheap upper bound ``specfun.hurwitz_zeta_upper``; it takes the shares,
 shifts, powers and moments of all rank^2 of them in a few array passes,
 from what it needs of its table alone (``_box_parts``), and
 ``_least_side`` finds the least side that meets the goal from a few of
-those bounds.  ``_majorant_logs`` bounds a heat term by prod_i h_i(n_i),
-whose sum past coordinate sum K is a coefficient tail of a product of
-one-coordinate series, so ``_majorant_grade`` knows the least K that meets
-the tolerance, from what it needs of its table alone (``_heat_parts``).
-Each such part is built once per table and kept on it
-(``dims.LinearFactors.part``).
+those bounds.  A heat term is bounded by prod_i h_i(n_i)
+(``_HeatParts.logs``), whose sum past coordinate sum K is a coefficient
+tail of a product of one-coordinate series, so ``_majorant_grade`` knows
+the least K that meets the tolerance.  Each such part is built once per
+table and kept on it (``dims.LinearFactors.part``).  The heat majorant's
+part (``_HeatParts``) keeps what depends on the table alone, rows
+log1p(m r) and G_ii m^2 + lin_i m that grow on demand, and, per exponent,
+the rows of the polynomial factor of log h_i; a call pays only for the
+passes that depend on the area.
 
 ``ball`` hands ``sum_region`` the (log d, c2) pairs of a ball: a ball of at
 most ``CHUNK_ROWS`` points is a prefix of the table's head of that shape
@@ -36,7 +39,7 @@ import math
 import sys
 from collections.abc import Iterator
 from functools import lru_cache, reduce
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from . import genseries
@@ -94,10 +97,10 @@ class Head:
     def prefix(self, r: int) -> tuple[np.ndarray, np.ndarray | None]:
         """(log d, c2) over the ball of radius r, at most CHUNK_ROWS points;
         c2 is None for the box."""
-        import numpy as np
         simplex, rank = self.simplex, len(self.table.pairing)
         count, (log_dims, casimirs) = ball_size(rank, r, simplex=simplex), self.pair
         if len(log_dims) < count:
+            import numpy as np
             r = max(r, min(radius(rank, 2 * len(log_dims), simplex=simplex),
                            radius(rank, CHUNK_ROWS, simplex=simplex)))
             points = next(ball_chunks(rank, r, simplex=simplex)).T   # lex order, one chunk
@@ -218,7 +221,8 @@ def ball_chunks(rank: int, r: int, *, simplex: bool) -> Iterator[np.ndarray]:
 def sum_region(terms, exponent: float, area: float) -> float:
     """Sum q^{c2(n)} d(n)^(-exponent), q = exp(-area), over a certified
     region given as (log d, c2) array pairs, c2 None when area is 0: one
-    exactly rounded sum per pair (``_exact_sum``), and one fsum over those."""
+    exactly rounded sum per pair (``_exact_sum``), and one fsum over those,
+    which a single pair's sum already is."""
     import numpy as np
     totals = []
     for log_dims, casimirs in terms:
@@ -227,7 +231,7 @@ def sum_region(terms, exponent: float, area: float) -> float:
             if casimirs is not None:
                 logs -= area * casimirs
             totals.append(_exact_sum(np.exp(logs, out=logs)))
-    return math.fsum(totals)
+    return totals[0] if len(totals) == 1 else math.fsum(totals)
 
 
 #: Below this many terms ``_exact_sum`` hands them straight to ``math.fsum``,
@@ -252,9 +256,9 @@ def _exact_sum(values: np.ndarray) -> float:
     sign is then fsum's), a non-finite term, sigma past the float range,
     and fewer than ``_FSUM_ROWS`` terms.  One temporary of the input's size.
     """
-    import numpy as np
     n = len(values)
     if n >= _FSUM_ROWS:
+        import numpy as np
         top = float(max(values.max(), -values.min()))  # NaN if a term is NaN
         e, m = math.frexp(top)[1], (n + 1).bit_length()
         if top < math.inf and e + m < 1024:
@@ -467,13 +471,17 @@ def _least_side(bound, top: int, goal: float) -> int:
     return hi
 
 
-#: The first cut M of ``_majorant_grade``; each table keeps its majorant
-#: rows up to M + 2 (``_HeatParts``).
+#: The first cut M of ``_majorant_grade``; each table's majorant rows start
+#: at m = 0..M + 2 (``_HeatParts``).
 _FIRST_CUT = 16
+
+#: A table keeps the majorant's polynomial rows of at most this many
+#: exponents at once (``_HeatParts``); one more starts the store afresh.
+_EXPONENTS = 64
 
 
 def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...]:
-    """The parts of ``_majorant_logs`` at m = 0..top that depend on the table
+    """The parts of ``_HeatParts.logs`` at m = 0..top that depend on the table
     alone: log1p(m r_ij) of the upper form (exponent <= 0), log1p(m r_j) of
     the lower form (exponent > 0), and G_ii m^2 + lin_i m."""
     import numpy as np
@@ -485,45 +493,62 @@ def _majorant_rows(table: dims.LinearFactors, top: int) -> tuple[np.ndarray, ...
             m * m * gram.diagonal() + m * lin)
 
 
-class _HeatParts(NamedTuple):
+class _HeatParts:
     """What the majorant of a higher-rank heat sum needs of its table alone,
-    built once per table (``_heat_parts``, by ``table.part``)."""
+    built once per table (by ``table.part``), and of the table and one
+    exponent, built once per exponent; nothing here depends on the area.
 
-    totals: np.ndarray                  # sum_i L_ij, the shares' denominators
-    gauss: list[tuple[float, float]]    # (G_ii, lin_i) of the ratio bound
-    rows: tuple[np.ndarray, ...]        # _majorant_rows up to _FIRST_CUT + 2
-
-
-def _heat_parts(table: dims.LinearFactors) -> _HeatParts:
-    """The majorant's table parts."""
-    gram, lin = table._form
-    return _HeatParts(totals=table._arrays[0].sum(axis=0),
-                      gauss=list(zip(gram.diagonal().tolist(), lin.tolist())),
-                      rows=_majorant_rows(table, _FIRST_CUT + 2))
-
-
-def _majorant_logs(table: dims.LinearFactors, exponent: float, area: float,
-                   top: int) -> np.ndarray:
-    """log h_i(m) for every coordinate i (rows) and m = 0..top (columns),
-    with q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) on the nonnegative cone:
-
-        h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + r_ij m)^p_ij.
-
-    The Casimir n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i, as
-    G >= 0 entrywise.  Each factor of d, 1 + sum_i a_i, is at most
-    prod_i (1 + a_i), so r_ij = L_ij / c_j and p_ij = -exponent when
-    exponent <= 0; and at least its weighted AM-GM product, so at the shares
-    w_ij = L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij = -exponent
-    w_ij when exponent > 0.
+    Per table: the shares' denominators sum_i L_ij, the (G_ii, lin_i) of the
+    ratio bound and the rows of ``_majorant_rows``, which start at m = 0..M
+    + 2 for the first cut M and, like a ``Head``, grow on demand to the
+    larger of the rows asked for and twice the rows held.  Per exponent, in
+    a dict keyed by it: the rows poly[m, i] = sum_j p_ij log1p(m r_ij) of
+    ``logs``, over every row held when they were made, and made again when
+    a call asks past them; at most ``_EXPONENTS`` exponents are kept at
+    once.  A row of either kind is the same float however many rows are
+    held, so a call reads the same logs as one that built them all anew.  A
+    call reads the rows it found or built throughout, so calls that grow
+    them at once still get the right rows; the last ones stored are kept.
     """
-    parts = table.part(_heat_parts)
-    upper, lower, quadratic = (parts.rows if top <= _FIRST_CUT + 2
-                               else _majorant_rows(table, top))
-    if exponent > 0.0:
-        poly = (lower[:top + 1] * (-exponent * table._arrays[0] / parts.totals)).sum(axis=2)
-    else:
-        poly = (upper[:top + 1] * -exponent).sum(axis=2)
-    return (poly - area * quadratic[:top + 1]).T
+
+    def __init__(self, table: dims.LinearFactors):
+        gram, lin = table._form
+        self.table = table
+        self.totals = table._arrays[0].sum(axis=0)
+        self.gauss = list(zip(gram.diagonal().tolist(), lin.tolist()))
+        self.rows = _majorant_rows(table, _FIRST_CUT + 2)
+        self.polys = {}
+
+    def logs(self, exponent: float, area: float, top: int) -> np.ndarray:
+        """log h_i(m) for every coordinate i (rows) and m = 0..top (columns),
+        with q^{c2(n)} d(n)^-exponent <= prod_i h_i(n_i) on the nonnegative
+        cone:
+
+            h_i(m) = exp(-area (G_ii m^2 + lin_i m)) prod_j (1 + r_ij m)^p_ij.
+
+        The Casimir n.G.n + lin.n is at least sum_i G_ii n_i^2 + lin_i n_i,
+        as G >= 0 entrywise.  Each factor of d, 1 + sum_i a_i, is at most
+        prod_i (1 + a_i), so r_ij = L_ij / c_j and p_ij = -exponent when
+        exponent <= 0; and at least its weighted AM-GM product, so at the
+        shares w_ij = L_ij / sum_i L_ij, r_ij = sum_i L_ij / c_j and p_ij =
+        -exponent w_ij when exponent > 0.  Of the kept rows only the
+        difference poly - area (G_ii m^2 + lin_i m) is taken here.
+        """
+        rows = self.rows
+        if len(rows[2]) <= top:
+            rows = _majorant_rows(self.table, max(top, 2 * (len(rows[2]) - 1)))
+            self.rows = rows
+        poly = self.polys.get(exponent)
+        if poly is None or len(poly) <= top:
+            upper, lower, _ = rows
+            if exponent > 0.0:
+                poly = (lower * (-exponent * self.table._arrays[0] / self.totals)).sum(axis=2)
+            else:
+                poly = (upper * -exponent).sum(axis=2)
+            if len(self.polys) >= _EXPONENTS:
+                self.polys = {}
+            self.polys[exponent] = poly
+        return (poly[:top + 1] - area * rows[2][:top + 1]).T
 
 
 def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
@@ -543,41 +568,50 @@ def _majorant_grade(table: dims.LinearFactors, exponent: float, area: float,
     it.  The larger of the two at m = M+1 is r_i, and T_i <= h_i(M+1) /
     (1 - r_i).  M doubles until a K <= M meets the tolerance or M reaches
     the largest grade the cap allows.  Every h_i is scaled by its largest
-    term before the products, so nothing overflows.  The arithmetic on one
-    number per coordinate or per grade is in Python floats; the exponentials,
-    logarithms and convolutions are numpy's.
+    term before the products, so nothing overflows.
+
+    What depends on the table, or on the table and the exponent, is kept
+    (``_HeatParts``); a call does only the passes that depend on the area:
+    the difference of the kept rows, the exponential, the ratio and the
+    spill, the convolutions and the log tails.  The arithmetic on one
+    number per coordinate or per grade is in Python floats; the
+    exponentials, logarithms, reductions and convolutions are numpy's,
+    called as ufuncs and their reductions, without the array methods'
+    Python wrappers.
     """
     import numpy as np
-    gauss = table.part(_heat_parts).gauss
-    k_cap = radius(len(gauss), cap, simplex=True)
+    parts = table.part(_HeatParts)
+    k_cap = radius(len(parts.gauss), cap, simplex=True)
     log_tol = math.log(tolerance)
     cut = min(_FIRST_CUT, k_cap)
+    add, maximum = np.add, np.maximum
     # past the float range area m^2 makes a log h_i(m) -inf, and a sum or a
     # product of sums makes the spill inf (no certificate), never NaN, so at
     # the cap grade the missed-tolerance rule ends the search; a zero tail's
     # log is -inf
     with np.errstate(over="ignore", divide="ignore"):
         while True:
-            logs = _majorant_logs(table, exponent, area, cut + 2)
-            scale = logs.max(axis=1)
+            logs = parts.logs(exponent, area, cut + 2)
+            scale = maximum.reduce(logs, axis=1)
             head = np.exp(logs - scale[:, None])
             # max keeps its first argument over a NaN, the difference of two -inf
             log_ratio = [max(-area * (g * (2 * cut + 3) + b), last - before)
-                         for (before, last), (g, b) in zip(logs[:, cut + 1:].tolist(), gauss)]
+                         for (before, last), (g, b) in zip(logs[:, cut + 1:].tolist(),
+                                                           parts.gauss)]
             if all(r < 0.0 for r in log_ratio):
                 rest = head[:, cut + 1] / -np.expm1(log_ratio)
-                sums = head[:, :cut + 1].sum(axis=1) + rest
+                sums = add.reduce(head[:, :cut + 1], axis=1) + rest
                 total = math.prod(sums.tolist())
-                spill = float((rest * total / sums).sum()) if total < math.inf else math.inf
+                spill = (float(add.reduce(rest * total / sums)) if total < math.inf
+                         else math.inf)
             else:
                 spill = math.inf
             coeffs = head[0, :cut + 1]
             for row in head[1:, :cut + 1]:
                 coeffs = np.convolve(coeffs, row)
             # the coefficients past K, summed from the top down, for K = 0..cut
-            beyond = [*accumulate(reversed(coeffs.tolist()))][-2::-1] + [0.0]
-            log_tails = (np.log([t + spill for t in beyond[:cut + 1]])
-                         + scale.sum()).tolist()
+            beyond = np.concatenate((add.accumulate(coeffs[:0:-1])[::-1], [0.0]))
+            log_tails = (np.log(beyond[:cut + 1] + spill) + add.reduce(scale)).tolist()
             if cut == k_cap and log_tails[cut] > log_tol:
                 log_tol = log_tails[cut] + math.log(2.0)
             grade = next((k for k, t in enumerate(log_tails) if t <= log_tol), None)

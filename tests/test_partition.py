@@ -1,7 +1,9 @@
 import itertools
 import math
+import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -170,7 +172,7 @@ def test_majorant_dominates_every_term(ident):
         for area in (0.05, 1.0):
             log_terms = (-area * table.casimirs(coords)
                          - exponent * table.log_dims(coords))
-            logs = weights._majorant_logs(table, float(exponent), area, box)
+            logs = table.part(weights._HeatParts).logs(float(exponent), area, box)
             log_major = logs[np.arange(rank), coords].sum(axis=1)
             excess = log_terms - log_major
             assert excess.max() <= math.log1p(1e-12), (exponent, area)
@@ -328,6 +330,45 @@ def test_rank_one_heat_sum_with_no_bound_in_the_cap_stops_at_one_term(res):
     assert not res.converged and res.rigorous
 
 
+@pytest.mark.parametrize("fn,ident,genus,s", [(partition_type_I, "S:3", 2, 6),
+                                               (partition_type_I, "S:3", 5, 18),
+                                               (partition_type_I, "S:3", 1000, 3998),
+                                               (partition_type_II, "SU:2", 10 ** 6, 1999998)])
+def test_rank_one_heat_sum_at_a_tiny_area_is_certified_by_its_zeta_tail(fn, ident, genus, s):
+    # q^{Delta c2} rounds to one, so the geometric bound is inf at every
+    # term; q^{c2} <= 1 makes the zeta tail of d^-(2g - 1) (or 2g - 2) a
+    # bound, and the sum is within it of its value at area 0, zeta(s) with
+    # d(k - 1) = k^2 on S:3 and k on SU:2
+    res = fn(ident, SurfaceParams(genus, 1e-300), 1e-8)
+    assert res.converged and res.rigorous and 0.0 < res.tail_bound <= 1e-8
+    assert res.terms_used < 100
+    assert abs(res.value - float(mpmath.zeta(s))) <= res.tail_bound + 1e-15
+    if genus == 2:
+        assert abs(res.value - math.pi ** 6 / 945) <= res.tail_bound
+
+
+def test_rank_one_heat_sum_at_a_tiny_area_past_the_cap_keeps_a_finite_bound(monkeypatch):
+    # genus 1 on S:3: sum_{k >= 1} k^-2 = pi^2 / 6 has a zeta tail of about
+    # 1/n, which misses 1e-8 at this cap; the missed-tolerance rule stops
+    # where it is within twice its value at the cap, and the bound holds
+    monkeypatch.setenv("WZ_MAX_TERMS", "10000")
+    res = partition_type_I("S:3", SurfaceParams(1, 1e-300), 1e-8)
+    assert not res.converged and res.rigorous and 1e-4 < res.tail_bound < 3e-4
+    assert res.terms_used < 10_000
+    assert abs(res.value - math.pi ** 2 / 6) <= res.tail_bound
+
+
+def test_rank_one_boundary_sum_at_a_tiny_area_is_certified_by_its_zeta_tail():
+    # the weighted sum is bounded by the zeta tail of d^-(2g - 1), as
+    # |chi_n| <= d(n): S:3 at genus 2 with one hole, q^{c2} = 1
+    theta = 1.0
+    res = boundary_state("S:3", SurfaceParams(2, 1e-300, (theta,)), 1e-8)
+    assert res.converged and res.rigorous and res.terms_used < 100
+    direct = math.fsum(partition._s3_character(n, theta) / (n + 1) ** 8
+                       for n in range(20_000))
+    assert abs(res.value - direct) <= res.tail_bound + 1e-15
+
+
 @pytest.mark.parametrize("res,terms", [
     (lambda: partition_type_I("S:70", SurfaceParams(0, 1e-3)), 434),
     (lambda: partition_type_I("S:100", SurfaceParams(0, 1e-3)), 484),
@@ -416,6 +457,53 @@ def test_second_heat_sum_builds_no_chunk(monkeypatch):
     for query, first in zip(_PAST_THE_OLD_HEAD, firsts):
         assert _direct_type_II(*query) == first
     assert calls == []
+
+
+#: the exponents of the shuffled grade test: of both forms 2g - 2 and
+#: 2g - 1, and one of neither
+_SHUFFLED_EXPONENTS = (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("ident", ("SU:3", "G2", "SU:4", "Sp:3", "AI:3", "CI:3", "F4", "E6"))
+def test_majorant_grade_in_any_order_matches_its_reference(ident):
+    # a fresh copy of the table keeps no majorant rows yet; it is asked in a
+    # shuffled order of (exponent, area, tolerance, cap), each call twice, so
+    # that grades past the first cut grow its rows between the calls of one
+    # exponent and another, and every call must still give the reference's
+    # grade and bound bit for bit; the reference keeps nothing
+    table = _table(ident)
+    fresh = dims.LinearFactors(table.pairing, table.shifts, table.gram, table.lin)
+    cases = list(itertools.product(_SHUFFLED_EXPONENTS, (0.01, 0.05, 0.2, 1.0),
+                                   (1e-8, 1e-12), (partition.genseries.term_cap(), 200)))
+    random.Random(ident).shuffle(cases)
+    grades = set()
+    for exponent, area, tolerance, cap in cases:
+        args = (fresh, exponent, area, tolerance, cap)
+        want = _reference_grade(*args)
+        assert weights._majorant_grade(*args) == want, args[1:]
+        assert weights._majorant_grade(*args) == want, args[1:]
+        grades.add(want[0])
+    assert max(grades) > weights._FIRST_CUT
+
+
+def test_second_heat_sum_builds_no_majorant_rows(monkeypatch):
+    # the majorant's rows are kept per table and its polynomial rows per
+    # exponent, grown past the first cut once: a second heat sum of the
+    # same table and exponent builds neither.  SU:3 at genus 2 and area
+    # 0.05 stops at grade 18, past the first cut of 16
+    queries = (("SU:3", 2, 0.05), ("SO:5", 2, 0.2), ("Sp:3", 0, 0.2)) + _PAST_THE_OLD_HEAD
+    firsts = [_direct_type_II(*query) for query in queries]
+    assert firsts[0].terms_used == math.comb(18 + 2, 2)
+    kept = [(dims.compile_group(group).part(weights._HeatParts), 2.0 * genus - 2.0)
+            for group, genus, _ in queries]
+    polys = [part.polys[exponent] for part, exponent in kept]
+    calls, rows = [], weights._majorant_rows
+    monkeypatch.setattr(weights, "_majorant_rows",
+                        lambda *args: calls.append(args) or rows(*args))
+    for query, first in zip(queries, firsts):
+        assert _direct_type_II(*query) == first
+    assert calls == []
+    assert all(part.polys[exponent] is poly for (part, exponent), poly in zip(kept, polys))
 
 
 def _reference_logs(table, exponent, area, top):
