@@ -9,16 +9,16 @@ coefficients sum to zero, which is also checked here in exact arithmetic.
 
 Every sum of the library fixes its goal, the tail bound at which it stops,
 before it sums a term (``_goal``): the tolerance or, when that is out of
-reach within the term cap, twice the bound at the cap.  The rank-one series
-(``_sum_with_tail``, here and in ``zeta``) pick their head from the tail
-rule ``moment_tail`` at their factors' moments (``tail_moments``), and sum
-it over the s-free log-dimensions of a ``Series``, which a compiled
-rank-one table keeps; the
-higher-rank sums are in ``weights``, whose zeta box certificate takes the
-same rule from its series' moments.  Every tail bound comes from the cheap
-certified upper bound ``specfun.hurwitz_zeta_upper``; the one
-full-precision Hurwitz value, ``hurwitz_zeta_certified``, is the rank-one
-estimate at its final head.
+reach within the term cap, twice the bound at the cap.
+
+One rule, ``whole_tail``, certifies a whole tail sum_{n >= start} prod_j
+(n + kappa_j)^(-p_j) from its moments (``tail_moments``): for the zeta box
+(``weights._box_bound``) and, as ``Series.tail``, for the rank-one heat
+floor.  A rank-one ``Series`` is scaled to a power in one place,
+``Series.power``.  The rank-one series (``_sum_with_tail``, here and in
+``zeta``) pick their head from ``moment_tail`` at the scaled moments; the
+one full-precision Hurwitz value, ``hurwitz_zeta_certified``, is their
+estimate at the final head.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def tail_moments(kappas: list[float], powers: list[float]
     the total power P = sum p_j, the power-weighted mean shift kbar,
     max|kappa_j - kbar|, V = sum p_j (kappa_j - kbar)^2 (inf past the float
     range) and the least shift.  Scaling every power by s scales P and V by
-    s and leaves the rest (``Series``).  ``weights._box_bound`` takes the
+    s and leaves the rest (``Series.power``).  ``weights._box_bound`` takes the
     same moments of many series at once, in array passes."""
     total = sum(powers)
     kbar = sum([p * k for p, k in zip(powers, kappas)]) / total
@@ -101,11 +101,29 @@ def _upper(s: float, a: float) -> float:
     return bound if bound >= sys.float_info.min else math.nan
 
 
+def whole_tail(total: float, kbar: float, spread: float, v: float, kappa_min: float):
+    """start -> a certified upper bound on sum_{n >= start} prod_j (n +
+    kappa_j)^(-p_j), given by its moments: the bound of ``moment_tail`` plus,
+    on its pinned branch, the kernel's upper bound on zeta(P, a); NaN where
+    that is no positive normal float.  Each start is evaluated once."""
+    tail, known = moment_tail(total, kbar, spread, v, kappa_min), {}
+
+    def bound(start: int) -> float:
+        value = known.get(start)
+        if value is None:
+            a, value = tail(start)
+            if a is not None:
+                value += _upper(total, a)
+            known[start] = value = value if value >= sys.float_info.min else math.nan
+        return value
+
+    return bound
+
+
 def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: float):
     """start -> (a, bound) for the tail from n = start of a product of factors
     prod_j (n+kappa_j)^(-p_j), given by its moments (``tail_moments``): the
-    one tail rule of the rank-one series and of the one-coordinate series of
-    the zeta box certificate.
+    rule behind ``whole_tail`` and the rank-one estimate.
 
     The product is pinned to (n + kbar)^(-P) with kbar the power-weighted
     mean shift, so the first-order deviation vanishes and the remainder is
@@ -119,9 +137,8 @@ def moment_tail(total: float, kbar: float, spread: float, v: float, kappa_min: f
     most (n + kappa_min)^(-P), so the tail is at most bound = zeta(P, start +
     kappa_min), and a is None.  Every zeta here is the certified upper bound
     ``specfun.hurwitz_zeta_upper``; where that is not a positive normal float
-    the bound is NaN, no bound.  A caller that wants the tail itself adds
-    the upper bound at (P, a) or, for the rank-one estimate, the certified
-    value.
+    the bound is NaN, no bound.  ``whole_tail`` adds the upper bound at (P,
+    a); the rank-one estimate adds the certified value.
     """
     def tail(start: int) -> tuple[float | None, float]:
         a = start + kbar
@@ -244,6 +261,24 @@ class Series:
         for lo in range(_HEAD_BLOCK + 1, head + 1, _HEAD_BLOCK):
             yield _log_dims(self.factors, lo, min(lo + _HEAD_BLOCK, head + 1))
 
+    def power(self, s: float) -> tuple[float, float, tuple]:
+        """(P, scale_log, moments) of the series to the power s, whose n-th
+        term is exp(scale_log - s l_n): P = s sum xi_j, scale_log = -s log c
+        and the moments of ``tail_moments`` with V scaled by s."""
+        total, kbar, spread, v, least = self.moments
+        return s * total, -s * self.log_c, (s * total, kbar, spread, s * v, least)
+
+    def tail(self, s: float, start: int, whole: bool) -> float:
+        """A bound on the tail from n = start of the series to the power s, in
+        logs and never 0 (``_up``): the whole tail (``whole_tail``) where
+        ``whole`` is true and that is a float, else the first term plus the
+        integral of the rest (``log_first_order``)."""
+        total, scale_log, moments = self.power(s)
+        value = whole_tail(*moments)(start) if whole else math.nan
+        log = math.log(value) if value >= sys.float_info.min else log_first_order(
+            [(s * xi, k) for xi, k in self.factors], total, start)
+        return _up(_exp(scale_log + log))
+
 
 def _head_error(scale_log: float, s: float, first: float, total: float, count: int,
                 log_span: float):
@@ -295,13 +330,11 @@ def _series_tail(series: Series, s: float, cap: int):
     terms with the bound 1.0009e-10.
 
     Where ``moment_tail`` has no float bound (NaN) the tail is bounded in
-    logs, as the zeta box certificate does (``log_first_order``).  That
-    bound at start = 1 is ``top``.  A bound on a positive tail never reads
-    0 (``_up``).
+    logs (``Series.tail``).  That bound at start = 1 is ``top``.  A
+    bound on a positive tail never reads 0 (``_up``).
     """
-    total, kbar, spread, v, least = series.moments
-    total, scale_log = s * total, -s * series.log_c
-    tails = moment_tail(total, kbar, spread, s * v, least)
+    total, scale_log, moments = series.power(s)
+    tails, least = moment_tail(*moments), moments[4]
     most = max(k for _, k in series.factors)
     first = series.prefix(min(16, cap))[0]      # every head has at least so many terms
     top = _exp(scale_log - s * first + math.log1p((1.0 + most) / (total - 1.0)))
@@ -319,8 +352,7 @@ def _series_tail(series: Series, s: float, cap: int):
                 upper = math.nan
             err = error(top, head) + _U * top if top else error(0.0, head)
             if not (bound >= 0.0 and upper >= 0.0):     # a NaN: no float bound
-                factors = [(s * xi, k) for xi, k in series.factors]
-                a, bound = None, _up(_exp(scale_log + log_first_order(factors, total, head + 1)))
+                a, bound = None, series.tail(s, head + 1, False)
             else:
                 if a is not None:
                     err += _estimate_error(scale_log, upper, hurwitz_zeta_error(total, a, upper),
@@ -350,7 +382,7 @@ def _sum_with_tail(series: Series, s: float, tolerance: float) -> EvalResult:
     (``_estimate_error``), the head's (``_head_error``) and the exact error
     of the addition.  A head term past the float range is a ``DomainError``.
     """
-    total, scale_log = s * series.moments[0], -s * series.log_c
+    total, scale_log, _ = series.power(s)
     if not (math.isfinite(total) and math.isfinite(scale_log)):
         raise DomainError("series powers and scale must be finite")
     if total <= 1.0:

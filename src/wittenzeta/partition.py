@@ -20,11 +20,12 @@ faster (``_crossover``), so a large area neither imports ``dual`` nor builds
 a table's flats.  Every other sum, and one whose dual bound misses, is
 summed directly.  Rank one sums weight by weight, its dimension multiplied
 out from the table's one row, up to the first weight whose geometric ratio
-bound meets a goal fixed before the first term, or whose running total is
-infinite; its terms are added with ``math.fsum`` and rounded once.  Where
-the area is so small that the geometric bound says little and the bound
-exponent is > 0, the zeta tail of the bounding sum bounds the heat tail
-too, as q^{c2} <= 1 (``_zeta_tail``).  A higher rank sums the simplex its
+bound (``_geometric``) meets a goal fixed before the first term, or whose
+running total is infinite; its terms are added with ``math.fsum`` and
+rounded once.  Where the area is so small that the geometric bound says
+little and the bound exponent is > 0, the whole tail of the table's series
+at that exponent (``genseries.Series.tail``) bounds the heat tail too, as
+q^{c2} <= 1.  A higher rank sums the simplex its
 separable majorant certifies (``_shell_heat_sum``, from the lattice module
 ``weights``), or, at exponent > 0 where the majorant misses, the least box
 whose zeta bound meets the tolerance.  The majorant's rows that depend on
@@ -38,7 +39,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import sys
 from typing import NamedTuple
 
 from . import dims, genseries, rootdata, zeta
@@ -73,39 +73,13 @@ class SurfaceParams(Frozen, _SurfaceParamsFields):
         return len(self.holonomies)
 
 
-def _zeta_tail(table: dims.LinearFactors, power: float):
-    """start -> a bound on sum_{m >= start} d(m)^-power over a rank-one
-    table, or None where that sum diverges (power times the degree at most
-    one, as for every power <= 0).  As q^{c2} <= 1 it bounds a heat tail
-    from m = start too.
-
-    It is the tail rule of the table's series (``zeta._series``,
-    ``genseries.moment_tail``) plus, on its pinned branch, the kernel's
-    upper bound on zeta(P, a) (``specfun.hurwitz_zeta_upper``), as
-    ``weights._box_bound`` takes a tail; where that is no positive normal
-    float, the first term plus the integral of the rest in logs
-    (``genseries.log_first_order``).  The scale c^-power of d(m) = c prod_k
-    (m + kappa_k)^xi_k is applied in logs, and a bound never reads 0
-    (``genseries._up``).  Each start is evaluated once.
-    """
-    series = table.part(zeta._series)
-    total, kbar, spread, v, least = series.moments
-    total, scale_log = power * total, -power * series.log_c
-    if not total > 1.0:
-        return None
-    tail = genseries.moment_tail(total, kbar, spread, power * v, least)
-    factors = [(power * xi, k) for xi, k in series.factors]
-
-    @functools.cache
-    def bound(start: int) -> float:
-        a, value = tail(start)
-        if a is not None:
-            value += genseries._upper(total, a)
-        log_value = (math.log(value) if value >= sys.float_info.min
-                     else genseries.log_first_order(factors, total, start))
-        return genseries._up(genseries._exp(scale_log + log_value))
-
-    return bound
+def _geometric(log_ratio: float, log_next: float) -> float:
+    """exp(log_next) / (1 - exp(log_ratio)), a geometric tail, in logs with
+    expm1, so that a ratio within 2^-53 of one still bounds; inf at a ratio
+    of one or more, or a NaN."""
+    if not log_ratio < 0.0:
+        return math.inf
+    return genseries._exp(log_next - math.log(-math.expm1(log_ratio)))
 
 
 def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
@@ -117,23 +91,23 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     (default ``exponent``) and no weight, so |weight(n)| must be at most
     d(n)^(exponent - bound_exponent).  The Casimir increments grow linearly,
     so beyond any n the term ratios of the bounding sum are dominated by the
-    ratio at n, which makes the geometric bound valid.  The sum stops at the
-    first n whose bound meets the goal, fixed before the first term
-    (``genseries._goal``): the tolerance or, when the bound after the cap's
-    last term misses it, twice that bound.  That bound is taken in logs, so
-    a dimension past the float range does not void it.  An infinite bound
-    at the cap makes the goal infinite, and the sum stops at its first term.
-    A running total past the float range stops the sum too, with the value
-    inf; otherwise the value is the sum of the terms, rounded once.
+    ratio at n, which makes the geometric bound valid (``_geometric``, after
+    the cap and after every term).  The sum stops at the first n whose bound
+    meets the goal, fixed before the first term (``genseries._goal``): the
+    tolerance or, when the bound after the cap's last term misses it, twice
+    that bound.  An infinite bound at the cap makes the goal infinite, and
+    the sum stops at its first term.  A running total past the float range
+    stops the sum too, with the value inf; otherwise the value is the sum
+    of the terms, rounded once.
 
-    At a tiny area the geometric bound says little: where q^{Delta c2} rounds
-    to one at the cap, every bound the loop takes is inf.  So where the bound
+    At a tiny area the geometric bound says little.  So where the bound
     exponent is > 0, the bounding sum converges at area 0, and the bound
-    after the cap misses the tolerance or that ratio rounds to one, the
-    zeta tail of the bounding sum (``_zeta_tail``) bounds the tail too: the
-    goal is then fixed from the smaller of the two bounds after the cap,
-    and from the least n whose zeta tail meets it (``weights._least_side``)
-    the bound is the smaller of the two.
+    after the cap misses the tolerance or q^{Delta c2} rounds to one at the
+    cap, the whole tail of the table's series at the bound exponent
+    (``genseries.Series.tail``) bounds the tail too: the goal is then fixed
+    from the smaller of the two bounds after the cap, and from the least n
+    whose whole tail meets it (``weights._least_side``) the bound is the
+    smaller of the two, never 0 (``genseries._up``).
     """
     genseries._check_tolerance(tolerance)
     lq = -area
@@ -142,23 +116,22 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
     factors = [(v, float(c)) for v, c in zip(table.pairing[0], table.shifts)]
     cap = genseries.term_cap()
     log_d = [sum(math.log((v * m + c) / c) for v, c in factors) for m in (cap - 1, cap)]
-    log_ratio = lq * (a * (2 * cap - 1) + b) + max(0.0, -power) * (log_d[1] - log_d[0])
-    log_last = (lq * (a * cap * cap + b * cap) - power * log_d[1]
-                - math.log(-math.expm1(log_ratio)) if log_ratio < 0.0 else math.inf)
-    cap_bound = genseries._exp(log_last)
+    cap_bound = _geometric(lq * (a * (2 * cap - 1) + b) + max(0.0, -power) * (log_d[1] - log_d[0]),
+                           lq * (a * cap * cap + b * cap) - power * log_d[1])
     stop, zeta_bound, tail = cap, math.inf, None
     if cap_bound > tolerance or math.exp(lq * (a * (2 * cap - 1) + b)) == 1.0:
-        tail = _zeta_tail(table, power)
-    if tail is not None:
-        cap_bound = min(cap_bound, tail(cap))
+        series = table.part(zeta._series)
+        if series.power(power)[0] > 1.0:
+            tail = functools.cache(functools.partial(series.tail, power, whole=True))
+            cap_bound = min(cap_bound, tail(cap))
     goal = genseries._goal(cap_bound, tolerance)
     if tail is not None and tail(cap) <= goal:
         from . import weights
         stop = weights._least_side(lambda side: tail(side + 1), cap - 1, goal) + 1
         zeta_bound = tail(stop)
-    terms, total, n, d, c2 = [], 0.0, 0, 1.0, 0.0
+    terms, total, n, log_d, c2 = [], 0.0, 0, 0.0, 0.0
     while True:
-        term = math.exp(lq * c2 - exponent * math.log(d))
+        term = math.exp(lq * c2 - exponent * log_d)
         if weight is not None:
             term *= weight(n)
         terms.append(term)
@@ -169,16 +142,16 @@ def _rank_one_heat_sum(table: dims.LinearFactors, exponent: float, area: float,
             head = math.fsum(terms)
             terms = [head, math.fsum([*terms, -head])]
         n += 1      # d(n) = prod_j (n L_j + c_j) / c_j, in factor order
-        d_next, c2_next = math.prod((v * n + c) / c for v, c in factors), a * n * n + b * n
-        ratio = math.exp(lq * (c2_next - c2)) * (d_next / d) ** max(0.0, -power)
-        next_term = math.exp(lq * c2_next - power * math.log(d_next))
-        bound = next_term / (1.0 - ratio) if ratio < 1.0 else math.inf
-        if n >= stop:
-            bound = min(bound, zeta_bound)
+        log_next = math.log(math.prod((v * n + c) / c for v, c in factors))
+        c2_next = a * n * n + b * n
+        log_ratio = lq * (c2_next - c2) - (power * (log_next - log_d) if power < 0.0 else 0.0)
+        bound = _geometric(log_ratio, lq * c2_next - power * log_next)
+        if n >= stop:       # the smaller, which like the whole tail never reads 0
+            bound = genseries._up(min(bound, zeta_bound))
         if bound <= goal or n >= cap or total == math.inf:
             return EvalResult(value=total if total == math.inf else math.fsum(terms),
                               tail_bound=bound, terms_used=n, converged=bound <= tolerance)
-        d, c2 = d_next, c2_next
+        log_d, c2 = log_next, c2_next
 
 
 def _shell_heat_sum(table: dims.LinearFactors, exponent: float, area: float,

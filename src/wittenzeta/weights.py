@@ -8,8 +8,8 @@ weights, of radius r, is certified before any term is summed: the box
 sum.  Each factor of d, 1 + sum_i a_i with a_i = L_ij n_i / c_j >= 0, is at
 least prod_i (1 + a_i / w_ij)^w_ij for shares w_ij >= 0 summing to one over
 i (weighted AM-GM).  ``_box_bound`` bounds the zeta sum outside a box by
-one-coordinate series, each tailed by ``genseries.moment_tail`` from the
-cheap upper bound ``specfun.hurwitz_zeta_upper``; it takes the shares,
+one-coordinate series, each tailed by the one whole-tail rule
+``genseries.whole_tail``; it takes the shares,
 shifts, powers and moments of all rank^2 of them in a few array passes,
 from what it needs of its table alone (``_box_parts``), and
 ``_least_side`` finds the least side that meets the goal from a few of
@@ -345,12 +345,10 @@ def _box_bound(table: dims.LinearFactors, s: float):
     and move toward coordinate i by the largest t in [0, 1] that keeps
     s sum_j w_kj >= 1.2 for every other k; a g_k with s sum_j w_kj <= 1
     diverges and makes the bound inf.  As d >= 1, a bound at s' <= s holds
-    at s, and s' <= 1e300 keeps the power sums finite.  Where the certified
-    tail of a series from m = start is not a positive normal float (at a
-    total power P in the hundreds the kernel's value underflows, and the
-    tail rule passes NaN), it is taken in logs as the first term plus the
-    integral of the rest, f(start) (1 + (start + kappa_max) / (P - 1)),
-    f(m) = prod_j (m + kappa_j)^(-p_j) (``genseries.log_first_order``).
+    at s, and s' <= 1e300 keeps the power sums finite.  The tail of a series
+    from m = start is ``genseries.whole_tail``; where that is NaN (at a total
+    power P in the hundreds the kernel's value underflows), it is taken in
+    logs by ``genseries.log_first_order``.
 
     The moves t_i are taken in Python from the table's parts
     (``_box_parts``); the shares, the kappas c w / L, the powers p = s w,
@@ -361,11 +359,9 @@ def _box_bound(table: dims.LinearFactors, s: float):
     ``math.log`` and ``math.pow`` (the libm call of ``x ** 2``), taken once
     per class of equal values, so the bound is the scalar formula's bit for
     bit; max|kappa - kbar| is the larger of kappa_max - kbar and kbar -
-    kappa_min, as rounding is monotone.  Every tail is
-    ``genseries.moment_tail``, taken once per series moments and start: its
-    bound plus, on its pinned branch, the kernel's upper bound on zeta(P, a)
-    (``specfun.hurwitz_zeta_upper``), so the certificate makes no
-    full-precision Hurwitz evaluation.
+    kappa_min, as rounding is monotone.  Series with equal moments share
+    one whole tail, which takes each start once, so the certificate makes
+    no full-precision Hurwitz evaluation and no pinned tail twice.
     """
     import numpy as np
     s = min(s, 1e300)
@@ -389,11 +385,11 @@ def _box_bound(table: dims.LinearFactors, s: float):
     least = np.minimum.accumulate(np.where(shares > 0, kappas, math.inf), axis=2)[..., -1]
     most = np.maximum.accumulate(kappas, axis=2)[..., -1]
     spread = np.maximum(most - kbars, kbars - least)
-    tails = {}      # moments -> (their tail, {start: its bound}, P)
+    tails = {}      # moments -> (their whole tail, P)
 
     def tail_of(key):
         if key not in tails:
-            tails[key] = genseries.moment_tail(*key), {}, key[0]
+            tails[key] = genseries.whole_tail(*key), key[0]
         return tails[key]
 
     series = [[*map(tail_of, zip(*rows))] for rows in zip(*(a.tolist() for a in (
@@ -402,13 +398,8 @@ def _box_bound(table: dims.LinearFactors, s: float):
     def log_tail(i, k, start):
         """The log of the certified tail from m = start of series k of region i;
         a series met again shares the tails of the first."""
-        tail, known, total = series[i][k]
-        bound = known.get(start)
-        if bound is None:
-            a, bound = tail(start)
-            if a is not None:
-                bound += genseries._upper(total, a)
-            known[start] = bound
+        tail, total = series[i][k]
+        bound = tail(start)
         if bound >= sys.float_info.min:
             return math.log(bound)
         live = shares[i, k] > 0

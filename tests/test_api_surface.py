@@ -12,6 +12,7 @@ dead too; a call of a class sets the parameters of its ``__new__`` and
 fields by position or keyword.  The last test pins that the package's
 records are immutable."""
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,35 @@ def test_the_table_layer_names_no_sum_built_on_it():
         elif isinstance(node, ast.ImportFrom) and node.module:
             named.update(node.module.split("."))
     assert named & {"weights", "dual"} == set()
+
+
+#: An expression that builds or fetches a ``genseries.Series`` or one scaled
+#: to a power.
+_SERIES = re.compile(r"\b_series\b|\bSeries\b|\.power\(")
+
+
+def test_only_genseries_takes_a_series_tail_apart():
+    # one rule certifies a whole tail of a shifted product
+    # (``genseries.whole_tail``) and one method scales a Series to a power
+    # (``Series.power``): no other module calls the tail rule or the kernel
+    # bound behind it, or reads the parts of a Series both are built from
+    taken = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "genseries":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        series = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and _SERIES.search(ast.unparse(node.value))
+                  for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(
+                node, "name", None)
+            if name in ("moment_tail", "_upper") or isinstance(node, ast.Attribute) and (
+                    name in ("moments", "log_c") or name == "factors" and (
+                        getattr(node.value, "id", None) in series
+                        or _SERIES.search(ast.unparse(node.value)))):
+                taken.append(f"{path.stem}:{node.lineno}:{name}")
+    assert taken == []
 
 
 def test_every_kept_name_is_defined():

@@ -2,9 +2,10 @@ import math
 import random
 from fractions import Fraction as Q
 
+import mpmath
 import pytest
 
-from wittenzeta import dims, genseries, zeta
+from wittenzeta import dims, genseries, rootdata, zeta
 from wittenzeta.errors import (DegenerateConfiguration, DivergenceError,
                                DomainError, NotConverged)
 from wittenzeta.genseries import (gen_series_direct, gen_series_mf, pi_series, term_cap,
@@ -300,6 +301,57 @@ def test_rank_one_head_is_within_sixteen_terms_of_the_least(space_id):
             assert res.tail_bound == bound + genseries._addition_error(1.0, series_sum)
             if head >= 32:
                 assert _zeta_tail_bound(space_id, s, head - 16) > tol, (space_id, s, tol)
+
+
+def _mp(x):
+    """A Fraction as an mpmath number."""
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _rank_one_table(ident):
+    return dims.compile_group(ident) if ident == "SU:2" else dims.compile_space(ident)
+
+
+#: Closed forms of sum_{n >= start} d(n)^-s: d(n) = 2n + 1 on S:2 and CP:1,
+#: (n + 1)^2 on S:3 and n + 1 on SU:2.
+_HURWITZ_TAILS = {
+    "S:2": lambda s, start: mpmath.mpf(2) ** -s * mpmath.zeta(s, start + mpmath.mpf(0.5)),
+    "CP:1": lambda s, start: mpmath.mpf(2) ** -s * mpmath.zeta(s, start + mpmath.mpf(0.5)),
+    "S:3": lambda s, start: mpmath.zeta(2 * s, start + 1),
+    "SU:2": lambda s, start: mpmath.zeta(s, start + 1),
+}
+
+_RANK_ONE_IDS = ["SU:2"] + [sid for sid in rootdata.CATALOG_IDS
+                            if rootdata.lookup_space(sid).rank == 1]
+
+
+@pytest.mark.parametrize("ident", _RANK_ONE_IDS)
+def test_whole_tail_bounds_the_rank_one_tail(ident):
+    # the scaled whole tail of a table's series (``Series.tail``) is at
+    # least sum_{n >= start} d(n)^-s: its Hurwitz closed form where there is
+    # one, and there within 1e-3 of it on the pinned branch, else a 40-digit
+    # partial sum of 60 terms, a lower bound on it.  At P = s deg = 300 and
+    # start 1000 the kernel's value is below the float range, and the bound
+    # is the first-order one in logs
+    table = _rank_one_table(ident)
+    series, poly = table.part(zeta._series), table.factored
+    first_orders = 0
+    with mpmath.workdps(40):
+        for s in (1.5 / poly.degree, 2.0, 300.0 / poly.degree):
+            moments = series.power(s)[2]
+            for start in (1, 2, 17, 1000):
+                bound = series.tail(s, start, True)
+                first_order = math.isnan(genseries.whole_tail(*moments)(start))
+                if ident in _HURWITZ_TAILS:
+                    tail = _HURWITZ_TAILS[ident](mpmath.mpf(s), start)
+                    assert first_order or mpmath.mpf(bound) <= tail * 1.001, (s, start)
+                else:
+                    dimensions = [poly.c * math.prod(Q(n + k) ** xi for k, xi in poly.factors)
+                                  for n in range(start, start + 60)]
+                    tail = mpmath.fsum(_mp(d) ** -mpmath.mpf(s) for d in dimensions)
+                assert 0.0 < bound < math.inf and mpmath.mpf(bound) >= tail, (s, start)
+                first_orders += first_order
+    assert first_orders >= 1
 
 
 def _s2_genus0_heat_bound(area, n):

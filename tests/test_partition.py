@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -367,6 +368,40 @@ def test_rank_one_boundary_sum_at_a_tiny_area_is_certified_by_its_zeta_tail():
     direct = math.fsum(partition._s3_character(n, theta) / (n + 1) ** 8
                        for n in range(20_000))
     assert abs(res.value - direct) <= res.tail_bound + 1e-15
+
+
+def _mp(x):
+    """A Fraction or an int as an mpmath number."""
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _rank_one_heat_reference(ident, genus, area, terms):
+    """sum_{n < terms} q^{c2(n)} / d(n)^(2g - 1) of a rank-one space, to 40
+    digits, d(n) from its factored form and c2(n) = G n^2 + lin n exactly."""
+    table, poly = dims.compile_space(ident), dims.rank_one_factored(ident)
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for n in range(terms):
+            d = poly.c * math.prod(Fraction(n + k) ** xi for k, xi in poly.factors)
+            c2 = table.gram[0][0] * n * n + table.lin[0] * n
+            total += mpmath.exp(-mpmath.mpf(area) * _mp(c2)) * _mp(d) ** (1 - 2 * genus)
+        return total
+
+
+@pytest.mark.parametrize("ident,genus,area,most", [("HP:2", 2, 1e-22, 100),
+                                                   ("S:3", 3, 1e-20, 400)])
+def test_rank_one_heat_sum_at_a_tiny_area_stops_where_its_geometric_bound_does(
+        ident, genus, area, most):
+    # q^{Delta c2} is within 2^-53 of one for the first terms, and the
+    # geometric bound, taken in logs with expm1, meets the tolerance after
+    # 45 and 329 terms, where 1 - q^{Delta c2} rounded to 0 and read inf up
+    # to 69,387 and 2,776; the tails past 3,000 terms are below 1e-30
+    res = partition_type_I(ident, SurfaceParams(genus, area), 1e-8)
+    assert res.converged and res.rigorous and 0.0 < res.tail_bound <= 1e-8
+    assert res.terms_used < most
+    reference = _rank_one_heat_reference(ident, genus, area, 3000)
+    assert abs(mpmath.mpf(res.value) - reference) <= res.tail_bound
 
 
 @pytest.mark.parametrize("res,terms", [

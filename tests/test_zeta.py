@@ -70,6 +70,30 @@ def test_rank_one_bound_holds_against_closed_forms():
     assert missed == []
 
 
+@pytest.mark.parametrize("sid", ["HP:2", "HP:3", "FII", "CP:5"])
+def test_rank_one_at_a_huge_scale_log_holds_its_bound(sid):
+    # on a table with c < 1, -s log c is huge and positive, and the bounds
+    # take its scaling error to first order (``genseries._scaling_error``);
+    # from |s log c| = 1e12 to 1e16 each answer is unconverged with bound inf
+    # or within its bound of the value at 50 digits: every d(n)^-s past n =
+    # 0 is far below the float range, so no first-order error reaches a float
+    mpmath = pytest.importorskip("mpmath")
+    poly = dims.rank_one_factored(sid)
+    log_c = math.log(float(poly.c))
+    assert log_c < 0.0
+    with mpmath.workdps(50):
+        for scale_log in (1e12, 1e13, 1e14, 1e15, 1e16):
+            s = scale_log / -log_c
+            res = zeta_type_I(sid, s, 1e-8)
+            if not res.converged and res.tail_bound == math.inf:
+                continue
+            dimensions = [poly.c * math.prod((n + k) ** xi for k, xi in poly.factors)
+                          for n in (1, 2, 3)]
+            true = 1 + mpmath.fsum((mpmath.mpf(d.numerator) / d.denominator) ** -mpmath.mpf(s)
+                                   for d in dimensions)
+            assert abs(mpmath.mpf(res.value) - true) <= res.tail_bound, scale_log
+
+
 def test_rank_one_past_the_float_scale_is_a_domain_error():
     # s log(1/c) overflows to inf for S:5 at s = 1e308
     with pytest.raises(DomainError):
