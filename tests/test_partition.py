@@ -336,10 +336,10 @@ def test_rank_one_heat_sum_with_no_bound_in_the_cap_stops_at_one_term(res):
                                                (partition_type_I, "S:3", 1000, 3998),
                                                (partition_type_II, "SU:2", 10 ** 6, 1999998)])
 def test_rank_one_heat_sum_at_a_tiny_area_is_certified_by_its_zeta_tail(fn, ident, genus, s):
-    # q^{Delta c2} rounds to one, so the geometric bound is inf at every
-    # term; q^{c2} <= 1 makes the zeta tail of d^-(2g - 1) (or 2g - 2) a
-    # bound, and the sum is within it of its value at area 0, zeta(s) with
-    # d(k - 1) = k^2 on S:3 and k on SU:2
+    # q^{Delta c2} rounds to one at the cap, so the geometric bound is some
+    # e^690 times the next term; q^{c2} <= 1 makes the zeta tail of
+    # d^-(2g - 1) (or 2g - 2) a bound, and the sum is within it of its value
+    # at area 0, zeta(s) with d(k - 1) = k^2 on S:3 and k on SU:2
     res = fn(ident, SurfaceParams(genus, 1e-300), 1e-8)
     assert res.converged and res.rigorous and 0.0 < res.tail_bound <= 1e-8
     assert res.terms_used < 100
